@@ -18,10 +18,10 @@ import numpy as np
 
 from . import __version__
 from .linalg import QubitSpectrum, eig2_normal
-from .moments import GateSpec, gate_moments, kraus_avg_fidelity
+from .moments import GateSpec, InvariantError, gate_moments, kraus_avg_fidelity
 from .optimize import Objective, OptimizeConfig, build_family, optimize
 from .qubit_dist import normal_pdf, quadrature_moments
-from .sampling import mc_histogram, mc_moment
+from .sampling import mc_sample
 from .serialize import (
     load_kraus,
     load_matrix,
@@ -39,10 +39,6 @@ EXIT_VERIFY = 3
 
 
 class UsageError(Exception):
-    pass
-
-
-class InvariantViolation(Exception):
     pass
 
 
@@ -98,9 +94,7 @@ def _cmd_moments(args) -> int:
         try:
             mean = kraus_avg_fidelity(kmap, target)
         except ValueError as exc:
-            raise InvariantViolation(
-                f"{args.target} / {args.kraus}: {exc}"
-            ) from exc
+            raise InvariantError(f"{args.target} / {args.kraus}: {exc}") from exc
         _emit(
             {
                 "n_eff": kmap.dim,
@@ -114,7 +108,7 @@ def _cmd_moments(args) -> int:
     try:
         spec = GateSpec(target=target, actual=actual, subspace=subspace)
     except ValueError as exc:
-        raise InvariantViolation(f"target {args.target}: {exc}") from exc
+        raise InvariantError(f"target {args.target}: {exc}") from exc
     _emit(gate_moments(spec).as_dict())
     return EXIT_OK
 
@@ -146,11 +140,7 @@ def _cmd_sample(args) -> int:
             value_range = normal_pdf(eig2_normal(m)).support()
         except ValueError:
             value_range = None
-    hist = mc_histogram(
-        m, args.bins, args.samples, args.seed, workers=args.workers,
-        value_range=value_range,
-    )
-    est = mc_moment(m, 1, args.samples, args.seed, workers=args.workers)
+    hist, est = mc_sample(m, args.bins, args.samples, args.seed, args.workers, value_range)
     csv_path = f"{args.out}.csv"
     json_path = f"{args.out}.json"
     manifest_path = f"{args.out}.manifest.json"
@@ -282,9 +272,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,7 @@ formula is a polynomial in traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ from .linalg import (
     projector,
     restrict,
 )
-from .sampling import DEFAULT_WORKERS, sample_states
+from .sampling import DEFAULT_WORKERS, expectation, state_batches
 
 ACCEPTANCE_EPS = 1e-14
 VARIANCE_CLAMP = 1e-10
@@ -31,6 +32,18 @@ VARIANCE_CLAMP = 1e-10
 
 class NoAcceptanceError(ValueError):
     """Post-selection keeps essentially no population in the subspace."""
+
+
+class InvariantError(ValueError):
+    """A computed quantity breaks an identity of the formulas or overflows."""
+
+
+def _real(z: complex, tol: float, what: str) -> float:
+    """``z`` as a float; it must be finite and real to within ``tol``."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and abs(z.imag) <= tol * max(1.0, abs(z.real))):
+        raise InvariantError(f"{what} is not a representable real number: {z}")
+    return z.real
 
 
 @dataclass(frozen=True)
@@ -149,9 +162,8 @@ def avg_fidelity(m: np.ndarray) -> float:
     """Haar-average fidelity [Tr(m m^dag) + |Tr m|^2] / (n (n+1))."""
     m = as_matrix(m)
     n = m.shape[0]
-    gram = complex(np.trace(m @ adjoint(m)))
-    assert abs(gram.imag) <= 1e-12 * max(1.0, abs(gram.real))
-    return float((gram.real + abs(np.trace(m)) ** 2) / (n * (n + 1)))
+    gram = _real(np.trace(m @ adjoint(m)), 1e-12, "Tr(m m^dag)")
+    return _real(float((gram + abs(np.trace(m)) ** 2) / (n * (n + 1))), 0.0, "mean")
 
 
 def avg_fidelity_qubit_spectrum(s: QubitSpectrum) -> float:
@@ -179,10 +191,12 @@ def fourth_moment_hermitian(s: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     t4 = complex(np.trace(s2 @ s2))
     if flags.hermitian:
         scale = max(1.0, abs(t1), abs(t2), abs(t3), abs(t4))
-        assert max(abs(t.imag) for t in (t1, t2, t3, t4)) <= 1e-12 * scale
-    total = 6 * t4 + 8 * t3 * t1 + 3 * t2 * t2 + 6 * t2 * t1 * t1 + t1**4
-    assert abs(total.imag) <= 1e-10 * max(1.0, abs(total.real))
-    return total.real / (n * (n + 1) * (n + 2) * (n + 3))
+        if not max(abs(t.imag) for t in (t1, t2, t3, t4)) <= 1e-12 * scale:
+            raise InvariantError("traces of a Hermitian matrix are not real")
+    t1_sq = t1 * t1  # t1_sq * t1_sq == t1**4, but gives inf where ** would raise
+    total = 6 * t4 + 8 * t3 * t1 + 3 * t2 * t2 + 6 * t2 * t1 * t1 + t1_sq * t1_sq
+    total = _real(total, 1e-10, "fourth-moment trace sum")
+    return total / (n * (n + 1) * (n + 2) * (n + 3))
 
 
 def fourth_moment_general(m: np.ndarray) -> float:
@@ -210,9 +224,8 @@ def fourth_moment_general(m: np.ndarray) -> float:
         + 4 * t_m * t_md * t_mmd
         + t_m * t_m * t_md * t_md
     )
-    total = complex(total)
-    assert abs(total.imag) <= 1e-10 * max(1.0, abs(total.real))
-    return max(0.0, total.real / (n * (n + 1) * (n + 2) * (n + 3)))
+    total = _real(total, 1e-10, "fourth-moment trace sum")
+    return max(0.0, total / (n * (n + 1) * (n + 2) * (n + 3)))
 
 
 def variance(m: np.ndarray) -> MomentReport:
@@ -221,7 +234,8 @@ def variance(m: np.ndarray) -> MomentReport:
     mean = avg_fidelity(m)
     second = fourth_moment_general(m)
     raw = second - mean * mean
-    assert raw >= -VARIANCE_CLAMP * max(1.0, second)
+    if not raw >= -VARIANCE_CLAMP * max(1.0, second):
+        raise InvariantError(f"variance {raw} is negative beyond rounding")
     return MomentReport(
         n_eff=m.shape[0],
         mean=mean,
@@ -231,29 +245,30 @@ def variance(m: np.ndarray) -> MomentReport:
     )
 
 
+def comparison_matrix(
+    target: np.ndarray, actual: np.ndarray, subspace: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """``target^dag @ actual``, or ``restrict(target^dag) @ restrict(actual)``
+    on a subspace: the map whose fidelity moments are taken."""
+    if subspace is None:
+        return adjoint(target) @ actual
+    return restrict(adjoint(target), subspace) @ restrict(actual, subspace)
+
+
 def gate_moments(g: GateSpec, with_variance: bool = True) -> MomentReport:
     """Moment report for a gate spec, over the full space or its subspace."""
-    if g.subspace is None:
-        m = adjoint(g.target) @ g.actual
-        return variance(m) if with_variance else MomentReport(
-            n_eff=m.shape[0], mean=avg_fidelity(m)
-        )
-    return subspace_avg_fidelity(g, with_variance=with_variance)
+    m = comparison_matrix(g.target, g.actual, g.subspace)
+    if with_variance:
+        return variance(m)
+    return MomentReport(n_eff=m.shape[0], mean=avg_fidelity(m))
 
 
 def subspace_avg_fidelity(g: GateSpec, with_variance: bool = False) -> MomentReport:
-    """Average fidelity over input states confined to the selected subspace.
-
-    Uses the restricted comparison matrix
-    ``m_rel = restrict(target^dag) @ restrict(actual)`` and the trace formula
-    at the subspace dimension.
-    """
+    """Average fidelity over input states confined to the selected subspace:
+    the trace formula for the restricted :func:`comparison_matrix`."""
     if g.subspace is None:
         raise ValueError("gate spec has no subspace selector")
-    m_rel = restrict(adjoint(g.target), g.subspace) @ restrict(g.actual, g.subspace)
-    if with_variance:
-        return variance(m_rel)
-    return MomentReport(n_eff=m_rel.shape[0], mean=avg_fidelity(m_rel))
+    return gate_moments(g, with_variance=with_variance)
 
 
 def conditional_fidelity(g: GateSpec) -> float:
@@ -273,15 +288,12 @@ def conditional_fidelity(g: GateSpec) -> float:
     p = projector(g.subspace, n)
     u0d = adjoint(g.target)
     pup = p @ g.actual @ p
-    den = complex(np.trace(adjoint(g.actual) @ pup))
-    assert abs(den.imag) <= 1e-12 * max(1.0, abs(den.real))
-    if den.real <= ACCEPTANCE_EPS:
+    den = _real(np.trace(adjoint(g.actual) @ pup), 1e-12, "acceptance trace")
+    if den <= ACCEPTANCE_EPS:
         raise NoAcceptanceError("acceptance probability vanishes on the subspace")
-    num = complex(np.trace(u0d @ pup @ adjoint(g.actual) @ p @ g.target))
-    assert abs(num.imag) <= 1e-12 * max(1.0, abs(num.real))
+    num = _real(np.trace(u0d @ pup @ adjoint(g.actual) @ p @ g.target), 1e-12, "overlap")
     cross = abs(np.trace(u0d @ pup)) ** 2
-    n_rel = len(g.subspace)
-    return float((num.real + cross) / ((n_rel + 1) * den.real))
+    return float((num + cross) / ((len(g.subspace) + 1) * den))
 
 
 def kraus_avg_fidelity(k: KrausMap, target: np.ndarray) -> float:
@@ -300,12 +312,11 @@ def kraus_avg_fidelity(k: KrausMap, target: np.ndarray) -> float:
     n = k.dim
     u0d = adjoint(target)
     m_ks = [u0d @ g for g in k.operators]
-    gram = sum(complex(np.trace(adjoint(mk) @ mk)) for mk in m_ks)
-    assert abs(gram.imag) <= 1e-12 * max(1.0, abs(gram.real))
-    if k.trace_preserving:
-        assert abs(gram.real - n) <= 1e-8
+    gram = _real(sum(np.trace(adjoint(mk) @ mk) for mk in m_ks), 1e-12, "Kraus Gram trace")
+    if k.trace_preserving and not abs(gram - n) <= 1e-8:
+        raise InvariantError(f"Gram trace {gram} of a trace-preserving map is not {n}")
     cross = sum(abs(np.trace(mk)) ** 2 for mk in m_ks)
-    return float((gram.real + cross) / (n * (n + 1)))
+    return float((gram + cross) / (n * (n + 1)))
 
 
 @dataclass(frozen=True)
@@ -333,30 +344,13 @@ def sa_decomposition_check(
     m = as_matrix(m)
     sym = (m + adjoint(m)) / 2.0
     anti = (m - adjoint(m)) / 2.0
-    n = m.shape[0]
-    children = np.random.SeedSequence(seed).spawn(workers)
     totals = np.zeros(4)
     gap = 0.0
-    base, extra = divmod(samples, workers)
-    for w, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        size = base + (1 if w < extra else 0)
-        done = 0
-        while done < size:
-            batch = min(1 << 16, size - done)
-            states = sample_states(n, batch, rng)
-            q_m = np.einsum("bi,ij,bj->b", states.conj(), m, states)
-            q_s = np.einsum("bi,ij,bj->b", states.conj(), sym, states)
-            q_a = np.einsum("bi,ij,bj->b", states.conj(), anti, states)
-            f_total = np.abs(q_m) ** 4
-            f_sym = np.abs(q_s) ** 4
-            f_anti = np.abs(q_a) ** 4
-            f_cross = (np.abs(q_s) ** 2) * (np.abs(q_a) ** 2)
-            totals += [f_total.sum(), f_sym.sum(), f_anti.sum(), f_cross.sum()]
-            gap = max(
-                gap, float(np.abs(f_total - (f_sym + f_anti + 2 * f_cross)).max())
-            )
-            done += batch
+    for states in state_batches(m.shape[0], samples, seed, workers):
+        q_m, q_s, q_a = (np.abs(expectation(states, a)) for a in (m, sym, anti))
+        f = np.stack([q_m**4, q_s**4, q_a**4, (q_s**2) * (q_a**2)])  # total, S, A, cross
+        totals += f.sum(axis=1)
+        gap = max(gap, float(np.abs(f[0] - (f[1] + f[2] + 2 * f[3])).max()))
     means = totals / samples
     return DecompositionReport(
         mean_total=float(means[0]),

@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, adjoint, as_matrix, classify, eig2_normal, restrict
-from .moments import avg_fidelity, variance
+from .linalg import DEFAULT_TOL, as_matrix, classify, eig2_normal
+from .moments import avg_fidelity, comparison_matrix, variance
 from .qubit_dist import DegenerateSpectrumError, normal_pdf
 
 OBJECTIVE_KINDS = ("mean", "mean_minus_k_sigma", "min_support")
@@ -90,11 +90,7 @@ def _comparison_matrix(fam: GateFamily, params: np.ndarray) -> np.ndarray:
             f"evaluator returned dimension {actual.shape[0]}, expected {fam.dim}",
             params,
         )
-    if fam.subspace is not None:
-        return restrict(adjoint(fam.target), fam.subspace) @ restrict(
-            actual, fam.subspace
-        )
-    return adjoint(fam.target) @ actual
+    return comparison_matrix(fam.target, actual, fam.subspace)
 
 
 def evaluate_objective(fam: GateFamily, obj: Objective, params: Sequence[float]) -> float:

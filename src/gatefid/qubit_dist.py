@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import QubitSpectrum
-from .moments import MomentReport
+from .moments import InvariantError, MomentReport
 from .sampling import Histogram
 
 CASE_UNITARY = "unitary_like"
@@ -210,7 +210,8 @@ def normal_pdf(s: QubitSpectrum) -> FidelityDistribution:
             pieces.append(Piece(f_lo=a2, f_hi=b2, coeff=0.5 / d, u_lo=u_a, u_hi=u_b))
         pieces = tuple(pieces)
     dist = FidelityDistribution(spectrum=s, case=case, f0=f0, pieces=pieces)
-    assert abs(dist.mass() - 1.0) <= 1e-10
+    if not abs(dist.mass() - 1.0) <= 1e-10:
+        raise InvariantError(f"density mass {dist.mass()} is not 1")
     return dist
 
 

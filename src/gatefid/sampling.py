@@ -1,11 +1,12 @@
 """Haar-uniform pure states, Monte-Carlo fidelity estimates, sphere integrals.
 
 States are sampled by normalizing standard complex Gaussian vectors, which is
-Haar-uniform on the unit sphere of C^n for every n. All Monte-Carlo entry
-points are deterministic for a fixed ``(seed, samples, workers)`` triple:
-worker streams are derived from the seed with ``numpy.random.SeedSequence``
-and evaluated in a fixed order (workers only partition the stream, they do
-not run concurrently here).
+Haar-uniform on the unit sphere of C^n for every n. Every seeded Monte-Carlo
+path draws from one stream, :func:`state_batches`, and is deterministic for a
+fixed ``(seed, samples, workers)`` triple: worker streams are derived from the
+seed with ``numpy.random.SeedSequence`` and evaluated in a fixed order (workers
+only partition the stream, they do not run concurrently here). ``mc_sample``
+takes its estimate and its histogram from the same draws.
 """
 
 from __future__ import annotations
@@ -107,28 +108,72 @@ class Histogram:
         return self.counts / (self.samples * self.widths)
 
 
-def _worker_sizes(samples: int, workers: int) -> list[int]:
-    base, extra = divmod(samples, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
-def _fidelity_batches(
-    m: np.ndarray, samples: int, seed: int, workers: int
+def state_batches(
+    n: int, samples: int, seed: int, workers: int = DEFAULT_WORKERS
 ) -> Iterator[np.ndarray]:
-    """Yield batches of f = |<psi|m|psi>|^2 in a seed-deterministic order."""
+    """Yield ``samples`` Haar states on C^n in batches: worker ``w`` draws its
+    share of the budget from the ``w``-th child of ``SeedSequence(seed)``."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    n = m.shape[0]
-    children = np.random.SeedSequence(seed).spawn(workers)
-    for size, child in zip(_worker_sizes(samples, workers), children):
+    base, extra = divmod(samples, workers)
+    for w, child in enumerate(np.random.SeedSequence(seed).spawn(workers)):
         rng = np.random.default_rng(child)
-        done = 0
-        while done < size:
-            batch = min(_BATCH, size - done)
-            states = sample_states(n, batch, rng)
-            overlap = np.einsum("bi,ij,bj->b", states.conj(), m, states)
-            yield np.abs(overlap) ** 2
-            done += batch
+        size = base + (1 if w < extra else 0)
+        for done in range(0, size, _BATCH):
+            yield sample_states(n, min(_BATCH, size - done), rng)
+
+
+def expectation(states: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """<psi|a|psi> for every row psi of ``states``."""
+    return np.einsum("bi,ij,bj->b", states.conj(), a, states)
+
+
+def _fidelities(m: np.ndarray, samples: int, seed: int, workers: int) -> np.ndarray:
+    """All ``samples`` values of f = |<psi|m|psi>|^2, in seed order."""
+    m = as_matrix(m)
+    f = np.empty(samples)
+    done = 0
+    for states in state_batches(m.shape[0], samples, seed, workers):
+        np.abs(expectation(states, m), out=f[done : done + len(states)])
+        done += len(states)
+    return np.square(f, out=f)
+
+
+def _estimate(values: np.ndarray, seed: int) -> McEstimate:
+    """Two-pass mean and standard error of ``values``."""
+    std_error = values.std(ddof=1) / np.sqrt(values.size)
+    return McEstimate(float(values.mean()), float(std_error), values.size, seed)
+
+
+def _check_bins(bins: int, samples: int) -> None:
+    if bins < 2:
+        raise ValueError("bins must be at least 2")
+    if samples < bins:
+        raise ValueError("samples must be at least bins")
+
+
+def _histogram(
+    f: np.ndarray, bins: int, seed: int, value_range: tuple[float, float] | None
+) -> Histogram:
+    """Bin ``f``; with a given range, edge values in ``f`` are clamped in place."""
+    if value_range is None:
+        lo, hi = float(f.min()), float(f.max())
+        min_width = bins * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+        if hi - lo < min_width:
+            # Constant fidelity up to rounding (e.g. the identity map): park
+            # all mass in the top bin by opening a range just below it.
+            lo = hi - 1e-9 * max(1.0, abs(hi))
+        value_range = (lo, hi)
+    else:
+        # Keep boundary rounding dust (f = support edge +- ~1e-15) in range;
+        # anything further out is genuinely outside and stays dropped.
+        lo, hi = value_range
+        slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+        gap = np.empty_like(f)
+        for edge in (lo, hi):
+            f[np.abs(np.subtract(f, edge, out=gap), out=gap) <= slack] = edge
+    counts, edges = np.histogram(f, bins=bins, range=value_range)
+    return Histogram(edges=edges, counts=counts, samples=f.size, seed=seed)
 
 
 def mc_moment(
@@ -139,25 +184,13 @@ def mc_moment(
     workers: int = DEFAULT_WORKERS,
 ) -> McEstimate:
     """Monte-Carlo estimate of the Haar average of |<psi|m|psi>|^(2*order)."""
-    m = as_matrix(m)
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if samples < 100:
         raise ValueError("samples must be at least 100")
-    total = 0.0
-    total_sq = 0.0
-    for f in _fidelity_batches(m, samples, seed, workers):
-        vals = f if order == 1 else f * f
-        total += vals.sum()
-        total_sq += (vals * vals).sum()
-    mean = float(total / samples)
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    return McEstimate(
-        mean=mean,
-        std_error=float(np.sqrt(var / samples)),
-        samples=samples,
-        seed=seed,
-    )
+    f = _fidelities(m, samples, seed, workers)
+    f **= order  # in place; for order 2 this is np.square, i.e. f * f
+    return _estimate(f, seed)
 
 
 def mc_histogram(
@@ -174,26 +207,22 @@ def mc_histogram(
     support when comparing against a closed-form density so bins align with
     the support endpoints.
     """
-    m = as_matrix(m)
-    if bins < 2:
-        raise ValueError("bins must be at least 2")
-    if samples < bins:
-        raise ValueError("samples must be at least bins")
-    values = np.concatenate(list(_fidelity_batches(m, samples, seed, workers)))
-    if value_range is None:
-        lo, hi = float(values.min()), float(values.max())
-        min_width = bins * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
-        if hi - lo < min_width:
-            # Constant fidelity up to rounding (e.g. the identity map): park
-            # all mass in the top bin by opening a range just below it.
-            lo = hi - 1e-9 * max(1.0, abs(hi))
-        value_range = (lo, hi)
-    else:
-        # Keep boundary rounding dust (f = support edge +- ~1e-15) in range;
-        # anything further out is genuinely outside and stays dropped.
-        lo, hi = value_range
-        slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-        values = np.where(np.abs(values - lo) <= slack, lo, values)
-        values = np.where(np.abs(values - hi) <= slack, hi, values)
-    counts, edges = np.histogram(values, bins=bins, range=value_range)
-    return Histogram(edges=edges, counts=counts, samples=samples, seed=seed)
+    _check_bins(bins, samples)
+    return _histogram(_fidelities(m, samples, seed, workers), bins, seed, value_range)
+
+
+def mc_sample(
+    m: np.ndarray,
+    bins: int,
+    samples: int,
+    seed: int,
+    workers: int = DEFAULT_WORKERS,
+    value_range: tuple[float, float] | None = None,
+) -> tuple[Histogram, McEstimate]:
+    """``mc_histogram`` and ``mc_moment(m, 1, ...)`` from one draw of the states."""
+    _check_bins(bins, samples)
+    if samples < 100:
+        raise ValueError("samples must be at least 100")
+    f = _fidelities(m, samples, seed, workers)
+    est = _estimate(f, seed)  # before _histogram clamps edge values in f
+    return _histogram(f, bins, seed, value_range), est

@@ -17,6 +17,7 @@ import numpy as np
 from . import moments, qubit_dist, sampling
 from .linalg import QubitSpectrum, adjoint, projector
 from .moments import GateSpec
+from .optimize import _leaky_map
 
 QUICK_SEED = 20260810
 
@@ -137,13 +138,7 @@ def check_worked_values() -> CheckResult:
 
 
 def _leaky_gate(alpha: float) -> GateSpec:
-    s = np.sqrt(max(0.0, 1.0 - alpha * alpha))
-    u = np.eye(3, dtype=np.complex128)
-    u[1, 1] = alpha
-    u[1, 2] = s
-    u[2, 1] = -s
-    u[2, 2] = np.conjugate(alpha)
-    return GateSpec(target=np.eye(3), actual=u, subspace=(0, 1))
+    return GateSpec(target=np.eye(3), actual=_leaky_map((alpha, 0.0)), subspace=(0, 1))
 
 
 def check_mc_closed_form(seed: int, samples: int) -> CheckResult:
@@ -212,20 +207,15 @@ def _mc_conditional(
     """
     sel = list(g.subspace)
     n = g.target.shape[0]
-    n_rel = len(sel)
     p = projector(g.subspace, n)
     num_op = p @ adjoint(g.target) @ p @ g.actual @ p
     den_op = p @ adjoint(g.actual) @ p @ g.actual @ p
-    ratios = []
-    per_batch = samples // batches
-    for _ in range(batches):
-        sub = sampling.sample_states(n_rel, per_batch, rng)
-        states = np.zeros((per_batch, n), dtype=np.complex128)
-        states[:, sel] = sub
-        num = np.abs(np.einsum("bi,ij,bj->b", states.conj(), num_op, states)) ** 2
-        den = np.einsum("bi,ij,bj->b", states.conj(), den_op, states).real
-        ratios.append(num.mean() / den.mean())
-    ratios = np.asarray(ratios)
+    count = samples - samples % batches  # whole batches only
+    states = np.zeros((count, n), dtype=np.complex128)
+    states[:, sel] = sampling.sample_states(len(sel), count, rng)
+    num = np.abs(sampling.expectation(states, num_op)) ** 2
+    den = sampling.expectation(states, den_op).real
+    ratios = num.reshape(batches, -1).mean(axis=1) / den.reshape(batches, -1).mean(axis=1)
     return float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(batches))
 
 

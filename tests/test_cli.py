@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gatefid import depolarizing_kraus
+import gatefid
+from gatefid import depolarizing_kraus, eig2_normal, mc_histogram, mc_moment, normal_pdf
+from gatefid import sampling
 from gatefid.cli import main
 from gatefid.serialize import kraus_to_obj, save_matrix
 
@@ -125,6 +131,28 @@ class TestMoments:
         )
         assert code == 2
         assert "mismatch" in err
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts_on", "optimized"])
+    def test_unrepresentable_moment_exits_2(self, files, flags):
+        # The fourth moment of diag(1e150, 1e150) overflows a float. Run in a
+        # fresh interpreter so that -O (which strips asserts) is in force.
+        huge = str(files["dir"] / "huge.json")
+        save_matrix(np.diag([1e150, 1e150]), huge)
+        src = str(Path(gatefid.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = ["moments", "--target", files["eye2"], "--actual", huge]
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "gatefid.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1, proc.stderr
+        assert proc.stdout == ""
 
 
 class TestDist:
@@ -317,6 +345,43 @@ class TestSample:
         est = json.loads(out)
         assert code == 0
         assert abs(est["mean"] - 1 / 3) <= 3 * est["std_error"]
+
+    @pytest.mark.parametrize("name", ["reference", "random4"])
+    def test_one_draw_feeds_histogram_and_estimate(self, files, capsys, monkeypatch, name):
+        # The CSV must be mc_histogram's and the JSON mean mc_moment's on the
+        # same seed, while the command draws each of its states only once.
+        if name == "random4":
+            rng = np.random.default_rng(4)
+            m = (rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))) / 4
+            save_matrix(m, files["dir"] / "random4.json")
+            files[name] = str(files["dir"] / "random4.json")
+            value_range = None  # observed range
+        else:
+            m = np.diag([L0, L1])
+            value_range = normal_pdf(eig2_normal(m)).support()
+        samples, bins, seed = 20_001, 30, 5
+        drawn = []
+        sample_states = sampling.sample_states
+
+        def counting(n, count, rng):
+            drawn.append(count)
+            return sample_states(n, count, rng)
+
+        monkeypatch.setattr(sampling, "sample_states", counting)
+        prefix = str(files["dir"] / f"one_{name}")
+        argv = ["sample", "--matrix", files[name], "--samples", str(samples)]
+        argv += ["--bins", str(bins), "--seed", str(seed), "--workers", "2", "--out", prefix]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert sum(drawn) == samples
+        monkeypatch.undo()
+        rows = (files["dir"] / f"one_{name}.csv").read_text().strip().splitlines()[1:]
+        counts = [int(row.split(",")[2]) for row in rows]
+        hist = mc_histogram(m, bins, samples, seed, workers=2, value_range=value_range)
+        assert counts == hist.counts.tolist()
+        mean = json.loads(out)["mean"]
+        want = mc_moment(m, 1, samples, seed, workers=2).mean
+        assert abs(mean - want) <= 1e-15 * abs(want)
 
 
 class TestOptimize:

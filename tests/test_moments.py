@@ -22,6 +22,7 @@ from gatefid import (
     subspace_avg_fidelity,
     variance,
 )
+from gatefid.moments import InvariantError
 from conftest import (
     random_antihermitian,
     random_hermitian,
@@ -296,6 +297,17 @@ class TestVariance:
         rep = gate_moments(GateSpec(u, u))
         assert rep.mean == pytest.approx(1.0, abs=1e-12)
         assert rep.variance <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "fn,scale",
+        [(variance, 1e150), (fourth_moment_hermitian, 1e80), (avg_fidelity, 9e153)],
+    )
+    def test_unrepresentable_moment_raises(self, fn, scale):
+        # Finite entries whose moment overflows a float: a typed error, not
+        # an AssertionError, an OverflowError or an inf.
+        with pytest.raises(InvariantError, match="not a representable"):
+            fn(np.diag([scale, scale]))
 
 
 class TestSaDecomposition:

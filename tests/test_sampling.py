@@ -146,6 +146,17 @@ class TestMcMoment:
     def test_seed_recorded(self):
         assert mc_moment(np.eye(2), 1, 1000, seed=31).seed == 31
 
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6])
+    def test_std_error_near_identity(self, delta):
+        # m = diag(1, e^{i delta}) gives f = 1 - 2 p (1 - p) (1 - cos delta)
+        # with p = |c_0|^2 uniform on [0, 1], so sigma_f = 2 (1 - cos delta) /
+        # sqrt(180); 1 - cos delta is taken as 2 sin^2(delta / 2) to keep digits.
+        samples = 100_000
+        one_minus_cos = 2 * np.sin(delta / 2) ** 2
+        want = 2 * one_minus_cos / np.sqrt(180) / np.sqrt(samples)
+        est = mc_moment(np.diag([1, np.exp(1j * delta)]), 1, samples, seed=13)
+        assert abs(est.std_error - want) <= 0.05 * want
+
 
 class TestMcHistogram:
     def test_identity_mass_in_top_bin(self):
