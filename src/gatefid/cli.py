@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .linalg import QubitSpectrum, eig2_normal
 from .moments import GateSpec, InvariantError, gate_moments, kraus_avg_fidelity
-from .optimize import Objective, OptimizeConfig, build_family, optimize
+from .optimize import EvaluatorError, Objective, OptimizeConfig, build_family, optimize
 from .qubit_dist import normal_pdf, quadrature_moments
 from .sampling import mc_sample
 from .serialize import (
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, EvaluatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

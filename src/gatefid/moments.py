@@ -29,6 +29,10 @@ from .sampling import DEFAULT_WORKERS, expectation, state_batches
 ACCEPTANCE_EPS = 1e-14
 VARIANCE_CLAMP = 1e-10
 
+# An overflowing trace sum comes out non-finite and ``_real`` raises
+# InvariantError for it, so numpy's RuntimeWarnings on the way are noise.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
 
 class NoAcceptanceError(ValueError):
     """Post-selection keeps essentially no population in the subspace."""
@@ -172,6 +176,7 @@ def avg_fidelity_qubit_spectrum(s: QubitSpectrum) -> float:
     return (abs(l0) ** 2 + abs(l1) ** 2 + (l0 * l1.conjugate()).real) / 3.0
 
 
+@_quiet_overflow
 def fourth_moment_hermitian(s: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """Haar average of <psi|s|psi>^4 for Hermitian (or anti-Hermitian) s.
 
@@ -199,6 +204,7 @@ def fourth_moment_hermitian(s: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     return total / (n * (n + 1) * (n + 2) * (n + 3))
 
 
+@_quiet_overflow
 def fourth_moment_general(m: np.ndarray) -> float:
     """Haar average of |<psi|m|psi>|^4 for an arbitrary linear map."""
     m = as_matrix(m)

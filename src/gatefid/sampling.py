@@ -6,7 +6,9 @@ path draws from one stream, :func:`state_batches`, and is deterministic for a
 fixed ``(seed, samples, workers)`` triple: worker streams are derived from the
 seed with ``numpy.random.SeedSequence`` and evaluated in a fixed order (workers
 only partition the stream, they do not run concurrently here). ``mc_sample``
-takes its estimate and its histogram from the same draws.
+takes its estimate and its histogram from the same draws. The states a seed
+draws are pinned bit for bit; ``f`` may differ from earlier versions in the
+last bits, since :func:`expectation` is one matrix product plus a row-wise dot.
 """
 
 from __future__ import annotations
@@ -40,14 +42,15 @@ def sample_states(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar-uniform states, stacked as rows of shape (count, n)."""
     if n < 1:
         raise ValueError("state dimension must be at least 1")
-    z = rng.standard_normal((count, 2 * n))
-    v = z[:, 0::2] + 1j * z[:, 1::2]
+    # Consecutive normals (re, im) pair up exactly as in ``sample_state``.
+    v = rng.standard_normal((count, 2 * n)).view(np.complex128)
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     bad = norms[:, 0] <= 1e-150
     for i in np.flatnonzero(bad):
         v[i] = sample_state(n, rng)
         norms[i, 0] = 1.0
-    return v / norms
+    v /= norms
+    return v
 
 
 def monomial_integral_exact(k: Sequence[int], n: int) -> Fraction:
@@ -125,7 +128,7 @@ def state_batches(
 
 def expectation(states: np.ndarray, a: np.ndarray) -> np.ndarray:
     """<psi|a|psi> for every row psi of ``states``."""
-    return np.einsum("bi,ij,bj->b", states.conj(), a, states)
+    return np.einsum("bj,bj->b", states.conj() @ a, states)
 
 
 def _fidelities(m: np.ndarray, samples: int, seed: int, workers: int) -> np.ndarray:

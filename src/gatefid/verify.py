@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import moments, qubit_dist, sampling
-from .linalg import QubitSpectrum, adjoint, projector
+from .linalg import QubitSpectrum, adjoint
 from .moments import GateSpec
 from .optimize import _leaky_map
 
@@ -205,14 +205,10 @@ def _mc_conditional(
 
     Returns a batched ratio estimate with its standard error.
     """
-    sel = list(g.subspace)
-    n = g.target.shape[0]
-    p = projector(g.subspace, n)
-    num_op = p @ adjoint(g.target) @ p @ g.actual @ p
-    den_op = p @ adjoint(g.actual) @ p @ g.actual @ p
+    num_op = moments.comparison_matrix(g.target, g.actual, g.subspace)
+    den_op = moments.comparison_matrix(g.actual, g.actual, g.subspace)
     count = samples - samples % batches  # whole batches only
-    states = np.zeros((count, n), dtype=np.complex128)
-    states[:, sel] = sampling.sample_states(len(sel), count, rng)
+    states = sampling.sample_states(len(g.subspace), count, rng)
     num = np.abs(sampling.expectation(states, num_op)) ** 2
     den = sampling.expectation(states, den_op).real
     ratios = num.reshape(batches, -1).mean(axis=1) / den.reshape(batches, -1).mean(axis=1)

@@ -15,6 +15,7 @@ from gatefid.serialize import kraus_to_obj, save_matrix
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
 L1 = 0.8 * np.exp(1j * 4 * np.pi / 5)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 REFERENCE_MEAN = (0.49 + 0.64 + 0.56 * np.cos(4 * np.pi / 5 - np.pi / 8)) / 3
 
 
@@ -37,6 +38,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_fresh(*argv, flags=()):
+    """Run the CLI in a fresh interpreter (``flags`` such as -O go to python)."""
+    src = str(Path(gatefid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "gatefid.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def assert_one_error_line(proc, code):
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 class TestMoments:
@@ -136,23 +157,12 @@ class TestMoments:
     def test_unrepresentable_moment_exits_2(self, files, flags):
         # The fourth moment of diag(1e150, 1e150) overflows a float. Run in a
         # fresh interpreter so that -O (which strips asserts) is in force.
+        # stderr must hold the error line alone: no traceback and no numpy
+        # overflow warnings.
         huge = str(files["dir"] / "huge.json")
         save_matrix(np.diag([1e150, 1e150]), huge)
-        src = str(Path(gatefid.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
         argv = ["moments", "--target", files["eye2"], "--actual", huge]
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "gatefid.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
-        assert len(errors) == 1, proc.stderr
-        assert proc.stdout == ""
+        assert_one_error_line(run_fresh(*argv, flags=flags), 2)
 
 
 class TestDist:
@@ -434,6 +444,19 @@ class TestOptimize:
         code, _, err = run(capsys, "optimize", str(path))
         assert code == 2
         assert "outside" in err
+
+    def test_nan_start_exits_2(self, tmp_path):
+        # Python's json reads NaN. A NaN start passes the box check (every
+        # comparison with NaN is false) and the evaluator fails at the first
+        # probe with an EvaluatorError.
+        problem = json.loads((PROBLEMS / "leaky_gate.json").read_text())
+        problem["start"] = [float("nan"), float("nan")]
+        path = tmp_path / "nan_start.json"
+        path.write_text(json.dumps(problem))
+        assert "NaN" in path.read_text()
+        proc = run_fresh("optimize", str(path))
+        assert_one_error_line(proc, 2)
+        assert "nan" in proc.stderr
 
 
 class TestVerifyCommand:

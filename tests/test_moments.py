@@ -309,6 +309,14 @@ class TestVariance:
         with pytest.raises(InvariantError, match="not a representable"):
             fn(np.diag([scale, scale]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fn", [fourth_moment_general, fourth_moment_hermitian])
+    def test_overflow_raises_without_warnings(self, fn):
+        # numpy's overflow warnings would turn into errors here and pre-empt
+        # the InvariantError.
+        with pytest.raises(InvariantError):
+            fn(np.diag([1e150, 1e150]))
+
 
 class TestSaDecomposition:
     def test_hermitian_input_kills_cross_terms(self, rng):

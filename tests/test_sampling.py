@@ -11,7 +11,8 @@ from gatefid import (
     sample_state,
     sample_states,
 )
-from conftest import random_unitary
+from gatefid.sampling import _BATCH, expectation, state_batches
+from conftest import random_hermitian, random_matrix, random_unitary
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
 L1 = 0.8 * np.exp(1j * 4 * np.pi / 5)
@@ -56,6 +57,60 @@ class TestSampleState:
             f_rot.std(ddof=1) / np.sqrt(len(f_rot)),
         )
         assert abs(f_plain.mean() - f_rot.mean()) <= 4 * se
+
+
+def reference_states(n, count, rng):
+    """Rows (z_0 + i z_1, z_2 + i z_3, ...) / norm from one normal draw."""
+    z = rng.standard_normal((count, 2 * n))
+    v = z[:, 0::2] + 1j * z[:, 1::2]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestSeedToStateMap:
+    # Pins the map from a seed to its states bit for bit: a faster kernel
+    # must not change which states a seed draws.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_sample_states_bitwise(self, n, seed):
+        got = sample_states(n, 4096, np.random.default_rng(seed))
+        want = reference_states(n, 4096, np.random.default_rng(seed))
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_state_batches_bitwise(self, workers):
+        n, samples, seed = 2, 2 * _BATCH + 5, 7  # several batches per worker
+        got = np.concatenate(list(state_batches(n, samples, seed, workers)))
+        base, extra = divmod(samples, workers)
+        children = np.random.SeedSequence(seed).spawn(workers)
+        want = np.concatenate(
+            [
+                reference_states(n, base + (w < extra), np.random.default_rng(child))
+                for w, child in enumerate(children)
+            ]
+        )
+        assert np.array_equal(bits(got), bits(want))
+
+
+class TestExpectation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["general", "hermitian"])
+    def test_matches_double_loop(self, rng, n, kind):
+        a = random_matrix(rng, n, scale=3.0) if kind == "general" else random_hermitian(rng, n)
+        states = sample_states(n, 200, rng)
+        want = np.zeros(len(states), dtype=np.complex128)
+        for i in range(n):
+            for j in range(n):
+                want += states[:, i].conj() * a[i, j] * states[:, j]
+        got = expectation(states, a)
+        assert got.shape == (len(states),)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(a).max()
+
+    def test_empty_batch(self):
+        assert expectation(np.empty((0, 3), dtype=np.complex128), np.eye(3)).shape == (0,)
 
 
 class TestMonomialIntegral:
