@@ -37,20 +37,6 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.conjugate(np.asarray(m)).T
 
 
-def trace(m: np.ndarray) -> complex:
-    """Sum of diagonal entries."""
-    return complex(np.trace(np.asarray(m)))
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product, requiring equal dimensions."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
 @dataclass(frozen=True)
 class StructureFlags:
     """Structural predicates of a matrix at a given tolerance."""
@@ -97,14 +83,6 @@ def restrict(m: np.ndarray, indices: Sequence[int]) -> np.ndarray:
     m = as_matrix(m)
     sel = check_selector(indices, m.shape[0])
     return m[np.ix_(sel, sel)]
-
-
-def projector(indices: Sequence[int], dim: int) -> np.ndarray:
-    """Diagonal 0/1 projector onto the selected basis states."""
-    sel = check_selector(indices, dim)
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    p[sel, sel] = 1.0
-    return p
 
 
 def _canonical_order(a: complex, b: complex) -> tuple[complex, complex]:

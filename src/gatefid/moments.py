@@ -2,9 +2,12 @@
 
 For a linear map ``m`` on C^n the fidelity of an input state is
 ``f = |<psi|m|psi>|^2``. This module evaluates the exact Haar averages of
-``f`` and ``f^2`` from traces of small matrix products, plus the restricted,
-conditional, and Kraus-form variants. No eigendecompositions are used; every
-formula is a polynomial in traces.
+``f`` and ``f^2`` from traces of small matrix products. Every average over
+the full space or a subspace is :func:`avg_fidelity` / :func:`fourth_moment_general`
+of one :func:`comparison_matrix`; the conditional fidelity is that subspace
+mean divided by the mean acceptance ``||P u P||_F^2 / n_rel``, and the Kraus
+form sums the same trace formula over the operators. No eigendecompositions
+are used; every formula is a polynomial in traces.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .linalg import (
     as_matrix,
     check_selector,
     classify,
-    projector,
     restrict,
 )
 from .sampling import DEFAULT_WORKERS, expectation, state_batches
@@ -52,25 +54,30 @@ def _real(z: complex, tol: float, what: str) -> float:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Mean, second moment and variance of the fidelity distribution."""
+    """Mean, second moment and variance of the fidelity distribution.
+
+    ``variance`` is ``second_moment - mean^2``, derived here. A negative
+    difference within ``VARIANCE_CLAMP * max(1, second_moment)`` is rounding
+    and reads 0; beyond it the moments contradict each other.
+    """
 
     n_eff: int
     mean: float
     second_moment: float | None = None
-    variance: float | None = None
-    method: str = "closed_form"
-    raw_variance: float | None = None
+    variance: float | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.mean < 0:
             raise ValueError("mean must be non-negative")
-        if self.variance is not None and self.variance < 0:
-            raise ValueError("variance must be non-negative after clamping")
-        if self.second_moment is not None and self.second_moment < self.mean**2 - 1e-12:
-            raise ValueError("second moment inconsistent with mean")
+        if self.second_moment is None:
+            return
+        raw = self.second_moment - self.mean * self.mean
+        if not raw >= -VARIANCE_CLAMP * max(1.0, self.second_moment):
+            raise InvariantError(f"variance {raw} is negative beyond rounding")
+        object.__setattr__(self, "variance", max(0.0, raw))
 
     def as_dict(self) -> dict:
-        out = {"n_eff": self.n_eff, "mean": self.mean, "method": self.method}
+        out = {"n_eff": self.n_eff, "mean": self.mean, "method": "closed_form"}
         if self.second_moment is not None:
             out["second_moment"] = self.second_moment
         if self.variance is not None:
@@ -162,6 +169,7 @@ def depolarizing_kraus(p: float) -> KrausMap:
     return KrausMap((w0 * ident, w * sx, w * sy, w * sz))
 
 
+@_quiet_overflow
 def avg_fidelity(m: np.ndarray) -> float:
     """Haar-average fidelity [Tr(m m^dag) + |Tr m|^2] / (n (n+1))."""
     m = as_matrix(m)
@@ -237,17 +245,8 @@ def fourth_moment_general(m: np.ndarray) -> float:
 def variance(m: np.ndarray) -> MomentReport:
     """Mean, second moment and variance sigma_f^2 = <f^2> - <f>^2."""
     m = as_matrix(m)
-    mean = avg_fidelity(m)
-    second = fourth_moment_general(m)
-    raw = second - mean * mean
-    if not raw >= -VARIANCE_CLAMP * max(1.0, second):
-        raise InvariantError(f"variance {raw} is negative beyond rounding")
     return MomentReport(
-        n_eff=m.shape[0],
-        mean=mean,
-        second_moment=second,
-        variance=max(0.0, raw),
-        raw_variance=raw if raw < 0 else None,
+        n_eff=m.shape[0], mean=avg_fidelity(m), second_moment=fourth_moment_general(m)
     )
 
 
@@ -258,7 +257,9 @@ def comparison_matrix(
     on a subspace: the map whose fidelity moments are taken."""
     if subspace is None:
         return adjoint(target) @ actual
-    return restrict(adjoint(target), subspace) @ restrict(actual, subspace)
+    sel = check_selector(subspace, target.shape[0])
+    block = np.ix_(sel, sel)
+    return adjoint(target[block]) @ actual[block]
 
 
 def gate_moments(g: GateSpec, with_variance: bool = True) -> MomentReport:
@@ -269,37 +270,26 @@ def gate_moments(g: GateSpec, with_variance: bool = True) -> MomentReport:
     return MomentReport(n_eff=m.shape[0], mean=avg_fidelity(m))
 
 
-def subspace_avg_fidelity(g: GateSpec, with_variance: bool = False) -> MomentReport:
-    """Average fidelity over input states confined to the selected subspace:
-    the trace formula for the restricted :func:`comparison_matrix`."""
-    if g.subspace is None:
-        raise ValueError("gate spec has no subspace selector")
-    return gate_moments(g, with_variance=with_variance)
-
-
 def conditional_fidelity(g: GateSpec) -> float:
     """Average fidelity conditioned on the state staying in the subspace.
 
     The accepted state is renormalized and the overlap is weighted by the
-    acceptance probability ||P u P psi||^2, giving
+    acceptance probability ||P u P psi||^2. Over Haar states on the subspace
+    that is the ratio of two means,
 
-        F_c = [Tr(u0^dag P u P u^dag P u0) + |Tr(u0^dag P u P)|^2]
-              / [(n_rel + 1) Tr(u^dag P u P)]
+        F_c = avg_fidelity(m) / (||P u P||_F^2 / n_rel)
 
-    with all traces over the full space.
+    with ``m`` the restricted :func:`comparison_matrix` and ``P u P`` the
+    restricted actual map.
     """
     if g.subspace is None:
         raise ValueError("gate spec has no subspace selector")
-    n = g.target.shape[0]
-    p = projector(g.subspace, n)
-    u0d = adjoint(g.target)
-    pup = p @ g.actual @ p
-    den = _real(np.trace(adjoint(g.actual) @ pup), 1e-12, "acceptance trace")
-    if den <= ACCEPTANCE_EPS:
+    kept = restrict(g.actual, g.subspace)
+    acceptance_trace = _real(np.vdot(kept, kept), 1e-12, "acceptance trace")
+    if acceptance_trace <= ACCEPTANCE_EPS:
         raise NoAcceptanceError("acceptance probability vanishes on the subspace")
-    num = _real(np.trace(u0d @ pup @ adjoint(g.actual) @ p @ g.target), 1e-12, "overlap")
-    cross = abs(np.trace(u0d @ pup)) ** 2
-    return float((num + cross) / ((len(g.subspace) + 1) * den))
+    m = comparison_matrix(g.target, g.actual, g.subspace)
+    return avg_fidelity(m) / (acceptance_trace / len(g.subspace))
 
 
 def kraus_avg_fidelity(k: KrausMap, target: np.ndarray) -> float:

@@ -141,8 +141,8 @@ def optimize(fam: GateFamily, obj: Objective, config: OptimizeConfig) -> Optimiz
     if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
         raise ValueError("box bounds must be finite with lo < hi")
     start = np.asarray(config.start, dtype=float)
-    if ((start < lo) | (start > hi)).any():
-        raise ValueError("start point lies outside the box")
+    if not ((lo <= start) & (start <= hi)).all():
+        raise ValueError(f"start point {start.tolist()} lies outside the box")
     max_evals = config.max_evals if config.max_evals is not None else 500 * p
     if max_evals < p + 2:
         raise ValueError("max_evals must be at least param_count + 2")

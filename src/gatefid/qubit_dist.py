@@ -234,14 +234,7 @@ def quadrature_moments(d: FidelityDistribution) -> MomentReport:
         quart = (hi * hi + lo * lo) * quad - (hi * lo) ** 2
         mean += mass * (quad / 3.0 + f0)
         second += mass * (quart / 5.0 + 2.0 * f0 * quad / 3.0 + f0 * f0)
-    raw = second - mean * mean
-    return MomentReport(
-        n_eff=2,
-        mean=mean,
-        second_moment=second,
-        variance=max(0.0, raw),
-        raw_variance=raw if raw < 0 else None,
-    )
+    return MomentReport(n_eff=2, mean=mean, second_moment=second)
 
 
 def compare_histogram(d: FidelityDistribution, h: Histogram) -> HistogramComparison:

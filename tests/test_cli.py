@@ -155,14 +155,39 @@ class TestMoments:
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts_on", "optimized"])
     def test_unrepresentable_moment_exits_2(self, files, flags):
-        # The fourth moment of diag(1e150, 1e150) overflows a float. Run in a
-        # fresh interpreter so that -O (which strips asserts) is in force.
-        # stderr must hold the error line alone: no traceback and no numpy
-        # overflow warnings.
-        huge = str(files["dir"] / "huge.json")
-        save_matrix(np.diag([1e150, 1e150]), huge)
-        argv = ["moments", "--target", files["eye2"], "--actual", huge]
-        assert_one_error_line(run_fresh(*argv, flags=flags), 2)
+        # The fourth moment of diag(1e150, 1e150) overflows a float, and at
+        # 1e200 so does the mean. Run in a fresh interpreter so that -O (which
+        # strips asserts) is in force. stderr must hold the error line alone:
+        # no traceback and no numpy overflow warnings.
+        for scale in (1e150, 1e200):
+            huge = str(files["dir"] / "huge.json")
+            save_matrix(np.diag([scale, scale]), huge)
+            argv = ["moments", "--target", files["eye2"], "--actual", huge]
+            assert_one_error_line(run_fresh(*argv, flags=flags), 2)
+
+    @pytest.mark.parametrize(
+        "target,actual",
+        [
+            (np.eye(1), np.array([[5000 + 0.3j]])),
+            (np.eye(2), 1e4 * np.diag(np.exp(1j * np.array([3.0, 3.0 + 1e-5])))),
+        ],
+        ids=["scalar", "scaled_near_unitary"],
+    )
+    def test_large_near_constant_map_exits_0(self, files, capsys, target, actual):
+        # E[f^2] - E[f]^2 rounds below 0 by more than an absolute 1e-12 but
+        # well within the relative variance clamp.
+        save_matrix(target, files["dir"] / "t.json")
+        save_matrix(actual, files["dir"] / "a.json")
+        code, out, err = run(
+            capsys,
+            "moments",
+            "--target",
+            str(files["dir"] / "t.json"),
+            "--actual",
+            str(files["dir"] / "a.json"),
+        )
+        assert code == 0, err
+        assert json.loads(out)["variance"] >= 0.0
 
 
 class TestDist:
@@ -446,9 +471,8 @@ class TestOptimize:
         assert "outside" in err
 
     def test_nan_start_exits_2(self, tmp_path):
-        # Python's json reads NaN. A NaN start passes the box check (every
-        # comparison with NaN is false) and the evaluator fails at the first
-        # probe with an EvaluatorError.
+        # Python's json reads NaN. The box check must reject it before any
+        # probe runs, since every comparison with NaN is false.
         problem = json.loads((PROBLEMS / "leaky_gate.json").read_text())
         problem["start"] = [float("nan"), float("nan")]
         path = tmp_path / "nan_start.json"
@@ -457,6 +481,7 @@ class TestOptimize:
         proc = run_fresh("optimize", str(path))
         assert_one_error_line(proc, 2)
         assert "nan" in proc.stderr
+        assert "start point [nan, nan] lies outside the box" in proc.stderr
 
 
 class TestVerifyCommand:

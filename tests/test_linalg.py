@@ -10,10 +10,7 @@ from gatefid import (
     as_matrix,
     classify,
     eig2_normal,
-    multiply,
-    projector,
     restrict,
-    trace,
 )
 from conftest import random_matrix, random_unitary
 
@@ -71,49 +68,6 @@ class TestAdjoint:
         assert np.array_equal(adjoint(adjoint(m)), m)
 
 
-class TestTrace:
-    def test_identity(self):
-        assert trace(np.eye(3)) == 3
-
-    def test_reference_diagonal(self):
-        assert trace(np.diag([L0, L1])) == pytest.approx(L0 + L1)
-
-    def test_zero(self):
-        assert trace(np.zeros((4, 4))) == 0
-
-    @given(complex_matrices())
-    @settings(max_examples=40)
-    def test_cyclic(self, m):
-        other = np.roll(m, 1, axis=0) + 0.5j
-        ab = trace(multiply(m, other))
-        ba = trace(multiply(other, m))
-        assert abs(ab - ba) <= 1e-12 * max(1.0, abs(ab))
-
-    def test_unitary_conjugation_invariance(self, rng):
-        for n in range(2, 7):
-            m = random_matrix(rng, n)
-            u = random_unitary(rng, n)
-            assert trace(u @ m @ adjoint(u)) == pytest.approx(trace(m), abs=1e-12)
-
-
-class TestMultiply:
-    def test_identity_neutral(self, rng):
-        m = random_matrix(rng, 2)
-        assert np.allclose(multiply(np.eye(2), m), m)
-
-    def test_diagonal(self):
-        got = multiply(np.diag([2.0, 3.0]), np.diag([5.0, 7.0]))
-        assert np.array_equal(got, np.diag([10.0, 21.0]))
-
-    def test_unitary_times_adjoint(self, rng):
-        u = random_unitary(rng, 4)
-        assert np.abs(multiply(adjoint(u), u) - np.eye(4)).max() <= 1e-12
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            multiply(np.eye(2), np.eye(3))
-
-
 class TestClassify:
     def test_identity(self):
         flags = classify(np.eye(2))
@@ -156,9 +110,14 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict(np.eye(3), sel)
 
-    def test_projector(self):
-        p = projector((0, 2), 3)
-        assert np.array_equal(np.diagonal(p), [1, 0, 1])
+    def test_projector(self, rng):
+        # restrict is the nonzero block of the projector sandwich P m P.
+        m = random_matrix(rng, 4)
+        sel = (0, 2, 3)
+        p = np.diag([1.0, 0.0, 1.0, 1.0])
+        sandwich = p @ m @ p
+        assert np.array_equal(restrict(m, sel), sandwich[np.ix_(sel, sel)])
+        assert not sandwich[1].any() and not sandwich[:, 1].any()
 
 
 def _eigvec(m, lam):
@@ -211,7 +170,7 @@ class TestEig2Normal:
             u = random_unitary(rng, 2)
             m = u @ np.diag(rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) @ adjoint(u)
             s = eig2_normal(m)
-            assert trace(m) == pytest.approx(s.lambda0 + s.lambda1, abs=1e-10)
+            assert np.trace(m) == pytest.approx(s.lambda0 + s.lambda1, abs=1e-10)
 
     def test_rejects_non_normal(self):
         with pytest.raises(NotNormalError):

@@ -4,6 +4,7 @@ import pytest
 from gatefid import (
     GateSpec,
     KrausMap,
+    MomentReport,
     NoAcceptanceError,
     QubitSpectrum,
     adjoint,
@@ -19,7 +20,6 @@ from gatefid import (
     mc_moment,
     monomial_integral,
     sa_decomposition_check,
-    subspace_avg_fidelity,
     variance,
 )
 from gatefid.moments import InvariantError
@@ -81,11 +81,11 @@ class TestAvgFidelity:
 class TestSubspaceAvgFidelity:
     def test_perfect_on_subspace(self):
         g = GateSpec(np.eye(3), leaky_unitary(1.0), subspace=(0, 1))
-        assert subspace_avg_fidelity(g).mean == pytest.approx(1.0, abs=1e-14)
+        assert gate_moments(g).mean == pytest.approx(1.0, abs=1e-14)
 
     def test_dark_only(self):
         g = GateSpec(np.eye(3), leaky_unitary(0.0), subspace=(0, 1))
-        rep = subspace_avg_fidelity(g)
+        rep = gate_moments(g)
         assert rep.mean == pytest.approx(1 / 3, abs=1e-14)
         assert rep.n_eff == 2
 
@@ -93,23 +93,19 @@ class TestSubspaceAvgFidelity:
     def test_unit_modulus_phase(self, phi):
         g = GateSpec(np.eye(3), leaky_unitary(np.exp(1j * phi)), subspace=(0, 1))
         want = (2 + 2 + 2 * np.cos(phi)) / 6
-        assert subspace_avg_fidelity(g).mean == pytest.approx(want, abs=1e-12)
+        assert gate_moments(g).mean == pytest.approx(want, abs=1e-12)
 
     def test_matches_subspace_state_mc(self, rng):
         alpha = 0.6 * np.exp(0.4j)
         g = GateSpec(np.eye(3), leaky_unitary(alpha), subspace=(0, 1))
         est = mc_moment(np.diag([1.0, alpha]), 1, 100_000, seed=21)
-        assert abs(subspace_avg_fidelity(g).mean - est.mean) <= 4 * est.std_error
+        assert abs(gate_moments(g).mean - est.mean) <= 4 * est.std_error
 
     def test_non_block_diagonal_target_rejected(self, rng):
         target = random_unitary(rng, 3)
         with pytest.raises(ValueError, match="block-diagonal"):
             GateSpec(target, np.eye(3), subspace=(0, 1))
 
-    def test_requires_subspace(self):
-        g = GateSpec(np.eye(2), np.eye(2))
-        with pytest.raises(ValueError):
-            subspace_avg_fidelity(g)
 
 
 class TestConditionalFidelity:
@@ -126,7 +122,7 @@ class TestConditionalFidelity:
         u[:2, :2] = block
         g = GateSpec(np.eye(3), u, subspace=(0, 1))
         assert conditional_fidelity(g) == pytest.approx(
-            subspace_avg_fidelity(g).mean, abs=1e-12
+            gate_moments(g).mean, abs=1e-12
         )
 
     def test_no_acceptance(self):
@@ -136,6 +132,34 @@ class TestConditionalFidelity:
         g = GateSpec(np.eye(4), u, subspace=(0, 1))
         with pytest.raises(NoAcceptanceError):
             conditional_fidelity(g)
+
+    def test_requires_subspace(self):
+        g = GateSpec(np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="no subspace"):
+            conditional_fidelity(g)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_full_space_projector_formula(self, rng, n):
+        # The full-space form, with P the 0/1 projector onto the subspace:
+        # [Tr(u0^dag P u P u^dag P u0) + |Tr(u0^dag P u P)|^2]
+        #   / ((n_rel + 1) Tr(u^dag P u P)).
+        for size in range(1, n):
+            for _ in range(3):
+                sel = tuple(sorted(rng.choice(n, size, replace=False).tolist()))
+                rest = [i for i in range(n) if i not in sel]
+                target = np.zeros((n, n), dtype=complex)
+                target[np.ix_(sel, sel)] = random_unitary(rng, size)
+                target[np.ix_(rest, rest)] = random_unitary(rng, n - size)
+                actual = random_matrix(rng, n)
+                p = np.zeros((n, n))
+                p[sel, sel] = 1.0
+                u0d, pup = target.conj().T, p @ actual @ p
+                num = np.trace(u0d @ pup @ actual.conj().T @ p @ target).real
+                cross = abs(np.trace(u0d @ pup)) ** 2
+                den = np.trace(actual.conj().T @ pup).real
+                want = (num + cross) / ((size + 1) * den)
+                got = conditional_fidelity(GateSpec(target, actual, subspace=sel))
+                assert abs(got - want) <= 1e-14 * want
 
 
 class TestKrausAvgFidelity:
@@ -310,12 +334,29 @@ class TestVariance:
             fn(np.diag([scale, scale]))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("fn", [fourth_moment_general, fourth_moment_hermitian])
-    def test_overflow_raises_without_warnings(self, fn):
+    @pytest.mark.parametrize(
+        "fn,scale",
+        [
+            pytest.param(fourth_moment_general, 1e150, id="fourth_moment_general"),
+            pytest.param(fourth_moment_hermitian, 1e150, id="fourth_moment_hermitian"),
+            pytest.param(avg_fidelity, 1e200, id="avg_fidelity"),
+        ],
+    )
+    def test_overflow_raises_without_warnings(self, fn, scale):
         # numpy's overflow warnings would turn into errors here and pre-empt
         # the InvariantError.
         with pytest.raises(InvariantError):
-            fn(np.diag([1e150, 1e150]))
+            fn(np.diag([scale, scale]))
+
+    def test_report_clamps_rounding_relative_to_second_moment(self):
+        # f = 2.5e7 on every state: second - mean^2 is a few ulps of 6.25e14.
+        rep = MomentReport(n_eff=1, mean=2.5e7, second_moment=6.25e14 - 0.125)
+        assert rep.variance == 0.0
+        assert MomentReport(n_eff=2, mean=0.5, second_moment=0.25 - 1e-11).variance == 0.0
+
+    def test_report_rejects_second_moment_below_mean_squared(self):
+        with pytest.raises(InvariantError, match="negative beyond rounding"):
+            MomentReport(n_eff=2, mean=0.5, second_moment=0.25 - 1e-9)
 
 
 class TestSaDecomposition:
