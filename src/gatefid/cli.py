@@ -80,8 +80,13 @@ def _parse_subspace(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad subspace list {text!r}: {exc}") from exc
 
 
+def _dumps(obj) -> str:
+    """JSON text of ``obj``; a NaN or infinity raises ValueError (exit 2)."""
+    return json.dumps(obj, indent=2, allow_nan=False)
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_dumps(obj))
 
 
 def _cmd_moments(args) -> int:
@@ -136,17 +141,18 @@ def _cmd_sample(args) -> int:
     m = _load(args.matrix, load_matrix)
     value_range = None
     if m.shape[0] == 2:
+        # The normality test of a map with huge entries overflows; its
+        # warnings are noise, since the sampler then reports the overflow.
         try:
-            value_range = normal_pdf(eig2_normal(m)).support()
+            with np.errstate(over="ignore", invalid="ignore"):
+                value_range = normal_pdf(eig2_normal(m)).support()
         except ValueError:
             value_range = None
     hist, est = mc_sample(m, args.bins, args.samples, args.seed, args.workers, value_range)
     csv_path = f"{args.out}.csv"
     json_path = f"{args.out}.json"
     manifest_path = f"{args.out}.manifest.json"
-    write_histogram_csv(hist, csv_path)
-    est_obj = asdict(est)
-    Path(json_path).write_text(json.dumps(est_obj, indent=2), encoding="utf-8")
+    est_text = _dumps(asdict(est))
     manifest = RunManifest(
         command=" ".join(sys.argv) if sys.argv else "sample",
         inputs=[args.matrix],
@@ -154,17 +160,17 @@ def _cmd_sample(args) -> int:
         versions=f"gatefid {__version__}",
         outputs=[csv_path, json_path, manifest_path],
     )
-    Path(manifest_path).write_text(
-        json.dumps(asdict(manifest), indent=2), encoding="utf-8"
-    )
-    _emit(est_obj)
+    write_histogram_csv(hist, csv_path)
+    Path(json_path).write_text(est_text, encoding="utf-8")
+    Path(manifest_path).write_text(_dumps(asdict(manifest)), encoding="utf-8")
+    print(est_text)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     report = run_checks(level=args.level, seed=args.seed)
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2), encoding="utf-8")
+        Path(args.out).write_text(_dumps(report), encoding="utf-8")
     _emit(report)
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 

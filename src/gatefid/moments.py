@@ -32,7 +32,8 @@ ACCEPTANCE_EPS = 1e-14
 VARIANCE_CLAMP = 1e-10
 
 # An overflowing trace sum comes out non-finite and ``_real`` raises
-# InvariantError for it, so numpy's RuntimeWarnings on the way are noise.
+# InvariantError for it (an overflowing Kraus completeness defect reads as not
+# trace-preserving), so numpy's RuntimeWarnings on the way are noise.
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -136,6 +137,7 @@ class KrausMap:
     operators: tuple[np.ndarray, ...]
     completeness_defect: float = field(init=False)
 
+    @_quiet_overflow
     def __post_init__(self):
         ops = tuple(as_matrix(g) for g in self.operators)
         if not ops:
@@ -292,6 +294,7 @@ def conditional_fidelity(g: GateSpec) -> float:
     return avg_fidelity(m) / (acceptance_trace / len(g.subspace))
 
 
+@_quiet_overflow
 def kraus_avg_fidelity(k: KrausMap, target: np.ndarray) -> float:
     """Average fidelity of an operator-sum map against a target unitary.
 
@@ -342,8 +345,8 @@ def sa_decomposition_check(
     anti = (m - adjoint(m)) / 2.0
     totals = np.zeros(4)
     gap = 0.0
-    for states in state_batches(m.shape[0], samples, seed, workers):
-        q_m, q_s, q_a = (np.abs(expectation(states, a)) for a in (m, sym, anti))
+    for v, r2 in state_batches(m.shape[0], samples, seed, workers):
+        q_m, q_s, q_a = (np.abs(expectation(v, a)) / r2 for a in (m, sym, anti))
         f = np.stack([q_m**4, q_s**4, q_a**4, (q_s**2) * (q_a**2)])  # total, S, A, cross
         totals += f.sum(axis=1)
         gap = max(gap, float(np.abs(f[0] - (f[1] + f[2] + 2 * f[3])).max()))

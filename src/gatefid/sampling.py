@@ -6,9 +6,10 @@ path draws from one stream, :func:`state_batches`, and is deterministic for a
 fixed ``(seed, samples, workers)`` triple: worker streams are derived from the
 seed with ``numpy.random.SeedSequence`` and evaluated in a fixed order (workers
 only partition the stream, they do not run concurrently here). ``mc_sample``
-takes its estimate and its histogram from the same draws. The states a seed
-draws are pinned bit for bit; ``f`` may differ from earlier versions in the
-last bits, since :func:`expectation` is one matrix product plus a row-wise dot.
+takes its estimate and its histogram from the same draws. The stream yields
+unnormalized Gaussian rows ``v``; the kernel takes ``f = (|<v|m|v>| / |v|^2)^2``.
+The states ``v / |v|`` a seed draws are pinned bit for bit; ``f`` may differ
+from earlier versions in the last bits.
 """
 
 from __future__ import annotations
@@ -51,6 +52,19 @@ def sample_states(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
         norms[i, 0] = 1.0
     v /= norms
     return v
+
+
+def _gaussian_rows(n: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``v`` that :func:`sample_states` normalizes, with the same
+    fallback, and ``|v|^2`` as a row sum of squares: cheaper than the
+    ``np.linalg.norm`` whose bits :func:`sample_states` keeps."""
+    z = rng.standard_normal((count, 2 * n))
+    r2 = np.einsum("ij,ij->i", z, z)
+    v = z.view(np.complex128)
+    for i in np.flatnonzero(r2 <= 1e-300):
+        v[i] = sample_state(n, rng)
+        r2[i] = 1.0
+    return v, r2
 
 
 def monomial_integral_exact(k: Sequence[int], n: int) -> Fraction:
@@ -113,9 +127,10 @@ class Histogram:
 
 def state_batches(
     n: int, samples: int, seed: int, workers: int = DEFAULT_WORKERS
-) -> Iterator[np.ndarray]:
-    """Yield ``samples`` Haar states on C^n in batches: worker ``w`` draws its
-    share of the budget from the ``w``-th child of ``SeedSequence(seed)``."""
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``samples`` Gaussian rows on C^n with their squared norms, in
+    batches: worker ``w`` draws its share of the budget from the ``w``-th
+    child of ``SeedSequence(seed)``. Row ``v`` stands for the state ``v / |v|``."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
     base, extra = divmod(samples, workers)
@@ -123,7 +138,7 @@ def state_batches(
         rng = np.random.default_rng(child)
         size = base + (1 if w < extra else 0)
         for done in range(0, size, _BATCH):
-            yield sample_states(n, min(_BATCH, size - done), rng)
+            yield _gaussian_rows(n, min(_BATCH, size - done), rng)
 
 
 def expectation(states: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -131,15 +146,21 @@ def expectation(states: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("bj,bj->b", states.conj() @ a, states)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fidelities(m: np.ndarray, samples: int, seed: int, workers: int) -> np.ndarray:
-    """All ``samples`` values of f = |<psi|m|psi>|^2, in seed order."""
+    """All ``samples`` values of f = (|<v|m|v>| / |v|^2)^2, in seed order."""
     m = as_matrix(m)
     f = np.empty(samples)
     done = 0
-    for states in state_batches(m.shape[0], samples, seed, workers):
-        np.abs(expectation(states, m), out=f[done : done + len(states)])
-        done += len(states)
-    return np.square(f, out=f)
+    for v, r2 in state_batches(m.shape[0], samples, seed, workers):
+        out = f[done : done + len(v)]
+        np.abs(expectation(v, m), out=out)
+        out /= r2
+        done += len(v)
+    np.square(f, out=f)
+    if not np.isfinite(f.max()):  # max propagates NaN
+        raise ValueError("sampled fidelity overflows: the map's entries are too large")
+    return f
 
 
 def _estimate(values: np.ndarray, seed: int) -> McEstimate:
@@ -172,9 +193,10 @@ def _histogram(
         # anything further out is genuinely outside and stays dropped.
         lo, hi = value_range
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-        gap = np.empty_like(f)
-        for edge in (lo, hi):
-            f[np.abs(np.subtract(f, edge, out=gap), out=gap) <= slack] = edge
+        for start in range(0, f.size, _BATCH):
+            part = f[start : start + _BATCH]
+            for edge in (lo, hi):
+                part[np.abs(part - edge) <= slack] = edge
     counts, edges = np.histogram(f, bins=bins, range=value_range)
     return Histogram(edges=edges, counts=counts, samples=f.size, seed=seed)
 

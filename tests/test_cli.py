@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,9 +10,11 @@ import pytest
 
 import gatefid
 from gatefid import depolarizing_kraus, eig2_normal, mc_histogram, mc_moment, normal_pdf
-from gatefid import sampling
+from gatefid import cli as cli_mod, sampling
 from gatefid.cli import main
-from gatefid.serialize import kraus_to_obj, save_matrix
+from gatefid.moments import MomentReport
+from gatefid.sampling import mc_sample
+from gatefid.serialize import kraus_to_obj, matrix_to_obj, save_matrix
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
 L1 = 0.8 * np.exp(1j * 4 * np.pi / 5)
@@ -58,6 +61,14 @@ def assert_one_error_line(proc, code):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def assert_one_error_line_in_process(result, code):
+    got, out, err = result
+    assert got == code, err
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 class TestMoments:
@@ -164,6 +175,15 @@ class TestMoments:
             save_matrix(np.diag([scale, scale]), huge)
             argv = ["moments", "--target", files["eye2"], "--actual", huge]
             assert_one_error_line(run_fresh(*argv, flags=flags), 2)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts_on", "optimized"])
+    def test_unrepresentable_kraus_mean_exits_2(self, files, flags):
+        # The completeness sum and the Gram trace of diag(1e200, 1e200)
+        # overflow; stderr must hold the error line alone.
+        huge = files["dir"] / "huge_kraus.json"
+        huge.write_text(json.dumps({"operators": [matrix_to_obj(np.diag([1e200, 1e200]))]}))
+        argv = ["moments", "--target", files["eye2"], "--kraus", str(huge)]
+        assert_one_error_line(run_fresh(*argv, flags=flags), 2)
 
     @pytest.mark.parametrize(
         "target,actual",
@@ -396,13 +416,13 @@ class TestSample:
             value_range = normal_pdf(eig2_normal(m)).support()
         samples, bins, seed = 20_001, 30, 5
         drawn = []
-        sample_states = sampling.sample_states
+        gaussian_rows = sampling._gaussian_rows
 
         def counting(n, count, rng):
             drawn.append(count)
-            return sample_states(n, count, rng)
+            return gaussian_rows(n, count, rng)
 
-        monkeypatch.setattr(sampling, "sample_states", counting)
+        monkeypatch.setattr(sampling, "_gaussian_rows", counting)
         prefix = str(files["dir"] / f"one_{name}")
         argv = ["sample", "--matrix", files[name], "--samples", str(samples)]
         argv += ["--bins", str(bins), "--seed", str(seed), "--workers", "2", "--out", prefix]
@@ -417,6 +437,21 @@ class TestSample:
         mean = json.loads(out)["mean"]
         want = mc_moment(m, 1, samples, seed, workers=2).mean
         assert abs(mean - want) <= 1e-15 * abs(want)
+
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts_on", "optimized"])
+    def test_overflowing_map_exits_2(self, files, flags, n):
+        # f overflows for every state; the 2x2 map also overflows the
+        # normality test. One error line, no numpy warnings, no files.
+        huge = str(files["dir"] / "huge.json")
+        save_matrix(1e200 * np.eye(n), huge)
+        prefix = files["dir"] / "huge_out"
+        argv = ["sample", "--matrix", huge, "--samples", "1000", "--out", str(prefix)]
+        proc = run_fresh(*argv, flags=flags)
+        assert_one_error_line(proc, 2)
+        assert "overflows" in proc.stderr
+        assert not list(files["dir"].glob("huge_out*"))
 
 
 class TestOptimize:
@@ -511,6 +546,36 @@ class TestVerifyCommand:
         report = json.loads(out)
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "mc_closed_form" in failed
+
+
+class TestNonFiniteJson:
+    # A NaN must not reach stdout or a file as JSON: it is exit 2 with one
+    # error line. Each case plants a NaN in one computed result.
+    def test_moments(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli_mod, "gate_moments", lambda spec: MomentReport(n_eff=2, mean=float("nan"))
+        )
+        argv = ["moments", "--target", files["eye2"], "--actual", files["reference"]]
+        assert_one_error_line_in_process(run(capsys, *argv), 2)
+
+    def test_sample(self, files, capsys, monkeypatch):
+        def nan_sample(*args):
+            hist, est = mc_sample(*args)
+            return hist, dataclasses.replace(est, mean=float("nan"))
+
+        monkeypatch.setattr(cli_mod, "mc_sample", nan_sample)
+        prefix = files["dir"] / "nan_out"
+        argv = ["sample", "--matrix", files["reference"], "--samples", "1000"]
+        assert_one_error_line_in_process(run(capsys, *argv, "--out", str(prefix)), 2)
+        assert not list(files["dir"].glob("nan_out*"))
+
+    def test_verify_out(self, tmp_path, capsys, monkeypatch):
+        report = {"level": "quick", "passed": True, "checks": [], "worst": float("nan")}
+        monkeypatch.setattr(cli_mod, "run_checks", lambda level, seed: report)
+        out = tmp_path / "report.json"
+        argv = ["verify", "--out", str(out)]
+        assert_one_error_line_in_process(run(capsys, *argv), 2)
+        assert not out.exists()
 
 
 class TestUsage:

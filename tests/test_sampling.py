@@ -11,7 +11,14 @@ from gatefid import (
     sample_state,
     sample_states,
 )
-from gatefid.sampling import _BATCH, expectation, state_batches
+from gatefid.sampling import (
+    _BATCH,
+    _fidelities,
+    _gaussian_rows,
+    _histogram,
+    expectation,
+    state_batches,
+)
 from conftest import random_hermitian, random_matrix, random_unitary
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
@@ -83,7 +90,12 @@ class TestSeedToStateMap:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_state_batches_bitwise(self, workers):
         n, samples, seed = 2, 2 * _BATCH + 5, 7  # several batches per worker
-        got = np.concatenate(list(state_batches(n, samples, seed, workers)))
+        got = np.concatenate(
+            [
+                v / np.linalg.norm(v, axis=1, keepdims=True)
+                for v, _ in state_batches(n, samples, seed, workers)
+            ]
+        )
         base, extra = divmod(samples, workers)
         children = np.random.SeedSequence(seed).spawn(workers)
         want = np.concatenate(
@@ -93,6 +105,72 @@ class TestSeedToStateMap:
             ]
         )
         assert np.array_equal(bits(got), bits(want))
+
+
+class ZeroRowRng:
+    """A generator whose first batch draw has an all-zero row ``row``."""
+
+    def __init__(self, rng, row):
+        self.rng, self.row = rng, row
+
+    def standard_normal(self, size):
+        z = self.rng.standard_normal(size)
+        if self.row is not None and np.ndim(z) == 2:
+            z[self.row] = 0.0
+            self.row = None
+        return z
+
+
+class TestFidelityKernel:
+    # The kernel takes f from the unnormalized rows that sample_states
+    # normalizes; it must give the same f up to rounding.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_matches_normalized_states(self, n, workers):
+        m = random_matrix(np.random.default_rng(n), n, scale=2.0)
+        samples, seed = _BATCH + 7, 3
+        got = _fidelities(m, samples, seed, workers)
+        base, extra = divmod(samples, workers)
+        children = np.random.SeedSequence(seed).spawn(workers)
+        states = np.concatenate(
+            [
+                sample_states(n, base + (w < extra), np.random.default_rng(child))
+                for w, child in enumerate(children)
+            ]
+        )
+        want = np.abs(expectation(states, m)) ** 2
+        assert np.abs(got - want).max() <= 1e-14 * want.max()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_tiny_norm_row_falls_back_like_sample_states(self, monkeypatch, n):
+        row, count, seed = 5, 1000, 11
+        m = random_matrix(np.random.default_rng(0), n)
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        states = sample_states(n, count, ZeroRowRng(np.random.default_rng(child), row))
+        # The replacement is the next sample_state draw after the batch.
+        rng = np.random.default_rng(child)
+        rng.standard_normal((count, 2 * n))
+        replacement = sample_state(n, rng)
+        assert np.array_equal(bits(states[row]), bits(replacement))
+        v, r2 = _gaussian_rows(n, count, ZeroRowRng(np.random.default_rng(child), row))
+        assert np.array_equal(bits(v[row]), bits(replacement)) and r2[row] == 1.0
+
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda s: ZeroRowRng(default_rng(s), row)
+        )
+        f = _fidelities(m, count, seed, 1)
+        monkeypatch.undo()
+        want = np.abs(expectation(states, m)) ** 2
+        assert abs(f[row] - want[row]) <= 1e-14 * want.max()
+        assert np.abs(f - want).max() <= 1e-14 * want.max()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overflow_raises_without_warnings(self, n):
+        # pytest turns RuntimeWarnings into errors, so a warning would fail
+        # this test instead of raising the ValueError below.
+        with pytest.raises(ValueError, match="overflows"):
+            mc_moment(1e200 * np.eye(n), 1, 1000, seed=0)
 
 
 class TestExpectation:
@@ -229,6 +307,22 @@ class TestMcHistogram:
         h = mc_histogram(REFERENCE, 25, 20_000, seed=5)
         total = (h.densities * h.widths).sum()
         assert total == pytest.approx(h.counts.sum() / h.samples)
+
+    def test_edge_clamp_spans_batches(self):
+        # The clamp runs slice by slice; values near both edges in every
+        # slice must be clamped exactly as a whole-array pass would.
+        rng = np.random.default_rng(8)
+        f = rng.uniform(0.2, 0.6, 2 * _BATCH + 3)
+        f[rng.integers(0, f.size, 200)] = 0.2 - 1e-12
+        f[rng.integers(0, f.size, 200)] = 0.6 + 1e-12
+        f[:3] = [0.2 - 1e-3, 0.6 + 1e-3, 0.6 - 1e-15]
+        want = f.copy()
+        for edge in (0.2, 0.6):
+            want[np.abs(want - edge) <= 1e-9] = edge
+        h = _histogram(f, 20, seed=0, value_range=(0.2, 0.6))
+        assert np.array_equal(f, want)
+        assert h.counts.sum() == f.size - 2
+        assert np.array_equal(h.counts, np.histogram(want, 20, (0.2, 0.6))[0])
 
     def test_validates_bins(self):
         with pytest.raises(ValueError):
