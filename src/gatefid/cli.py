@@ -141,11 +141,11 @@ def _cmd_sample(args) -> int:
     m = _load(args.matrix, load_matrix)
     value_range = None
     if m.shape[0] == 2:
-        # The normality test of a map with huge entries overflows; its
-        # warnings are noise, since the sampler then reports the overflow.
+        # A map without a closed-form density is histogrammed over the
+        # observed range; one with unrepresentable entries then fails in
+        # the sampler with its own overflow error.
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                value_range = normal_pdf(eig2_normal(m)).support()
+            value_range = normal_pdf(eig2_normal(m)).support()
         except ValueError:
             value_range = None
     hist, est = mc_sample(m, args.bins, args.samples, args.seed, args.workers, value_range)

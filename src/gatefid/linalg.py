@@ -8,6 +8,7 @@ can be shared freely between threads.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -123,6 +124,11 @@ def eig2_normal(m: np.ndarray, tol: float = DEFAULT_TOL) -> QubitSpectrum:
     m = as_matrix(m)
     if m.shape[0] != 2:
         raise ValueError("eig2_normal requires a 2x2 matrix")
+    # The normality test forms m m^dag - m^dag m, whose parts stay below
+    # 16 max|m_ij|^2; past that it overflows and cannot tell normal maps apart.
+    big = float(np.abs(m).max())
+    if not math.isfinite(16.0 * big * big):
+        raise ValueError(f"matrix is not representable: |m_ij|^2 overflows (max |m_ij| = {big!r})")
     if not classify(m, tol).normal:
         raise NotNormalError("matrix is not normal within tolerance")
     a, b = complex(m[0, 0]), complex(m[0, 1])

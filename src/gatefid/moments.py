@@ -19,7 +19,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    QubitSpectrum,
     adjoint,
     as_matrix,
     check_selector,
@@ -178,12 +177,6 @@ def avg_fidelity(m: np.ndarray) -> float:
     n = m.shape[0]
     gram = _real(np.trace(m @ adjoint(m)), 1e-12, "Tr(m m^dag)")
     return _real(float((gram + abs(np.trace(m)) ** 2) / (n * (n + 1))), 0.0, "mean")
-
-
-def avg_fidelity_qubit_spectrum(s: QubitSpectrum) -> float:
-    """Qubit-map average (|l0|^2 + |l1|^2 + Re(l0 conj(l1))) / 3."""
-    l0, l1 = complex(s.lambda0), complex(s.lambda1)
-    return (abs(l0) ** 2 + abs(l1) ** 2 + (l0 * l1.conjugate()).real) / 3.0
 
 
 @_quiet_overflow

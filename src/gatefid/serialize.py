@@ -93,7 +93,8 @@ def density_csv_lines(d: FidelityDistribution, grid: int) -> list[str]:
     if grid < 2:
         raise ValueError("grid must be at least 2")
     lo, hi = d.support()
-    points = np.linspace(lo + 1e-9, hi, grid)
+    # 1e-9 off the anchor, or a thousandth of the width on narrower supports.
+    points = np.linspace(lo + min(1e-9, 1e-3 * max(hi - lo, 0.0)), hi, grid)
     dens = d.pdf(points)
     return ["f,density"] + [
         f"{float(f)!r},{float(p)!r}" for f, p in zip(points, dens)

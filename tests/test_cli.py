@@ -269,6 +269,22 @@ class TestDist:
         assert "point mass" in err
         assert "1.0" in err
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts_on", "optimized"])
+    @pytest.mark.parametrize("source", ["lambda", "matrix"])
+    def test_overflowing_eigenvalues_exit_2(self, files, flags, source):
+        # |l|^2 overflows a float: one error line, no traceback, no numpy
+        # warnings, no CSV.
+        if source == "lambda":
+            argv = ["--lambda0=1e155,0", "--lambda1=0,1e155"]
+        else:
+            save_matrix(np.diag([1e155, 1e155j]), files["dir"] / "huge.json")
+            argv = ["--matrix", str(files["dir"] / "huge.json")]
+        out_csv = files["dir"] / "huge.csv"
+        proc = run_fresh("dist", *argv, "--out", str(out_csv), flags=flags)
+        assert_one_error_line(proc, 2)
+        assert "not representable" in proc.stderr
+        assert not out_csv.exists()
+
     def test_agrees_with_moments_command(self, files, capsys):
         code, out, _ = run(
             capsys, "moments", "--target", files["eye2"], "--actual", files["reference"]

@@ -180,6 +180,16 @@ class TestEig2Normal:
         with pytest.raises(ValueError):
             eig2_normal(np.eye(3))
 
+    @pytest.mark.filterwarnings("error")
+    def test_unrepresentable_entries_raise_without_warnings(self):
+        # The normality test of diag(1e155, 1e155 i) overflows; the map is
+        # normal, so the error must name the overflow, not non-normality.
+        with pytest.raises(ValueError, match="not representable") as err:
+            eig2_normal(np.diag([1e155, 1e155j]))
+        assert not isinstance(err.value, NotNormalError)
+        s = eig2_normal(np.diag([1e153, 1e153j]))
+        assert (s.lambda0, s.lambda1) == (1e153, 1e153j)
+
 
 class TestQubitSpectrum:
     def test_ordering_enforced(self):

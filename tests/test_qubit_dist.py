@@ -6,16 +6,14 @@ import pytest
 from gatefid import (
     DegenerateSpectrumError,
     QubitSpectrum,
-    avg_fidelity_qubit_spectrum,
-    classify_case,
+    avg_fidelity,
     compare_histogram,
     fourth_moment_general,
     mc_histogram,
     normal_pdf,
     quadrature_moments,
-    total_variation_distance,
-    unitary_pdf,
 )
+from gatefid.moments import InvariantError
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
 L1 = 0.8 * np.exp(1j * 4 * np.pi / 5)
@@ -30,67 +28,113 @@ def random_spectrum(rng, min_sep=0.05):
             return QubitSpectrum.ordered(l0, l1)
 
 
+def unit_spectrum(phi0, phi1):
+    return QubitSpectrum.ordered(cmath.exp(1j * phi0), cmath.exp(1j * phi1))
+
+
+def unitary_law(phi0, phi1, f):
+    """1 / (2 sin(D/2) sqrt(f - cos^2(D/2))) on [cos^2(D/2), 1], D = phi1 - phi0."""
+    delta = abs(phi1 - phi0) % (2 * np.pi)
+    half = 0.5 * min(delta, 2 * np.pi - delta)
+    return 0.5 / (np.sin(half) * np.sqrt(f - np.cos(half) ** 2))
+
+
+def pieces(dist):
+    return dist.as_dict()["pieces"]
+
+
 def ppf(dist, u):
-    """Inverse CDF by inverting the piecewise antiderivative."""
-    acc = 0.0
-    for p in dist.pieces:
-        if u <= acc + p.mass or p is dist.pieces[-1]:
-            t = p.u_lo + (u - acc) / (2.0 * p.coeff)
-            return dist.f0 + t * t
-        acc += p.mass
-    raise AssertionError("unreachable")
+    """Inverse CDF: s = s0 + u d is uniform on the segment, and f = f0 + s^2."""
+    s = dist.s0 + u * dist.d
+    return dist.f0 + s * s
+
+
+def total_variation_distance(d1, d2):
+    """Exact total variation distance (1/2) integral |p1 - p2| df.
+
+    The integrand has constant sign between consecutive breakpoints once the
+    piece edges of both densities and the per-interval crossing points are
+    included, so each stretch integrates exactly via CDF differences.
+    """
+    both = pieces(d1) + pieces(d2)
+    breaks = sorted({p["f_lo"] for p in both} | {p["f_hi"] for p in both})
+    refined = []
+    for x, y in zip(breaks, breaks[1:]):
+        refined.append(x)
+        mid = 0.5 * (x + y)
+        c1, c2 = coeff_at(d1, mid), coeff_at(d2, mid)
+        if c1 > 0 and c2 > 0 and c1 != c2:
+            cross = (c1 * c1 * d2.f0 - c2 * c2 * d1.f0) / (c1 * c1 - c2 * c2)
+            if x < cross < y:
+                refined.append(cross)
+    refined.append(breaks[-1])
+    total = 0.0
+    for x, y in zip(refined, refined[1:]):
+        total += abs((d1.cdf(y) - d1.cdf(x)) - (d2.cdf(y) - d2.cdf(x)))
+    return 0.5 * total
+
+
+def coeff_at(dist, f):
+    for p in pieces(dist):
+        if p["f_lo"] <= f < p["f_hi"]:
+            return p["c"]
+    return 0.0
 
 
 class TestUnitaryPdf:
     def test_opposite_phases(self):
-        d = unitary_pdf(0.0, np.pi)
+        d = normal_pdf(QubitSpectrum.ordered(1.0, -1.0))
         assert d.support() == (pytest.approx(0.0, abs=1e-30), 1.0)
-        (piece,) = d.pieces
-        assert piece.coeff == pytest.approx(0.5, abs=1e-15)
+        (piece,) = pieces(d)
+        assert piece["c"] == pytest.approx(0.5, abs=1e-15)
         assert d.pdf(0.25) == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_turn(self):
-        d = unitary_pdf(0.0, np.pi / 2)
+        d = normal_pdf(QubitSpectrum.ordered(1.0, 1j))
         lo, hi = d.support()
         assert lo == pytest.approx(0.5, abs=1e-15)
         assert hi == 1.0
-        assert d.pieces[0].coeff == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+        assert pieces(d)[0]["c"] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
 
     @pytest.mark.parametrize("delta", [0.1, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0])
     def test_support_floor_is_squared_half_angle_cosine(self, delta):
-        d = unitary_pdf(0.2, 0.2 + delta)
+        d = normal_pdf(unit_spectrum(0.2, 0.2 + delta))
         reduced = min(delta % (2 * np.pi), 2 * np.pi - delta % (2 * np.pi))
         assert d.support()[0] == pytest.approx(np.cos(reduced / 2) ** 2, abs=1e-12)
         assert d.mass() == pytest.approx(1.0, abs=1e-12)
+        lo, hi = d.support()
+        grid = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 50)
+        want = unitary_law(0.2, 0.2 + delta, grid)
+        assert np.abs(d.pdf(grid) / want - 1.0).max() <= 1e-9
 
     def test_degenerate_phases_rejected(self):
         with pytest.raises(DegenerateSpectrumError) as err:
-            unitary_pdf(0.3, 0.3 + 2 * np.pi)
+            normal_pdf(unit_spectrum(0.3, 0.3 + 2 * np.pi))
         assert err.value.point_mass == 1.0
 
 
 class TestClassifyCase:
     def test_one_piece_example(self):
-        assert classify_case(QubitSpectrum(0.5, 1.0)) == "one_piece"
+        assert normal_pdf(QubitSpectrum(0.5, 1.0)).case == "one_piece"
 
     def test_reference_is_two_piece(self):
         # |l0 - l1/2| = 0.971 >= |l1|/2 = 0.4
         assert abs(L0 - L1 / 2) == pytest.approx(0.9708, abs=1e-3)
-        assert classify_case(REFERENCE) == "two_piece"
+        assert normal_pdf(REFERENCE).case == "two_piece"
 
     def test_unit_moduli(self):
         s = QubitSpectrum.ordered(np.exp(1j * np.pi / 8), np.exp(1j * 4 * np.pi / 5))
-        assert classify_case(s) == "unitary_like"
+        assert normal_pdf(s).case == "unitary_like"
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateSpectrumError) as err:
-            classify_case(QubitSpectrum(0.5j, 0.5j))
+            normal_pdf(QubitSpectrum(0.5j, 0.5j))
         assert err.value.point_mass == pytest.approx(0.25)
 
     def test_collinear_shrinkage_is_one_piece(self):
         for r in (0.1, 0.4, 0.9):
             s = QubitSpectrum.ordered(r * L1, L1)
-            assert classify_case(s) == "one_piece"
+            assert normal_pdf(s).case == "one_piece"
 
 
 class TestNormalPdf:
@@ -98,9 +142,9 @@ class TestNormalPdf:
         d = normal_pdf(QubitSpectrum(0.5, 1.0))
         assert d.case == "one_piece"
         assert d.f0 == 0.0
-        (piece,) = d.pieces
-        assert (piece.f_lo, piece.f_hi) == (0.25, 1.0)
-        assert piece.coeff == pytest.approx(1.0)
+        (piece,) = pieces(d)
+        assert (piece["f_lo"], piece["f_hi"]) == (0.25, 1.0)
+        assert piece["c"] == pytest.approx(1.0)
         assert d.pdf(0.49) == pytest.approx(1 / 0.7, abs=1e-12)
         assert d.mass() == pytest.approx(1.0, abs=1e-15)
 
@@ -108,23 +152,28 @@ class TestNormalPdf:
         d = normal_pdf(REFERENCE)
         assert d.case == "two_piece"
         assert d.f0 == pytest.approx(0.1329208978730848, abs=1e-12)
-        assert len(d.pieces) == 2
-        assert d.pieces[0].f_lo == pytest.approx(d.f0)
-        assert d.pieces[0].f_hi == pytest.approx(0.49)
-        assert d.pieces[1].f_hi == pytest.approx(0.64)
-        assert d.pieces[0].coeff == pytest.approx(2 * d.pieces[1].coeff)
+        lower, upper = pieces(d)
+        assert lower["f_lo"] == pytest.approx(d.f0)
+        assert lower["f_hi"] == pytest.approx(0.49)
+        assert upper["f_hi"] == pytest.approx(0.64)
+        assert lower["c"] == pytest.approx(2 * upper["c"])
         assert quadrature_moments(d).mean == pytest.approx(0.2791336, abs=1e-6)
 
     def test_projector_map(self):
         d = normal_pdf(QubitSpectrum(0.0, 1.0))
         assert d.f0 == 0.0
-        (piece,) = d.pieces
-        assert piece.coeff == pytest.approx(0.5)
-        assert (piece.f_lo, piece.f_hi) == (0.0, 1.0)
+        (piece,) = pieces(d)
+        assert piece["c"] == pytest.approx(0.5)
+        assert (piece["f_lo"], piece["f_hi"]) == (0.0, 1.0)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateSpectrumError):
             normal_pdf(QubitSpectrum(1.0, 1.0))
+
+    @pytest.mark.parametrize("l0,l1", [(1e155, 1e155j), (0.5, 1e160), (1e200, 1e200)])
+    def test_unrepresentable_spectrum_raises(self, l0, l1):
+        with pytest.raises(InvariantError, match="not representable"):
+            normal_pdf(QubitSpectrum.ordered(l0, l1))
 
     def test_mass_normalized_for_random_spectra(self, rng):
         for _ in range(50):
@@ -143,12 +192,12 @@ class TestNormalPdf:
             assert abs(d.cdf(d.support()[1]) - 1.0) <= 1e-12
             rep = quadrature_moments(d)
             m = np.diag([s.lambda0, s.lambda1])
-            assert abs(rep.mean - avg_fidelity_qubit_spectrum(s)) <= 1e-9
+            assert abs(rep.mean - avg_fidelity(m)) <= 1e-9
             assert abs(rep.second_moment - fourth_moment_general(m)) <= 1e-9
 
     def test_singularity_scaling(self):
         d = normal_pdf(REFERENCE)
-        c = d.pieces[0].coeff
+        c = pieces(d)[0]["c"]
         for k in range(4, 9):
             eps = 10.0**-k
             assert d.pdf(d.f0 + eps) == pytest.approx(c / np.sqrt(eps), rel=1e-6)
@@ -171,14 +220,12 @@ class TestNormalPdf:
             if abs(cmath.exp(1j * p0) - cmath.exp(1j * p1)) < 0.5:
                 continue
             count += 1
-            s = QubitSpectrum.ordered(cmath.exp(1j * p0), cmath.exp(1j * p1))
-            general = normal_pdf(s)
+            general = normal_pdf(unit_spectrum(p0, p1))
             assert general.case == "unitary_like"
-            unitary = unitary_pdf(p0, p1)
             lo, hi = general.support()
             width = hi - lo
             grid = np.linspace(lo + 0.05 * width, hi - 0.05 * width, 100)
-            assert np.abs(general.pdf(grid) - unitary.pdf(grid)).max() <= 1e-10
+            assert np.abs(general.pdf(grid) - unitary_law(p0, p1, grid)).max() <= 1e-10
 
 
 class TestCdf:
@@ -190,7 +237,7 @@ class TestCdf:
 
     def test_opposite_phase_quarter(self):
         # integral of 1/(2 sqrt(f)) up to 1/4 is sqrt(1/4) = 1/2
-        d = unitary_pdf(0.0, np.pi)
+        d = normal_pdf(QubitSpectrum.ordered(1.0, -1.0))
         assert d.cdf(0.25) == pytest.approx(0.5, abs=1e-14)
 
     def test_monotone(self, rng):
@@ -202,14 +249,12 @@ class TestCdf:
 
 class TestQuadratureMoments:
     def test_opposite_phases_mean_third(self):
-        rep = quadrature_moments(unitary_pdf(0.0, np.pi))
+        rep = quadrature_moments(normal_pdf(QubitSpectrum.ordered(1.0, -1.0)))
         assert rep.mean == pytest.approx(1 / 3, abs=1e-14)
 
     def test_reference_matches_trace_formula(self):
         rep = quadrature_moments(normal_pdf(REFERENCE))
-        assert rep.mean == pytest.approx(
-            avg_fidelity_qubit_spectrum(REFERENCE), abs=1e-9
-        )
+        assert rep.mean == pytest.approx(avg_fidelity(np.diag([L0, L1])), abs=1e-9)
 
     def test_near_identity_limit(self):
         eps = 1e-3
@@ -222,7 +267,7 @@ class TestQuadratureMoments:
             d = normal_pdf(s)
             rep = quadrature_moments(d)
             m = np.diag([s.lambda0, s.lambda1])
-            assert abs(rep.mean - avg_fidelity_qubit_spectrum(s)) <= 1e-9
+            assert abs(rep.mean - avg_fidelity(m)) <= 1e-9
             assert abs(rep.second_moment - fourth_moment_general(m)) <= 1e-9
 
 
@@ -243,15 +288,16 @@ class TestCaseBoundary:
     def test_anchor_approaches_lower_modulus(self):
         d_plus = normal_pdf(self._spectrum_at(+1e-8))
         assert abs(d_plus.f0 - 0.36) <= 1e-7
-        assert d_plus.pieces[0].mass <= 1e-6
+        lower = pieces(d_plus)[0]
+        assert d_plus.cdf(lower["f_hi"]) - d_plus.cdf(lower["f_lo"]) <= 1e-6
 
     def test_exact_boundary_assigned_two_piece(self):
         # cos(D) = |l0|/|l1| makes |l0 - l1/2| = |l1|/2 exactly
         s = QubitSpectrum.ordered(0.5 * cmath.exp(1j * np.arccos(0.5)), 1.0)
-        assert classify_case(s) in ("two_piece", "one_piece")
+        assert normal_pdf(s).case in ("two_piece", "one_piece")
         cond = abs(s.lambda0 - 0.5 * s.lambda1) - 0.5 * abs(s.lambda1)
         if cond >= 0:
-            assert classify_case(s) == "two_piece"
+            assert normal_pdf(s).case == "two_piece"
 
 
 class TestCompareHistogram:
@@ -292,7 +338,7 @@ class TestCompareHistogram:
 
     def test_opposite_phase_histogram(self):
         # diag(1, e^{i pi}) has density 1/(2 sqrt(f)) on [0, 1].
-        d = unitary_pdf(0.0, np.pi)
+        d = normal_pdf(QubitSpectrum.ordered(1.0, -1.0))
         h = mc_histogram(
             np.diag([1.0, -1.0]), 40, 100_000, seed=13, value_range=d.support()
         )
@@ -315,3 +361,491 @@ class TestCompareHistogram:
         h = mc_histogram(m, 10, 1000, seed=3, value_range=(0.0, 1.0))
         with pytest.raises(ValueError, match="beyond the support"):
             compare_histogram(d, h)
+
+
+# Values of the piecewise implementation that the segment law replaced, at 17
+# significant digits: as_dict(), pdf and cdf on a grid over the support and
+# at |l0|^2 (the cdf also off both ends), and the quadrature moments. The
+# spectra are the reference, (0.5, 1), the projector (0, 1), the opposite
+# phases (1, -1), a radial near-degenerate pair 1e-8 apart, and the case
+# boundary path of TestCaseBoundary at distances +1e-8 and -1e-8. The last
+# five are near-degenerate or boundary spectra on which one rounding guard of
+# the segment law shows: the cdf pins at |l0|^2 and below the support, the
+# sign of s0 taken from the case test, the s0 >= -d/2 clamp, and d taken as
+# the representable extent s1 - s0.
+INF = float("inf")
+PINNED = {
+    "reference": {
+        "spectrum": (
+            complex(0.64671567275790065, 0.26787840265556284),
+            complex(-0.64721359549995794, 0.47022820183397862),
+        ),
+        "case": "two_piece",
+        "f0": 0.13292089787308489,
+        "support": (0.13292089787308489, 0.64000000000000012),
+        "pieces": [
+            (0.13292089787308489, 0.48999999999999994, 0.76355938503819742),
+            (0.48999999999999994, 0.64000000000000012, 0.38177969251909871),
+        ],
+        "pdf": [
+            (0.13292089787308489, INF),
+            (0.15827485297943067, 4.7953461390762655),
+            (0.25969067340481367, 2.144543988523139),
+            (0.38646044893654252, 1.516421596837557),
+            (0.51323022446827127, 0.61907652453141404),
+            (0.61464604489365426, 0.55006392682977345),
+            (0.64000000000000012, 0.53613599713078464),
+            (0.48999999999999994, 0.63889664390361822),
+        ],
+        "cdf": [
+            (0.13292089787308489, 0),
+            (0.15827485297943067, 0.24316198145905635),
+            (0.25969067340481367, 0.54372672008599332),
+            (0.38646044893654252, 0.76894570177025146),
+            (0.51323022446827127, 0.9271544322248676),
+            (0.61464604489365426, 0.98623253195957539),
+            (0.64000000000000012, 1),
+            (0.1229208978730849, 0),
+            (0.65000000000000013, 1),
+            (0.48999999999999994, 0.91254655982801358),
+        ],
+        "mean": 0.27913360125302283,
+        "second_moment": 0.096134486934994712,
+    },
+    "half_one": {
+        "spectrum": (
+            complex(0.5, 0),
+            complex(1, 0),
+        ),
+        "case": "one_piece",
+        "f0": 0,
+        "support": (0.25, 1),
+        "pieces": [
+            (0.25, 1, 1),
+        ],
+        "pdf": [
+            (0.25, 2),
+            (0.28749999999999998, 1.8650096164806276),
+            (0.4375, 1.5118578920369088),
+            (0.625, 1.2649110640673518),
+            (0.8125, 1.1094003924504583),
+            (0.96249999999999991, 1.0192943828752512),
+            (1, 1),
+            (0.25, 2),
+        ],
+        "cdf": [
+            (0.25, 0),
+            (0.28749999999999998, 0.072380529476360866),
+            (0.4375, 0.32287565553229536),
+            (0.625, 0.58113883008418976),
+            (0.8125, 0.80277563773199456),
+            (0.96249999999999991, 0.96214168703485825),
+            (1, 1),
+            (0.23999999999999999, 0),
+            (1.01, 1),
+            (0.25, 0),
+        ],
+        "mean": 0.58333333333333337,
+        "second_moment": 0.38750000000000001,
+    },
+    "projector": {
+        "spectrum": (
+            complex(0, 0),
+            complex(1, 0),
+        ),
+        "case": "two_piece",
+        "f0": 0,
+        "support": (0, 1),
+        "pieces": [
+            (0, 1, 0.5),
+        ],
+        "pdf": [
+            (0, INF),
+            (0.050000000000000003, 2.2360679774997898),
+            (0.25, 1),
+            (0.5, 0.70710678118654746),
+            (0.75, 0.57735026918962584),
+            (0.94999999999999996, 0.5129891760425771),
+            (1, 0.5),
+            (0, INF),
+        ],
+        "cdf": [
+            (0, 0),
+            (0.050000000000000003, 0.22360679774997896),
+            (0.25, 0.5),
+            (0.5, 0.70710678118654757),
+            (0.75, 0.8660254037844386),
+            (0.94999999999999996, 0.97467943448089633),
+            (1, 1),
+            (-0.01, 0),
+            (1.01, 1),
+            (0, 0),
+        ],
+        "mean": 0.33333333333333331,
+        "second_moment": 0.20000000000000001,
+    },
+    "opposite": {
+        "spectrum": (
+            complex(1, 0),
+            complex(-1, 0),
+        ),
+        "case": "unitary_like",
+        "f0": 0,
+        "support": (0, 1),
+        "pieces": [
+            (0, 1, 0.5),
+        ],
+        "pdf": [
+            (0, INF),
+            (0.050000000000000003, 2.2360679774997898),
+            (0.25, 1),
+            (0.5, 0.70710678118654746),
+            (0.75, 0.57735026918962584),
+            (0.94999999999999996, 0.5129891760425771),
+            (1, 0.5),
+            (1, 0.5),
+        ],
+        "cdf": [
+            (0, 0),
+            (0.050000000000000003, 0.22360679774997896),
+            (0.25, 0.5),
+            (0.5, 0.70710678118654757),
+            (0.75, 0.8660254037844386),
+            (0.94999999999999996, 0.97467943448089633),
+            (1, 1),
+            (-0.01, 0),
+            (1.01, 1),
+            (1, 1),
+        ],
+        "mean": 0.33333333333333331,
+        "second_moment": 0.20000000000000001,
+    },
+    "radial_1e-8": {
+        "spectrum": (
+            complex(0.69999999999999996, 0),
+            complex(0.70000001000000001, 0),
+        ),
+        "case": "one_piece",
+        "f0": 0,
+        "support": (0.48999999999999994, 0.49000001400000009),
+        "pieces": [
+            (0.48999999999999994, 0.49000001400000009, 49999999.748762034),
+        ],
+        "pdf": [
+            (0.48999999999999994, 71428571.069660053),
+            (0.49000000069999994, 71428571.018639639),
+            (0.49000000349999995, 71428570.814558014),
+            (0.49000000700000002, 71428570.559455976),
+            (0.49000001050000008, 71428570.304353938),
+            (0.49000001330000009, 71428570.100272313),
+            (0.49000001400000009, 71428570.049251899),
+            (0.48999999999999994, 71428571.069660053),
+        ],
+        "cdf": [
+            (0.48999999999999994, 0),
+            (0.49000000069999994, 0.050000003885780561),
+            (0.49000000349999995, 0.24999999722444244),
+            (0.49000000700000002, 0.50000000555111501),
+            (0.49000001050000008, 0.75000000277555745),
+            (0.49000001330000009, 0.94999999611421937),
+            (0.49000001400000009, 0.99999999999999989),
+            (0.47999999999999993, 0),
+            (0.50000001400000005, 0.99999999999999989),
+            (0.48999999999999994, 0),
+        ],
+        "mean": 0.4900000069999999,
+        "second_moment": 0.24010000685999999,
+    },
+    "boundary_plus": {
+        "spectrum": (
+            complex(0.35999998999999983, 0.48000000749999994),
+            complex(1, 0),
+        ),
+        "case": "two_piece",
+        "f0": 0.35999999999999982,
+        "support": (0.35999999999999982, 1),
+        "pieces": [
+            (0.35999999999999982, 0.35999999999999999, 1.2499999804687503),
+            (0.35999999999999999, 1, 0.62499999023437514),
+        ],
+        "pdf": [
+            (0.35999999999999982, INF),
+            (0.39199999999999985, 3.4938561602519171),
+            (0.5199999999999998, 1.5624999755859379),
+            (0.67999999999999994, 1.1048543283406314),
+            (0.83999999999999986, 0.90210978151332488),
+            (0.96799999999999997, 0.80154557504237689),
+            (1, 0.78124998779296884),
+            (0.35999999999999999, 48431650.112517953),
+        ],
+        "cdf": [
+            (0.35999999999999982, 0),
+            (0.39199999999999985, 0.22360680988112266),
+            (0.5199999999999998, 0.50000000781249987),
+            (0.67999999999999994, 0.70710678576300401),
+            (0.83999999999999986, 0.86602540587779153),
+            (0.96799999999999997, 0.97467943487653019),
+            (1, 1),
+            (0.34999999999999981, 0),
+            (1.01, 1),
+            (0.35999999999999999, 3.1755979686355059e-08),
+        ],
+        "mean": 0.57333332999999997,
+        "second_moment": 0.36511999631999992,
+    },
+    "boundary_minus": {
+        "spectrum": (
+            complex(0.36000000999999993, 0.47999999249999986),
+            complex(1, 0),
+        ),
+        "case": "one_piece",
+        "f0": 0.35999999999999982,
+        "support": (0.35999999999999999, 1),
+        "pieces": [
+            (0.35999999999999999, 1, 0.6250000097656252),
+        ],
+        "pdf": [
+            (0.35999999999999999, 48431651.626007043),
+            (0.39200000000000002, 3.4938562694349149),
+            (0.52000000000000002, 1.5625000244140621),
+            (0.67999999999999994, 1.1048543628673297),
+            (0.83999999999999997, 0.90210980970425592),
+            (0.96799999999999997, 0.80154560009067666),
+            (1, 0.7812500122070315),
+            (0.35999999999999999, 48431651.626007043),
+        ],
+        "cdf": [
+            (0.35999999999999999, 5.0597999005636202e-10),
+            (0.39200000000000002, 0.22360678561883551),
+            (0.52000000000000002, 0.49999999218750002),
+            (0.67999999999999994, 0.70710677661009091),
+            (0.83999999999999997, 0.86602540169108555),
+            (0.96799999999999997, 0.97467943408526259),
+            (1, 1),
+            (0.34999999999999998, 0),
+            (1.01, 1),
+            (0.35999999999999999, 5.0597999005636202e-10),
+        ],
+        "mean": 0.57333333666666664,
+        "second_moment": 0.36512000368000003,
+    },
+    "angular_unit_1e-8": {
+        "spectrum": (
+            complex(0.9210609940028851, 0.38941834230865052),
+            complex(0.92106099010870168, 0.38941835151926046),
+        ),
+        "case": "unitary_like",
+        "f0": 0.99999999891939106,
+        "support": (0.99999999891939106, 1),
+        "pieces": [
+            (0.99999999891939106, 1, 99999999.998605147),
+            (1, 1, 49999999.999302574),
+        ],
+        "pdf": [
+            (0.99999999891939106, INF),
+            (0.99999999897342151, 13604441597533.822),
+            (0.9999999991895433, 6084091241602.291),
+            (0.99999999945969553, 4302102174294.6621),
+            (0.99999999972984777, 3512651716113.3271),
+            (0.99999999994596955, 3121072952997.4189),
+            (1, 1521022810400.5728),
+            (1, 1521022810400.5728),
+        ],
+        "cdf": [
+            (0.99999999891939106, 0),
+            (0.99999999897342151, 0.064460390152529939),
+            (0.9999999991895433, 0.064460390152529939),
+            (0.99999999945969553, 0.064460390152529939),
+            (0.99999999972984777, 0.064460390152529939),
+            (0.99999999994596955, 0.064460390152529939),
+            (1, 0.99999999999999989),
+            (0.98999999891939106, 0),
+            (1.01, 0.99999999999999989),
+            (1, 0.99999999999999989),
+        ],
+        "mean": 0.99999999891939106,
+        "second_moment": 0.99999999783878213,
+    },
+    "boundary_path_0.6": {
+        "spectrum": (
+            complex(0.35999999990000003, 0.48000000007499993),
+            complex(1, 0),
+        ),
+        "case": "two_piece",
+        "f0": 0.3600000000000001,
+        "support": (0.3600000000000001, 1),
+        "pieces": [
+            (0.3600000000000001, 0.35999999999999999, 1.2499999998046878),
+            (0.35999999999999999, 1, 0.62499999990234389),
+        ],
+        "pdf": [
+            (0.3600000000000001, INF),
+            (0.39200000000000007, 3.4938562142975087),
+            (0.52000000000000002, 1.5624999997558602),
+            (0.68000000000000005, 1.1048543454313473),
+            (0.84000000000000008, 0.90210979546783576),
+            (0.96799999999999997, 0.80154558744128546),
+            (1, 0.78124999987792998),
+            # f0 rounds above |l0|^2 here, so f = |l0|^2 lies below the
+            # support: the density there is 0 (the piecewise form gave inf).
+            (0.35999999999999999, 0),
+        ],
+        "cdf": [
+            (0.3600000000000001, 3.1249976555018853e-10),
+            (0.39200000000000007, 0.22360679787129026),
+            (0.52000000000000002, 0.50000000007812495),
+            (0.68000000000000005, 0.70710678123231219),
+            (0.84000000000000008, 0.8660254038053723),
+            (0.96799999999999997, 0.97467943448485272),
+            (1, 1),
+            (0.35000000000000009, 0),
+            (1.01, 1),
+            (0.35999999999999999, 0),
+        ],
+        "mean": 0.57333333330000014,
+        "second_moment": 0.3651199999632001,
+    },
+    "angular_0.7_1e-8": {
+        "spectrum": (
+            complex(-0.29130279467597386, 0.63650819461650865),
+            complex(-0.29130278558299966, 0.63650819877797715),
+        ),
+        "case": "two_piece",
+        "f0": 0.48999999933550736,
+        "support": (0.48999999933550736, 0.48999999999999994),
+        "pieces": [
+            (0.48999999933550736, 0.48999999999999977, 99999999.984830216),
+            (0.48999999999999977, 0.48999999999999994, 49999999.992415108),
+        ],
+        "pdf": [
+            (0.48999999933550736, INF),
+            (0.48999999936873201, 17348815307217.879),
+            (0.48999999950163053, 7758627367503.499),
+            (0.48999999966775365, 5486178482571.9395),
+            (0.48999999983387676, 4479446098115.6387),
+            (0.48999999996677529, 3980092245469.5088),
+            (0.48999999999999994, 1939657003913.1709),
+            (0.48999999999999977, 1939657246969.1917),
+        ],
+        "cdf": [
+            (0.48999999933550736, 0),
+            (0.48999999936873201, 0.1097057137898165),
+            (0.48999999950163053, 0.1097057137898165),
+            (0.48999999966775365, 0.1097057137898165),
+            (0.48999999983387676, 0.1097057137898165),
+            (0.48999999996677529, 0.1097057137898165),
+            (0.48999999999999994, 1),
+            (0.47999999933550735, 0),
+            (0.49999999999999994, 1),
+            (0.48999999999999977, 1),
+        ],
+        "mean": 0.48999999933550742,
+        "second_moment": 0.24009999934879725,
+    },
+    "angular_0.3_1e-9": {
+        "spectrum": (
+            complex(0.27631829820086551, 0.11682550269259515),
+            complex(0.27631829781144718, 0.11682550361365614),
+        ),
+        "case": "two_piece",
+        "f0": 0.089999999475787226,
+        "support": (0.089999999475787226, 0.089999999999999997),
+        "pieces": [
+            (0.089999999475787226, 0.089999999999999997, 1000000006.8659213),
+        ],
+        "pdf": [
+            (0.089999999475787226, INF),
+            (0.089999999501997871, 195326492182126.22),
+            (0.089999999606840422, 87352672115312.578),
+            (0.089999999737893605, 61767668442713.75),
+            (0.089999999868946801, 50433089650305.047),
+            (0.089999999973789352, 44810976167672.445),
+            (0.089999999999999997, 43676336635790.742),
+            (0.089999999999999997, 43676336635790.742),
+        ],
+        "cdf": [
+            (0.089999999475787226, 0),
+            (0.089999999501997871, 1),
+            (0.089999999606840422, 1),
+            (0.089999999737893605, 1),
+            (0.089999999868946801, 1),
+            (0.089999999973789352, 1),
+            (0.089999999999999997, 1),
+            (0.079999999475787231, 0),
+            (0.099999999999999992, 1),
+            (0.089999999999999997, 1),
+        ],
+        "mean": 0.089999999475787226,
+        "second_moment": 0.0080999999056417006,
+    },
+    "radial_1.0_1e-10": {
+        "spectrum": (
+            complex(0.9210609940028851, 0.38941834230865052),
+            complex(0.9210609940949912, 0.38941834234759237),
+        ),
+        "case": "one_piece",
+        "f0": 3.0814874748808703e-13,
+        "support": (1, 1.0000000002),
+        "pieces": [
+            (1, 1.0000000002, 5000005137.4185467),
+        ],
+        "pdf": [
+            (1, 5000005137.4193172),
+            (1.00000000001, 5000005137.3943167),
+            (1.00000000005, 5000005137.2943172),
+            (1.0000000001, 5000005137.1693172),
+            (1.00000000015, 5000005137.0443163),
+            (1.00000000019, 5000005136.9443169),
+            (1.0000000002, 5000005136.9193163),
+            (1, 5000005137.4193172),
+        ],
+        "cdf": [
+            (1, 0),
+            (1.00000000001, 0.04855343342374259),
+            (1.00000000005, 0.24855365546857566),
+            (1.0000000001, 0.49855393302461698),
+            (1.00000000015, 0.7485542105806583),
+            (1.00000000019, 0.94855443262549144),
+            (1.0000000002, 1),
+            (0.98999999999999999, 0),
+            (1.0100000002, 1),
+            (1, 0),
+        ],
+        "mean": 1.0000000001002893,
+        "second_moment": 1.0000000002005784,
+    },
+}
+
+
+def close(want):
+    return pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_as_dict(self, name):
+        want = PINNED[name]
+        got = normal_pdf(QubitSpectrum(*want["spectrum"])).as_dict()
+        assert got["case"] == want["case"]
+        assert got["f0"] == close(want["f0"])
+        assert got["support"] == [close(x) for x in want["support"]]
+        assert len(got["pieces"]) == len(want["pieces"])
+        for piece, (f_lo, f_hi, c) in zip(got["pieces"], want["pieces"]):
+            got_piece = (piece["f_lo"], piece["f_hi"], piece["c"])
+            assert got_piece == (close(f_lo), close(f_hi), close(c))
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pdf_and_cdf(self, name):
+        want = PINNED[name]
+        d = normal_pdf(QubitSpectrum(*want["spectrum"]))
+        for fn, table in ((d.pdf, want["pdf"]), (d.cdf, want["cdf"])):
+            f, values = np.array(table).T
+            assert list(fn(f)) == [close(v) for v in values]
+            assert [fn(x) for x in f] == [close(v) for v in values]
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_quadrature_moments(self, name):
+        want = PINNED[name]
+        rep = quadrature_moments(normal_pdf(QubitSpectrum(*want["spectrum"])))
+        assert rep.mean == close(want["mean"])
+        assert rep.second_moment == close(want["second_moment"])

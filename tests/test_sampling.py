@@ -8,7 +8,6 @@ from gatefid import (
     mc_moment,
     monomial_integral,
     monomial_integral_exact,
-    sample_state,
     sample_states,
 )
 from gatefid.sampling import (
@@ -17,6 +16,7 @@ from gatefid.sampling import (
     _gaussian_rows,
     _histogram,
     expectation,
+    sample_state,
     state_batches,
 )
 from conftest import random_hermitian, random_matrix, random_unitary

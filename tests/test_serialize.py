@@ -78,3 +78,25 @@ class TestCsv:
         first_f, first_p = map(float, lines[1].split(","))
         assert first_f > d.support()[0]
         assert np.isfinite(first_p)
+
+    def test_density_grid_inside_narrow_support(self):
+        # Support width 8e-13, below the 1e-9 nudge off the anchor: every
+        # row must still lie inside the support, ascending, with density > 0.
+        d = normal_pdf(QubitSpectrum.ordered(1.0, complex(0.9999999999999, 1e-7)))
+        lo, hi = d.support()
+        assert 0.0 < hi - lo < 1e-9
+        rows = np.array([list(map(float, r.split(","))) for r in density_csv_lines(d, 64)[1:]])
+        f, dens = rows.T
+        assert (np.diff(f) > 0).all()
+        assert lo < f[0] and f[-1] == hi
+        assert (dens > 0).all() and np.isfinite(dens).all()
+
+    @pytest.mark.parametrize("spectrum", [(0.5, 1.0), (0.7 * np.exp(0.4j), 0.8), (0.7, 0.700001)])
+    def test_density_grid_unchanged_on_wide_supports(self, spectrum):
+        # Supports at least 1e-6 wide keep the 1e-9 nudge, byte for byte.
+        d = normal_pdf(QubitSpectrum.ordered(*spectrum))
+        lo, hi = d.support()
+        assert hi - lo >= 1e-6
+        grid = np.linspace(lo + 1e-9, hi, 32)
+        f = [r.split(",")[0] for r in density_csv_lines(d, 32)[1:]]
+        assert f == [repr(float(x)) for x in grid]
