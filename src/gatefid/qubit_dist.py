@@ -5,13 +5,14 @@ the weights |<e_i|psi>|^2 are uniform on the simplex, so z = <psi|m|psi> is
 uniform on the segment [l0, l1]. With s the signed offset along the segment
 from the foot of the perpendicular dropped from 0,
 
-    f = |z|^2 = f0 + s^2,   f0 = Im(l0 conj(l1))^2 / d^2,   d = |l0 - l1|,
+    f = |z|^2 = f0 + s^2,   f0 = Im(l0 conj(l0 - l1))^2 / d^2,   d = |l0 - l1|,
 
-and s is uniform on [s0, s0 + d], s0 = -Re(l0 conj(l0 - l1)) / d (a form that
-keeps relative accuracy arbitrarily close to the case boundary). The density
-of f is the number of roots +-sqrt(f - f0) in [s0, s1] over 2 d sqrt(f - f0):
-c = 1/(2d) on [|l0|^2, |l1|^2], plus c = 1/d on [f0, |l0|^2] when the segment
-straddles the foot (s0 < 0). Unit-modulus spectra give the unitary-gate law
+and s is uniform on [s0, s0 + d], s0 = -Re(l0 conj(l0 - l1)) / d (forms that
+keep relative accuracy for near-degenerate spectra and arbitrarily close to
+the case boundary). The density of f is the number of roots +-sqrt(f - f0)
+in [s0, s1] over 2 d sqrt(f - f0): c = 1/(2d) on [|l0|^2, |l1|^2], plus
+c = 1/d on [f0, |l0|^2] when the segment straddles the foot (s0 < 0).
+Unit-modulus spectra give the unitary-gate law
 1 / (2 sin(D/2) sqrt(f - cos^2(D/2))) on [cos^2(D/2), 1], D = phi1 - phi0.
 """
 
@@ -142,12 +143,15 @@ def normal_pdf(s: QubitSpectrum) -> FidelityDistribution:
     case = "unitary_like" if unit else "one_piece" if one_piece else "two_piece"
     diff = l0 - l1
     d = abs(diff)
-    # The case test gives the sign of s0; it stays reliable where the
+    # The one-piece test gives the sign of s0; it stays reliable where the
     # rounded Re(...) is dust. |l0| <= |l1| bounds s0 below by -d/2: the
     # clamp only binds within input rounding of equal moduli.
-    u = abs((l0 * diff.conjugate()).real) / d
-    s0 = u if case == "one_piece" else max(-u, -0.5 * d)
-    f0 = ((l0 * l1.conjugate()).imag / d) ** 2
+    cross = l0 * diff.conjugate()
+    u = abs(cross.real) / d
+    s0 = u if one_piece else max(-u, -0.5 * d)
+    # Im(l0 conj(l0 - l1)) = -Im(l0 conj(l1)), without the cancellation
+    # of the latter when l0 and l1 nearly coincide.
+    f0 = (cross.imag / d) ** 2
     out = FidelityDistribution(s, case, f0, s0, s0 + d, abs(l0) ** 2, abs(l1) ** 2)
     if not abs(out.mass() - 1.0) <= 1e-10:
         raise InvariantError(f"density mass {out.mass()} is not 1")

@@ -5,18 +5,23 @@ Haar-uniform on the unit sphere of C^n for every n. Every seeded Monte-Carlo
 path draws from one stream, :func:`state_batches`, and is deterministic for a
 fixed ``(seed, samples, workers)`` triple: worker streams are derived from the
 seed with ``numpy.random.SeedSequence`` and evaluated in a fixed order (workers
-only partition the stream, they do not run concurrently here). ``mc_sample``
-takes its estimate and its histogram from the same draws. The stream yields
-unnormalized Gaussian rows ``v``; the kernel takes ``f = (|<v|m|v>| / |v|^2)^2``.
-The states ``v / |v|`` a seed draws are pinned bit for bit; ``f`` may differ
-from earlier versions in the last bits.
+only partition the stream, they do not run concurrently here). The stream
+yields unnormalized Gaussian rows ``v``; the kernel takes
+``f = (|<v|m|v>| / |v|^2)^2``. The states ``v / |v|`` a seed draws are pinned
+bit for bit; ``f`` may differ from earlier versions in the last bits.
+
+``mc_moment``, ``mc_histogram`` and ``mc_sample`` make one streaming pass over
+those batches into one tally: running moments and, for a known range, bin
+counts, so their memory does not grow with the sample count. The one O(N)
+buffer left is a histogram over the observed range, whose edges need every
+value. ``mc_sample`` takes its estimate and its histogram from the same draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, sqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -24,7 +29,7 @@ import numpy as np
 from .linalg import as_matrix
 
 DEFAULT_WORKERS = 1
-_BATCH = 1 << 16
+_BATCH = 1 << 14
 
 
 def sample_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -54,12 +59,15 @@ def sample_states(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return v
 
 
-def _gaussian_rows(n: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The rows ``v`` that :func:`sample_states` normalizes, with the same
-    fallback, and ``|v|^2`` as a row sum of squares: cheaper than the
-    ``np.linalg.norm`` whose bits :func:`sample_states` keeps."""
-    z = rng.standard_normal((count, 2 * n))
-    r2 = np.einsum("ij,ij->i", z, z)
+def _gaussian_rows(
+    n: int, rng: np.random.Generator, z: np.ndarray, r2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fill ``z`` (shape (count, 2n)) with the normals whose complex view ``v``
+    :func:`sample_states` normalizes, with the same fallback, and ``r2`` with
+    ``|v|^2`` as a row sum of squares: cheaper than the ``np.linalg.norm``
+    whose bits :func:`sample_states` keeps."""
+    rng.standard_normal(out=z)
+    np.einsum("ij,ij->i", z, z, out=r2)
     v = z.view(np.complex128)
     for i in np.flatnonzero(r2 <= 1e-300):
         v[i] = sample_state(n, rng)
@@ -130,7 +138,19 @@ def state_batches(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``samples`` Gaussian rows on C^n with their squared norms, in
     batches: worker ``w`` draws its share of the budget from the ``w``-th
-    child of ``SeedSequence(seed)``. Row ``v`` stands for the state ``v / |v|``."""
+    child of ``SeedSequence(seed)``. Row ``v`` stands for the state ``v / |v|``.
+
+    Every batch is drawn into the same two arrays, so a batch is only valid
+    until the next one is requested.
+    """
+    rows = min(_BATCH, samples)
+    return _draw_batches(n, samples, seed, workers, np.empty((rows, 2 * n)), np.empty(rows))
+
+
+def _draw_batches(
+    n: int, samples: int, seed: int, workers: int, z: np.ndarray, r2: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`state_batches` drawing into the caller's ``z`` and ``r2``."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
     base, extra = divmod(samples, workers)
@@ -138,7 +158,8 @@ def state_batches(
         rng = np.random.default_rng(child)
         size = base + (1 if w < extra else 0)
         for done in range(0, size, _BATCH):
-            yield _gaussian_rows(n, min(_BATCH, size - done), rng)
+            count = min(_BATCH, size - done)
+            yield _gaussian_rows(n, rng, z[:count], r2[:count])
 
 
 def expectation(states: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -146,27 +167,33 @@ def expectation(states: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("bj,bj->b", states.conj() @ a, states)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _fidelities(m: np.ndarray, samples: int, seed: int, workers: int) -> np.ndarray:
-    """All ``samples`` values of f = (|<v|m|v>| / |v|^2)^2, in seed order."""
+def _fidelity_batches(
+    m: np.ndarray, samples: int, seed: int, workers: int
+) -> Iterator[np.ndarray]:
+    """f = (|<v|m|v>| / |v|^2)^2 for each batch of :func:`state_batches`,
+    in an array that, like the rows, the next batch overwrites."""
     m = as_matrix(m)
-    f = np.empty(samples)
-    done = 0
-    for v, r2 in state_batches(m.shape[0], samples, seed, workers):
-        out = f[done : done + len(v)]
-        np.abs(expectation(v, m), out=out)
-        out /= r2
-        done += len(v)
-    np.square(f, out=f)
-    if not np.isfinite(f.max()):  # max propagates NaN
-        raise ValueError("sampled fidelity overflows: the map's entries are too large")
-    return f
-
-
-def _estimate(values: np.ndarray, seed: int) -> McEstimate:
-    """Two-pass mean and standard error of ``values``."""
-    std_error = values.std(ddof=1) / np.sqrt(values.size)
-    return McEstimate(float(values.mean()), float(std_error), values.size, seed)
+    n = m.shape[0]
+    rows = min(_BATCH, samples)
+    # Every per-batch array is a block of one workspace. As separate arrays,
+    # freed at the end of each stream, the allocator handed them back to the
+    # system and the next stream page-faulted them in again.
+    work = np.split(np.empty(rows * (6 * n + 4)), rows * np.cumsum([2 * n, 2 * n, 2 * n, 2, 1]))
+    z, norm2, fid = work[0].reshape(rows, 2 * n), work[4], work[5]
+    conj, prod = (block.view(complex).reshape(rows, n) for block in work[1:3])
+    overlap = work[3].view(complex)
+    for v, r2 in _draw_batches(n, samples, seed, workers, z, norm2):
+        k = len(v)
+        # A decorator would not cover a generator's body, so the state is set here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # expectation(v, m), with the same arithmetic, in the workspace
+            np.matmul(np.conjugate(v, out=conj[:k]), m, out=prod[:k])
+            f = np.abs(np.einsum("bj,bj->b", prod[:k], v, out=overlap[:k]), out=fid[:k])
+            f /= r2
+            np.square(f, out=f)
+        if not np.isfinite(f.max()):  # max propagates NaN
+            raise ValueError("sampled fidelity overflows: the map's entries are too large")
+        yield f
 
 
 def _check_bins(bins: int, samples: int) -> None:
@@ -176,29 +203,84 @@ def _check_bins(bins: int, samples: int) -> None:
         raise ValueError("samples must be at least bins")
 
 
-def _histogram(
-    f: np.ndarray, bins: int, seed: int, value_range: tuple[float, float] | None
-) -> Histogram:
-    """Bin ``f``; with a given range, edge values in ``f`` are clamped in place."""
-    if value_range is None:
-        lo, hi = float(f.min()), float(f.max())
-        min_width = bins * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+class _Tally:
+    """What one pass over the value batches keeps.
+
+    Moments: each batch's two-pass ``(count, mean, M2)`` is merged into the
+    running one by the pairwise update of Chan, Golub & LeVeque (Amer. Stat.
+    37, 1983). Histogram (when ``bins`` is given): with a known range, each
+    batch is clamped and its bin counts added; with the observed range, the
+    batches are copied into one buffer of ``samples`` values and binned at the
+    end, since exact [min, max] edges need every value.
+    """
+
+    def __init__(
+        self, samples: int, bins: int = 0, value_range: tuple[float, float] | None = None
+    ):
+        self.count, self.mean, self.m2 = 0, 0.0, 0.0
+        self.bins, self.range = bins, value_range
+        self.counts, self.edges = np.zeros(bins, dtype=np.intp), None
+        self.buffer = np.empty(samples) if bins and value_range is None else None
+        self.work = np.empty(0)
+
+    def add(self, x: np.ndarray) -> None:
+        """Take one batch; with a known range, its edge values are clamped in place."""
+        if self.work.size < x.size:
+            self.work = np.empty(x.size)
+        tmp = self.work[: x.size]
+        # The moments come first, so the estimate never sees the clamp.
+        mean = float(x.mean())
+        np.square(np.subtract(x, mean, out=tmp), out=tmp)
+        count = self.count + x.size
+        delta = mean - self.mean
+        self.mean += delta * (x.size / count)
+        self.m2 += float(tmp.sum()) + delta * delta * (self.count * x.size / count)
+        if self.buffer is not None:
+            self.buffer[self.count : count] = x
+        elif self.bins:
+            # Keep boundary rounding dust (f = support edge +- ~1e-15) in range;
+            # anything further out is genuinely outside and stays dropped.
+            lo, hi = self.range
+            slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+            for edge in (lo, hi):
+                x[np.abs(np.subtract(x, edge, out=tmp), out=tmp) <= slack] = edge
+            counts, self.edges = np.histogram(x, self.bins, self.range)
+            self.counts += counts
+        self.count = count
+
+    def estimate(self, seed: int) -> McEstimate:
+        std_error = sqrt(self.m2 / (self.count - 1)) / sqrt(self.count)
+        return McEstimate(self.mean, std_error, self.count, seed)
+
+    def histogram(self, seed: int) -> Histogram:
+        if self.buffer is None:
+            return Histogram(self.edges, self.counts, self.count, seed)
+        lo, hi = float(self.buffer.min()), float(self.buffer.max())
+        min_width = self.bins * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
         if hi - lo < min_width:
             # Constant fidelity up to rounding (e.g. the identity map): park
             # all mass in the top bin by opening a range just below it.
             lo = hi - 1e-9 * max(1.0, abs(hi))
-        value_range = (lo, hi)
-    else:
-        # Keep boundary rounding dust (f = support edge +- ~1e-15) in range;
-        # anything further out is genuinely outside and stays dropped.
-        lo, hi = value_range
-        slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-        for start in range(0, f.size, _BATCH):
-            part = f[start : start + _BATCH]
-            for edge in (lo, hi):
-                part[np.abs(part - edge) <= slack] = edge
-    counts, edges = np.histogram(f, bins=bins, range=value_range)
-    return Histogram(edges=edges, counts=counts, samples=f.size, seed=seed)
+        counts, edges = np.histogram(self.buffer, self.bins, (lo, hi))
+        return Histogram(edges, counts, self.count, seed)
+
+
+def _stream(
+    m: np.ndarray,
+    samples: int,
+    seed: int,
+    workers: int,
+    order: int = 1,
+    bins: int = 0,
+    value_range: tuple[float, float] | None = None,
+) -> _Tally:
+    """The one sampling loop: every batch of f (or f**2) goes into one tally."""
+    tally = _Tally(samples, bins, value_range)
+    for f in _fidelity_batches(m, samples, seed, workers):
+        if order == 2:
+            np.square(f, out=f)
+        tally.add(f)
+    return tally
 
 
 def mc_moment(
@@ -213,9 +295,7 @@ def mc_moment(
         raise ValueError("order must be 1 or 2")
     if samples < 100:
         raise ValueError("samples must be at least 100")
-    f = _fidelities(m, samples, seed, workers)
-    f **= order  # in place; for order 2 this is np.square, i.e. f * f
-    return _estimate(f, seed)
+    return _stream(m, samples, seed, workers, order).estimate(seed)
 
 
 def mc_histogram(
@@ -233,7 +313,7 @@ def mc_histogram(
     the support endpoints.
     """
     _check_bins(bins, samples)
-    return _histogram(_fidelities(m, samples, seed, workers), bins, seed, value_range)
+    return _stream(m, samples, seed, workers, bins=bins, value_range=value_range).histogram(seed)
 
 
 def mc_sample(
@@ -248,6 +328,5 @@ def mc_sample(
     _check_bins(bins, samples)
     if samples < 100:
         raise ValueError("samples must be at least 100")
-    f = _fidelities(m, samples, seed, workers)
-    est = _estimate(f, seed)  # before _histogram clamps edge values in f
-    return _histogram(f, bins, seed, value_range), est
+    tally = _stream(m, samples, seed, workers, bins=bins, value_range=value_range)
+    return tally.histogram(seed), tally.estimate(seed)

@@ -203,15 +203,22 @@ def _mc_conditional(
 ) -> tuple[float, float]:
     """Acceptance-weighted Monte-Carlo conditional fidelity over the subspace.
 
-    Returns a batched ratio estimate with its standard error.
+    Returns a batched ratio estimate with its standard error. The states are
+    drawn a few whole ratio batches at a time, about one sampling batch of
+    rows per draw, so memory does not grow with ``samples``.
     """
     num_op = moments.comparison_matrix(g.target, g.actual, g.subspace)
     den_op = moments.comparison_matrix(g.actual, g.actual, g.subspace)
-    count = samples - samples % batches  # whole batches only
-    states = sampling.sample_states(len(g.subspace), count, rng)
-    num = np.abs(sampling.expectation(states, num_op)) ** 2
-    den = sampling.expectation(states, den_op).real
-    ratios = num.reshape(batches, -1).mean(axis=1) / den.reshape(batches, -1).mean(axis=1)
+    per = samples // batches  # whole batches only
+    step = max(1, sampling._BATCH // per)
+    ratios = np.empty(batches)
+    for start in range(0, batches, step):
+        k = min(step, batches - start)
+        states = sampling.sample_states(len(g.subspace), k * per, rng)
+        num = np.abs(sampling.expectation(states, num_op)) ** 2
+        den = sampling.expectation(states, den_op).real
+        num, den = num.reshape(k, per).mean(axis=1), den.reshape(k, per).mean(axis=1)
+        ratios[start : start + k] = num / den
     return float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(batches))
 
 

@@ -434,9 +434,9 @@ class TestSample:
         drawn = []
         gaussian_rows = sampling._gaussian_rows
 
-        def counting(n, count, rng):
-            drawn.append(count)
-            return gaussian_rows(n, count, rng)
+        def counting(n, rng, z, r2):
+            drawn.append(len(z))
+            return gaussian_rows(n, rng, z, r2)
 
         monkeypatch.setattr(sampling, "_gaussian_rows", counting)
         prefix = str(files["dir"] / f"one_{name}")

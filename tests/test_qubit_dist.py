@@ -300,6 +300,27 @@ class TestCaseBoundary:
             assert normal_pdf(s).case == "two_piece"
 
 
+class TestNearUnitModulus:
+    # Eigenvalues sep apart in phase, one on the unit circle and one gap
+    # inside it. Im(l0 conj(l1)) cancels here, and at gap 1e-12 the
+    # unitary_like label holds while the segment misses the foot of the
+    # perpendicular (s0 > 0): the law must still be the sampled one.
+    @pytest.mark.parametrize("gap,case", [(1e-12, "unitary_like"), (1e-11, "one_piece")])
+    @pytest.mark.parametrize("sep", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+    def test_support_and_cdf_match_samples(self, sep, gap, case):
+        l0, l1 = (1 - gap) * cmath.exp(0.1j), cmath.exp(1j * (0.1 + sep))
+        d = normal_pdf(QubitSpectrum.ordered(l0, l1))
+        assert d.case == case and d.s0 > 0
+        samples = 200_000
+        h = mc_histogram(np.diag([l0, l1]), 200, samples, seed=17)
+        lo, hi = d.support()
+        slack = 16 * np.finfo(float).eps  # rounding of the sampled f near 1
+        assert lo - slack <= h.edges[0] and h.edges[-1] <= hi + slack
+        # Kolmogorov-Smirnov gap at the bin edges, against its 1% level.
+        sampled = np.cumsum(h.counts) / samples
+        assert np.abs(d.cdf(h.edges[1:]) - sampled).max() <= 1.63 / np.sqrt(samples)
+
+
 class TestCompareHistogram:
     def test_synthetic_inverse_cdf_sampling(self):
         d = normal_pdf(REFERENCE)
@@ -371,8 +392,12 @@ class TestCompareHistogram:
 # boundary path of TestCaseBoundary at distances +1e-8 and -1e-8. The last
 # five are near-degenerate or boundary spectra on which one rounding guard of
 # the segment law shows: the cdf pins at |l0|^2 and below the support, the
-# sign of s0 taken from the case test, the s0 >= -d/2 clamp, and d taken as
-# the representable extent s1 - s0.
+# sign of s0 taken from the one-piece test, the s0 >= -d/2 clamp, and d taken
+# as the representable extent s1 - s0. Those five are pinned at the values of
+# the cancellation-free f0 = Im(l0 conj(l0 - l1))^2 / d^2: the old
+# Im(l0 conj(l1)) numerator put f0 up to 1e-9 off, against exact rational f0
+# and against 4e6 sampled fidelities. The three angular pairs have supports
+# narrower than an ulp (the sampled values sit within rounding of |l1|^2).
 INF = float("inf")
 PINNED = {
     "reference": {
@@ -635,36 +660,36 @@ PINNED = {
             complex(0.92106099010870168, 0.38941835151926046),
         ),
         "case": "unitary_like",
-        "f0": 0.99999999891939106,
-        "support": (0.99999999891939106, 1),
+        "f0": 1,
+        "support": (1, 1),
         "pieces": [
-            (0.99999999891939106, 1, 99999999.998605147),
+            (1, 1, 99999999.998605147),
             (1, 1, 49999999.999302574),
         ],
         "pdf": [
-            (0.99999999891939106, INF),
-            (0.99999999897342151, 13604441597533.822),
-            (0.9999999991895433, 6084091241602.291),
-            (0.99999999945969553, 4302102174294.6621),
-            (0.99999999972984777, 3512651716113.3271),
-            (0.99999999994596955, 3121072952997.4189),
-            (1, 1521022810400.5728),
-            (1, 1521022810400.5728),
+            (0.99999999891939106, 0),
+            (0.99999999897342151, 0),
+            (0.9999999991895433, 0),
+            (0.99999999945969553, 0),
+            (0.99999999972984777, 0),
+            (0.99999999994596955, 0),
+            (1, INF),
+            (1, INF),
         ],
         "cdf": [
             (0.99999999891939106, 0),
-            (0.99999999897342151, 0.064460390152529939),
-            (0.9999999991895433, 0.064460390152529939),
-            (0.99999999945969553, 0.064460390152529939),
-            (0.99999999972984777, 0.064460390152529939),
-            (0.99999999994596955, 0.064460390152529939),
-            (1, 0.99999999999999989),
+            (0.99999999897342151, 0),
+            (0.9999999991895433, 0),
+            (0.99999999945969553, 0),
+            (0.99999999972984777, 0),
+            (0.99999999994596955, 0),
+            (1, 1),
             (0.98999999891939106, 0),
-            (1.01, 0.99999999999999989),
-            (1, 0.99999999999999989),
+            (1.01, 1),
+            (1, 1),
         ],
-        "mean": 0.99999999891939106,
-        "second_moment": 0.99999999783878213,
+        "mean": 1,
+        "second_moment": 1,
     },
     "boundary_path_0.6": {
         "spectrum": (
@@ -672,38 +697,36 @@ PINNED = {
             complex(1, 0),
         ),
         "case": "two_piece",
-        "f0": 0.3600000000000001,
-        "support": (0.3600000000000001, 1),
+        "f0": 0.35999999999999999,
+        "support": (0.35999999999999999, 1),
         "pieces": [
-            (0.3600000000000001, 0.35999999999999999, 1.2499999998046878),
+            (0.35999999999999999, 0.35999999999999999, 1.2499999998046878),
             (0.35999999999999999, 1, 0.62499999990234389),
         ],
         "pdf": [
-            (0.3600000000000001, INF),
-            (0.39200000000000007, 3.4938562142975087),
-            (0.52000000000000002, 1.5624999997558602),
-            (0.68000000000000005, 1.1048543454313473),
-            (0.84000000000000008, 0.90210979546783576),
-            (0.96799999999999997, 0.80154558744128546),
-            (1, 0.78124999987792998),
-            # f0 rounds above |l0|^2 here, so f = |l0|^2 lies below the
-            # support: the density there is 0 (the piecewise form gave inf).
-            (0.35999999999999999, 0),
+            (0.3600000000000001, 59316416.005889036),
+            (0.39200000000000007, 3.4938562142975029),
+            (0.52000000000000002, 1.5624999997558595),
+            (0.68000000000000005, 1.1048543454313471),
+            (0.84000000000000008, 0.90210979546783565),
+            (0.96799999999999997, 0.80154558744128535),
+            (1, 0.78124999987792976),
+            (0.35999999999999999, INF),
         ],
         "cdf": [
-            (0.3600000000000001, 3.1249976555018853e-10),
-            (0.39200000000000007, 0.22360679787129026),
+            (0.3600000000000001, 1.3327140040371532e-08),
+            (0.39200000000000007, 0.22360679787129062),
             (0.52000000000000002, 0.50000000007812495),
-            (0.68000000000000005, 0.70710678123231219),
-            (0.84000000000000008, 0.8660254038053723),
+            (0.68000000000000005, 0.7071067812323123),
+            (0.84000000000000008, 0.86602540380537241),
             (0.96799999999999997, 0.97467943448485272),
             (1, 1),
             (0.35000000000000009, 0),
             (1.01, 1),
-            (0.35999999999999999, 0),
+            (0.35999999999999999, 3.1249976555018848e-10),
         ],
-        "mean": 0.57333333330000014,
-        "second_moment": 0.3651199999632001,
+        "mean": 0.57333333330000003,
+        "second_moment": 0.36511999996319999,
     },
     "angular_0.7_1e-8": {
         "spectrum": (
@@ -711,36 +734,36 @@ PINNED = {
             complex(-0.29130278558299966, 0.63650819877797715),
         ),
         "case": "two_piece",
-        "f0": 0.48999999933550736,
-        "support": (0.48999999933550736, 0.48999999999999994),
+        "f0": 0.48999999999999994,
+        "support": (0.48999999999999994, 0.48999999999999994),
         "pieces": [
-            (0.48999999933550736, 0.48999999999999977, 99999999.984830216),
+            (0.48999999999999994, 0.48999999999999977, 99999999.984830216),
             (0.48999999999999977, 0.48999999999999994, 49999999.992415108),
         ],
         "pdf": [
-            (0.48999999933550736, INF),
-            (0.48999999936873201, 17348815307217.879),
-            (0.48999999950163053, 7758627367503.499),
-            (0.48999999966775365, 5486178482571.9395),
-            (0.48999999983387676, 4479446098115.6387),
-            (0.48999999996677529, 3980092245469.5088),
-            (0.48999999999999994, 1939657003913.1709),
-            (0.48999999999999977, 1939657246969.1917),
+            (0.48999999933550736, 0),
+            (0.48999999936873201, 0),
+            (0.48999999950163053, 0),
+            (0.48999999966775365, 0),
+            (0.48999999983387676, 0),
+            (0.48999999996677529, 0),
+            (0.48999999999999994, INF),
+            (0.48999999999999977, 0),
         ],
         "cdf": [
             (0.48999999933550736, 0),
-            (0.48999999936873201, 0.1097057137898165),
-            (0.48999999950163053, 0.1097057137898165),
-            (0.48999999966775365, 0.1097057137898165),
-            (0.48999999983387676, 0.1097057137898165),
-            (0.48999999996677529, 0.1097057137898165),
+            (0.48999999936873201, 0),
+            (0.48999999950163053, 0),
+            (0.48999999966775365, 0),
+            (0.48999999983387676, 0),
+            (0.48999999996677529, 0),
             (0.48999999999999994, 1),
             (0.47999999933550735, 0),
             (0.49999999999999994, 1),
-            (0.48999999999999977, 1),
+            (0.48999999999999977, 0),
         ],
-        "mean": 0.48999999933550742,
-        "second_moment": 0.24009999934879725,
+        "mean": 0.48999999999999999,
+        "second_moment": 0.24009999999999995,
     },
     "angular_0.3_1e-9": {
         "spectrum": (
@@ -748,35 +771,35 @@ PINNED = {
             complex(0.27631829781144718, 0.11682550361365614),
         ),
         "case": "two_piece",
-        "f0": 0.089999999475787226,
-        "support": (0.089999999475787226, 0.089999999999999997),
+        "f0": 0.089999999999999955,
+        "support": (0.089999999999999955, 0.089999999999999997),
         "pieces": [
-            (0.089999999475787226, 0.089999999999999997, 1000000006.8659213),
+            (0.089999999999999955, 0.089999999999999997, 1000000006.8659213),
         ],
         "pdf": [
-            (0.089999999475787226, INF),
-            (0.089999999501997871, 195326492182126.22),
-            (0.089999999606840422, 87352672115312.578),
-            (0.089999999737893605, 61767668442713.75),
-            (0.089999999868946801, 50433089650305.047),
-            (0.089999999973789352, 44810976167672.445),
-            (0.089999999999999997, 43676336635790.742),
-            (0.089999999999999997, 43676336635790.742),
+            (0.089999999475787226, 0),
+            (0.089999999501997871, 0),
+            (0.089999999606840422, 0),
+            (0.089999999737893605, 0),
+            (0.089999999868946801, 0),
+            (0.089999999973789352, 0),
+            (0.089999999999999997, 1.5498128384572925e+17),
+            (0.089999999999999997, 1.5498128384572925e+17),
         ],
         "cdf": [
             (0.089999999475787226, 0),
-            (0.089999999501997871, 1),
-            (0.089999999606840422, 1),
-            (0.089999999737893605, 1),
-            (0.089999999868946801, 1),
-            (0.089999999973789352, 1),
+            (0.089999999501997871, 0),
+            (0.089999999606840422, 0),
+            (0.089999999737893605, 0),
+            (0.089999999868946801, 0),
+            (0.089999999973789352, 0),
             (0.089999999999999997, 1),
             (0.079999999475787231, 0),
             (0.099999999999999992, 1),
             (0.089999999999999997, 1),
         ],
-        "mean": 0.089999999475787226,
-        "second_moment": 0.0080999999056417006,
+        "mean": 0.089999999999999955,
+        "second_moment": 0.0080999999999999926,
     },
     "radial_1.0_1e-10": {
         "spectrum": (
@@ -784,35 +807,35 @@ PINNED = {
             complex(0.9210609940949912, 0.38941834234759237),
         ),
         "case": "one_piece",
-        "f0": 3.0814874748808703e-13,
+        "f0": 1.918665823574947e-14,
         "support": (1, 1.0000000002),
         "pieces": [
             (1, 1.0000000002, 5000005137.4185467),
         ],
         "pdf": [
-            (1, 5000005137.4193172),
-            (1.00000000001, 5000005137.3943167),
-            (1.00000000005, 5000005137.2943172),
-            (1.0000000001, 5000005137.1693172),
-            (1.00000000015, 5000005137.0443163),
-            (1.00000000019, 5000005136.9443169),
-            (1.0000000002, 5000005136.9193163),
-            (1, 5000005137.4193172),
+            (1, 5000005137.4185953),
+            (1.00000000001, 5000005137.3935947),
+            (1.00000000005, 5000005137.2935944),
+            (1.0000000001, 5000005137.1685944),
+            (1.00000000015, 5000005137.0435944),
+            (1.00000000019, 5000005136.943594),
+            (1.0000000002, 5000005136.9185934),
+            (1, 5000005137.4185953),
         ],
         "cdf": [
             (1, 0),
-            (1.00000000001, 0.04855343342374259),
-            (1.00000000005, 0.24855365546857566),
-            (1.0000000001, 0.49855393302461698),
-            (1.00000000015, 0.7485542105806583),
-            (1.00000000019, 0.94855443262549144),
+            (1.00000000001, 0.049998945287042906),
+            (1.00000000005, 0.24999916733187597),
+            (1.0000000001, 0.49999944488791731),
+            (1.00000000015, 0.74999972244395863),
+            (1.00000000019, 0.94999994448879177),
             (1.0000000002, 1),
             (0.98999999999999999, 0),
             (1.0100000002, 1),
             (1, 0),
         ],
-        "mean": 1.0000000001002893,
-        "second_moment": 1.0000000002005784,
+        "mean": 1.0000000001000002,
+        "second_moment": 1.0000000002000005,
     },
 }
 

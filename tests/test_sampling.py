@@ -1,21 +1,25 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gatefid import (
+    eig2_normal,
     mc_histogram,
     mc_moment,
     monomial_integral,
     monomial_integral_exact,
+    normal_pdf,
     sample_states,
 )
 from gatefid.sampling import (
     _BATCH,
-    _fidelities,
+    _Tally,
+    _fidelity_batches,
     _gaussian_rows,
-    _histogram,
     expectation,
+    mc_sample,
     sample_state,
     state_batches,
 )
@@ -24,6 +28,20 @@ from conftest import random_hermitian, random_matrix, random_unitary
 L0 = 0.7 * np.exp(1j * np.pi / 8)
 L1 = 0.8 * np.exp(1j * 4 * np.pi / 5)
 REFERENCE = np.diag([L0, L1])
+
+
+def fidelities(m, samples, seed, workers):
+    """Every sampled f of one stream, concatenated in seed order (each batch
+    is copied out before the next one overwrites it)."""
+    return np.concatenate([f.copy() for f in _fidelity_batches(m, samples, seed, workers)])
+
+
+def tally_histogram(batches, bins, value_range):
+    batches = list(batches)
+    tally = _Tally(sum(len(x) for x in batches), bins, value_range)
+    for x in batches:
+        tally.add(x)
+    return tally.histogram(seed=0)
 
 
 class TestSampleState:
@@ -113,8 +131,8 @@ class ZeroRowRng:
     def __init__(self, rng, row):
         self.rng, self.row = rng, row
 
-    def standard_normal(self, size):
-        z = self.rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        z = self.rng.standard_normal(size, out=out)
         if self.row is not None and np.ndim(z) == 2:
             z[self.row] = 0.0
             self.row = None
@@ -129,7 +147,7 @@ class TestFidelityKernel:
     def test_matches_normalized_states(self, n, workers):
         m = random_matrix(np.random.default_rng(n), n, scale=2.0)
         samples, seed = _BATCH + 7, 3
-        got = _fidelities(m, samples, seed, workers)
+        got = fidelities(m, samples, seed, workers)
         base, extra = divmod(samples, workers)
         children = np.random.SeedSequence(seed).spawn(workers)
         states = np.concatenate(
@@ -152,14 +170,15 @@ class TestFidelityKernel:
         rng.standard_normal((count, 2 * n))
         replacement = sample_state(n, rng)
         assert np.array_equal(bits(states[row]), bits(replacement))
-        v, r2 = _gaussian_rows(n, count, ZeroRowRng(np.random.default_rng(child), row))
+        zero_row = ZeroRowRng(np.random.default_rng(child), row)
+        v, r2 = _gaussian_rows(n, zero_row, np.empty((count, 2 * n)), np.empty(count))
         assert np.array_equal(bits(v[row]), bits(replacement)) and r2[row] == 1.0
 
         default_rng = np.random.default_rng
         monkeypatch.setattr(
             np.random, "default_rng", lambda s: ZeroRowRng(default_rng(s), row)
         )
-        f = _fidelities(m, count, seed, 1)
+        f = fidelities(m, count, seed, 1)
         monkeypatch.undo()
         want = np.abs(expectation(states, m)) ** 2
         assert abs(f[row] - want[row]) <= 1e-14 * want.max()
@@ -309,8 +328,8 @@ class TestMcHistogram:
         assert total == pytest.approx(h.counts.sum() / h.samples)
 
     def test_edge_clamp_spans_batches(self):
-        # The clamp runs slice by slice; values near both edges in every
-        # slice must be clamped exactly as a whole-array pass would.
+        # The clamp runs batch by batch; values near both edges in every
+        # batch must be clamped exactly as a whole-array pass would.
         rng = np.random.default_rng(8)
         f = rng.uniform(0.2, 0.6, 2 * _BATCH + 3)
         f[rng.integers(0, f.size, 200)] = 0.2 - 1e-12
@@ -319,7 +338,8 @@ class TestMcHistogram:
         want = f.copy()
         for edge in (0.2, 0.6):
             want[np.abs(want - edge) <= 1e-9] = edge
-        h = _histogram(f, 20, seed=0, value_range=(0.2, 0.6))
+        batches = [f[start : start + _BATCH] for start in range(0, f.size, _BATCH)]
+        h = tally_histogram(batches, 20, (0.2, 0.6))  # the batches are views of f
         assert np.array_equal(f, want)
         assert h.counts.sum() == f.size - 2
         assert np.array_equal(h.counts, np.histogram(want, 20, (0.2, 0.6))[0])
@@ -329,3 +349,82 @@ class TestMcHistogram:
             mc_histogram(np.eye(2), 1, 100, seed=0)
         with pytest.raises(ValueError):
             mc_histogram(np.eye(2), 64, 10, seed=0)
+
+
+class TestStream:
+    # One pass over the batches must give what a whole-array pass over the
+    # same draws gives: the same counts and edges, and the two-pass moments.
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("known", [True, False], ids=["known_range", "observed_range"])
+    def test_counts_match_concatenated_batches(self, workers, known):
+        samples, bins, seed = 2 * _BATCH + 5, 40, 6  # three batches at either worker count
+        f = fidelities(REFERENCE, samples, seed, workers)
+        if known:
+            # Edges 5e-10 inside a value of the first batch and one of the
+            # last: both values fall outside the range unless clamped.
+            a, b = sorted((f[10], f[-10]))
+            value_range = a + 5e-10, b - 5e-10
+            g = f.copy()
+            for edge in value_range:
+                g[np.abs(g - edge) <= 1e-9] = edge
+            want = np.histogram(g, bins, value_range)
+            assert want[0].sum() == np.histogram(f, bins, value_range)[0].sum() + 2
+        else:
+            value_range = None
+            want = np.histogram(f, bins, (f.min(), f.max()))
+        for hist in (
+            mc_histogram(REFERENCE, bins, samples, seed, workers, value_range),
+            mc_sample(REFERENCE, bins, samples, seed, workers, value_range)[0],
+        ):
+            assert hist.counts.tobytes() == want[0].tobytes()
+            assert hist.edges.tobytes() == want[1].tobytes()
+
+    def test_observed_range_edges_in_different_batches(self):
+        # The minimum sits in the last batch and the maximum in the first,
+        # each with a copy at an uneven batch boundary.
+        rng = np.random.default_rng(9)
+        f = rng.uniform(0.3, 0.7, 3 * _BATCH + 11)
+        f[[0, 2 * _BATCH - 1]] = 0.9
+        f[[_BATCH + 3, f.size - 1]] = 0.1
+        cuts = [0, 5, _BATCH + 3, 2 * _BATCH, f.size]
+        batches = [f[a:b].copy() for a, b in zip(cuts, cuts[1:])]
+        h = tally_histogram(batches, 25, None)
+        want = np.histogram(f, 25, (0.1, 0.9))
+        assert np.array_equal(h.counts, want[0]) and np.array_equal(h.edges, want[1])
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_moments_match_two_pass(self, order, workers):
+        m = random_matrix(np.random.default_rng(5), 3)
+        samples, seed = 3 * _BATCH + 17, 8
+        x = fidelities(m, samples, seed, workers) ** order
+        mean, std_error = x.mean(), x.std(ddof=1) / np.sqrt(x.size)
+        est = mc_moment(m, order, samples, seed, workers)
+        assert abs(est.mean - mean) <= 1e-15 * mean
+        assert abs(est.std_error - std_error) <= 1e-15 * std_error
+        if order == 1:
+            assert mc_sample(m, 20, samples, seed, workers)[1] == est
+
+    def test_estimate_taken_before_the_clamp(self):
+        # Values within the slack of an edge move onto it for binning only.
+        x = np.random.default_rng(3).uniform(0.2, 0.6, 1000)
+        x[:10] = 0.2 - 1e-10
+        want = x.copy()
+        tally = _Tally(x.size, 20, (0.2, 0.6))
+        tally.add(x)
+        assert tally.histogram(seed=0).counts.sum() == x.size
+        est = tally.estimate(seed=0)
+        assert est.mean == want.mean()
+        assert est.std_error == want.std(ddof=1) / np.sqrt(want.size)
+
+    def test_memory_flat_in_samples(self):
+        support = normal_pdf(eig2_normal(REFERENCE)).support()
+        peaks = []
+        for samples in (200_000, 800_000):
+            tracemalloc.start()
+            try:
+                mc_sample(REFERENCE, 50, samples, seed=1, value_range=support)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
