@@ -28,7 +28,7 @@ def as_matrix(entries) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
-    if not np.isfinite(m.real).all() or not np.isfinite(m.imag).all():
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -48,22 +48,41 @@ class StructureFlags:
     unitary: bool
 
 
+def _within(a: np.ndarray, tol: float) -> bool:
+    """The entrywise max modulus of ``a`` is at most ``tol`` (absolute)."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return float(np.abs(a).max()) <= tol
+
+
+def _is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """``m^dag m = I`` within ``tol``, for a matrix from :func:`as_matrix`."""
+    gram = adjoint(m) @ m
+    gram.ravel()[:: m.shape[0] + 1] -= 1.0  # a view: the product is contiguous
+    return _within(gram, tol)
+
+
+def _is_normal(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """``m m^dag = m^dag m`` within ``tol``, for a matrix from :func:`as_matrix`."""
+    md = adjoint(m)
+    comm = m @ md
+    comm -= md @ m
+    return _within(comm, tol)
+
+
 def classify(m: np.ndarray, tol: float = DEFAULT_TOL) -> StructureFlags:
     """Test Hermitian / anti-Hermitian / normal / unitary structure.
 
     All comparisons use the entrywise max-modulus norm against ``tol``
     (absolute).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m = as_matrix(m)
     md = adjoint(m)
-    eye = np.eye(m.shape[0])
     return StructureFlags(
-        hermitian=float(np.abs(m - md).max()) <= tol,
-        anti_hermitian=float(np.abs(m + md).max()) <= tol,
-        normal=float(np.abs(m @ md - md @ m).max()) <= tol,
-        unitary=float(np.abs(md @ m - eye).max()) <= tol,
+        hermitian=_within(m - md, tol),
+        anti_hermitian=_within(m + md, tol),
+        normal=_is_normal(m, tol),
+        unitary=_is_unitary(m, tol),
     )
 
 
@@ -129,7 +148,7 @@ def eig2_normal(m: np.ndarray, tol: float = DEFAULT_TOL) -> QubitSpectrum:
     big = float(np.abs(m).max())
     if not math.isfinite(16.0 * big * big):
         raise ValueError(f"matrix is not representable: |m_ij|^2 overflows (max |m_ij| = {big!r})")
-    if not classify(m, tol).normal:
+    if not _is_normal(m, tol):
         raise NotNormalError("matrix is not normal within tolerance")
     a, b = complex(m[0, 0]), complex(m[0, 1])
     c, d = complex(m[1, 0]), complex(m[1, 1])

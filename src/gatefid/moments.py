@@ -19,6 +19,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _is_unitary,
     adjoint,
     as_matrix,
     check_selector,
@@ -107,7 +108,7 @@ class GateSpec:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "actual", actual)
         if self.subspace is None:
-            if not classify(target, DEFAULT_TOL).unitary:
+            if not _is_unitary(target):
                 raise ValueError("target must be unitary within 1e-10")
             return
         sel = check_selector(self.subspace, target.shape[0])
@@ -120,7 +121,7 @@ class GateSpec:
             )
             if off > DEFAULT_TOL:
                 raise ValueError("target must be block-diagonal over the subspace")
-        if not classify(restrict(target, sel), DEFAULT_TOL).unitary:
+        if not _is_unitary(target[np.ix_(sel, sel)]):
             raise ValueError("target must be unitary on the subspace within 1e-10")
 
 
@@ -145,9 +146,10 @@ class KrausMap:
         if any(g.shape[0] != dim for g in ops):
             raise ValueError("all Kraus operators must have the same dimension")
         object.__setattr__(self, "operators", ops)
-        total = sum(adjoint(g) @ g for g in ops)
-        defect = float(np.abs(total - np.eye(dim)).max())
-        object.__setattr__(self, "completeness_defect", defect)
+        stack = np.array(ops)
+        total = (stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0)
+        total.ravel()[:: dim + 1] -= 1.0
+        object.__setattr__(self, "completeness_defect", float(np.abs(total).max()))
 
     @property
     def dim(self) -> int:
@@ -175,8 +177,10 @@ def avg_fidelity(m: np.ndarray) -> float:
     """Haar-average fidelity [Tr(m m^dag) + |Tr m|^2] / (n (n+1))."""
     m = as_matrix(m)
     n = m.shape[0]
-    gram = _real(np.trace(m @ adjoint(m)), 1e-12, "Tr(m m^dag)")
-    return _real(float((gram + abs(np.trace(m)) ** 2) / (n * (n + 1))), 0.0, "mean")
+    # Tr(m m^dag) is the Frobenius inner product <m, m>; squares are written
+    # as products, since a float ** raises OverflowError where * gives inf.
+    t = abs(m.trace())
+    return _real(float((np.vdot(m, m).real + t * t) / (n * (n + 1))), 0.0, "mean")
 
 
 @_quiet_overflow
@@ -209,23 +213,28 @@ def fourth_moment_hermitian(s: np.ndarray, tol: float = DEFAULT_TOL) -> float:
 
 @_quiet_overflow
 def fourth_moment_general(m: np.ndarray) -> float:
-    """Haar average of |<psi|m|psi>|^4 for an arbitrary linear map."""
+    """Haar average of |<psi|m|psi>|^4 for an arbitrary linear map.
+
+    Every trace comes from ``mm = m m`` and ``mmd = m m^dag``, as a trace or
+    a Frobenius inner product ``vdot(a, b) = Tr(a^dag b)``:
+    Tr(m m m^dag m^dag) = ||mm||^2, Tr((m m^dag)^2) = ||mmd||^2,
+    Tr(m m^dag m^dag) = vdot(mm, m) and Tr(m m^dag) = ||m||^2.
+    """
     m = as_matrix(m)
     n = m.shape[0]
-    md = adjoint(m)
     mm = m @ m
-    mdmd = md @ md
-    mmd = m @ md
-    t_m = complex(np.trace(m))
+    mmd = m @ adjoint(m)
+    t_m = complex(m.trace())
     t_md = t_m.conjugate()
-    t_mm = complex(np.trace(mm))
-    t_mdmd = complex(np.trace(mdmd))
-    t_mmd = complex(np.trace(mmd))
+    t_mm = complex(mm.trace())
+    t_mdmd = t_mm.conjugate()
+    t_mmd = float(np.vdot(m, m).real)
+    t_mmdmd = complex(np.vdot(mm, m))
     total = (
-        4 * np.trace(mm @ mdmd)
-        + 2 * np.trace(mmd @ mmd)
-        + 4 * t_m * np.trace(m @ mdmd)
-        + 4 * t_md * np.trace(mm @ md)
+        4 * float(np.vdot(mm, mm).real)
+        + 2 * float(np.vdot(mmd, mmd).real)
+        + 4 * t_m * t_mmdmd
+        + 4 * t_md * t_mmdmd.conjugate()
         + t_mm * t_mdmd
         + 2 * t_mmd * t_mmd
         + t_mm * t_md * t_md
@@ -299,16 +308,16 @@ def kraus_avg_fidelity(k: KrausMap, target: np.ndarray) -> float:
         raise ValueError(
             f"dimension mismatch: target {target.shape[0]} vs Kraus {k.dim}"
         )
-    if not classify(target, DEFAULT_TOL).unitary:
+    if not _is_unitary(target):
         raise ValueError("target must be unitary within 1e-10")
     n = k.dim
-    u0d = adjoint(target)
-    m_ks = [u0d @ g for g in k.operators]
-    gram = _real(sum(np.trace(adjoint(mk) @ mk) for mk in m_ks), 1e-12, "Kraus Gram trace")
+    m_ks = adjoint(target) @ np.array(k.operators)
+    gram = _real(np.vdot(m_ks, m_ks), 1e-12, "Kraus Gram trace")
     if k.trace_preserving and not abs(gram - n) <= 1e-8:
         raise InvariantError(f"Gram trace {gram} of a trace-preserving map is not {n}")
-    cross = sum(abs(np.trace(mk)) ** 2 for mk in m_ks)
-    return float((gram + cross) / (n * (n + 1)))
+    traces = np.trace(m_ks, axis1=1, axis2=2)
+    cross = np.vdot(traces, traces).real
+    return _real(float((gram + cross) / (n * (n + 1))), 0.0, "Kraus mean")
 
 
 @dataclass(frozen=True)

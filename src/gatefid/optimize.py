@@ -9,12 +9,12 @@ deterministic for a fixed configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_matrix, classify, eig2_normal
+from .linalg import NotNormalError, as_matrix, eig2_normal
 from .moments import avg_fidelity, comparison_matrix, variance
 from .qubit_dist import DegenerateSpectrumError, normal_pdf
 
@@ -102,9 +102,13 @@ def evaluate_objective(fam: GateFamily, obj: Objective, params: Sequence[float])
     if obj.kind == "mean_minus_k_sigma":
         rep = variance(m)
         return rep.mean - obj.k * math.sqrt(rep.variance)
-    if m.shape[0] != 2 or not classify(m, DEFAULT_TOL).normal:
-        raise ValueError("min_support needs a 2x2 normal comparison matrix")
-    spectrum = eig2_normal(m)
+    needs = "min_support needs a 2x2 normal comparison matrix"
+    if m.shape[0] != 2:
+        raise ValueError(needs)
+    try:
+        spectrum = eig2_normal(m)
+    except NotNormalError as exc:
+        raise ValueError(needs) from exc
     try:
         return normal_pdf(spectrum).support()[0]
     except DegenerateSpectrumError as exc:
@@ -240,19 +244,12 @@ def _polar_eig_map(params: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class FamilyInfo:
-    dim: int
-    param_count: int
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    default_subspace: tuple[int, ...] | None = None
-
-
-FAMILIES: dict[str, FamilyInfo] = {
-    "phase": FamilyInfo(2, 1, _phase_map),
-    "two_phase": FamilyInfo(2, 2, _two_phase_map),
-    "leaky": FamilyInfo(3, 2, _leaky_map, default_subspace=(0, 1)),
-    "polar_eig": FamilyInfo(2, 2, _polar_eig_map),
+# Registered against the identity target; build_family swaps in the real one.
+FAMILIES: dict[str, GateFamily] = {
+    "phase": GateFamily(2, 1, _phase_map, np.eye(2)),
+    "two_phase": GateFamily(2, 2, _two_phase_map, np.eye(2)),
+    "leaky": GateFamily(3, 2, _leaky_map, np.eye(3), subspace=(0, 1)),
+    "polar_eig": GateFamily(2, 2, _polar_eig_map, np.eye(2)),
 }
 
 
@@ -264,12 +261,6 @@ def build_family(
     """Instantiate a registered family against a target matrix."""
     if name not in FAMILIES:
         raise KeyError(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
-    info = FAMILIES[name]
-    sel = tuple(subspace) if subspace is not None else info.default_subspace
-    return GateFamily(
-        dim=info.dim,
-        param_count=info.param_count,
-        evaluator=info.evaluator,
-        target=target,
-        subspace=sel,
-    )
+    family = FAMILIES[name]
+    sel = tuple(subspace) if subspace is not None else family.subspace
+    return replace(family, target=target, subspace=sel)

@@ -206,18 +206,23 @@ def _check_bins(bins: int, samples: int) -> None:
 class _Tally:
     """What one pass over the value batches keeps.
 
-    Moments: each batch's two-pass ``(count, mean, M2)`` is merged into the
-    running one by the pairwise update of Chan, Golub & LeVeque (Amer. Stat.
-    37, 1983). Histogram (when ``bins`` is given): with a known range, each
-    batch is clamped and its bin counts added; with the observed range, the
+    Moments (unless ``moments`` is off, as for a histogram alone): each batch's
+    two-pass ``(count, mean, M2)`` is merged into the running one by the
+    pairwise update of Chan, Golub & LeVeque (Amer. Stat. 37, 1983).
+    Histogram (when ``bins`` is given): with a known range, each batch is
+    clamped and its bin counts added; with the observed range, the
     batches are copied into one buffer of ``samples`` values and binned at the
     end, since exact [min, max] edges need every value.
     """
 
     def __init__(
-        self, samples: int, bins: int = 0, value_range: tuple[float, float] | None = None
+        self,
+        samples: int,
+        bins: int = 0,
+        value_range: tuple[float, float] | None = None,
+        moments: bool = True,
     ):
-        self.count, self.mean, self.m2 = 0, 0.0, 0.0
+        self.count, self.mean, self.m2, self.moments = 0, 0.0, 0.0, moments
         self.bins, self.range = bins, value_range
         self.counts, self.edges = np.zeros(bins, dtype=np.intp), None
         self.buffer = np.empty(samples) if bins and value_range is None else None
@@ -228,13 +233,14 @@ class _Tally:
         if self.work.size < x.size:
             self.work = np.empty(x.size)
         tmp = self.work[: x.size]
-        # The moments come first, so the estimate never sees the clamp.
-        mean = float(x.mean())
-        np.square(np.subtract(x, mean, out=tmp), out=tmp)
         count = self.count + x.size
-        delta = mean - self.mean
-        self.mean += delta * (x.size / count)
-        self.m2 += float(tmp.sum()) + delta * delta * (self.count * x.size / count)
+        if self.moments:
+            # The moments come first, so the estimate never sees the clamp.
+            mean = float(x.mean())
+            np.square(np.subtract(x, mean, out=tmp), out=tmp)
+            delta = mean - self.mean
+            self.mean += delta * (x.size / count)
+            self.m2 += float(tmp.sum()) + delta * delta * (self.count * x.size / count)
         if self.buffer is not None:
             self.buffer[self.count : count] = x
         elif self.bins:
@@ -273,9 +279,10 @@ def _stream(
     order: int = 1,
     bins: int = 0,
     value_range: tuple[float, float] | None = None,
+    moments: bool = True,
 ) -> _Tally:
     """The one sampling loop: every batch of f (or f**2) goes into one tally."""
-    tally = _Tally(samples, bins, value_range)
+    tally = _Tally(samples, bins, value_range, moments)
     for f in _fidelity_batches(m, samples, seed, workers):
         if order == 2:
             np.square(f, out=f)
@@ -313,7 +320,8 @@ def mc_histogram(
     the support endpoints.
     """
     _check_bins(bins, samples)
-    return _stream(m, samples, seed, workers, bins=bins, value_range=value_range).histogram(seed)
+    tally = _stream(m, samples, seed, workers, bins=bins, value_range=value_range, moments=False)
+    return tally.histogram(seed)
 
 
 def mc_sample(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import as_matrix
 from .moments import KrausMap
-from .qubit_dist import FidelityDistribution
+from .qubit_dist import DegenerateSpectrumError, FidelityDistribution
 from .sampling import Histogram
 
 
@@ -93,8 +93,16 @@ def density_csv_lines(d: FidelityDistribution, grid: int) -> list[str]:
     if grid < 2:
         raise ValueError("grid must be at least 2")
     lo, hi = d.support()
+    # Each end carries a few ulps of rounding, so a support this narrow has a
+    # true width below float resolution: the law is a point mass there.
+    if hi - lo <= 4 * np.spacing(hi):
+        raise DegenerateSpectrumError(
+            f"support [{lo!r}, {hi!r}] is narrower than float resolution: "
+            f"point mass at f = {hi!r}",
+            point_mass=hi,
+        )
     # 1e-9 off the anchor, or a thousandth of the width on narrower supports.
-    points = np.linspace(lo + min(1e-9, 1e-3 * max(hi - lo, 0.0)), hi, grid)
+    points = np.linspace(lo + min(1e-9, 1e-3 * (hi - lo)), hi, grid)
     dens = d.pdf(points)
     return ["f,density"] + [
         f"{float(f)!r},{float(p)!r}" for f, p in zip(points, dens)

@@ -114,13 +114,33 @@ def check_distribution_moments(seed: int) -> CheckResult:
             abs(rep.mean - moments.avg_fidelity(m)),
             abs(rep.second_moment - moments.fourth_moment_general(m)),
         )
-        worst_mass = max(worst_mass, abs(dist.mass() - 1.0))
+        worst_mass = max(worst_mass, _pdf_cdf_gap(dist))
     ok = worst_moment <= 1e-9 and worst_mass <= 1e-10
     return CheckResult(
         "distribution_moments",
         ok,
-        f"max moment gap {worst_moment:.3g}, max mass gap {worst_mass:.3g}",
+        f"max moment gap {worst_moment:.3g}, max pdf-cdf mass gap {worst_mass:.3g}",
     )
+
+
+def _pdf_cdf_gap(dist: qubit_dist.FidelityDistribution) -> float:
+    """Largest gap between the pdf's mass and the cdf's on steps of the support.
+
+    In t = sqrt(f - f0) the mass pdf(f) df = pdf(f0 + t^2) 2t dt has no
+    1/sqrt(f - f0) singularity, and it is constant on each piece of the law
+    (split at |l0|^2), so the midpoint rule is exact on eight steps in t per
+    piece: their masses must match the cdf differences and add up to 1.
+    """
+    lo, hi = dist.support()
+    ends = [lo, dist.f_l0, hi] if lo < dist.f_l0 < hi else [lo, hi]
+    t_ends = np.sqrt(np.maximum(np.subtract(ends, dist.f0), 0.0))
+    steps = [np.linspace(a, b, 8, endpoint=False) for a, b in zip(t_ends, t_ends[1:])]
+    t = np.concatenate(steps + [t_ends[-1:]])
+    f = dist.f0 + t * t
+    f[::8] = ends  # the piece ends exactly, not through t
+    mid = 0.5 * (t[1:] + t[:-1])
+    masses = dist.pdf(dist.f0 + mid * mid) * 2.0 * mid * np.diff(t)
+    return max(float(np.abs(masses - np.diff(dist.cdf(f))).max()), abs(float(masses.sum()) - 1.0))
 
 
 def check_worked_values() -> CheckResult:

@@ -270,6 +270,25 @@ class TestDist:
         assert "1.0" in err
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts_on", "optimized"])
+    def test_support_below_float_resolution_exits_2_with_point_mass(self, files, flags):
+        # Two unit-modulus eigenvalues 1e-8 apart: the support [1.0, 1.0] is
+        # a point mass to float precision, not a grid of 1.0,inf rows.
+        out_csv = files["dir"] / "narrow.csv"
+        proc = run_fresh(
+            "dist",
+            "--lambda0=0.9210609940028851,0.38941834230865052",
+            "--lambda1=0.92106099010870168,0.38941835151926046",
+            "--grid",
+            "8",
+            "--out",
+            str(out_csv),
+            flags=flags,
+        )
+        assert_one_error_line(proc, 2)
+        assert "point mass at f = 1.0" in proc.stderr
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts_on", "optimized"])
     @pytest.mark.parametrize("source", ["lambda", "matrix"])
     def test_overflowing_eigenvalues_exit_2(self, files, flags, source):
         # |l|^2 overflows a float: one error line, no traceback, no numpy

@@ -186,6 +186,26 @@ class TestKrausAvgFidelity:
         got = kraus_avg_fidelity(k, np.eye(2))
         assert got == pytest.approx((1.25 + 2.25) / 6, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_completeness_sum_reads_not_trace_preserving(self):
+        # sum_k G_k^dag G_k = 1e400 overflows: the defect is inf, not a warning.
+        k = KrausMap((np.diag([1e200, 1e200]), np.eye(2)))
+        assert k.completeness_defect == np.inf
+        assert not k.trace_preserving
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            pytest.param(1e200, id="gram"),  # the Gram trace overflows
+            pytest.param(9e153, id="cross"),  # only sum_k |Tr M_k|^2 overflows
+        ],
+    )
+    def test_overflowing_mean_raises(self, scale):
+        k = KrausMap((np.diag([scale, scale]),))
+        with pytest.raises(InvariantError, match="not a representable"):
+            kraus_avg_fidelity(k, np.eye(2))
+
     def test_matches_state_sampled_channel_average(self, rng):
         k = depolarizing_kraus(0.3)
         u0 = random_unitary(rng, 2)

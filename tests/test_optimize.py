@@ -243,6 +243,6 @@ class TestGridOracle:
 def test_registry_families_have_expected_dims():
     assert FAMILIES["phase"].param_count == 1
     assert FAMILIES["leaky"].dim == 3
-    assert FAMILIES["leaky"].default_subspace == (0, 1)
+    assert FAMILIES["leaky"].subspace == (0, 1)
     with pytest.raises(KeyError):
         build_family("nope", np.eye(2))

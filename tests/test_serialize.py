@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from gatefid import KrausMap, depolarizing_kraus, mc_histogram, normal_pdf, QubitSpectrum
+from gatefid import (
+    DegenerateSpectrumError,
+    KrausMap,
+    QubitSpectrum,
+    depolarizing_kraus,
+    mc_histogram,
+    normal_pdf,
+)
 from gatefid.serialize import (
     density_csv_lines,
     histogram_csv_lines,
@@ -90,6 +97,22 @@ class TestCsv:
         assert (np.diff(f) > 0).all()
         assert lo < f[0] and f[-1] == hi
         assert (dens > 0).all() and np.isfinite(dens).all()
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            # Equal moduli 1, 0.7 and 0.3, eigenvalues 1e-8 or 1e-9 apart: the
+            # supports span 0, 0 and 3 ulps, below float resolution.
+            (0.9210609940028851 + 0.38941834230865052j, 0.92106099010870168 + 0.38941835151926046j),
+            (-0.29130279467597386 + 0.63650819461650865j, -0.29130278558299966 + 0.63650819877797715j),
+            (0.27631829820086551 + 0.11682550269259515j, 0.27631829781144718 + 0.11682550361365614j),
+        ],
+    )
+    def test_density_lines_refuse_sub_resolution_support(self, spectrum):
+        d = normal_pdf(QubitSpectrum.ordered(*spectrum))
+        with pytest.raises(DegenerateSpectrumError, match="point mass") as err:
+            density_csv_lines(d, 8)
+        assert err.value.point_mass == d.support()[1]
 
     @pytest.mark.parametrize("spectrum", [(0.5, 1.0), (0.7 * np.exp(0.4j), 0.8), (0.7, 0.700001)])
     def test_density_grid_unchanged_on_wide_supports(self, spectrum):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import gatefid.moments as moments_mod
-from gatefid.verify import reference_matrix, reference_spectrum, run_checks
+from gatefid import qubit_dist
+from gatefid.verify import (
+    QUICK_SEED,
+    check_distribution_moments,
+    reference_matrix,
+    reference_spectrum,
+    run_checks,
+)
 
 
 def test_reference_spectrum_values():
@@ -54,3 +61,22 @@ def test_corrupted_fourth_moment_detected(monkeypatch):
     assert not report["passed"]
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "mc_closed_form" in failed
+
+
+@pytest.mark.parametrize("piece", ["lower", "upper"])
+def test_pdf_piece_scaled_by_two_detected(monkeypatch, piece):
+    # The density's mass, integrated piece by piece, must match the cdf:
+    # doubling the pdf on [f0, |l0|^2) (two-piece laws only) or on
+    # [|l0|^2, |l1|^2] breaks that while every moment stays exact.
+    true_pdf = qubit_dist.FidelityDistribution.pdf
+
+    def scaled(self, f):
+        out = true_pdf(self, f)
+        f = np.asarray(f, dtype=float)
+        return np.where((f < self.f_l0) == (piece == "lower"), 2.0 * out, out)
+
+    assert check_distribution_moments(QUICK_SEED + 1).passed
+    monkeypatch.setattr(qubit_dist.FidelityDistribution, "pdf", scaled)
+    result = check_distribution_moments(QUICK_SEED + 1)
+    assert not result.passed
+    assert "max moment gap" in result.detail
