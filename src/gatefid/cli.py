@@ -9,7 +9,9 @@ fixed seed and worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shlex
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -36,6 +38,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_VERIFY = 3
+
+_VERSIONS = "gatefid {}, numpy {}, python {}.{}.{}".format(
+    __version__, np.__version__, *sys.version_info[:3]
+)
 
 
 class UsageError(Exception):
@@ -154,10 +160,10 @@ def _cmd_sample(args) -> int:
     manifest_path = f"{args.out}.manifest.json"
     est_text = _dumps(asdict(est))
     manifest = RunManifest(
-        command=" ".join(sys.argv) if sys.argv else "sample",
+        command=shlex.join(["gatefid", *args.argv]),
         inputs=[args.matrix],
         seed=args.seed,
-        versions=f"gatefid {__version__}",
+        versions=_VERSIONS,
         outputs=[csv_path, json_path, manifest_path],
     )
     write_histogram_csv(hist, csv_path)
@@ -175,6 +181,30 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; a bool, string or container is malformed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer (or an integral float) as an int."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
+def _items(value, name: str, length: int | None = None) -> list:
+    """A JSON list, of ``length`` items if given."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "a list" if length is None else f"a list of {length}"
+        raise TypeError(f"{name} must be {size}, not {value!r}")
+    return value
+
+
 def _cmd_optimize(args) -> int:
     with open(args.problem, encoding="utf-8") as fh:
         try:
@@ -182,23 +212,39 @@ def _cmd_optimize(args) -> int:
         except json.JSONDecodeError as exc:
             raise UsageError(f"cannot parse {args.problem}: {exc}") from exc
     try:
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, not {type(obj).__name__}")
         family_name = obj["family"]
+        if not isinstance(family_name, str):
+            raise TypeError(f"family must be a name, not {family_name!r}")
         target = _matrix_from_problem(obj["target"], args.problem)
-        objective = Objective(
-            kind=obj["objective"]["kind"], k=float(obj["objective"].get("k", 0.0))
-        )
+        spec = obj["objective"]
+        if not isinstance(spec, dict) or not isinstance(spec["kind"], str):
+            raise TypeError(f"objective must be {{'kind': name, 'k': number}}, not {spec!r}")
+        objective = Objective(kind=spec["kind"], k=_number(spec.get("k", 0.0), "k"))
+        box = []
+        for pair in _items(obj["box"], "box"):
+            lo, hi = _items(pair, "a box entry", 2)
+            box.append((_number(lo, "box"), _number(hi, "box")))
+        max_evals = obj.get("max_evals")
         config = OptimizeConfig(
-            start=tuple(float(x) for x in obj["start"]),
-            box=tuple((float(lo), float(hi)) for lo, hi in obj["box"]),
-            max_evals=obj.get("max_evals"),
-            x_tol=float(obj.get("x_tol", 1e-8)),
-            f_tol=float(obj.get("f_tol", 1e-10)),
+            start=tuple(_number(x, "start") for x in _items(obj["start"], "start")),
+            box=tuple(box),
+            max_evals=None if max_evals is None else _integer(max_evals, "max_evals"),
+            x_tol=_number(obj.get("x_tol", 1e-8), "x_tol"),
+            f_tol=_number(obj.get("f_tol", 1e-10), "f_tol"),
             record_trace=bool(args.trace_out),
         )
-    except (KeyError, TypeError) as exc:
+        subspace = obj.get("subspace")
+        if subspace is not None:
+            subspace = [_integer(i, "subspace") for i in _items(subspace, "subspace")]
+    except KeyError as exc:
+        raise UsageError(f"malformed problem file {args.problem}: no field {exc}") from exc
+    # A ValueError here is Objective's: an unknown kind or a bad k.
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed problem file {args.problem}: {exc}") from exc
     try:
-        family = build_family(family_name, target, subspace=obj.get("subspace"))
+        family = build_family(family_name, target, subspace=subspace)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from exc
     result = optimize(family, objective, config)
@@ -222,7 +268,11 @@ def _matrix_from_problem(obj, path: str) -> np.ndarray:
         raise UsageError(f"bad target matrix in {path}: {exc}") from exc
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built at the first :func:`main` call and then reused;
+    ``parse_args`` fills a fresh namespace every time, so no state carries
+    over between calls."""
     parser = _Parser(prog="gatefid", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -267,12 +317,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    args.argv = argv
     try:
         return args.func(args)
     except UsageError as exc:

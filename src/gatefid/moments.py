@@ -175,7 +175,11 @@ def depolarizing_kraus(p: float) -> KrausMap:
 @_quiet_overflow
 def avg_fidelity(m: np.ndarray) -> float:
     """Haar-average fidelity [Tr(m m^dag) + |Tr m|^2] / (n (n+1))."""
-    m = as_matrix(m)
+    return _mean(as_matrix(m))
+
+
+def _mean(m: np.ndarray) -> float:
+    """:func:`avg_fidelity` of a matrix :func:`as_matrix` already checked."""
     n = m.shape[0]
     # Tr(m m^dag) is the Frobenius inner product <m, m>; squares are written
     # as products, since a float ** raises OverflowError where * gives inf.
@@ -220,7 +224,11 @@ def fourth_moment_general(m: np.ndarray) -> float:
     Tr(m m m^dag m^dag) = ||mm||^2, Tr((m m^dag)^2) = ||mmd||^2,
     Tr(m m^dag m^dag) = vdot(mm, m) and Tr(m m^dag) = ||m||^2.
     """
-    m = as_matrix(m)
+    return _fourth(as_matrix(m))
+
+
+def _fourth(m: np.ndarray) -> float:
+    """:func:`fourth_moment_general` of a matrix :func:`as_matrix` already checked."""
     n = m.shape[0]
     mm = m @ m
     mmd = m @ adjoint(m)
@@ -246,12 +254,11 @@ def fourth_moment_general(m: np.ndarray) -> float:
     return max(0.0, total / (n * (n + 1) * (n + 2) * (n + 3)))
 
 
+@_quiet_overflow
 def variance(m: np.ndarray) -> MomentReport:
     """Mean, second moment and variance sigma_f^2 = <f^2> - <f>^2."""
     m = as_matrix(m)
-    return MomentReport(
-        n_eff=m.shape[0], mean=avg_fidelity(m), second_moment=fourth_moment_general(m)
-    )
+    return MomentReport(n_eff=m.shape[0], mean=_mean(m), second_moment=_fourth(m))
 
 
 def comparison_matrix(

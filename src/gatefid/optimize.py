@@ -117,15 +117,20 @@ def evaluate_objective(fam: GateFamily, obj: Objective, params: Sequence[float])
         return exc.point_mass
 
 
-def _initial_simplex(
-    start: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> list[np.ndarray]:
-    verts = [start.copy()]
-    for j in range(start.size):
-        step = 0.1 * (hi[j] - lo[j])
-        vert = start.copy()
-        vert[j] = vert[j] + step if vert[j] + step <= hi[j] else vert[j] - step
-        verts.append(vert)
+_Point = tuple[float, ...]
+
+
+def _step(x: _Point, a: _Point, b: _Point, t: float) -> _Point:
+    """``x + t (a - b)``, elementwise: the form of every simplex move."""
+    return tuple(u + t * (v - w) for u, v, w in zip(x, a, b))
+
+
+def _initial_simplex(start: _Point, lo: _Point, hi: _Point) -> list[_Point]:
+    verts = [start]
+    for j, (x, a, b) in enumerate(zip(start, lo, hi)):
+        step = 0.1 * (b - a)
+        x = x + step if x + step <= b else x - step
+        verts.append(start[:j] + (x,) + start[j + 1 :])
     return verts
 
 
@@ -134,19 +139,26 @@ def optimize(fam: GateFamily, obj: Objective, config: OptimizeConfig) -> Optimiz
 
     Converges when the simplex diameter drops below ``x_tol`` or the value
     spread below ``f_tol``. The result is never worse than the start point.
+
+    The simplex is kept as tuples of Python floats: at one to a few
+    parameters, numpy's per-call overhead outweighs the arithmetic. Each
+    step is the same IEEE operation numpy would do elementwise, the centroid
+    is the left-to-right sum over the count (``np.mean`` over axis 0), and
+    the clamp returns the bound on a tie (``np.clip``), so the iterates are
+    bit for bit those of the array form.
     """
     p = len(config.start)
     if p != fam.param_count:
         raise ValueError(f"expected {fam.param_count} parameters, got {p}")
     if len(config.box) != p:
         raise ValueError("box must have one (lo, hi) pair per parameter")
-    lo = np.array([b[0] for b in config.box], dtype=float)
-    hi = np.array([b[1] for b in config.box], dtype=float)
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
+    lo = tuple(float(b[0]) for b in config.box)
+    hi = tuple(float(b[1]) for b in config.box)
+    if not all(math.isfinite(a) and math.isfinite(b) and a < b for a, b in zip(lo, hi)):
         raise ValueError("box bounds must be finite with lo < hi")
-    start = np.asarray(config.start, dtype=float)
-    if not ((lo <= start) & (start <= hi)).all():
-        raise ValueError(f"start point {start.tolist()} lies outside the box")
+    start = tuple(float(x) for x in config.start)
+    if not all(a <= x <= b for x, a, b in zip(start, lo, hi)):
+        raise ValueError(f"start point {list(start)} lies outside the box")
     max_evals = config.max_evals if config.max_evals is not None else 500 * p
     if max_evals < p + 2:
         raise ValueError("max_evals must be at least param_count + 2")
@@ -154,33 +166,40 @@ def optimize(fam: GateFamily, obj: Objective, config: OptimizeConfig) -> Optimiz
     trace: list[tuple[np.ndarray, float]] | None = [] if config.record_trace else None
     evals = 0
 
-    def neg_objective(x: np.ndarray) -> float:
+    def neg_objective(x: _Point) -> float:
         nonlocal evals
-        value = evaluate_objective(fam, obj, x)
+        params = np.array(x)
+        value = evaluate_objective(fam, obj, params)
         evals += 1
         if trace is not None:
-            trace.append((x.copy(), value))
+            trace.append((params, value))
         return -value
 
-    def clamp(x: np.ndarray) -> np.ndarray:
-        return np.clip(x, lo, hi)
+    def clamp(x: _Point) -> _Point:
+        return tuple(a if v <= a else b if v >= b else v for v, a, b in zip(x, lo, hi))
 
     verts = _initial_simplex(start, lo, hi)
     values = [neg_objective(v) for v in verts]
     converged = False
     while evals < max_evals:
-        order = np.argsort(values, kind="stable")
+        # Every value is finite (see evaluate_objective), so this stable sort
+        # orders like np.argsort(kind="stable").
+        order = sorted(range(len(values)), key=values.__getitem__)
         verts = [verts[i] for i in order]
         values = [values[i] for i in order]
-        diameter = max(float(np.abs(v - verts[0]).max()) for v in verts[1:])
+        best, worst = verts[0], verts[-1]
+        diameter = max(abs(u - b) for v in verts[1:] for u, b in zip(v, best))
         if diameter < config.x_tol or values[-1] - values[0] < config.f_tol:
             converged = True
             break
-        centroid = np.mean(verts[:-1], axis=0)
-        reflected = clamp(centroid + (centroid - verts[-1]))
+        total = verts[0]
+        for v in verts[1:-1]:
+            total = tuple(s + u for s, u in zip(total, v))
+        centroid = tuple(s / p for s in total)
+        reflected = clamp(_step(centroid, centroid, worst, 1.0))
         f_reflected = neg_objective(reflected)
         if f_reflected < values[0]:
-            expanded = clamp(centroid + 2.0 * (centroid - verts[-1]))
+            expanded = clamp(_step(centroid, centroid, worst, 2.0))
             f_expanded = neg_objective(expanded)
             if f_expanded < f_reflected:
                 verts[-1], values[-1] = expanded, f_expanded
@@ -190,22 +209,20 @@ def optimize(fam: GateFamily, obj: Objective, config: OptimizeConfig) -> Optimiz
         if f_reflected < values[-2]:
             verts[-1], values[-1] = reflected, f_reflected
             continue
-        if f_reflected < values[-1]:
-            contracted = clamp(centroid + 0.5 * (reflected - centroid))
-        else:
-            contracted = clamp(centroid + 0.5 * (verts[-1] - centroid))
+        inner = reflected if f_reflected < values[-1] else worst
+        contracted = clamp(_step(centroid, inner, centroid, 0.5))
         f_contracted = neg_objective(contracted)
         if f_contracted < min(f_reflected, values[-1]):
             verts[-1], values[-1] = contracted, f_contracted
             continue
         for i in range(1, len(verts)):
-            verts[i] = verts[0] + 0.5 * (verts[i] - verts[0])
+            verts[i] = _step(best, verts[i], best, 0.5)
             values[i] = neg_objective(verts[i])
 
-    best = int(np.argmin(values))
+    k = min(range(len(values)), key=values.__getitem__)
     return OptimizationResult(
-        best_params=verts[best].copy(),
-        best_value=-values[best],
+        best_params=np.array(verts[k]),
+        best_value=-values[k],
         evaluations=evals,
         converged=converged,
         trace=trace,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -373,6 +374,43 @@ class TestSample:
         est = json.loads((files["dir"] / "run.json").read_text())
         assert est["samples"] == 2000
 
+    def test_manifest_records_parsed_command_and_versions(self, files, capsys):
+        argv = ["sample", "--matrix", files["reference"], "--samples", "500"]
+        argv += ["--seed", "9", "--out", str(files["dir"] / "cmd run")]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        manifest = json.loads((files["dir"] / "cmd run.manifest.json").read_text())
+        assert manifest["command"] == shlex.join(["gatefid", *argv])
+        assert shlex.split(manifest["command"])[1:] == argv
+        versions = manifest["versions"]
+        assert f"gatefid {gatefid.__version__}" in versions
+        assert f"numpy {np.__version__}" in versions
+        assert "python {}.{}.{}".format(*sys.version_info[:3]) in versions
+
+    def test_cached_parser_keeps_no_state(self, files, capsys, monkeypatch):
+        # The parser is built once per process; a flag given to one call must
+        # not leak into the next, which gets its own defaults and paths.
+        calls = []
+
+        def recording(m, bins, samples, seed, workers, value_range):
+            calls.append((seed, workers))
+            return mc_sample(m, bins, samples, seed, workers, value_range)
+
+        monkeypatch.setattr(cli_mod, "mc_sample", recording)
+        first = ["sample", "--matrix", files["reference"], "--samples", "600"]
+        first += ["--workers", "3", "--seed", "4", "--out", str(files["dir"] / "first")]
+        second = ["sample", "--matrix", files["eye2"], "--samples", "700"]
+        second += ["--out", str(files["dir"] / "second")]
+        assert run(capsys, *first)[0] == 0
+        assert run(capsys, *second)[0] == 0
+        assert calls == [(4, 3), (0, 1)]
+        manifest = json.loads((files["dir"] / "second.manifest.json").read_text())
+        assert manifest["seed"] == 0
+        assert manifest["inputs"] == [files["eye2"]]
+        assert manifest["command"] == shlex.join(["gatefid", *second])
+        assert all("second" in path for path in manifest["outputs"])
+        assert json.loads((files["dir"] / "second.json").read_text())["samples"] == 700
+
     def test_reproducible_for_fixed_seed(self, files, capsys):
         a = str(files["dir"] / "a")
         b = str(files["dir"] / "b")
@@ -552,6 +590,56 @@ class TestOptimize:
         assert_one_error_line(proc, 2)
         assert "nan" in proc.stderr
         assert "start point [nan, nan] lies outside the box" in proc.stderr
+
+
+MALFORMED_FIELDS = {
+    "max_evals_text": {"max_evals": "abc"},
+    "max_evals_list": {"max_evals": [3]},
+    "family_list": {"family": ["phase"]},
+    "subspace_number": {"subspace": 5},
+    "subspace_text_entry": {"subspace": ["0", "1"]},
+    "start_text": {"start": "ab"},
+    "start_text_entry": {"start": ["2.0"]},
+    "objective_without_kind": {"objective": {"k": "x"}},
+    "objective_k_text": {"objective": {"kind": "mean", "k": "x"}},
+    "objective_text": {"objective": "mean"},
+    "objective_unknown_kind": {"objective": {"kind": "max_support"}},
+    "box_text": {"box": "ab"},
+    "box_short_entry": {"box": [[1.0]]},
+    "box_bool_entry": {"box": [[False, True]]},
+    "x_tol_text": {"x_tol": "a"},
+    "start_too_large": {"start": [10**400]},
+    "no_start": {"start": None},
+}
+
+
+class TestMalformedProblem:
+    # A field of the wrong type is a usage error: exit 1 with one line,
+    # never a traceback or the invariant exit code.
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
+    def test_exits_1_with_one_line(self, tmp_path, capsys, case):
+        problem = json.loads((PROBLEMS / "phase_gate.json").read_text())
+        problem.update(MALFORMED_FIELDS[case])
+        if problem["start"] is None:
+            del problem["start"]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(problem))
+        result = run(capsys, "optimize", str(path))
+        assert_one_error_line_in_process(result, 1)
+        assert result[2].startswith(f"error: malformed problem file {path}: ")
+
+    def test_not_an_object_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert_one_error_line_in_process(run(capsys, "optimize", str(path)), 1)
+
+    def test_integral_float_max_evals_still_accepted(self, tmp_path, capsys):
+        problem = json.loads((PROBLEMS / "phase_gate.json").read_text())
+        problem["max_evals"] = 400.0
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(problem))
+        code, out, _ = run(capsys, "optimize", str(path))
+        assert code == 0 and json.loads(out)["converged"] is True
 
 
 class TestVerifyCommand:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from gatefid import (
     sa_decomposition_check,
     variance,
 )
+from gatefid import linalg
 from gatefid.moments import InvariantError
 from conftest import (
     random_antihermitian,
@@ -363,6 +366,28 @@ class TestVariance:
         # the InvariantError.
         with pytest.raises(InvariantError):
             fn(np.diag([scale, scale]))
+
+    @pytest.mark.parametrize("how", ["variance", "gate_moments"])
+    def test_validates_matrix_once(self, rng, monkeypatch, how):
+        # variance checks its matrix once and hands it to both kernels;
+        # gate_moments' comparison matrix comes from arrays GateSpec checked.
+        spec = GateSpec(random_unitary(rng, 3), random_matrix(rng, 3, 0.5))
+        m = spec.target.conj().T @ spec.actual
+        calls = []
+        checked = linalg.as_matrix
+
+        def counting(entries):
+            calls.append(1)
+            return checked(entries)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gatefid") and getattr(module, "as_matrix", None) is checked:
+                monkeypatch.setattr(module, "as_matrix", counting)
+        rep = variance(m) if how == "variance" else gate_moments(spec)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert rep.mean == avg_fidelity(m)
+        assert rep.second_moment == fourth_moment_general(m)
 
     def test_report_clamps_rounding_relative_to_second_moment(self):
         # f = 2.5e7 on every state: second - mean^2 is a few ulps of 6.25e14.

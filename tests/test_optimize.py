@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 from pathlib import Path
@@ -210,6 +211,45 @@ class TestOptimize:
                 OptimizeConfig(start=(1.0,), box=((-PI, PI),)),
             )
         assert err.value.params is not None
+
+
+class TestProbesVisible:
+    # Every probe goes through the module-level evaluate_objective, so a
+    # wrapper bound there (as the benchmark's tracer binds one) sees each.
+    # The package attribute gatefid.optimize is the tuner function, not the
+    # module, hence importlib.
+    @pytest.mark.parametrize("kind", ["mean", "mean_minus_k_sigma", "min_support"])
+    def test_each_probe_goes_through_evaluate_objective(self, monkeypatch, kind):
+        module = importlib.import_module("gatefid.optimize")
+        calls = []
+        inner = module.evaluate_objective
+
+        def counting(fam, obj, params):
+            calls.append(type(params))
+            return inner(fam, obj, params)
+
+        monkeypatch.setattr(module, "evaluate_objective", counting)
+        res = optimize(
+            build_family("two_phase", np.eye(2)),
+            Objective(kind, 1.0 if kind == "mean_minus_k_sigma" else 0.0),
+            OptimizeConfig(start=(2.0, -2.0), box=((-PI, PI),) * 2),
+        )
+        assert len(calls) == res.evaluations > 3
+        assert set(calls) == {np.ndarray}
+
+    def test_evaluator_and_result_see_arrays(self):
+        seen = []
+
+        def evaluator(params):
+            seen.append((type(params), params.dtype, params.shape))
+            return np.diag([1.0, np.exp(1j * params[0])])
+
+        fam = GateFamily(dim=2, param_count=1, evaluator=evaluator, target=np.eye(2))
+        cfg = OptimizeConfig(start=(2.0,), box=((-PI, PI),), record_trace=True)
+        res = optimize(fam, Objective("mean"), cfg)
+        assert set(seen) == {(np.ndarray, np.dtype(float), (1,))}
+        assert isinstance(res.best_params, np.ndarray) and res.best_params.shape == (1,)
+        assert all(isinstance(x, np.ndarray) for x, _ in res.trace)
 
 
 class TestGridOracle:
