@@ -21,7 +21,14 @@ import numpy as np
 from . import __version__
 from .linalg import QubitSpectrum, eig2_normal
 from .moments import GateSpec, InvariantError, gate_moments, kraus_avg_fidelity
-from .optimize import EvaluatorError, Objective, OptimizeConfig, build_family, optimize
+from .optimize import (
+    ConfigError,
+    EvaluatorError,
+    Objective,
+    OptimizeConfig,
+    build_family,
+    optimize,
+)
 from .qubit_dist import normal_pdf, quadrature_moments
 from .sampling import mc_sample
 from .serialize import (
@@ -148,8 +155,8 @@ def _cmd_sample(args) -> int:
     value_range = None
     if m.shape[0] == 2:
         # A map without a closed-form density is histogrammed over the
-        # observed range; one with unrepresentable entries then fails in
-        # the sampler with its own overflow error.
+        # sampler's outer range; one with unrepresentable entries then fails
+        # in the sampler with its own overflow error.
         try:
             value_range = normal_pdf(eig2_normal(m)).support()
         except ValueError:
@@ -326,7 +333,8 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except UsageError as exc:
+    # A ConfigError is a problem file whose fields do not fit together.
+    except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

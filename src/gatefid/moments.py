@@ -136,6 +136,9 @@ class KrausMap:
 
     operators: tuple[np.ndarray, ...]
     completeness_defect: float = field(init=False)
+    # The operators as one (K, n, n) array, kept for kraus_avg_fidelity; it
+    # takes no part in == or repr.
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     @_quiet_overflow
     def __post_init__(self):
@@ -147,6 +150,7 @@ class KrausMap:
             raise ValueError("all Kraus operators must have the same dimension")
         object.__setattr__(self, "operators", ops)
         stack = np.array(ops)
+        object.__setattr__(self, "stack", stack)
         total = (stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0)
         total.ravel()[:: dim + 1] -= 1.0
         object.__setattr__(self, "completeness_defect", float(np.abs(total).max()))
@@ -318,7 +322,7 @@ def kraus_avg_fidelity(k: KrausMap, target: np.ndarray) -> float:
     if not _is_unitary(target):
         raise ValueError("target must be unitary within 1e-10")
     n = k.dim
-    m_ks = adjoint(target) @ np.array(k.operators)
+    m_ks = adjoint(target) @ k.stack
     gram = _real(np.vdot(m_ks, m_ks), 1e-12, "Kraus Gram trace")
     if k.trace_preserving and not abs(gram - n) <= 1e-8:
         raise InvariantError(f"Gram trace {gram} of a trace-preserving map is not {n}")

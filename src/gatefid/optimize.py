@@ -14,11 +14,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import NotNormalError, as_matrix, eig2_normal
+from .linalg import NotNormalError, as_matrix, check_selector, eig2_normal
 from .moments import avg_fidelity, comparison_matrix, variance
 from .qubit_dist import DegenerateSpectrumError, normal_pdf
 
 OBJECTIVE_KINDS = ("mean", "mean_minus_k_sigma", "min_support")
+
+
+class ConfigError(ValueError):
+    """The inputs of a tune do not fit together: a usage error, raised
+    before any probe runs."""
 
 
 class EvaluatorError(RuntimeError):
@@ -149,19 +154,19 @@ def optimize(fam: GateFamily, obj: Objective, config: OptimizeConfig) -> Optimiz
     """
     p = len(config.start)
     if p != fam.param_count:
-        raise ValueError(f"expected {fam.param_count} parameters, got {p}")
+        raise ConfigError(f"expected {fam.param_count} parameters, got {p}")
     if len(config.box) != p:
-        raise ValueError("box must have one (lo, hi) pair per parameter")
+        raise ConfigError("box must have one (lo, hi) pair per parameter")
     lo = tuple(float(b[0]) for b in config.box)
     hi = tuple(float(b[1]) for b in config.box)
     if not all(math.isfinite(a) and math.isfinite(b) and a < b for a, b in zip(lo, hi)):
-        raise ValueError("box bounds must be finite with lo < hi")
+        raise ConfigError("box bounds must be finite with lo < hi")
     start = tuple(float(x) for x in config.start)
     if not all(a <= x <= b for x, a, b in zip(start, lo, hi)):
         raise ValueError(f"start point {list(start)} lies outside the box")
     max_evals = config.max_evals if config.max_evals is not None else 500 * p
     if max_evals < p + 2:
-        raise ValueError("max_evals must be at least param_count + 2")
+        raise ConfigError("max_evals must be at least param_count + 2")
 
     trace: list[tuple[np.ndarray, float]] | None = [] if config.record_trace else None
     evals = 0
@@ -275,9 +280,16 @@ def build_family(
     target: np.ndarray,
     subspace: Sequence[int] | None = None,
 ) -> GateFamily:
-    """Instantiate a registered family against a target matrix."""
+    """Instantiate a registered family against a target matrix.
+
+    An unknown name raises KeyError; a target of the wrong dimension or a
+    bad subspace selector raises :class:`ConfigError`.
+    """
     if name not in FAMILIES:
         raise KeyError(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
     family = FAMILIES[name]
-    sel = tuple(subspace) if subspace is not None else family.subspace
-    return replace(family, target=target, subspace=sel)
+    try:
+        sel = family.subspace if subspace is None else check_selector(subspace, family.dim)
+        return replace(family, target=target, subspace=sel)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

@@ -11,17 +11,17 @@ yields unnormalized Gaussian rows ``v``; the kernel takes
 bit for bit; ``f`` may differ from earlier versions in the last bits.
 
 ``mc_moment``, ``mc_histogram`` and ``mc_sample`` make one streaming pass over
-those batches into one tally: running moments and, for a known range, bin
-counts, so their memory does not grow with the sample count. The one O(N)
-buffer left is a histogram over the observed range, whose edges need every
-value. ``mc_sample`` takes its estimate and its histogram from the same draws.
+those batches into one tally: running moments and bin counts, so their memory
+does not grow with the sample count. A histogram's range is fixed before the
+first draw: the caller's, or an outer bound on f from the map's numerical
+range. ``mc_sample`` takes its estimate and its histogram from the same draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, sqrt
+from math import cos, factorial, pi, sqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,6 +30,8 @@ from .linalg import as_matrix
 
 DEFAULT_WORKERS = 1
 _BATCH = 1 << 14
+_ANGLES = 64
+_ZOOMS = 5
 
 
 def sample_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -203,21 +205,67 @@ def _check_bins(bins: int, samples: int) -> None:
         raise ValueError("samples must be at least bins")
 
 
+def _herm_spectra(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of Herm(e^{-i t} a) for each angle t, by one
+    batched ``eigvalsh`` on the (len(theta), n, n) stack."""
+    b = np.exp(-1j * theta)[:, None, None] * a
+    b += np.conjugate(b).transpose(0, 2, 1)
+    return np.linalg.eigvalsh(b) / 2
+
+
+def _outer_range(m: np.ndarray, bins: int) -> tuple[float, float]:
+    """A histogram range fixed before sampling that holds every f of ``m``.
+
+    f is |z|^2 for z in the numerical range W(m), a convex set with support
+    function h(t) = lambda_max(Herm(e^{-i t} m)) (Toeplitz-Hausdorff; C. R.
+    Johnson, SIAM J. Numer. Anal. 15, 1978). Every z has one of ``_ANGLES``
+    equally spaced angles within pi/_ANGLES of arg z, so |z| cos(pi/_ANGLES)
+    is at most the largest h there; also |z| <= ||m||_2, which is exact for
+    normal maps. Below, dist(0, W) >= -h(t + pi) = lambda_min(Herm(e^{-i t} m))
+    at every t, so the best grid angle is refined on ``_ZOOMS`` finer grids
+    around it; near-unitary and scalar maps then get their bottom edge to a
+    few ulps. Rounding is left to the 1e-9 edge slack of :class:`_Tally`, far
+    above the eigensolver's error of 8 n eps ||m||_F (2e-13 of ||m||_2 at n=5).
+    A range narrower than ``bins`` ulps, as for c I, is opened just below
+    its top, so all the mass lands in the top bin.
+    """
+    scale = float(np.abs(m).max())
+    if scale == 0.0:
+        lo = hi = 0.0
+    else:
+        a = m / scale  # every product below stays finite
+        step = 2 * pi / _ANGLES
+        theta = step * np.arange(_ANGLES)
+        w = _herm_spectra(a, theta)
+        top = min(float(w[:, -1].max()) / cos(pi / _ANGLES), float(np.linalg.norm(a, 2)))
+        low = float(w[:, 0].max())
+        for _ in range(_ZOOMS):
+            theta = theta[w[:, 0].argmax()] + np.linspace(-step, step, _ANGLES)
+            step *= 2 / (_ANGLES - 1)
+            w = _herm_spectra(a, theta)
+            low = max(low, float(w[:, 0].max()))
+        # Python floats: an overflowing square is inf, with no warning; no
+        # finite f lies above the largest float.
+        big = np.finfo(float).max
+        lo_z, hi_z = scale * max(low, 0.0), scale * top
+        lo, hi = min(lo_z * lo_z, big), min(hi_z * hi_z, big)
+    if hi - lo < bins * np.finfo(float).eps * max(1.0, abs(lo), abs(hi)):
+        lo = hi - 1e-9 * max(1.0, abs(hi))
+    return lo, hi
+
+
 class _Tally:
     """What one pass over the value batches keeps.
 
     Moments (unless ``moments`` is off, as for a histogram alone): each batch's
     two-pass ``(count, mean, M2)`` is merged into the running one by the
     pairwise update of Chan, Golub & LeVeque (Amer. Stat. 37, 1983).
-    Histogram (when ``bins`` is given): with a known range, each batch is
-    clamped and its bin counts added; with the observed range, the
-    batches are copied into one buffer of ``samples`` values and binned at the
-    end, since exact [min, max] edges need every value.
+    Histogram (when ``bins`` is given, over ``value_range``): each batch is
+    clamped and its bin counts added.
     """
 
     def __init__(
         self,
-        samples: int,
         bins: int = 0,
         value_range: tuple[float, float] | None = None,
         moments: bool = True,
@@ -225,11 +273,10 @@ class _Tally:
         self.count, self.mean, self.m2, self.moments = 0, 0.0, 0.0, moments
         self.bins, self.range = bins, value_range
         self.counts, self.edges = np.zeros(bins, dtype=np.intp), None
-        self.buffer = np.empty(samples) if bins and value_range is None else None
         self.work = np.empty(0)
 
     def add(self, x: np.ndarray) -> None:
-        """Take one batch; with a known range, its edge values are clamped in place."""
+        """Take one batch; values at the range's edges are clamped in place."""
         if self.work.size < x.size:
             self.work = np.empty(x.size)
         tmp = self.work[: x.size]
@@ -241,15 +288,21 @@ class _Tally:
             delta = mean - self.mean
             self.mean += delta * (x.size / count)
             self.m2 += float(tmp.sum()) + delta * delta * (self.count * x.size / count)
-        if self.buffer is not None:
-            self.buffer[self.count : count] = x
-        elif self.bins:
-            # Keep boundary rounding dust (f = support edge +- ~1e-15) in range;
-            # anything further out is genuinely outside and stays dropped.
+        if self.bins:
+            # Keep boundary rounding dust (f = support edge +- ~1e-15) in range:
+            # values up to ``slack`` outside an edge, or up to ``inner`` inside
+            # it, move onto it. Anything further out is genuinely outside and
+            # stays dropped. ``inner`` is at most half a bin, so no value inside
+            # changes bin and a range narrower than the slack keeps its shape.
+            # A batch with no value within reach of an edge skips its pass.
             lo, hi = self.range
             slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-            for edge in (lo, hi):
-                x[np.abs(np.subtract(x, edge, out=tmp), out=tmp) <= slack] = edge
+            inner = min(slack, (hi - lo) / (2 * self.bins))
+            half = (slack + inner) / 2
+            if x.min() <= lo + inner:
+                x[np.abs(np.subtract(x, lo + (inner - slack) / 2, out=tmp), out=tmp) <= half] = lo
+            if x.max() >= hi - inner:
+                x[np.abs(np.subtract(x, hi + (slack - inner) / 2, out=tmp), out=tmp) <= half] = hi
             counts, self.edges = np.histogram(x, self.bins, self.range)
             self.counts += counts
         self.count = count
@@ -259,16 +312,7 @@ class _Tally:
         return McEstimate(self.mean, std_error, self.count, seed)
 
     def histogram(self, seed: int) -> Histogram:
-        if self.buffer is None:
-            return Histogram(self.edges, self.counts, self.count, seed)
-        lo, hi = float(self.buffer.min()), float(self.buffer.max())
-        min_width = self.bins * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
-        if hi - lo < min_width:
-            # Constant fidelity up to rounding (e.g. the identity map): park
-            # all mass in the top bin by opening a range just below it.
-            lo = hi - 1e-9 * max(1.0, abs(hi))
-        counts, edges = np.histogram(self.buffer, self.bins, (lo, hi))
-        return Histogram(edges, counts, self.count, seed)
+        return Histogram(self.edges, self.counts, self.count, seed)
 
 
 def _stream(
@@ -281,8 +325,12 @@ def _stream(
     value_range: tuple[float, float] | None = None,
     moments: bool = True,
 ) -> _Tally:
-    """The one sampling loop: every batch of f (or f**2) goes into one tally."""
-    tally = _Tally(samples, bins, value_range, moments)
+    """The one sampling loop: every batch of f (or f**2) goes into one tally,
+    binned over ``value_range`` or else over :func:`_outer_range`."""
+    if bins and value_range is None:
+        m = as_matrix(m)
+        value_range = _outer_range(m, bins)
+    tally = _Tally(bins, value_range, moments)
     for f in _fidelity_batches(m, samples, seed, workers):
         if order == 2:
             np.square(f, out=f)
@@ -315,7 +363,9 @@ def mc_histogram(
 ) -> Histogram:
     """Histogram of sampled fidelities f = |<psi|m|psi>|^2.
 
-    ``value_range`` defaults to the observed [min, max]; pass the analytic
+    ``value_range`` defaults to an outer bound on f from the numerical range
+    of ``m``, known before the first draw, so no sample is kept; its edges
+    hold every f but may lie outside the law's support. Pass the analytic
     support when comparing against a closed-form density so bins align with
     the support endpoints.
     """

@@ -483,7 +483,7 @@ class TestSample:
             m = (rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))) / 4
             save_matrix(m, files["dir"] / "random4.json")
             files[name] = str(files["dir"] / "random4.json")
-            value_range = None  # observed range
+            value_range = None  # the sampler's outer range
         else:
             m = np.diag([L0, L1])
             value_range = normal_pdf(eig2_normal(m)).support()
@@ -640,6 +640,54 @@ class TestMalformedProblem:
         path.write_text(json.dumps(problem))
         code, out, _ = run(capsys, "optimize", str(path))
         assert code == 0 and json.loads(out)["converged"] is True
+
+
+INCONSISTENT_FIELDS = {
+    "start_too_short": {"start": [0.3]},
+    "start_too_long": {"start": [0.3, 0.5, 0.0]},
+    "box_lo_not_below_hi": {"box": [[1.0, 0.0], [-3.0, 3.0]]},
+    "box_lo_equals_hi": {"box": [[0.5, 0.5], [-3.0, 3.0]]},
+    "box_one_pair_short": {"box": [[0.0, 1.0]]},
+    "max_evals_below_param_count_plus_2": {"max_evals": 3},
+    "subspace_out_of_range": {"subspace": [0, 5]},
+    "subspace_not_increasing": {"subspace": [1, 0]},
+    "target_of_wrong_dim": {"target": {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}},
+}
+
+
+class TestInconsistentProblem:
+    # Well-typed fields that do not fit together are a usage error too:
+    # exit 1 with one line, before any probe runs.
+    @pytest.mark.parametrize("case", sorted(INCONSISTENT_FIELDS))
+    def test_exits_1_with_one_line(self, tmp_path, capsys, case):
+        problem = json.loads((PROBLEMS / "leaky_gate.json").read_text())
+        problem.update(INCONSISTENT_FIELDS[case])
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(problem))
+        result = run(capsys, "optimize", str(path))
+        assert_one_error_line_in_process(result, 1)
+
+    def test_messages_name_the_mismatch(self, tmp_path, capsys):
+        want = {
+            "start_too_short": "expected 2 parameters, got 1",
+            "box_lo_not_below_hi": "lo < hi",
+            "box_one_pair_short": "one (lo, hi) pair per parameter",
+            "max_evals_below_param_count_plus_2": "param_count + 2",
+            "subspace_out_of_range": "selector indices must lie in [0, 3)",
+        }
+        for case, text in want.items():
+            problem = json.loads((PROBLEMS / "leaky_gate.json").read_text())
+            problem.update(INCONSISTENT_FIELDS[case])
+            path = tmp_path / f"{case}.json"
+            path.write_text(json.dumps(problem))
+            assert text in run(capsys, "optimize", str(path))[2]
+
+    def test_fresh_process_exits_1(self, tmp_path):
+        problem = json.loads((PROBLEMS / "leaky_gate.json").read_text())
+        problem["subspace"] = [0, 5]
+        path = tmp_path / "subspace.json"
+        path.write_text(json.dumps(problem))
+        assert_one_error_line(run_fresh("optimize", str(path)), 1)
 
 
 class TestVerifyCommand:

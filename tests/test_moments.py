@@ -178,6 +178,12 @@ class TestKrausAvgFidelity:
         with pytest.raises(ValueError, match="mismatch"):
             kraus_avg_fidelity(KrausMap((np.eye(2),)), np.eye(3))
 
+    def test_operator_stack_kept_out_of_repr(self):
+        k = depolarizing_kraus(0.3)
+        assert k.stack.shape == (4, 2, 2)
+        assert np.array_equal(k.stack, np.array(k.operators))
+        assert "stack" not in repr(k) and repr(k).startswith("KrausMap(operators=")
+
     def test_non_unitary_target(self):
         with pytest.raises(ValueError, match="unitary"):
             kraus_avg_fidelity(KrausMap((np.eye(2),)), np.diag([1.0, 0.5]))

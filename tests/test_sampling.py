@@ -18,6 +18,7 @@ from gatefid.sampling import (
     _Tally,
     _fidelity_batches,
     _gaussian_rows,
+    _outer_range,
     expectation,
     mc_sample,
     sample_state,
@@ -38,7 +39,7 @@ def fidelities(m, samples, seed, workers):
 
 def tally_histogram(batches, bins, value_range):
     batches = list(batches)
-    tally = _Tally(sum(len(x) for x in batches), bins, value_range)
+    tally = _Tally(bins, value_range)
     for x in batches:
         tally.add(x)
     return tally.histogram(seed=0)
@@ -344,6 +345,17 @@ class TestMcHistogram:
         assert h.counts.sum() == f.size - 2
         assert np.array_equal(h.counts, np.histogram(want, 20, (0.2, 0.6))[0])
 
+    def test_range_narrower_than_the_slack_keeps_its_shape(self):
+        # The support of diag(1, e^{i 1e-4}) is 2.5e-9 wide, under the 1e-9
+        # edge slack on either side: no value inside may move onto an edge.
+        m = np.diag([1.0, np.exp(1e-4j)])
+        d = normal_pdf(eig2_normal(m))
+        samples = 100_000
+        h = mc_histogram(m, 10, samples, seed=1, value_range=d.support())
+        assert h.counts.sum() == samples
+        sampled = np.cumsum(h.counts) / samples
+        assert np.abs(d.cdf(h.edges[1:]) - sampled).max() <= 1.63 / np.sqrt(samples)
+
     def test_validates_bins(self):
         with pytest.raises(ValueError):
             mc_histogram(np.eye(2), 1, 100, seed=0)
@@ -355,7 +367,7 @@ class TestStream:
     # One pass over the batches must give what a whole-array pass over the
     # same draws gives: the same counts and edges, and the two-pass moments.
     @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("known", [True, False], ids=["known_range", "observed_range"])
+    @pytest.mark.parametrize("known", [True, False], ids=["known_range", "computed_range"])
     def test_counts_match_concatenated_batches(self, workers, known):
         samples, bins, seed = 2 * _BATCH + 5, 40, 6  # three batches at either worker count
         f = fidelities(REFERENCE, samples, seed, workers)
@@ -364,14 +376,18 @@ class TestStream:
             # last: both values fall outside the range unless clamped.
             a, b = sorted((f[10], f[-10]))
             value_range = a + 5e-10, b - 5e-10
-            g = f.copy()
-            for edge in value_range:
-                g[np.abs(g - edge) <= 1e-9] = edge
-            want = np.histogram(g, bins, value_range)
-            assert want[0].sum() == np.histogram(f, bins, value_range)[0].sum() + 2
+            expected_range = value_range
         else:
             value_range = None
-            want = np.histogram(f, bins, (f.min(), f.max()))
+            expected_range = _outer_range(REFERENCE, bins)
+        g = f.copy()
+        for edge in expected_range:
+            g[np.abs(g - edge) <= 1e-9] = edge
+        want = np.histogram(g, bins, expected_range)
+        if known:
+            assert want[0].sum() == np.histogram(f, bins, value_range)[0].sum() + 2
+        else:
+            assert want[0].sum() == samples
         for hist in (
             mc_histogram(REFERENCE, bins, samples, seed, workers, value_range),
             mc_sample(REFERENCE, bins, samples, seed, workers, value_range)[0],
@@ -379,18 +395,29 @@ class TestStream:
             assert hist.counts.tobytes() == want[0].tobytes()
             assert hist.edges.tobytes() == want[1].tobytes()
 
-    def test_observed_range_edges_in_different_batches(self):
-        # The minimum sits in the last batch and the maximum in the first,
-        # each with a copy at an uneven batch boundary.
+    def test_computed_range_edges_in_different_batches(self):
+        # Values within the edge slack of both computed edges, just inside
+        # and just outside, sit at uneven batch cuts, in the first, middle
+        # and last batches; each is clamped onto its edge and counted.
+        m = np.eye(3) + 0.3 * random_matrix(np.random.default_rng(9), 3)
+        lo, hi = _outer_range(m, 25)
+        assert 0 < lo < hi
+        slack = 1e-9 * max(1.0, lo, hi)
         rng = np.random.default_rng(9)
-        f = rng.uniform(0.3, 0.7, 3 * _BATCH + 11)
-        f[[0, 2 * _BATCH - 1]] = 0.9
-        f[[_BATCH + 3, f.size - 1]] = 0.1
+        f = rng.uniform(lo, hi, 3 * _BATCH + 11)
         cuts = [0, 5, _BATCH + 3, 2 * _BATCH, f.size]
+        f[[0, 4, _BATCH + 3, 2 * _BATCH - 1]] = [hi + 0.5 * slack, lo - 0.5 * slack, hi, lo]
+        f[[2 * _BATCH, f.size - 1]] = [lo + 0.5 * slack, hi - 0.5 * slack]
+        f[7] = hi + 2 * slack  # beyond the slack: dropped
+        want = f.copy()
+        for edge in (lo, hi):
+            want[np.abs(want - edge) <= slack] = edge
         batches = [f[a:b].copy() for a, b in zip(cuts, cuts[1:])]
-        h = tally_histogram(batches, 25, None)
-        want = np.histogram(f, 25, (0.1, 0.9))
-        assert np.array_equal(h.counts, want[0]) and np.array_equal(h.edges, want[1])
+        h = tally_histogram(batches, 25, (lo, hi))
+        expected = np.histogram(want, 25, (lo, hi))
+        assert h.counts.sum() == f.size - 1
+        assert np.array_equal(h.counts, expected[0]) and np.array_equal(h.edges, expected[1])
+        assert h.counts[0] >= 3 and h.counts[-1] >= 3
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("workers", [1, 3])
@@ -410,7 +437,7 @@ class TestStream:
         x = np.random.default_rng(3).uniform(0.2, 0.6, 1000)
         x[:10] = 0.2 - 1e-10
         want = x.copy()
-        tally = _Tally(x.size, 20, (0.2, 0.6))
+        tally = _Tally(20, (0.2, 0.6))
         tally.add(x)
         assert tally.histogram(seed=0).counts.sum() == x.size
         est = tally.estimate(seed=0)
@@ -418,13 +445,87 @@ class TestStream:
         assert est.std_error == want.std(ddof=1) / np.sqrt(want.size)
 
     def test_memory_flat_in_samples(self):
+        # Neither a known support nor the computed outer range (a 4x4 map,
+        # a non-normal 2x2 map) keeps anything sized by the sample count.
         support = normal_pdf(eig2_normal(REFERENCE)).support()
-        peaks = []
-        for samples in (200_000, 800_000):
-            tracemalloc.start()
-            try:
-                mc_sample(REFERENCE, 50, samples, seed=1, value_range=support)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.1 * peaks[0]
+        random4 = random_matrix(np.random.default_rng(4), 4, scale=0.25)
+        non_normal = np.array([[1.0, 2.0], [0.0, -0.5j]])
+        for m, value_range in ((REFERENCE, support), (random4, None), (non_normal, None)):
+            peaks = []
+            for samples in (200_000, 800_000):
+                tracemalloc.start()
+                try:
+                    mc_sample(m, 50, samples, seed=1, value_range=value_range)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] <= 1.1 * peaks[0]
+
+
+def near_unitary(n, delta, seed):
+    """exp(i delta H) for a seeded Hermitian H with spectrum in [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    w, v = np.linalg.eigh(random_hermitian(rng, n))
+    w /= np.abs(w).max()
+    return (v * np.exp(1j * delta * w)) @ v.conj().T
+
+
+def sweep_maps():
+    rng = np.random.default_rng(2026)
+    maps = {f"random{n}": random_matrix(rng, n) for n in range(1, 6)}
+    maps["non_normal2"] = np.array([[1.0, 2.0], [0.0, -0.5j]])
+    u, v = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    maps["rank1"] = np.outer(u, v.conj())
+    maps["scalar3"] = (0.6 - 0.8j) * np.eye(3)
+    for k in range(1, 9):
+        maps[f"near_unitary_1e-{k}"] = near_unitary(3, 10.0**-k, k)
+    maps["tiny"] = 1e-150 * random_matrix(rng, 3)
+    maps["huge"] = 1e150 * random_matrix(rng, 3)
+    return maps
+
+
+SWEEP = sweep_maps()
+
+
+class TestOuterRange:
+    # The range fixed before sampling must hold every sampled f, up to the
+    # edge slack, so no draw is dropped from the histogram.
+    @pytest.mark.parametrize("name", sorted(SWEEP))
+    def test_holds_every_sample(self, name):
+        m, samples, bins = SWEEP[name], 200_000, 50
+        lo, hi = _outer_range(m, bins)
+        slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+        for seed in range(3):
+            # mc_histogram: at scale 1e150, f is near 1e300 and the squared
+            # deviations that mc_sample's estimate sums overflow.
+            hist = mc_histogram(m, bins, samples, seed)
+            assert hist.counts.sum() == samples
+            assert (hist.edges[0], hist.edges[-1]) == (lo, hi)
+            f = fidelities(m, samples, seed, 1)
+            assert lo - slack <= f.min() and f.max() <= hi + slack
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_scalar_map_parks_all_mass_in_top_bin(self, n):
+        h = mc_histogram((0.3 + 0.4j) * np.eye(n), 20, 1000, seed=0)
+        assert h.counts[-1] == 1000
+        assert h.edges[-1] == pytest.approx(0.25, rel=1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_normal_map_top_edge_is_exact(self, seed):
+        # For a normal map the top is max |lambda|^2 (||m||_2 is the
+        # numerical radius); the bottom is an outer bound of the closed form.
+        rng = np.random.default_rng(seed)
+        u = random_unitary(rng, 2)
+        m = u @ np.diag(rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) @ u.conj().T
+        lo, hi = _outer_range(m, 50)
+        want_lo, want_hi = normal_pdf(eig2_normal(m)).support()
+        assert abs(hi - want_hi) <= 8 * np.finfo(float).eps * want_hi
+        assert lo <= want_lo * (1 + 1e-15) and lo >= want_lo - 1e-7
+
+    def test_overflowing_range_is_finite_without_warnings(self):
+        # pytest turns RuntimeWarnings into errors; the sampler, not the
+        # range, reports the overflow.
+        lo, hi = _outer_range(1e200 * np.eye(3), 50)
+        assert np.isfinite(lo) and hi == np.finfo(float).max
+        with pytest.raises(ValueError, match="overflows"):
+            mc_histogram(1e200 * np.eye(3), 50, 1000, seed=0)
