@@ -11,15 +11,11 @@ from .linalg import (
     DEFAULT_TOL,
     NotNormalError,
     QubitSpectrum,
-    StructureFlags,
     adjoint,
     as_matrix,
-    classify,
     eig2_normal,
-    restrict,
 )
 from .moments import (
-    DecompositionReport,
     GateSpec,
     KrausMap,
     MomentReport,
@@ -31,7 +27,6 @@ from .moments import (
     fourth_moment_hermitian,
     gate_moments,
     kraus_avg_fidelity,
-    sa_decomposition_check,
     variance,
 )
 from .optimize import (
@@ -57,14 +52,12 @@ from .sampling import (
     McEstimate,
     mc_histogram,
     mc_moment,
-    monomial_integral,
     monomial_integral_exact,
     sample_states,
 )
 
 __all__ = [
     "DEFAULT_TOL",
-    "DecompositionReport",
     "DegenerateSpectrumError",
     "FAMILIES",
     "FidelityDistribution",
@@ -81,12 +74,10 @@ __all__ = [
     "OptimizationResult",
     "OptimizeConfig",
     "QubitSpectrum",
-    "StructureFlags",
     "adjoint",
     "as_matrix",
     "avg_fidelity",
     "build_family",
-    "classify",
     "compare_histogram",
     "conditional_fidelity",
     "depolarizing_kraus",
@@ -98,13 +89,10 @@ __all__ = [
     "kraus_avg_fidelity",
     "mc_histogram",
     "mc_moment",
-    "monomial_integral",
     "monomial_integral_exact",
     "normal_pdf",
     "optimize",
     "quadrature_moments",
-    "restrict",
-    "sa_decomposition_check",
     "sample_states",
     "variance",
 ]

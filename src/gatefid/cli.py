@@ -334,10 +334,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # A ConfigError is a problem file whose fields do not fit together.
-    except (UsageError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, EvaluatorError) as exc:

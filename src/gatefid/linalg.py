@@ -38,16 +38,6 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.conjugate(np.asarray(m)).T
 
 
-@dataclass(frozen=True)
-class StructureFlags:
-    """Structural predicates of a matrix at a given tolerance."""
-
-    hermitian: bool
-    anti_hermitian: bool
-    normal: bool
-    unitary: bool
-
-
 def _within(a: np.ndarray, tol: float) -> bool:
     """The entrywise max modulus of ``a`` is at most ``tol`` (absolute)."""
     if tol <= 0:
@@ -70,22 +60,6 @@ def _is_normal(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return _within(comm, tol)
 
 
-def classify(m: np.ndarray, tol: float = DEFAULT_TOL) -> StructureFlags:
-    """Test Hermitian / anti-Hermitian / normal / unitary structure.
-
-    All comparisons use the entrywise max-modulus norm against ``tol``
-    (absolute).
-    """
-    m = as_matrix(m)
-    md = adjoint(m)
-    return StructureFlags(
-        hermitian=_within(m - md, tol),
-        anti_hermitian=_within(m + md, tol),
-        normal=_is_normal(m, tol),
-        unitary=_is_unitary(m, tol),
-    )
-
-
 def check_selector(indices: Sequence[int], dim: int) -> tuple[int, ...]:
     """Validate a basis-index subset defining a subspace projector."""
     sel = tuple(int(i) for i in indices)
@@ -96,13 +70,6 @@ def check_selector(indices: Sequence[int], dim: int) -> tuple[int, ...]:
     if any(b <= a for a, b in zip(sel, sel[1:])):
         raise ValueError("selector indices must be strictly increasing")
     return sel
-
-
-def restrict(m: np.ndarray, indices: Sequence[int]) -> np.ndarray:
-    """Extract the square submatrix with the selected rows and columns."""
-    m = as_matrix(m)
-    sel = check_selector(indices, m.shape[0])
-    return m[np.ix_(sel, sel)]
 
 
 def _canonical_order(a: complex, b: complex) -> tuple[complex, complex]:

@@ -17,16 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    _is_unitary,
-    adjoint,
-    as_matrix,
-    check_selector,
-    classify,
-    restrict,
-)
-from .sampling import DEFAULT_WORKERS, expectation, state_batches
+from .linalg import DEFAULT_TOL, _is_unitary, _within, adjoint, as_matrix, check_selector
 
 ACCEPTANCE_EPS = 1e-14
 VARIANCE_CLAMP = 1e-10
@@ -200,8 +191,9 @@ def fourth_moment_hermitian(s: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     expression valid for anti-Hermitian input.
     """
     s = as_matrix(s)
-    flags = classify(s, tol)
-    if not (flags.hermitian or flags.anti_hermitian):
+    sd = adjoint(s)
+    hermitian = _within(s - sd, tol)
+    if not (hermitian or _within(s + sd, tol)):
         raise ValueError("matrix is neither Hermitian nor anti-Hermitian")
     n = s.shape[0]
     s2 = s @ s
@@ -209,7 +201,7 @@ def fourth_moment_hermitian(s: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     t2 = complex(np.trace(s2))
     t3 = complex(np.trace(s2 @ s))
     t4 = complex(np.trace(s2 @ s2))
-    if flags.hermitian:
+    if hermitian:
         scale = max(1.0, abs(t1), abs(t2), abs(t3), abs(t4))
         if not max(abs(t.imag) for t in (t1, t2, t3, t4)) <= 1e-12 * scale:
             raise InvariantError("traces of a Hermitian matrix are not real")
@@ -268,8 +260,8 @@ def variance(m: np.ndarray) -> MomentReport:
 def comparison_matrix(
     target: np.ndarray, actual: np.ndarray, subspace: tuple[int, ...] | None = None
 ) -> np.ndarray:
-    """``target^dag @ actual``, or ``restrict(target^dag) @ restrict(actual)``
-    on a subspace: the map whose fidelity moments are taken."""
+    """``target^dag @ actual``, or the product of their blocks on the
+    subspace's rows and columns: the map whose fidelity moments are taken."""
     if subspace is None:
         return adjoint(target) @ actual
     sel = check_selector(subspace, target.shape[0])
@@ -299,7 +291,7 @@ def conditional_fidelity(g: GateSpec) -> float:
     """
     if g.subspace is None:
         raise ValueError("gate spec has no subspace selector")
-    kept = restrict(g.actual, g.subspace)
+    kept = g.actual[np.ix_(g.subspace, g.subspace)]  # GateSpec checked the selector
     acceptance_trace = _real(np.vdot(kept, kept), 1e-12, "acceptance trace")
     if acceptance_trace <= ACCEPTANCE_EPS:
         raise NoAcceptanceError("acceptance probability vanishes on the subspace")
@@ -329,47 +321,3 @@ def kraus_avg_fidelity(k: KrausMap, target: np.ndarray) -> float:
     traces = np.trace(m_ks, axis1=1, axis2=2)
     cross = np.vdot(traces, traces).real
     return _real(float((gram + cross) / (n * (n + 1))), 0.0, "Kraus mean")
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Monte-Carlo split of <f^2> into Hermitian, anti-Hermitian, cross parts."""
-
-    mean_total: float
-    mean_hermitian: float
-    mean_anti: float
-    mean_cross: float
-    max_pointwise_gap: float
-    samples: int
-    seed: int
-
-
-def sa_decomposition_check(
-    m: np.ndarray, samples: int, seed: int, workers: int = DEFAULT_WORKERS
-) -> DecompositionReport:
-    """Check |<m>|^4 = |<S>|^4 + |<A>|^4 + 2|<S>|^2|<A>|^2 on one state stream.
-
-    S and A are the Hermitian and anti-Hermitian parts of ``m``; all four
-    expectations use the same sampled states so the identity holds per sample
-    up to rounding, reported as ``max_pointwise_gap``.
-    """
-    m = as_matrix(m)
-    sym = (m + adjoint(m)) / 2.0
-    anti = (m - adjoint(m)) / 2.0
-    totals = np.zeros(4)
-    gap = 0.0
-    for v, r2 in state_batches(m.shape[0], samples, seed, workers):
-        q_m, q_s, q_a = (np.abs(expectation(v, a)) / r2 for a in (m, sym, anti))
-        f = np.stack([q_m**4, q_s**4, q_a**4, (q_s**2) * (q_a**2)])  # total, S, A, cross
-        totals += f.sum(axis=1)
-        gap = max(gap, float(np.abs(f[0] - (f[1] + f[2] + 2 * f[3])).max()))
-    means = totals / samples
-    return DecompositionReport(
-        mean_total=float(means[0]),
-        mean_hermitian=float(means[1]),
-        mean_anti=float(means[2]),
-        mean_cross=float(means[3]),
-        max_pointwise_gap=gap,
-        samples=samples,
-        seed=seed,
-    )

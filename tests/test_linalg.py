@@ -8,10 +8,10 @@ from gatefid import (
     QubitSpectrum,
     adjoint,
     as_matrix,
-    classify,
     eig2_normal,
-    restrict,
 )
+from gatefid.linalg import check_selector
+from gatefid.moments import comparison_matrix
 from conftest import random_matrix, random_unitary
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
@@ -68,55 +68,36 @@ class TestAdjoint:
         assert np.array_equal(adjoint(adjoint(m)), m)
 
 
-class TestClassify:
-    def test_identity(self):
-        flags = classify(np.eye(2))
-        assert flags.hermitian and flags.normal and flags.unitary
-        assert not flags.anti_hermitian
-
-    def test_positive_diagonal(self):
-        flags = classify(np.diag([1.0, 0.5]))
-        assert flags.hermitian and flags.normal
-        assert not flags.unitary
-
-    def test_nilpotent_not_normal(self):
-        assert not classify(np.array([[0, 1], [0, 0]], dtype=complex)).normal
-
-    def test_anti_hermitian(self):
-        assert classify(np.array([[1j, 2], [-2, -3j]])).anti_hermitian
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            classify(np.eye(2), tol=0.0)
-
-
 class TestRestrict:
+    # Restriction to a subspace: check_selector validates the basis indices,
+    # and comparison_matrix with the identity as target is the kept block.
     def test_leaky_block(self):
         alpha, gamma, beta = 0.3 + 0.1j, 0.2j, -0.5
         u = np.array([[1, 0, 0], [0, alpha, gamma], [0, np.conj(gamma), beta]])
-        got = restrict(u, (0, 1))
+        got = comparison_matrix(np.eye(3), u, (0, 1))
         assert np.array_equal(got, np.array([[1, 0], [0, alpha]]))
 
     def test_full_selection(self, rng):
         m = random_matrix(rng, 3)
-        assert np.array_equal(restrict(m, (0, 1, 2)), m)
+        assert np.array_equal(comparison_matrix(np.eye(3), m, (0, 1, 2)), m)
 
     def test_single_index(self):
-        got = restrict(np.diag([1.0, 2.0, 3.0]), (2,))
+        got = comparison_matrix(np.eye(3), np.diag([1.0, 2.0, 3.0]), (2,))
         assert got.shape == (1, 1) and got[0, 0] == 3.0
 
     @pytest.mark.parametrize("sel", [(), (0, 0), (1, 0), (0, 3)])
     def test_invalid_selector(self, sel):
         with pytest.raises(ValueError):
-            restrict(np.eye(3), sel)
+            check_selector(sel, 3)
 
     def test_projector(self, rng):
-        # restrict is the nonzero block of the projector sandwich P m P.
+        # The kept block is the nonzero block of the projector sandwich P m P.
         m = random_matrix(rng, 4)
         sel = (0, 2, 3)
         p = np.diag([1.0, 0.0, 1.0, 1.0])
         sandwich = p @ m @ p
-        assert np.array_equal(restrict(m, sel), sandwich[np.ix_(sel, sel)])
+        got = comparison_matrix(np.eye(4), m, sel)
+        assert np.array_equal(got, sandwich[np.ix_(sel, sel)])
         assert not sandwich[1].any() and not sandwich[:, 1].any()
 
 

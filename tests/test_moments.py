@@ -18,12 +18,12 @@ from gatefid import (
     gate_moments,
     kraus_avg_fidelity,
     mc_moment,
-    monomial_integral,
-    sa_decomposition_check,
+    monomial_integral_exact,
     variance,
 )
 from gatefid import linalg
 from gatefid.moments import InvariantError
+from gatefid.verify import _sa_decomposition
 from conftest import (
     random_antihermitian,
     random_hermitian,
@@ -239,12 +239,12 @@ class TestFourthMomentHermitian:
 
     def test_pauli_z_matches_monomial_expansion(self):
         # (|c0|^2 - |c1|^2)^4 expanded into the five quartic monomials.
-        want = (
-            monomial_integral((4, 0), 2)
-            - 4 * monomial_integral((3, 1), 2)
-            + 6 * monomial_integral((2, 2), 2)
-            - 4 * monomial_integral((1, 3), 2)
-            + monomial_integral((0, 4), 2)
+        want = float(
+            monomial_integral_exact((4, 0), 2)
+            - 4 * monomial_integral_exact((3, 1), 2)
+            + 6 * monomial_integral_exact((2, 2), 2)
+            - 4 * monomial_integral_exact((1, 3), 2)
+            + monomial_integral_exact((0, 4), 2)
         )
         got = fourth_moment_hermitian(np.diag([1.0, -1.0]))
         assert got == pytest.approx(want, abs=1e-14)
@@ -257,8 +257,13 @@ class TestFourthMomentHermitian:
         )
 
     def test_rejects_general_matrix(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="neither Hermitian nor anti-Hermitian"):
             fourth_moment_hermitian(random_matrix(rng, 3))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10])
+    def test_rejects_non_positive_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            fourth_moment_hermitian(np.eye(2), tol=tol)
 
 
 class TestFourthMomentGeneral:
@@ -407,20 +412,21 @@ class TestVariance:
 
 
 class TestSaDecomposition:
+    # The Monte-Carlo split that verify's sa_decomposition check runs; its
+    # means are (total, Hermitian, anti-Hermitian, cross).
     def test_hermitian_input_kills_cross_terms(self, rng):
-        rep = sa_decomposition_check(random_hermitian(rng, 3), 2000, seed=5)
-        assert rep.mean_anti == 0.0
-        assert rep.mean_cross == 0.0
-        assert rep.mean_total == pytest.approx(rep.mean_hermitian, rel=1e-12)
+        (total, herm, anti, cross), _ = _sa_decomposition(random_hermitian(rng, 3), 2000, seed=5)
+        assert anti == 0.0
+        assert cross == 0.0
+        assert total == pytest.approx(herm, rel=1e-12)
 
     def test_anti_hermitian_input(self, rng):
-        rep = sa_decomposition_check(random_antihermitian(rng, 3), 2000, seed=6)
-        assert rep.mean_hermitian == 0.0
-        assert rep.mean_total == pytest.approx(rep.mean_anti, rel=1e-12)
+        (total, herm, anti, _), _ = _sa_decomposition(random_antihermitian(rng, 3), 2000, seed=6)
+        assert herm == 0.0
+        assert total == pytest.approx(anti, rel=1e-12)
 
     def test_pointwise_identity_random_matrix(self, rng):
         m = random_matrix(rng, 3)
-        rep = sa_decomposition_check(m, 50_000, seed=7)
-        assert rep.max_pointwise_gap <= 1e-12 * max(1.0, rep.mean_total)
-        recombined = rep.mean_hermitian + rep.mean_anti + 2 * rep.mean_cross
-        assert rep.mean_total == pytest.approx(recombined, rel=1e-12)
+        (total, herm, anti, cross), gap = _sa_decomposition(m, 50_000, seed=7)
+        assert gap <= 1e-12 * max(1.0, total)
+        assert total == pytest.approx(herm + anti + 2 * cross, rel=1e-12)

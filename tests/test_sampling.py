@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from math import ldexp
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from gatefid import (
     eig2_normal,
     mc_histogram,
     mc_moment,
-    monomial_integral,
     monomial_integral_exact,
     normal_pdf,
     sample_states,
@@ -64,8 +64,8 @@ class TestSampleState:
         assert abs(vals.mean() - 0.5) <= 3 * se
 
     def test_fourth_power_matches_monomial_oracle(self, rng):
-        # oracle: monomial_integral((2,0,0,0), 4) = 2/(4*5) = 0.1
-        expected = monomial_integral((2, 0, 0, 0), 4)
+        # oracle: monomial_integral_exact((2,0,0,0), 4) = 2/(4*5) = 0.1
+        expected = float(monomial_integral_exact((2, 0, 0, 0), 4))
         assert expected == pytest.approx(0.1)
         states = sample_states(4, 1_000_000, rng)
         vals = np.abs(states[:, 0]) ** 4
@@ -244,15 +244,15 @@ class TestMonomialIntegral:
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            monomial_integral((1, 0), 3)
+            monomial_integral_exact((1, 0), 3)
 
     def test_negative_exponent(self):
         with pytest.raises(ValueError):
-            monomial_integral((-1, 1), 2)
+            monomial_integral_exact((-1, 1), 2)
 
     def test_all_zero(self):
         with pytest.raises(ValueError):
-            monomial_integral((0, 0), 2)
+            monomial_integral_exact((0, 0), 2)
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_matches_monte_carlo(self, n):
@@ -263,7 +263,7 @@ class TestMonomialIntegral:
             k = pattern + (0,) * (n - len(pattern))
             vals = np.prod(mags ** np.array(k), axis=1)
             se = vals.std(ddof=1) / np.sqrt(len(vals))
-            assert abs(vals.mean() - monomial_integral(k, n)) <= 4 * se
+            assert abs(vals.mean() - float(monomial_integral_exact(k, n))) <= 4 * se
 
 
 class TestMcMoment:
@@ -431,6 +431,15 @@ class TestStream:
         assert abs(est.std_error - std_error) <= 1e-15 * std_error
         if order == 1:
             assert mc_sample(m, 20, samples, seed, workers)[1] == est
+
+    def test_power_of_two_scale_is_exact(self):
+        # f of m / 2^500 is f of m times 2^-1000, near the bottom of the
+        # float range; the estimate's scale keeps every bit of it.
+        m = random_matrix(np.random.default_rng(9), 3)
+        est = mc_moment(m, 1, 2 * _BATCH + 5, seed=4)
+        tiny = mc_moment(m / 2.0**500, 1, 2 * _BATCH + 5, seed=4)
+        assert est.mean == ldexp(tiny.mean, 1000)
+        assert est.std_error == ldexp(tiny.std_error, 1000)
 
     def test_estimate_taken_before_the_clamp(self):
         # Values within the slack of an edge move onto it for binning only.

@@ -18,6 +18,77 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _names(tree) -> set[str]:
+    """Every identifier, attribute and imported module or name in ``tree``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update((node.module or "").split("."))
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(part for alias in node.names for part in alias.name.split("."))
+    return out
+
+
+def test_sampler_stays_behind_its_stream():
+    # The closed forms need no sampler, and the batch size belongs to the
+    # one stream, sampling.state_batches.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert "sampling" not in _names(trees["moments.py"])
+    assert [name for name, tree in trees.items() if "_BATCH" in _names(tree)] == ["sampling.py"]
+
+
+def test_public_api_is_the_agreed_list():
+    # A new public name has to be added here on purpose.
+    assert sorted(gatefid.__all__) == [
+        "DEFAULT_TOL",
+        "DegenerateSpectrumError",
+        "FAMILIES",
+        "FidelityDistribution",
+        "GateFamily",
+        "GateSpec",
+        "Histogram",
+        "HistogramComparison",
+        "KrausMap",
+        "McEstimate",
+        "MomentReport",
+        "NoAcceptanceError",
+        "NotNormalError",
+        "Objective",
+        "OptimizationResult",
+        "OptimizeConfig",
+        "QubitSpectrum",
+        "adjoint",
+        "as_matrix",
+        "avg_fidelity",
+        "build_family",
+        "compare_histogram",
+        "conditional_fidelity",
+        "depolarizing_kraus",
+        "eig2_normal",
+        "evaluate_objective",
+        "fourth_moment_general",
+        "fourth_moment_hermitian",
+        "gate_moments",
+        "kraus_avg_fidelity",
+        "mc_histogram",
+        "mc_moment",
+        "monomial_integral_exact",
+        "normal_pdf",
+        "optimize",
+        "quadrature_moments",
+        "sample_states",
+        "variance",
+    ]
+
+
 def _is_errstate_call(node) -> bool:
     return (
         isinstance(node, ast.Call)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import gatefid.moments as moments_mod
-from gatefid import qubit_dist
+from gatefid import qubit_dist, sampling
 from gatefid.verify import (
     QUICK_SEED,
+    check_conditional_oracle,
     check_distribution_moments,
+    check_sa_decomposition,
     reference_matrix,
     reference_spectrum,
     run_checks,
@@ -45,6 +47,25 @@ def test_full_level_passes():
         "conditional_oracle",
         "sa_decomposition",
     }
+
+
+@pytest.mark.parametrize(
+    "check,estimates", [(check_conditional_oracle, 3), (check_sa_decomposition, 1)]
+)
+def test_mc_checks_draw_from_the_one_stream(monkeypatch, check, estimates):
+    # Every state these checks use comes from sampling.state_batches, so the
+    # rows drawn through its generator are exactly samples per estimate.
+    drawn = []
+    gaussian_rows = sampling._gaussian_rows
+
+    def counting(n, rng, z, r2):
+        drawn.append(len(z))
+        return gaussian_rows(n, rng, z, r2)
+
+    monkeypatch.setattr(sampling, "_gaussian_rows", counting)
+    samples = 5_000
+    assert check(QUICK_SEED, samples).passed
+    assert sum(drawn) == estimates * samples
 
 
 def test_rejects_unknown_level():
