@@ -53,7 +53,6 @@ from .sampling import (
     mc_histogram,
     mc_moment,
     monomial_integral_exact,
-    sample_states,
 )
 
 __all__ = [
@@ -93,6 +92,5 @@ __all__ = [
     "normal_pdf",
     "optimize",
     "quadrature_moments",
-    "sample_states",
     "variance",
 ]

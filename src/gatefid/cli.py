@@ -3,7 +3,7 @@
 Subcommands: moments | dist | sample | verify | optimize. Exit codes:
 0 success, 1 usage/parse error, 2 invariant violation, 3 verification
 failure. All randomized commands take --seed and are reproducible for a
-fixed seed and worker count.
+fixed seed.
 """
 
 from __future__ import annotations
@@ -76,6 +76,22 @@ def _load(path: str, loader):
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
+def _at_least(minimum: int):
+    """An argparse ``type``: an int no smaller than ``minimum``. A bad value
+    reaches ``_Parser.error``, so it is a usage error naming the minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
@@ -133,6 +149,8 @@ def _cmd_moments(args) -> int:
 
 def _cmd_dist(args) -> int:
     if args.matrix:
+        if args.lambda1 is not None:
+            raise UsageError("--lambda1 goes with --lambda0, not with --matrix")
         m = _load(args.matrix, load_matrix)
         spectrum = eig2_normal(m)
     else:
@@ -151,17 +169,10 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.samples < args.bins:
+        raise UsageError(f"--samples ({args.samples}) must be at least --bins ({args.bins})")
     m = _load(args.matrix, load_matrix)
-    value_range = None
-    if m.shape[0] == 2:
-        # A map without a closed-form density is histogrammed over the
-        # sampler's outer range; one with unrepresentable entries then fails
-        # in the sampler with its own overflow error.
-        try:
-            value_range = normal_pdf(eig2_normal(m)).support()
-        except ValueError:
-            value_range = None
-    hist, est = mc_sample(m, args.bins, args.samples, args.seed, args.workers, value_range)
+    hist, est = mc_sample(m, args.bins, args.samples, args.seed)
     csv_path = f"{args.out}.csv"
     json_path = f"{args.out}.json"
     manifest_path = f"{args.out}.manifest.json"
@@ -297,22 +308,21 @@ def _build_parser() -> _Parser:
     group.add_argument("--matrix", help="2x2 normal comparison matrix (JSON)")
     group.add_argument("--lambda0", help="first eigenvalue as re,im")
     p.add_argument("--lambda1", help="second eigenvalue as re,im")
-    p.add_argument("--grid", type=int, default=512, help="CSV grid size")
+    p.add_argument("--grid", type=_at_least(2), default=512, help="CSV grid size")
     p.add_argument("--out", default="dist_pdf.csv", help="density CSV path")
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("sample", help="Monte-Carlo fidelity histogram")
     p.add_argument("--matrix", required=True, help="comparison matrix (JSON)")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--samples", type=_at_least(100), default=100_000)
+    p.add_argument("--bins", type=_at_least(2), default=50)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("verify", help="cross-module consistency checks")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--seed", type=int, default=20260810)
+    p.add_argument("--seed", type=_at_least(0), default=20260810)
     p.add_argument("--out", help="write the JSON report here as well")
     p.set_defaults(func=_cmd_verify)
 

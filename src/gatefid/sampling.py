@@ -3,12 +3,10 @@
 States are sampled by normalizing standard complex Gaussian vectors, which is
 Haar-uniform on the unit sphere of C^n for every n. Every seeded Monte-Carlo
 path draws from one stream, :func:`state_batches`, and is deterministic for a
-fixed ``(seed, samples, workers)`` triple: worker streams are derived from the
-seed with ``numpy.random.SeedSequence`` and evaluated in a fixed order (workers
-only partition the stream, they do not run concurrently here). The stream
-yields unnormalized Gaussian rows ``v``; the kernel takes
-``f = (|<v|m|v>| / |v|^2)^2``. The states ``v / |v|`` a seed draws are pinned
-bit for bit; ``f`` may differ from earlier versions in the last bits.
+fixed ``(seed, samples)`` pair. The stream yields unnormalized Gaussian rows
+``v``; the kernel takes ``f = (|<v|m|v>| / |v|^2)^2``. The states ``v / |v|``
+a seed draws are pinned bit for bit; ``f`` may differ from earlier versions in
+the last bits.
 
 ``mc_moment``, ``mc_histogram`` and ``mc_sample`` make one streaming pass over
 those batches into one tally: running moments and bin counts, so their memory
@@ -28,53 +26,24 @@ import numpy as np
 
 from .linalg import as_matrix
 
-DEFAULT_WORKERS = 1
 _BATCH = 1 << 14
 _ANGLES = 64
 _ZOOMS = 5
 
 
-def sample_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-uniform pure state on the unit sphere of C^n."""
-    if n < 1:
-        raise ValueError("state dimension must be at least 1")
-    while True:
-        z = rng.standard_normal(2 * n)
-        v = z[0::2] + 1j * z[1::2]
-        norm = np.linalg.norm(v)
-        if norm > 1e-150:
-            return v / norm
-
-
-def sample_states(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar-uniform states, stacked as rows of shape (count, n)."""
-    if n < 1:
-        raise ValueError("state dimension must be at least 1")
-    # Consecutive normals (re, im) pair up exactly as in ``sample_state``.
-    v = rng.standard_normal((count, 2 * n)).view(np.complex128)
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    bad = norms[:, 0] <= 1e-150
-    for i in np.flatnonzero(bad):
-        v[i] = sample_state(n, rng)
-        norms[i, 0] = 1.0
-    v /= norms
-    return v
-
-
 def _gaussian_rows(
-    n: int, rng: np.random.Generator, z: np.ndarray, r2: np.ndarray
+    rng: np.random.Generator, z: np.ndarray, r2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fill ``z`` (shape (count, 2n)) with the normals whose complex view ``v``
-    :func:`sample_states` normalizes, with the same fallback, and ``r2`` with
-    ``|v|^2`` as a row sum of squares: cheaper than the ``np.linalg.norm``
-    whose bits :func:`sample_states` keeps."""
+    """Fill ``z`` (shape (count, 2n)) with normals, whose consecutive pairs
+    (re, im) make the rows of its complex view ``v``, and ``r2`` with
+    ``|v|^2``. A row too short to normalize is redrawn in place."""
     rng.standard_normal(out=z)
     np.einsum("ij,ij->i", z, z, out=r2)
-    v = z.view(np.complex128)
     for i in np.flatnonzero(r2 <= 1e-300):
-        v[i] = sample_state(n, rng)
-        r2[i] = 1.0
-    return v, r2
+        while r2[i] <= 1e-300:
+            rng.standard_normal(out=z[i])
+            r2[i] = z[i] @ z[i]
+    return z.view(np.complex128), r2
 
 
 def monomial_integral_exact(k: Sequence[int], n: int) -> Fraction:
@@ -130,33 +99,27 @@ class Histogram:
         return self.counts / (self.samples * self.widths)
 
 
-def state_batches(
-    n: int, samples: int, seed: int, workers: int = DEFAULT_WORKERS
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def state_batches(n: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``samples`` Gaussian rows on C^n with their squared norms, in
-    batches: worker ``w`` draws its share of the budget from the ``w``-th
-    child of ``SeedSequence(seed)``. Row ``v`` stands for the state ``v / |v|``.
+    batches. Row ``v`` stands for the state ``v / |v|``.
 
     Every batch is drawn into the same two arrays, so a batch is only valid
     until the next one is requested.
     """
     rows = min(_BATCH, samples)
-    return _draw_batches(n, samples, seed, workers, np.empty((rows, 2 * n)), np.empty(rows))
+    return _draw_batches(samples, seed, np.empty((rows, 2 * n)), np.empty(rows))
 
 
 def _draw_batches(
-    n: int, samples: int, seed: int, workers: int, z: np.ndarray, r2: np.ndarray
+    samples: int, seed: int, z: np.ndarray, r2: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """:func:`state_batches` drawing into the caller's ``z`` and ``r2``."""
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    base, extra = divmod(samples, workers)
-    for w, child in enumerate(np.random.SeedSequence(seed).spawn(workers)):
-        rng = np.random.default_rng(child)
-        size = base + (1 if w < extra else 0)
-        for done in range(0, size, _BATCH):
-            count = min(_BATCH, size - done)
-            yield _gaussian_rows(n, rng, z[:count], r2[:count])
+    # The seed's first SeedSequence child rather than the seed itself, so
+    # that every seed keeps the states it has always drawn.
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    for done in range(0, samples, _BATCH):
+        count = min(_BATCH, samples - done)
+        yield _gaussian_rows(rng, z[:count], r2[:count])
 
 
 def expectation(states: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -164,9 +127,7 @@ def expectation(states: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("bj,bj->b", states.conj() @ a, states)
 
 
-def _fidelity_batches(
-    m: np.ndarray, samples: int, seed: int, workers: int
-) -> Iterator[np.ndarray]:
+def _fidelity_batches(m: np.ndarray, samples: int, seed: int) -> Iterator[np.ndarray]:
     """f = (|<v|m|v>| / |v|^2)^2 for each batch of :func:`state_batches`,
     in an array that, like the rows, the next batch overwrites."""
     m = as_matrix(m)
@@ -179,7 +140,7 @@ def _fidelity_batches(
     z, norm2, fid = work[0].reshape(rows, 2 * n), work[4], work[5]
     conj, prod = (block.view(complex).reshape(rows, n) for block in work[1:3])
     overlap = work[3].view(complex)
-    for v, r2 in _draw_batches(n, samples, seed, workers, z, norm2):
+    for v, r2 in _draw_batches(samples, seed, z, norm2):
         k = len(v)
         # A decorator would not cover a generator's body, so the state is set here.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -324,7 +285,6 @@ def _stream(
     m: np.ndarray,
     samples: int,
     seed: int,
-    workers: int,
     order: int = 1,
     bins: int = 0,
     value_range: tuple[float, float] | None = None,
@@ -336,26 +296,20 @@ def _stream(
         m = as_matrix(m)
         value_range = _outer_range(m, bins)
     tally = _Tally(bins, value_range, moments)
-    for f in _fidelity_batches(m, samples, seed, workers):
+    for f in _fidelity_batches(m, samples, seed):
         if order == 2:
             np.square(f, out=f)
         tally.add(f)
     return tally
 
 
-def mc_moment(
-    m: np.ndarray,
-    order: int,
-    samples: int,
-    seed: int,
-    workers: int = DEFAULT_WORKERS,
-) -> McEstimate:
+def mc_moment(m: np.ndarray, order: int, samples: int, seed: int) -> McEstimate:
     """Monte-Carlo estimate of the Haar average of |<psi|m|psi>|^(2*order)."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if samples < 100:
         raise ValueError("samples must be at least 100")
-    return _stream(m, samples, seed, workers, order).estimate(seed)
+    return _stream(m, samples, seed, order).estimate(seed)
 
 
 def mc_histogram(
@@ -363,7 +317,6 @@ def mc_histogram(
     bins: int,
     samples: int,
     seed: int,
-    workers: int = DEFAULT_WORKERS,
     value_range: tuple[float, float] | None = None,
 ) -> Histogram:
     """Histogram of sampled fidelities f = |<psi|m|psi>|^2.
@@ -375,7 +328,7 @@ def mc_histogram(
     the support endpoints.
     """
     _check_bins(bins, samples)
-    tally = _stream(m, samples, seed, workers, bins=bins, value_range=value_range, moments=False)
+    tally = _stream(m, samples, seed, bins=bins, value_range=value_range, moments=False)
     return tally.histogram(seed)
 
 
@@ -384,12 +337,11 @@ def mc_sample(
     bins: int,
     samples: int,
     seed: int,
-    workers: int = DEFAULT_WORKERS,
     value_range: tuple[float, float] | None = None,
 ) -> tuple[Histogram, McEstimate]:
     """``mc_histogram`` and ``mc_moment(m, 1, ...)`` from one draw of the states."""
     _check_bins(bins, samples)
     if samples < 100:
         raise ValueError("samples must be at least 100")
-    tally = _stream(m, samples, seed, workers, bins=bins, value_range=value_range)
+    tally = _stream(m, samples, seed, bins=bins, value_range=value_range)
     return tally.histogram(seed), tally.estimate(seed)

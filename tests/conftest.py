@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gatefid import adjoint
+from gatefid.sampling import state_batches
 
 
 @pytest.fixture
@@ -43,3 +44,17 @@ def random_hermitian(rng, n):
 def random_antihermitian(rng, n):
     m = random_matrix(rng, n)
     return (m - adjoint(m)) / 2
+
+
+def reference_states(n, count, rng):
+    """Rows (z_0 + i z_1, z_2 + i z_3, ...) / norm from one normal draw."""
+    z = rng.standard_normal((count, 2 * n))
+    v = z[:, 0::2] + 1j * z[:, 1::2]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def haar_states(n, count, seed):
+    """``count`` Haar states on C^n, the normalized rows of the seed's stream."""
+    return np.concatenate(
+        [v / np.sqrt(r2)[:, None] for v, r2 in state_batches(n, count, seed)]
+    )

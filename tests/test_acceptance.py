@@ -31,12 +31,16 @@ from gatefid import (
     normal_pdf,
     optimize,
     quadrature_moments,
-    sample_states,
     variance,
 )
 from gatefid.serialize import matrix_from_obj
 from gatefid.verify import _mc_conditional, reference_matrix, reference_spectrum
-from conftest import random_antihermitian, random_hermitian, random_unit_disc_matrix
+from conftest import (
+    haar_states,
+    random_antihermitian,
+    random_hermitian,
+    random_unit_disc_matrix,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -170,8 +174,7 @@ def test_criterion_09_kraus_depolarizing():
         assert abs(got - (1 - p / 2)) <= 1e-12
     # MC oracle: state-averaged channel fidelity, summed over Kraus terms.
     k = depolarizing_kraus(0.2)
-    rng = np.random.default_rng(90_2026)
-    states = sample_states(2, 100_000, rng)
+    states = haar_states(2, 100_000, seed=90_2026)
     vals = np.zeros(len(states))
     for g in k.operators:
         vals += np.abs(np.einsum("bi,ij,bj->b", states.conj(), g, states)) ** 2

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -392,18 +393,18 @@ class TestSample:
         # not leak into the next, which gets its own defaults and paths.
         calls = []
 
-        def recording(m, bins, samples, seed, workers, value_range):
-            calls.append((seed, workers))
-            return mc_sample(m, bins, samples, seed, workers, value_range)
+        def recording(m, bins, samples, seed):
+            calls.append((seed, bins))
+            return mc_sample(m, bins, samples, seed)
 
         monkeypatch.setattr(cli_mod, "mc_sample", recording)
         first = ["sample", "--matrix", files["reference"], "--samples", "600"]
-        first += ["--workers", "3", "--seed", "4", "--out", str(files["dir"] / "first")]
+        first += ["--bins", "7", "--seed", "4", "--out", str(files["dir"] / "first")]
         second = ["sample", "--matrix", files["eye2"], "--samples", "700"]
         second += ["--out", str(files["dir"] / "second")]
         assert run(capsys, *first)[0] == 0
         assert run(capsys, *second)[0] == 0
-        assert calls == [(4, 3), (0, 1)]
+        assert calls == [(4, 7), (0, 50)]
         manifest = json.loads((files["dir"] / "second.manifest.json").read_text())
         assert manifest["seed"] == 0
         assert manifest["inputs"] == [files["eye2"]]
@@ -426,8 +427,6 @@ class TestSample:
                 "15",
                 "--seed",
                 "11",
-                "--workers",
-                "2",
                 "--out",
                 prefix,
             )
@@ -478,39 +477,49 @@ class TestSample:
     def test_one_draw_feeds_histogram_and_estimate(self, files, capsys, monkeypatch, name):
         # The CSV must be mc_histogram's and the JSON mean mc_moment's on the
         # same seed, while the command draws each of its states only once.
+        # Every map is binned over the sampler's outer range.
         if name == "random4":
             rng = np.random.default_rng(4)
             m = (rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))) / 4
             save_matrix(m, files["dir"] / "random4.json")
             files[name] = str(files["dir"] / "random4.json")
-            value_range = None  # the sampler's outer range
         else:
             m = np.diag([L0, L1])
-            value_range = normal_pdf(eig2_normal(m)).support()
         samples, bins, seed = 20_001, 30, 5
         drawn = []
         gaussian_rows = sampling._gaussian_rows
 
-        def counting(n, rng, z, r2):
+        def counting(rng, z, r2):
             drawn.append(len(z))
-            return gaussian_rows(n, rng, z, r2)
+            return gaussian_rows(rng, z, r2)
 
         monkeypatch.setattr(sampling, "_gaussian_rows", counting)
         prefix = str(files["dir"] / f"one_{name}")
         argv = ["sample", "--matrix", files[name], "--samples", str(samples)]
-        argv += ["--bins", str(bins), "--seed", str(seed), "--workers", "2", "--out", prefix]
+        argv += ["--bins", str(bins), "--seed", str(seed), "--out", prefix]
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert sum(drawn) == samples
         monkeypatch.undo()
         rows = (files["dir"] / f"one_{name}.csv").read_text().strip().splitlines()[1:]
         counts = [int(row.split(",")[2]) for row in rows]
-        hist = mc_histogram(m, bins, samples, seed, workers=2, value_range=value_range)
+        hist = mc_histogram(m, bins, samples, seed)
         assert counts == hist.counts.tolist()
         mean = json.loads(out)["mean"]
-        want = mc_moment(m, 1, samples, seed, workers=2).mean
+        want = mc_moment(m, 1, samples, seed).mean
         assert abs(mean - want) <= 1e-15 * abs(want)
 
+    def test_nearly_normal_map_keeps_every_draw(self, files, capsys):
+        # eig2_normal takes this map as normal, but its numerical range is an
+        # ellipse; the closed-form support would hold about a fifth of it.
+        path = str(files["dir"] / "ellipse.json")
+        save_matrix(np.array([[1.0, 5e-6], [0.0, 1.0 + 1e-6]]), path)
+        prefix = files["dir"] / "ellipse_out"
+        argv = ["sample", "--matrix", path, "--samples", "100000", "--seed", "3"]
+        code, _, _ = run(capsys, *argv, "--out", str(prefix))
+        assert code == 0
+        rows = (files["dir"] / "ellipse_out.csv").read_text().strip().splitlines()[1:]
+        assert sum(int(row.split(",")[2]) for row in rows) == 100_000
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts_on", "optimized"])
@@ -759,6 +768,64 @@ class TestNonFiniteJson:
         argv = ["verify", "--out", str(out)]
         assert_one_error_line_in_process(run(capsys, *argv), 2)
         assert not out.exists()
+
+
+# Flags (before the matrix and output flags) and a part of the error line.
+BAD_FLAGS = {
+    "sample_samples": (["sample", "--samples", "50"], "--samples: must be at least 100"),
+    "sample_samples_not_int": (["sample", "--samples", "1e5"], "--samples: expected an integer"),
+    "sample_bins": (["sample", "--bins", "1"], "--bins: must be at least 2"),
+    "samples_below_bins": (
+        ["sample", "--samples", "200", "--bins", "300"],
+        "--samples (200) must be at least --bins (300)",
+    ),
+    "sample_seed": (["sample", "--seed", "-1"], "--seed: must be at least 0"),
+    "sample_workers": (["sample", "--workers", "3"], "unrecognized arguments: --workers"),
+    "verify_seed": (["verify", "--seed", "-1"], "--seed: must be at least 0"),
+    "dist_grid": (
+        ["dist", "--lambda0", "1,0", "--lambda1", "0,1", "--grid", "1"],
+        "--grid: must be at least 2",
+    ),
+    "dist_lambda1_with_matrix": (["dist", "--lambda1", "1,0"], "--lambda1"),
+}
+
+
+class TestBadFlags:
+    # A numeric flag out of its range, or flags that do not go together, are
+    # usage errors: exit 1, one error line that names the limit, no files.
+    @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+    def test_exits_1_with_one_line(self, files, capsys, case):
+        flags, message = BAD_FLAGS[case]
+        out = files["dir"] / "bad"
+        if flags[0] == "sample":
+            flags = [*flags, "--matrix", files["reference"], "--out", str(out)]
+        elif flags[0] == "verify":
+            flags = [*flags, "--out", f"{out}.json"]
+        else:
+            if "--lambda0" not in flags:
+                flags = [*flags, "--matrix", files["reference"]]
+            flags = [*flags, "--out", f"{out}.csv"]
+        result = run(capsys, *flags)
+        assert_one_error_line_in_process(result, 1)
+        assert message in result[2]
+        assert not list(files["dir"].glob("bad*"))
+
+
+def test_options_are_the_agreed_list():
+    # A new flag has to be added here on purpose.
+    actions = cli_mod._build_parser()._actions
+    (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: sorted(s for a in p._actions for s in a.option_strings)
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "moments": ["--actual", "--help", "--kraus", "--subspace", "--target", "-h"],
+        "dist": ["--grid", "--help", "--lambda0", "--lambda1", "--matrix", "--out", "-h"],
+        "sample": ["--bins", "--help", "--matrix", "--out", "--samples", "--seed", "-h"],
+        "verify": ["--help", "--level", "--out", "--seed", "-h"],
+        "optimize": ["--help", "--trace-out", "-h"],
+    }
 
 
 class TestUsage:

@@ -25,6 +25,7 @@ from gatefid import linalg
 from gatefid.moments import InvariantError
 from gatefid.verify import _sa_decomposition
 from conftest import (
+    haar_states,
     random_antihermitian,
     random_hermitian,
     random_matrix,
@@ -218,9 +219,7 @@ class TestKrausAvgFidelity:
     def test_matches_state_sampled_channel_average(self, rng):
         k = depolarizing_kraus(0.3)
         u0 = random_unitary(rng, 2)
-        from gatefid import sample_states
-
-        states = sample_states(2, 100_000, rng)
+        states = haar_states(2, 100_000, seed=20260810)
         vals = np.zeros(len(states))
         for g in k.operators:
             mk = adjoint(u0) @ g

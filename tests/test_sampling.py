@@ -11,7 +11,6 @@ from gatefid import (
     mc_moment,
     monomial_integral_exact,
     normal_pdf,
-    sample_states,
 )
 from gatefid.sampling import (
     _BATCH,
@@ -21,20 +20,30 @@ from gatefid.sampling import (
     _outer_range,
     expectation,
     mc_sample,
-    sample_state,
     state_batches,
 )
-from conftest import random_hermitian, random_matrix, random_unitary
+from conftest import (
+    haar_states,
+    random_hermitian,
+    random_matrix,
+    random_unitary,
+    reference_states,
+)
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
 L1 = 0.8 * np.exp(1j * 4 * np.pi / 5)
 REFERENCE = np.diag([L0, L1])
 
 
-def fidelities(m, samples, seed, workers):
-    """Every sampled f of one stream, concatenated in seed order (each batch
+def fidelities(m, samples, seed):
+    """Every sampled f of one stream, concatenated in draw order (each batch
     is copied out before the next one overwrites it)."""
-    return np.concatenate([f.copy() for f in _fidelity_batches(m, samples, seed, workers)])
+    return np.concatenate([f.copy() for f in _fidelity_batches(m, samples, seed)])
+
+
+def child_rng(seed):
+    """The generator the stream of ``seed`` draws from."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
 def tally_histogram(batches, bins, value_range):
@@ -46,36 +55,36 @@ def tally_histogram(batches, bins, value_range):
 
 
 class TestSampleState:
-    def test_dim_one_is_pure_phase(self, rng):
-        for _ in range(10):
-            v = sample_state(1, rng)
-            assert abs(abs(v[0]) - 1.0) <= 1e-12
+    # The stream's rows, normalized, are Haar-uniform states.
+    def test_dim_one_is_pure_phase(self):
+        states = haar_states(1, 10, seed=1)
+        assert np.abs(np.abs(states[:, 0]) - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
-    def test_unit_norm(self, rng, n):
-        states = sample_states(n, 1000, rng)
+    def test_unit_norm(self, n):
+        states = haar_states(n, 1000, seed=n)
         norms = np.linalg.norm(states, axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-12
 
-    def test_amplitude_square_mean_is_half(self, rng):
-        states = sample_states(2, 1_000_000, rng)
+    def test_amplitude_square_mean_is_half(self):
+        states = haar_states(2, 1_000_000, seed=2)
         vals = np.abs(states[:, 0]) ** 2
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - 0.5) <= 3 * se
 
-    def test_fourth_power_matches_monomial_oracle(self, rng):
+    def test_fourth_power_matches_monomial_oracle(self):
         # oracle: monomial_integral_exact((2,0,0,0), 4) = 2/(4*5) = 0.1
         expected = float(monomial_integral_exact((2, 0, 0, 0), 4))
         assert expected == pytest.approx(0.1)
-        states = sample_states(4, 1_000_000, rng)
+        states = haar_states(4, 1_000_000, seed=4)
         vals = np.abs(states[:, 0]) ** 4
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - expected) <= 3 * se
 
     def test_haar_invariance_under_fixed_unitary(self, rng):
         u = random_unitary(rng, 3)
-        plain = sample_states(3, 200_000, np.random.default_rng(1))
-        rotated = sample_states(3, 200_000, np.random.default_rng(2)) @ u.T
+        plain = haar_states(3, 200_000, seed=1)
+        rotated = haar_states(3, 200_000, seed=2) @ u.T
         f_plain = np.abs(plain[:, 0]) ** 2 * np.abs(plain[:, 1]) ** 2
         f_rot = np.abs(rotated[:, 0]) ** 2 * np.abs(rotated[:, 1]) ** 2
         se = np.hypot(
@@ -85,103 +94,87 @@ class TestSampleState:
         assert abs(f_plain.mean() - f_rot.mean()) <= 4 * se
 
 
-def reference_states(n, count, rng):
-    """Rows (z_0 + i z_1, z_2 + i z_3, ...) / norm from one normal draw."""
-    z = rng.standard_normal((count, 2 * n))
-    v = z[:, 0::2] + 1j * z[:, 1::2]
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestSeedToStateMap:
     # Pins the map from a seed to its states bit for bit: a faster kernel
-    # must not change which states a seed draws.
+    # must not change which states a seed draws. The states are the rows
+    # of one normal draw from the seed's first SeedSequence child.
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("seed", [0, 42])
     def test_sample_states_bitwise(self, n, seed):
-        got = sample_states(n, 4096, np.random.default_rng(seed))
-        want = reference_states(n, 4096, np.random.default_rng(seed))
+        # One batch in every dimension.
+        ((v, _),) = state_batches(n, 4096, seed)
+        got = v / np.linalg.norm(v, axis=1, keepdims=True)
+        want = reference_states(n, 4096, child_rng(seed))
         assert np.array_equal(bits(got), bits(want))
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_state_batches_bitwise(self, workers):
-        n, samples, seed = 2, 2 * _BATCH + 5, 7  # several batches per worker
-        got = np.concatenate(
-            [
-                v / np.linalg.norm(v, axis=1, keepdims=True)
-                for v, _ in state_batches(n, samples, seed, workers)
-            ]
-        )
-        base, extra = divmod(samples, workers)
-        children = np.random.SeedSequence(seed).spawn(workers)
-        want = np.concatenate(
-            [
-                reference_states(n, base + (w < extra), np.random.default_rng(child))
-                for w, child in enumerate(children)
-            ]
-        )
+    @pytest.mark.parametrize("full_batches", [1, 3])
+    def test_state_batches_bitwise(self, full_batches):
+        # The stream continues across batch cuts as one draw.
+        n, samples, seed = 2, full_batches * _BATCH + 5, 7
+        batches = state_batches(n, samples, seed)
+        got = np.concatenate([v / np.linalg.norm(v, axis=1, keepdims=True) for v, _ in batches])
+        want = reference_states(n, samples, child_rng(seed))
         assert np.array_equal(bits(got), bits(want))
 
 
 class ZeroRowRng:
-    """A generator whose first batch draw has an all-zero row ``row``."""
+    """A generator whose first batch draw has an all-zero row ``row``, and
+    whose next ``zero_redraws`` one-row draws are zero too."""
 
-    def __init__(self, rng, row):
-        self.rng, self.row = rng, row
+    def __init__(self, rng, row, zero_redraws=0):
+        self.rng, self.row, self.zero_redraws = rng, row, zero_redraws
 
     def standard_normal(self, size=None, out=None):
         z = self.rng.standard_normal(size, out=out)
         if self.row is not None and np.ndim(z) == 2:
             z[self.row] = 0.0
             self.row = None
+        elif np.ndim(z) == 1 and self.zero_redraws:
+            z[:] = 0.0
+            self.zero_redraws -= 1
         return z
 
 
 class TestFidelityKernel:
-    # The kernel takes f from the unnormalized rows that sample_states
-    # normalizes; it must give the same f up to rounding.
+    # The kernel takes f from the unnormalized rows of the stream; it must
+    # give the f of the normalized states up to rounding.
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_matches_normalized_states(self, n, workers):
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_matches_normalized_states(self, n, seed):
         m = random_matrix(np.random.default_rng(n), n, scale=2.0)
-        samples, seed = _BATCH + 7, 3
-        got = fidelities(m, samples, seed, workers)
-        base, extra = divmod(samples, workers)
-        children = np.random.SeedSequence(seed).spawn(workers)
-        states = np.concatenate(
-            [
-                sample_states(n, base + (w < extra), np.random.default_rng(child))
-                for w, child in enumerate(children)
-            ]
-        )
+        samples = _BATCH + 7
+        got = fidelities(m, samples, seed)
+        states = reference_states(n, samples, child_rng(seed))
         want = np.abs(expectation(states, m)) ** 2
         assert np.abs(got - want).max() <= 1e-14 * want.max()
 
     @pytest.mark.parametrize("n", [1, 3])
-    def test_tiny_norm_row_falls_back_like_sample_states(self, monkeypatch, n):
+    def test_tiny_norm_row_is_redrawn_in_place(self, monkeypatch, n):
         row, count, seed = 5, 1000, 11
         m = random_matrix(np.random.default_rng(0), n)
-        child = np.random.SeedSequence(seed).spawn(1)[0]
-        states = sample_states(n, count, ZeroRowRng(np.random.default_rng(child), row))
-        # The replacement is the next sample_state draw after the batch.
-        rng = np.random.default_rng(child)
-        rng.standard_normal((count, 2 * n))
-        replacement = sample_state(n, rng)
-        assert np.array_equal(bits(states[row]), bits(replacement))
-        zero_row = ZeroRowRng(np.random.default_rng(child), row)
-        v, r2 = _gaussian_rows(n, zero_row, np.empty((count, 2 * n)), np.empty(count))
-        assert np.array_equal(bits(v[row]), bits(replacement)) and r2[row] == 1.0
+        # Row ``row`` of the batch and its first redraw are zero; the row is
+        # then the second 2n normals drawn after the batch.
+        rng = child_rng(seed)
+        z = rng.standard_normal((count, 2 * n))
+        rng.standard_normal(2 * n)
+        z[row] = rng.standard_normal(2 * n)
+        zero_row = ZeroRowRng(child_rng(seed), row, zero_redraws=1)
+        v, r2 = _gaussian_rows(zero_row, np.empty((count, 2 * n)), np.empty(count))
+        assert np.array_equal(bits(v), bits(z.view(np.complex128)))
+        assert r2[row] == z[row] @ z[row]
 
         default_rng = np.random.default_rng
         monkeypatch.setattr(
-            np.random, "default_rng", lambda s: ZeroRowRng(default_rng(s), row)
+            np.random, "default_rng", lambda s: ZeroRowRng(default_rng(s), row, zero_redraws=1)
         )
-        f = fidelities(m, count, seed, 1)
+        f = fidelities(m, count, seed)
         monkeypatch.undo()
-        want = np.abs(expectation(states, m)) ** 2
+        v = z.view(np.complex128)
+        want = np.abs(expectation(v / np.linalg.norm(v, axis=1, keepdims=True), m)) ** 2
         assert abs(f[row] - want[row]) <= 1e-14 * want.max()
         assert np.abs(f - want).max() <= 1e-14 * want.max()
 
@@ -198,7 +191,7 @@ class TestExpectation:
     @pytest.mark.parametrize("kind", ["general", "hermitian"])
     def test_matches_double_loop(self, rng, n, kind):
         a = random_matrix(rng, n, scale=3.0) if kind == "general" else random_hermitian(rng, n)
-        states = sample_states(n, 200, rng)
+        states = reference_states(n, 200, rng)
         want = np.zeros(len(states), dtype=np.complex128)
         for i in range(n):
             for j in range(n):
@@ -256,8 +249,7 @@ class TestMonomialIntegral:
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_matches_monte_carlo(self, n):
-        rng = np.random.default_rng(77)
-        states = sample_states(n, 100_000, rng)
+        states = haar_states(n, 100_000, seed=77)
         mags = np.abs(states) ** 2
         for pattern in [(4,), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1)]:
             k = pattern + (0,) * (n - len(pattern))
@@ -291,9 +283,9 @@ class TestMcMoment:
         with pytest.raises(ValueError):
             mc_moment(np.eye(2), 3, 1000, seed=0)
 
-    def test_deterministic_per_seed_and_workers(self):
-        a = mc_moment(REFERENCE, 1, 30_000, seed=9, workers=3)
-        b = mc_moment(REFERENCE, 1, 30_000, seed=9, workers=3)
+    def test_deterministic_per_seed(self):
+        a = mc_moment(REFERENCE, 1, 30_000, seed=9)
+        b = mc_moment(REFERENCE, 1, 30_000, seed=9)
         assert a == b
 
     def test_seed_recorded(self):
@@ -318,8 +310,8 @@ class TestMcHistogram:
         assert h.counts[:-1].sum() == 0
 
     def test_deterministic(self):
-        a = mc_histogram(REFERENCE, 20, 5000, seed=4, workers=2)
-        b = mc_histogram(REFERENCE, 20, 5000, seed=4, workers=2)
+        a = mc_histogram(REFERENCE, 20, 5000, seed=4)
+        b = mc_histogram(REFERENCE, 20, 5000, seed=4)
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.edges, b.edges)
 
@@ -366,11 +358,11 @@ class TestMcHistogram:
 class TestStream:
     # One pass over the batches must give what a whole-array pass over the
     # same draws gives: the same counts and edges, and the two-pass moments.
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("seed", [1, 3])
     @pytest.mark.parametrize("known", [True, False], ids=["known_range", "computed_range"])
-    def test_counts_match_concatenated_batches(self, workers, known):
-        samples, bins, seed = 2 * _BATCH + 5, 40, 6  # three batches at either worker count
-        f = fidelities(REFERENCE, samples, seed, workers)
+    def test_counts_match_concatenated_batches(self, seed, known):
+        samples, bins = 2 * _BATCH + 5, 40  # three batches
+        f = fidelities(REFERENCE, samples, seed)
         if known:
             # Edges 5e-10 inside a value of the first batch and one of the
             # last: both values fall outside the range unless clamped.
@@ -389,8 +381,8 @@ class TestStream:
         else:
             assert want[0].sum() == samples
         for hist in (
-            mc_histogram(REFERENCE, bins, samples, seed, workers, value_range),
-            mc_sample(REFERENCE, bins, samples, seed, workers, value_range)[0],
+            mc_histogram(REFERENCE, bins, samples, seed, value_range),
+            mc_sample(REFERENCE, bins, samples, seed, value_range)[0],
         ):
             assert hist.counts.tobytes() == want[0].tobytes()
             assert hist.edges.tobytes() == want[1].tobytes()
@@ -420,17 +412,17 @@ class TestStream:
         assert h.counts[0] >= 3 and h.counts[-1] >= 3
 
     @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_moments_match_two_pass(self, order, workers):
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_moments_match_two_pass(self, order, seed):
         m = random_matrix(np.random.default_rng(5), 3)
-        samples, seed = 3 * _BATCH + 17, 8
-        x = fidelities(m, samples, seed, workers) ** order
+        samples = 3 * _BATCH + 17
+        x = fidelities(m, samples, seed) ** order
         mean, std_error = x.mean(), x.std(ddof=1) / np.sqrt(x.size)
-        est = mc_moment(m, order, samples, seed, workers)
+        est = mc_moment(m, order, samples, seed)
         assert abs(est.mean - mean) <= 1e-15 * mean
         assert abs(est.std_error - std_error) <= 1e-15 * std_error
         if order == 1:
-            assert mc_sample(m, 20, samples, seed, workers)[1] == est
+            assert mc_sample(m, 20, samples, seed)[1] == est
 
     def test_power_of_two_scale_is_exact(self):
         # f of m / 2^500 is f of m times 2^-1000, near the bottom of the
@@ -483,6 +475,9 @@ def sweep_maps():
     rng = np.random.default_rng(2026)
     maps = {f"random{n}": random_matrix(rng, n) for n in range(1, 6)}
     maps["non_normal2"] = np.array([[1.0, 2.0], [0.0, -0.5j]])
+    # Normal to eig2_normal's tolerance, but W(m) is a visible ellipse: the
+    # closed-form support holds about a fifth of its draws.
+    maps["nearly_normal2"] = np.array([[1.0, 5e-6], [0.0, 1.0 + 1e-6]])
     u, v = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     maps["rank1"] = np.outer(u, v.conj())
     maps["scalar3"] = (0.6 - 0.8j) * np.eye(3)
@@ -510,7 +505,7 @@ class TestOuterRange:
             hist = mc_histogram(m, bins, samples, seed)
             assert hist.counts.sum() == samples
             assert (hist.edges[0], hist.edges[-1]) == (lo, hi)
-            f = fidelities(m, samples, seed, 1)
+            f = fidelities(m, samples, seed)
             assert lo - slack <= f.min() and f.max() <= hi + slack
 
     @pytest.mark.parametrize("n", [1, 3, 5])

@@ -35,14 +35,17 @@ def _names(tree) -> set[str]:
 
 
 def test_sampler_stays_behind_its_stream():
-    # The closed forms need no sampler, and the batch size belongs to the
-    # one stream, sampling.state_batches.
+    # The closed forms need no sampler, and the batch size and the seeding
+    # belong to the one stream, sampling.state_batches.
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert "sampling" not in _names(trees["moments.py"])
     assert [name for name, tree in trees.items() if "_BATCH" in _names(tree)] == ["sampling.py"]
+    assert [name for name, tree in trees.items() if "SeedSequence" in _names(tree)] == [
+        "sampling.py"
+    ]
 
 
 def test_public_api_is_the_agreed_list():
@@ -84,7 +87,6 @@ def test_public_api_is_the_agreed_list():
         "normal_pdf",
         "optimize",
         "quadrature_moments",
-        "sample_states",
         "variance",
     ]
 

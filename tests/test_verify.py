@@ -58,9 +58,9 @@ def test_mc_checks_draw_from_the_one_stream(monkeypatch, check, estimates):
     drawn = []
     gaussian_rows = sampling._gaussian_rows
 
-    def counting(n, rng, z, r2):
+    def counting(rng, z, r2):
         drawn.append(len(z))
-        return gaussian_rows(n, rng, z, r2)
+        return gaussian_rows(rng, z, r2)
 
     monkeypatch.setattr(sampling, "_gaussian_rows", counting)
     samples = 5_000
