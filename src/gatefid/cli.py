@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .linalg import QubitSpectrum, eig2_normal
+from .linalg import ConfigError, QubitSpectrum, eig2_normal
 from .moments import GateSpec, InvariantError, gate_moments, kraus_avg_fidelity
 from .optimize import (
-    ConfigError,
     EvaluatorError,
     Objective,
     OptimizeConfig,
@@ -76,20 +75,14 @@ def _load(path: str, loader):
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _at_least(minimum: int):
-    """An argparse ``type``: an int no smaller than ``minimum``. A bad value
-    reaches ``_Parser.error``, so it is a usage error naming the minimum."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        return value
-
-    return parse
+def _seed(text: str) -> int:
+    """An argparse ``type``: a non-negative int. The library leaves a negative
+    seed to ``SeedSequence``, so this check is the CLI's own; a bad value
+    reaches ``_Parser.error``, a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _parse_complex(text: str) -> complex:
@@ -169,8 +162,6 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.samples < args.bins:
-        raise UsageError(f"--samples ({args.samples}) must be at least --bins ({args.bins})")
     m = _load(args.matrix, load_matrix)
     hist, est = mc_sample(m, args.bins, args.samples, args.seed)
     csv_path = f"{args.out}.csv"
@@ -308,21 +299,21 @@ def _build_parser() -> _Parser:
     group.add_argument("--matrix", help="2x2 normal comparison matrix (JSON)")
     group.add_argument("--lambda0", help="first eigenvalue as re,im")
     p.add_argument("--lambda1", help="second eigenvalue as re,im")
-    p.add_argument("--grid", type=_at_least(2), default=512, help="CSV grid size")
+    p.add_argument("--grid", type=int, default=512, help="CSV grid size")
     p.add_argument("--out", default="dist_pdf.csv", help="density CSV path")
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("sample", help="Monte-Carlo fidelity histogram")
     p.add_argument("--matrix", required=True, help="comparison matrix (JSON)")
-    p.add_argument("--samples", type=_at_least(100), default=100_000)
-    p.add_argument("--bins", type=_at_least(2), default=50)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("verify", help="cross-module consistency checks")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--seed", type=_at_least(0), default=20260810)
+    p.add_argument("--seed", type=_seed, default=20260810)
     p.add_argument("--out", help="write the JSON report here as well")
     p.set_defaults(func=_cmd_verify)
 
@@ -343,7 +334,8 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    # A ConfigError is a problem file whose fields do not fit together.
+    # A ConfigError is a setting out of range, such as --bins 1, or a problem
+    # file whose fields do not fit together.
     except (UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

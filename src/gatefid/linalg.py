@@ -17,6 +17,11 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 
 
+class ConfigError(ValueError):
+    """A setting is out of range, or settings do not fit together: a usage
+    error, raised before any work is done."""
+
+
 class NotNormalError(ValueError):
     """The matrix does not commute with its adjoint within tolerance."""
 

@@ -14,16 +14,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import NotNormalError, as_matrix, check_selector, eig2_normal
+from .linalg import ConfigError, NotNormalError, as_matrix, check_selector, eig2_normal
 from .moments import avg_fidelity, comparison_matrix, variance
 from .qubit_dist import DegenerateSpectrumError, normal_pdf
 
 OBJECTIVE_KINDS = ("mean", "mean_minus_k_sigma", "min_support")
-
-
-class ConfigError(ValueError):
-    """The inputs of a tune do not fit together: a usage error, raised
-    before any probe runs."""
 
 
 class EvaluatorError(RuntimeError):

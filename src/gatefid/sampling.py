@@ -11,8 +11,10 @@ the last bits.
 ``mc_moment``, ``mc_histogram`` and ``mc_sample`` make one streaming pass over
 those batches into one tally: running moments and bin counts, so their memory
 does not grow with the sample count. A histogram's range is fixed before the
-first draw: the caller's, or an outer bound on f from the map's numerical
-range. ``mc_sample`` takes its estimate and its histogram from the same draws.
+first draw: an outer bound on f from the map's numerical range, or, for
+``mc_histogram``, the caller's. ``mc_sample`` takes its estimate and its
+histogram from the same draws. A bad bin or sample count raises
+:class:`~gatefid.linalg.ConfigError`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import ConfigError, as_matrix
 
 _BATCH = 1 << 14
 _ANGLES = 64
@@ -156,9 +158,9 @@ def _fidelity_batches(m: np.ndarray, samples: int, seed: int) -> Iterator[np.nda
 
 def _check_bins(bins: int, samples: int) -> None:
     if bins < 2:
-        raise ValueError("bins must be at least 2")
+        raise ConfigError(f"bins must be at least 2, got {bins}")
     if samples < bins:
-        raise ValueError("samples must be at least bins")
+        raise ConfigError(f"samples ({samples}) must be at least bins ({bins})")
 
 
 def _herm_spectra(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -306,9 +308,9 @@ def _stream(
 def mc_moment(m: np.ndarray, order: int, samples: int, seed: int) -> McEstimate:
     """Monte-Carlo estimate of the Haar average of |<psi|m|psi>|^(2*order)."""
     if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
+        raise ConfigError("order must be 1 or 2")
     if samples < 100:
-        raise ValueError("samples must be at least 100")
+        raise ConfigError(f"samples must be at least 100, got {samples}")
     return _stream(m, samples, seed, order).estimate(seed)
 
 
@@ -332,16 +334,11 @@ def mc_histogram(
     return tally.histogram(seed)
 
 
-def mc_sample(
-    m: np.ndarray,
-    bins: int,
-    samples: int,
-    seed: int,
-    value_range: tuple[float, float] | None = None,
-) -> tuple[Histogram, McEstimate]:
-    """``mc_histogram`` and ``mc_moment(m, 1, ...)`` from one draw of the states."""
+def mc_sample(m: np.ndarray, bins: int, samples: int, seed: int) -> tuple[Histogram, McEstimate]:
+    """``mc_histogram`` over its default range and ``mc_moment(m, 1, ...)``
+    from one draw of the states."""
     _check_bins(bins, samples)
     if samples < 100:
-        raise ValueError("samples must be at least 100")
-    tally = _stream(m, samples, seed, bins=bins, value_range=value_range)
+        raise ConfigError(f"samples must be at least 100, got {samples}")
+    tally = _stream(m, samples, seed, bins=bins)
     return tally.histogram(seed), tally.estimate(seed)

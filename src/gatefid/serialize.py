@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import ConfigError, as_matrix
 from .moments import KrausMap
 from .qubit_dist import DegenerateSpectrumError, FidelityDistribution
 from .sampling import Histogram
@@ -91,7 +91,7 @@ def write_histogram_csv(h: Histogram, path: str | Path) -> None:
 def density_csv_lines(d: FidelityDistribution, grid: int) -> list[str]:
     """CSV rows ``f,density`` on a grid nudged off the singular endpoint."""
     if grid < 2:
-        raise ValueError("grid must be at least 2")
+        raise ConfigError("grid must be at least 2")
     lo, hi = d.support()
     # Each end carries a few ulps of rounding, so a support this narrow has a
     # true width below float resolution: the law is a point mass there.

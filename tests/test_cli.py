@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gatefid
-from gatefid import depolarizing_kraus, eig2_normal, mc_histogram, mc_moment, normal_pdf
+from gatefid import depolarizing_kraus, mc_histogram, mc_moment
 from gatefid import cli as cli_mod, sampling
 from gatefid.cli import main
 from gatefid.moments import MomentReport
@@ -772,19 +772,19 @@ class TestNonFiniteJson:
 
 # Flags (before the matrix and output flags) and a part of the error line.
 BAD_FLAGS = {
-    "sample_samples": (["sample", "--samples", "50"], "--samples: must be at least 100"),
-    "sample_samples_not_int": (["sample", "--samples", "1e5"], "--samples: expected an integer"),
-    "sample_bins": (["sample", "--bins", "1"], "--bins: must be at least 2"),
+    "sample_samples": (["sample", "--samples", "50"], "samples must be at least 100"),
+    "sample_samples_not_int": (["sample", "--samples", "1e5"], "--samples: invalid int value"),
+    "sample_bins": (["sample", "--bins", "1"], "bins must be at least 2"),
     "samples_below_bins": (
         ["sample", "--samples", "200", "--bins", "300"],
-        "--samples (200) must be at least --bins (300)",
+        "samples (200) must be at least bins (300)",
     ),
     "sample_seed": (["sample", "--seed", "-1"], "--seed: must be at least 0"),
     "sample_workers": (["sample", "--workers", "3"], "unrecognized arguments: --workers"),
     "verify_seed": (["verify", "--seed", "-1"], "--seed: must be at least 0"),
     "dist_grid": (
         ["dist", "--lambda0", "1,0", "--lambda1", "0,1", "--grid", "1"],
-        "--grid: must be at least 2",
+        "grid must be at least 2",
     ),
     "dist_lambda1_with_matrix": (["dist", "--lambda1", "1,0"], "--lambda1"),
 }
