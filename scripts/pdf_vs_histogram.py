@@ -11,7 +11,7 @@ import argparse
 import json
 from pathlib import Path
 
-from gatefid import compare_histogram, mc_histogram, normal_pdf, quadrature_moments
+from gatefid import compare_histogram, mc_sample, normal_pdf, quadrature_moments
 from gatefid.serialize import write_density_csv, write_histogram_csv
 from gatefid.verify import reference_matrix, reference_spectrum
 
@@ -27,10 +27,7 @@ def main() -> None:
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     dist = normal_pdf(reference_spectrum())
-    hist = mc_histogram(
-        reference_matrix(), args.bins, args.samples, args.seed,
-        value_range=dist.support(),
-    )
+    hist, _ = mc_sample(reference_matrix(), args.bins, args.samples, args.seed)
     write_density_csv(dist, args.grid, args.outdir / "density.csv")
     write_histogram_csv(hist, args.outdir / "histogram.csv")
 

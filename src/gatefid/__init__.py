@@ -50,8 +50,8 @@ from .qubit_dist import (
 from .sampling import (
     Histogram,
     McEstimate,
-    mc_histogram,
     mc_moment,
+    mc_sample,
     monomial_integral_exact,
 )
 
@@ -86,8 +86,8 @@ __all__ = [
     "fourth_moment_hermitian",
     "gate_moments",
     "kraus_avg_fidelity",
-    "mc_histogram",
     "mc_moment",
+    "mc_sample",
     "monomial_integral_exact",
     "normal_pdf",
     "optimize",

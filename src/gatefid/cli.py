@@ -134,6 +134,8 @@ def _cmd_moments(args) -> int:
     actual = _load(args.actual, load_matrix)
     try:
         spec = GateSpec(target=target, actual=actual, subspace=subspace)
+    except ConfigError:
+        raise  # a bad --subspace is a usage error
     except ValueError as exc:
         raise InvariantError(f"target {args.target}: {exc}") from exc
     _emit(gate_moments(spec).as_dict())

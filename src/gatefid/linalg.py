@@ -43,37 +43,38 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.conjugate(np.asarray(m)).T
 
 
-def _within(a: np.ndarray, tol: float) -> bool:
-    """The entrywise max modulus of ``a`` is at most ``tol`` (absolute)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return float(np.abs(a).max()) <= tol
+def _within(a: np.ndarray) -> bool:
+    """The entrywise max modulus of ``a`` is at most ``DEFAULT_TOL`` (absolute)."""
+    return float(np.abs(a).max()) <= DEFAULT_TOL
 
 
-def _is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """``m^dag m = I`` within ``tol``, for a matrix from :func:`as_matrix`."""
+def _is_unitary(m: np.ndarray) -> bool:
+    """``m^dag m = I`` within ``DEFAULT_TOL``, for a matrix from
+    :func:`as_matrix`."""
     gram = adjoint(m) @ m
     gram.ravel()[:: m.shape[0] + 1] -= 1.0  # a view: the product is contiguous
-    return _within(gram, tol)
+    return _within(gram)
 
 
-def _is_normal(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """``m m^dag = m^dag m`` within ``tol``, for a matrix from :func:`as_matrix`."""
+def _is_normal(m: np.ndarray) -> bool:
+    """``m m^dag = m^dag m`` within ``DEFAULT_TOL``, for a matrix from
+    :func:`as_matrix`."""
     md = adjoint(m)
     comm = m @ md
     comm -= md @ m
-    return _within(comm, tol)
+    return _within(comm)
 
 
 def check_selector(indices: Sequence[int], dim: int) -> tuple[int, ...]:
-    """Validate a basis-index subset defining a subspace projector."""
+    """Validate a basis-index subset defining a subspace projector; a bad
+    one raises :class:`ConfigError`."""
     sel = tuple(int(i) for i in indices)
     if not sel:
-        raise ValueError("subspace selector must be non-empty")
+        raise ConfigError("subspace selector must be non-empty")
     if any(i < 0 or i >= dim for i in sel):
-        raise ValueError(f"selector indices must lie in [0, {dim})")
+        raise ConfigError(f"selector indices must lie in [0, {dim})")
     if any(b <= a for a, b in zip(sel, sel[1:])):
-        raise ValueError("selector indices must be strictly increasing")
+        raise ConfigError("selector indices must be strictly increasing")
     return sel
 
 
@@ -107,10 +108,11 @@ class QubitSpectrum:
         return cls(lo, hi)
 
 
-def eig2_normal(m: np.ndarray, tol: float = DEFAULT_TOL) -> QubitSpectrum:
+def eig2_normal(m: np.ndarray) -> QubitSpectrum:
     """Both eigenvalues of a 2x2 normal matrix, by the closed-form quadratic.
 
-    Raises :class:`NotNormalError` if the matrix is not normal within ``tol``.
+    Raises :class:`NotNormalError` if the matrix is not normal within
+    ``DEFAULT_TOL``.
     """
     m = as_matrix(m)
     if m.shape[0] != 2:
@@ -120,7 +122,7 @@ def eig2_normal(m: np.ndarray, tol: float = DEFAULT_TOL) -> QubitSpectrum:
     big = float(np.abs(m).max())
     if not math.isfinite(16.0 * big * big):
         raise ValueError(f"matrix is not representable: |m_ij|^2 overflows (max |m_ij| = {big!r})")
-    if not _is_normal(m, tol):
+    if not _is_normal(m):
         raise NotNormalError("matrix is not normal within tolerance")
     a, b = complex(m[0, 0]), complex(m[0, 1])
     c, d = complex(m[1, 0]), complex(m[1, 1])

@@ -183,7 +183,7 @@ def _mean(m: np.ndarray) -> float:
 
 
 @_quiet_overflow
-def fourth_moment_hermitian(s: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+def fourth_moment_hermitian(s: np.ndarray) -> float:
     """Haar average of <psi|s|psi>^4 for Hermitian (or anti-Hermitian) s.
 
     [6 Tr s^4 + 8 Tr s^3 Tr s + 3 (Tr s^2)^2 + 6 Tr s^2 (Tr s)^2 + (Tr s)^4]
@@ -192,8 +192,8 @@ def fourth_moment_hermitian(s: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """
     s = as_matrix(s)
     sd = adjoint(s)
-    hermitian = _within(s - sd, tol)
-    if not (hermitian or _within(s + sd, tol)):
+    hermitian = _within(s - sd)
+    if not (hermitian or _within(s + sd)):
         raise ValueError("matrix is neither Hermitian nor anti-Hermitian")
     n = s.shape[0]
     s2 = s @ s

@@ -8,13 +8,12 @@ fixed ``(seed, samples)`` pair. The stream yields unnormalized Gaussian rows
 a seed draws are pinned bit for bit; ``f`` may differ from earlier versions in
 the last bits.
 
-``mc_moment``, ``mc_histogram`` and ``mc_sample`` make one streaming pass over
-those batches into one tally: running moments and bin counts, so their memory
-does not grow with the sample count. A histogram's range is fixed before the
-first draw: an outer bound on f from the map's numerical range, or, for
-``mc_histogram``, the caller's. ``mc_sample`` takes its estimate and its
-histogram from the same draws. A bad bin or sample count raises
-:class:`~gatefid.linalg.ConfigError`.
+``mc_moment`` and ``mc_sample`` make one streaming pass over those batches
+into one tally: running moments and bin counts, so their memory does not grow
+with the sample count. A histogram's range is fixed before the first draw: an
+outer bound on f from the map's numerical range. ``mc_sample`` takes its
+estimate and its histogram from the same draws. A bad bin or sample count
+raises :class:`~gatefid.linalg.ConfigError`.
 """
 
 from __future__ import annotations
@@ -156,13 +155,6 @@ def _fidelity_batches(m: np.ndarray, samples: int, seed: int) -> Iterator[np.nda
         yield f
 
 
-def _check_bins(bins: int, samples: int) -> None:
-    if bins < 2:
-        raise ConfigError(f"bins must be at least 2, got {bins}")
-    if samples < bins:
-        raise ConfigError(f"samples ({samples}) must be at least bins ({bins})")
-
-
 def _herm_spectra(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of Herm(e^{-i t} a) for each angle t, by one
     batched ``eigvalsh`` on the (len(theta), n, n) stack."""
@@ -215,24 +207,19 @@ def _outer_range(m: np.ndarray, bins: int) -> tuple[float, float]:
 class _Tally:
     """What one pass over the value batches keeps.
 
-    Moments (unless ``moments`` is off, as for a histogram alone): each batch's
-    two-pass ``(count, mean, M2)`` is merged into the running one by the
-    pairwise update of Chan, Golub & LeVeque (Amer. Stat. 37, 1983). They are
-    taken on ``x / 2^e``, with ``2^e`` fixed by the first batch's largest
-    value, so squared deviations neither overflow nor underflow where ``x``
-    is near the ends of the float range; a power-of-two scale is exact, so
-    the estimate is the same bits as unscaled wherever that does not happen.
+    Moments: each batch's two-pass ``(count, mean, M2)`` is merged into the
+    running one by the pairwise update of Chan, Golub & LeVeque (Amer. Stat.
+    37, 1983). They are taken on ``x / 2^e``, with ``2^e`` fixed by the first
+    batch's largest value, so squared deviations neither overflow nor
+    underflow where ``x`` is near the ends of the float range; a power-of-two
+    scale is exact, so the estimate is the same bits as unscaled wherever
+    that does not happen.
     Histogram (when ``bins`` is given, over ``value_range``): each batch is
     clamped and its bin counts added.
     """
 
-    def __init__(
-        self,
-        bins: int = 0,
-        value_range: tuple[float, float] | None = None,
-        moments: bool = True,
-    ):
-        self.count, self.mean, self.m2, self.moments = 0, 0.0, 0.0, moments
+    def __init__(self, bins: int, value_range: tuple[float, float] | None):
+        self.count, self.mean, self.m2 = 0, 0.0, 0.0
         self.exponent = None  # of the moments' scale 2^e
         self.bins, self.range = bins, value_range
         self.counts, self.edges = np.zeros(bins, dtype=np.intp), None
@@ -244,17 +231,16 @@ class _Tally:
             self.work = np.empty(x.size)
         tmp = self.work[: x.size]
         count = self.count + x.size
-        if self.moments:
-            # The moments come first, so the estimate never sees the clamp.
-            if self.exponent is None:
-                # frexp(0) gives e = 0; the clamp keeps 2^e and 2^-e normal.
-                self.exponent = min(max(frexp(float(x.max()))[1], -1000), 1000)
-            np.multiply(x, ldexp(1.0, -self.exponent), out=tmp)
-            mean = float(tmp.mean())
-            np.square(np.subtract(tmp, mean, out=tmp), out=tmp)
-            delta = mean - self.mean
-            self.mean += delta * (x.size / count)
-            self.m2 += float(tmp.sum()) + delta * delta * (self.count * x.size / count)
+        # The moments come first, so the estimate never sees the clamp.
+        if self.exponent is None:
+            # frexp(0) gives e = 0; the clamp keeps 2^e and 2^-e normal.
+            self.exponent = min(max(frexp(float(x.max()))[1], -1000), 1000)
+        np.multiply(x, ldexp(1.0, -self.exponent), out=tmp)
+        mean = float(tmp.mean())
+        np.square(np.subtract(tmp, mean, out=tmp), out=tmp)
+        delta = mean - self.mean
+        self.mean += delta * (x.size / count)
+        self.m2 += float(tmp.sum()) + delta * delta * (self.count * x.size / count)
         if self.bins:
             # Keep boundary rounding dust (f = support edge +- ~1e-15) in range:
             # values up to ``slack`` outside an edge, or up to ``inner`` inside
@@ -283,21 +269,14 @@ class _Tally:
         return Histogram(self.edges, self.counts, self.count, seed)
 
 
-def _stream(
-    m: np.ndarray,
-    samples: int,
-    seed: int,
-    order: int = 1,
-    bins: int = 0,
-    value_range: tuple[float, float] | None = None,
-    moments: bool = True,
-) -> _Tally:
+def _stream(m: np.ndarray, samples: int, seed: int, order: int = 1, bins: int = 0) -> _Tally:
     """The one sampling loop: every batch of f (or f**2) goes into one tally,
-    binned over ``value_range`` or else over :func:`_outer_range`."""
-    if bins and value_range is None:
+    binned, when ``bins`` is given, over :func:`_outer_range`."""
+    value_range = None
+    if bins:
         m = as_matrix(m)
         value_range = _outer_range(m, bins)
-    tally = _Tally(bins, value_range, moments)
+    tally = _Tally(bins, value_range)
     for f in _fidelity_batches(m, samples, seed):
         if order == 2:
             np.square(f, out=f)
@@ -314,30 +293,18 @@ def mc_moment(m: np.ndarray, order: int, samples: int, seed: int) -> McEstimate:
     return _stream(m, samples, seed, order).estimate(seed)
 
 
-def mc_histogram(
-    m: np.ndarray,
-    bins: int,
-    samples: int,
-    seed: int,
-    value_range: tuple[float, float] | None = None,
-) -> Histogram:
-    """Histogram of sampled fidelities f = |<psi|m|psi>|^2.
-
-    ``value_range`` defaults to an outer bound on f from the numerical range
-    of ``m``, known before the first draw, so no sample is kept; its edges
-    hold every f but may lie outside the law's support. Pass the analytic
-    support when comparing against a closed-form density so bins align with
-    the support endpoints.
-    """
-    _check_bins(bins, samples)
-    tally = _stream(m, samples, seed, bins=bins, value_range=value_range, moments=False)
-    return tally.histogram(seed)
-
-
 def mc_sample(m: np.ndarray, bins: int, samples: int, seed: int) -> tuple[Histogram, McEstimate]:
-    """``mc_histogram`` over its default range and ``mc_moment(m, 1, ...)``
-    from one draw of the states."""
-    _check_bins(bins, samples)
+    """Histogram of sampled fidelities f = |<psi|m|psi>|^2 and
+    ``mc_moment(m, 1, ...)``, from one draw of the states.
+
+    The histogram's range is an outer bound on f from the numerical range of
+    ``m``, known before the first draw, so no sample is kept; its edges hold
+    every f but may lie outside the law's support.
+    """
+    if bins < 2:
+        raise ConfigError(f"bins must be at least 2, got {bins}")
+    if samples < bins:
+        raise ConfigError(f"samples ({samples}) must be at least bins ({bins})")
     if samples < 100:
         raise ConfigError(f"samples must be at least 100, got {samples}")
     tally = _stream(m, samples, seed, bins=bins)

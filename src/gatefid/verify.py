@@ -20,6 +20,8 @@ from .moments import GateSpec
 from .optimize import _leaky_map
 
 QUICK_SEED = 20260810
+_RATIO_BATCHES = 50  # of the Monte-Carlo conditional fidelity
+_MIN_SEP = 0.05  # between the eigenvalues of a random qubit spectrum
 
 
 @dataclass(frozen=True)
@@ -45,11 +47,11 @@ def _random_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
 
 
-def _random_spectrum(rng: np.random.Generator, min_sep: float = 0.05) -> QubitSpectrum:
+def _random_spectrum(rng: np.random.Generator) -> QubitSpectrum:
     while True:
         z = rng.uniform(-1, 1, 4)
         l0, l1 = complex(z[0], z[1]), complex(z[2], z[3])
-        if max(abs(l0), abs(l1)) <= 1.0 and abs(l0 - l1) >= min_sep:
+        if max(abs(l0), abs(l1)) <= 1.0 and abs(l0 - l1) >= _MIN_SEP:
             return QubitSpectrum.ordered(l0, l1)
 
 
@@ -178,9 +180,7 @@ def check_mc_closed_form(seed: int, samples: int) -> CheckResult:
 
 def check_histogram_regeneration(seed: int, samples: int, bins: int) -> CheckResult:
     dist = qubit_dist.normal_pdf(reference_spectrum())
-    hist = sampling.mc_histogram(
-        reference_matrix(), bins, samples, seed, value_range=dist.support()
-    )
+    hist, _ = sampling.mc_sample(reference_matrix(), bins, samples, seed)
     cmp = qubit_dist.compare_histogram(dist, hist)
     ratio = cmp.chi_square / cmp.dof
     ok = ratio < 1.5 and cmp.sup_norm_density_gap < 0.05
@@ -217,28 +217,28 @@ def check_conditional_oracle(seed: int, samples: int) -> CheckResult:
     return CheckResult("conditional_oracle", worst <= 4.0, f"max |z| = {worst:.2f} sigma")
 
 
-def _mc_conditional(g: GateSpec, samples: int, seed: int, batches: int = 50) -> tuple[float, float]:
+def _mc_conditional(g: GateSpec, samples: int, seed: int) -> tuple[float, float]:
     """Acceptance-weighted Monte-Carlo conditional fidelity over the subspace.
 
     Returns a batched ratio estimate with its standard error: the stream's
-    rows are cut into ``batches`` runs of ``samples // batches`` consecutive
-    rows (whole runs only), and each run gives the ratio of its mean fidelity
-    to its mean acceptance.
+    rows are cut into ``_RATIO_BATCHES`` runs of ``samples // _RATIO_BATCHES``
+    consecutive rows (whole runs only), and each run gives the ratio of its
+    mean fidelity to its mean acceptance.
     """
     num_op = moments.comparison_matrix(g.target, g.actual, g.subspace)
     den_op = moments.comparison_matrix(g.actual, g.actual, g.subspace)
-    per = samples // batches
-    sums = np.zeros((2, batches))
+    per = samples // _RATIO_BATCHES
+    sums = np.zeros((2, _RATIO_BATCHES))
     row = 0
-    for v, r2 in sampling.state_batches(len(g.subspace), per * batches, seed):
+    for v, r2 in sampling.state_batches(len(g.subspace), per * _RATIO_BATCHES, seed):
         run = (row + np.arange(len(v))) // per
         num = (np.abs(sampling.expectation(v, num_op)) / r2) ** 2
         den = sampling.expectation(v, den_op).real / r2
-        sums[0] += np.bincount(run, weights=num, minlength=batches)
-        sums[1] += np.bincount(run, weights=den, minlength=batches)
+        sums[0] += np.bincount(run, weights=num, minlength=_RATIO_BATCHES)
+        sums[1] += np.bincount(run, weights=den, minlength=_RATIO_BATCHES)
         row += len(v)
     ratios = sums[0] / sums[1]
-    return float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(batches))
+    return float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(_RATIO_BATCHES))
 
 
 def _sa_decomposition(m: np.ndarray, samples: int, seed: int) -> tuple[np.ndarray, float]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gatefid
-from gatefid import depolarizing_kraus, mc_histogram, mc_moment
+from gatefid import depolarizing_kraus, mc_moment, mc_sample
 from gatefid import cli as cli_mod, sampling
 from gatefid.cli import main
 from gatefid.moments import MomentReport
@@ -165,6 +165,18 @@ class TestMoments:
         )
         assert code == 2
         assert "mismatch" in err
+
+    @pytest.mark.parametrize(
+        "subspace,message",
+        [("0,5", "selector indices must lie in [0, 2)"), ("1,0", "strictly increasing")],
+        ids=["out_of_range", "not_increasing"],
+    )
+    def test_bad_subspace_exits_1_with_one_line(self, files, capsys, subspace, message):
+        # A bad selector is a usage error here, as in a problem file's "subspace".
+        argv = ["moments", "--target", files["eye2"], "--actual", files["eye2"]]
+        result = run(capsys, *argv, "--subspace", subspace)
+        assert_one_error_line_in_process(result, 1)
+        assert message in result[2]
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts_on", "optimized"])
     def test_unrepresentable_moment_exits_2(self, files, flags):
@@ -475,7 +487,7 @@ class TestSample:
 
     @pytest.mark.parametrize("name", ["reference", "random4"])
     def test_one_draw_feeds_histogram_and_estimate(self, files, capsys, monkeypatch, name):
-        # The CSV must be mc_histogram's and the JSON mean mc_moment's on the
+        # The CSV must be mc_sample's and the JSON mean mc_moment's on the
         # same seed, while the command draws each of its states only once.
         # Every map is binned over the sampler's outer range.
         if name == "random4":
@@ -503,7 +515,7 @@ class TestSample:
         monkeypatch.undo()
         rows = (files["dir"] / f"one_{name}.csv").read_text().strip().splitlines()[1:]
         counts = [int(row.split(",")[2]) for row in rows]
-        hist = mc_histogram(m, bins, samples, seed)
+        hist, _ = mc_sample(m, bins, samples, seed)
         assert counts == hist.counts.tolist()
         mean = json.loads(out)["mean"]
         want = mc_moment(m, 1, samples, seed).mean

@@ -5,15 +5,18 @@ import pytest
 
 from gatefid import (
     DegenerateSpectrumError,
+    Histogram,
     QubitSpectrum,
     avg_fidelity,
     compare_histogram,
     fourth_moment_general,
-    mc_histogram,
+    mc_sample,
     normal_pdf,
     quadrature_moments,
 )
 from gatefid.moments import InvariantError
+from gatefid.sampling import expectation
+from conftest import haar_states
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
 L1 = 0.8 * np.exp(1j * 4 * np.pi / 5)
@@ -26,6 +29,13 @@ def random_spectrum(rng, min_sep=0.05):
         l0, l1 = complex(z[0], z[1]), complex(z[2], z[3])
         if max(abs(l0), abs(l1)) <= 1.0 and abs(l0 - l1) >= min_sep:
             return QubitSpectrum.ordered(l0, l1)
+
+
+def histogram_over(m, bins, samples, seed, value_range):
+    """Histogram of the seed's sampled fidelities of ``m`` over a given range."""
+    f = np.abs(expectation(haar_states(m.shape[0], samples, seed), m)) ** 2
+    counts, edges = np.histogram(f, bins, value_range)
+    return Histogram(edges=edges, counts=counts, samples=samples, seed=seed)
 
 
 def unit_spectrum(phi0, phi1):
@@ -312,7 +322,7 @@ class TestNearUnitModulus:
         d = normal_pdf(QubitSpectrum.ordered(l0, l1))
         assert d.case == case and d.s0 > 0
         samples = 200_000
-        h = mc_histogram(np.diag([l0, l1]), 200, samples, seed=17)
+        h, _ = mc_sample(np.diag([l0, l1]), 200, samples, seed=17)
         lo, hi = d.support()
         slack = 16 * np.finfo(float).eps  # rounding of the sampled f near 1
         assert lo - slack <= h.edges[0] and h.edges[-1] <= hi + slack
@@ -327,8 +337,6 @@ class TestCompareHistogram:
         rng = np.random.default_rng(8)
         values = np.array([ppf(d, u) for u in rng.uniform(0, 1, 40_000)])
         counts, edges = np.histogram(values, bins=40, range=d.support())
-        from gatefid import Histogram
-
         h = Histogram(edges=edges, counts=counts, samples=40_000, seed=8)
         cmp_ = compare_histogram(d, h)
         assert 0.4 <= cmp_.chi_square / cmp_.dof <= 1.5
@@ -336,7 +344,7 @@ class TestCompareHistogram:
     def test_reference_mc_agreement(self):
         d = normal_pdf(REFERENCE)
         m = np.diag([L0, L1])
-        h = mc_histogram(m, 50, 200_000, seed=6, value_range=d.support())
+        h, _ = mc_sample(m, 50, 200_000, seed=6)
         cmp_ = compare_histogram(d, h)
         assert cmp_.chi_square / cmp_.dof < 1.5
         assert cmp_.dof == cmp_.bins_compared - 1
@@ -350,7 +358,7 @@ class TestCompareHistogram:
             s = random_spectrum(rng)
             d = normal_pdf(s)
             m = np.diag([s.lambda0, s.lambda1])
-            h = mc_histogram(m, 30, 100_000, seed=500 + i, value_range=d.support())
+            h, _ = mc_sample(m, 30, 100_000, seed=500 + i)
             cmp_ = compare_histogram(d, h)
             width = d.support()[1] - d.support()[0]
             scaled = cmp_.sup_norm_density_gap * width / np.sqrt(30 / 100_000)
@@ -360,9 +368,7 @@ class TestCompareHistogram:
     def test_opposite_phase_histogram(self):
         # diag(1, e^{i pi}) has density 1/(2 sqrt(f)) on [0, 1].
         d = normal_pdf(QubitSpectrum.ordered(1.0, -1.0))
-        h = mc_histogram(
-            np.diag([1.0, -1.0]), 40, 100_000, seed=13, value_range=d.support()
-        )
+        h, _ = mc_sample(np.diag([1.0, -1.0]), 40, 100_000, seed=13)
         cmp_ = compare_histogram(d, h)
         assert cmp_.chi_square / cmp_.dof < 1.5
 
@@ -372,14 +378,14 @@ class TestCompareHistogram:
             0.75 * np.exp(1j * np.pi / 8), 0.8 * np.exp(1j * 4.2 * np.pi / 5)
         )
         d_wrong = normal_pdf(wrong)
-        h = mc_histogram(m, 50, 100_000, seed=99, value_range=d_wrong.support())
+        h = histogram_over(m, 50, 100_000, 99, d_wrong.support())
         cmp_ = compare_histogram(d_wrong, h)
         assert cmp_.chi_square / cmp_.dof > 3.0
 
     def test_rejects_out_of_support_histogram(self):
         d = normal_pdf(REFERENCE)
         m = np.diag([L0, L1])
-        h = mc_histogram(m, 10, 1000, seed=3, value_range=(0.0, 1.0))
+        h = histogram_over(m, 10, 1000, 3, (0.0, 1.0))
         with pytest.raises(ValueError, match="beyond the support"):
             compare_histogram(d, h)
 

@@ -7,8 +7,8 @@ import pytest
 
 from gatefid import (
     eig2_normal,
-    mc_histogram,
     mc_moment,
+    mc_sample,
     monomial_integral_exact,
     normal_pdf,
 )
@@ -20,7 +20,6 @@ from gatefid.sampling import (
     _gaussian_rows,
     _outer_range,
     expectation,
-    mc_sample,
     state_batches,
 )
 from conftest import (
@@ -306,18 +305,18 @@ class TestMcMoment:
 
 class TestMcHistogram:
     def test_identity_mass_in_top_bin(self):
-        h = mc_histogram(np.eye(2), 10, 1000, seed=0, value_range=(0.0, 1.0))
+        h, _ = mc_sample(np.eye(2), 10, 1000, seed=0)
         assert h.counts[-1] == 1000
         assert h.counts[:-1].sum() == 0
 
     def test_deterministic(self):
-        a = mc_histogram(REFERENCE, 20, 5000, seed=4)
-        b = mc_histogram(REFERENCE, 20, 5000, seed=4)
+        a, _ = mc_sample(REFERENCE, 20, 5000, seed=4)
+        b, _ = mc_sample(REFERENCE, 20, 5000, seed=4)
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.edges, b.edges)
 
     def test_densities_normalized(self):
-        h = mc_histogram(REFERENCE, 25, 20_000, seed=5)
+        h, _ = mc_sample(REFERENCE, 25, 20_000, seed=5)
         total = (h.densities * h.widths).sum()
         assert total == pytest.approx(h.counts.sum() / h.samples)
 
@@ -339,21 +338,22 @@ class TestMcHistogram:
         assert np.array_equal(h.counts, np.histogram(want, 20, (0.2, 0.6))[0])
 
     def test_range_narrower_than_the_slack_keeps_its_shape(self):
-        # The support of diag(1, e^{i 1e-4}) is 2.5e-9 wide, under the 1e-9
-        # edge slack on either side: no value inside may move onto an edge.
+        # The support of diag(1, e^{i 1e-4}) is 2.5e-9 wide, and so is the
+        # outer range, under the 1e-9 edge slack on either side: no value
+        # inside may move onto an edge.
         m = np.diag([1.0, np.exp(1e-4j)])
         d = normal_pdf(eig2_normal(m))
         samples = 100_000
-        h = mc_histogram(m, 10, samples, seed=1, value_range=d.support())
+        h, _ = mc_sample(m, 10, samples, seed=1)
         assert h.counts.sum() == samples
         sampled = np.cumsum(h.counts) / samples
         assert np.abs(d.cdf(h.edges[1:]) - sampled).max() <= 1.63 / np.sqrt(samples)
 
     def test_validates_bins(self):
         with pytest.raises(ConfigError):
-            mc_histogram(np.eye(2), 1, 100, seed=0)
+            mc_sample(np.eye(2), 1, 100, seed=0)
         with pytest.raises(ConfigError):
-            mc_histogram(np.eye(2), 64, 10, seed=0)
+            mc_sample(np.eye(2), 64, 10, seed=0)
 
 
 class TestStream:
@@ -381,12 +381,13 @@ class TestStream:
             assert want[0].sum() == np.histogram(f, bins, value_range)[0].sum() + 2
         else:
             assert want[0].sum() == samples
-        hists = [mc_histogram(REFERENCE, bins, samples, seed, value_range)]
-        if not known:
-            hists.append(mc_sample(REFERENCE, bins, samples, seed)[0])
-        for hist in hists:
-            assert hist.counts.tobytes() == want[0].tobytes()
-            assert hist.edges.tobytes() == want[1].tobytes()
+        if known:
+            cuts = range(0, samples, _BATCH)
+            hist = tally_histogram((f[a : a + _BATCH] for a in cuts), bins, value_range)
+        else:
+            hist, _ = mc_sample(REFERENCE, bins, samples, seed)
+        assert hist.counts.tobytes() == want[0].tobytes()
+        assert hist.edges.tobytes() == want[1].tobytes()
 
     def test_computed_range_edges_in_different_batches(self):
         # Values within the edge slack of both computed edges, just inside
@@ -447,22 +448,16 @@ class TestStream:
         assert est.std_error == want.std(ddof=1) / np.sqrt(want.size)
 
     def test_memory_flat_in_samples(self):
-        # Neither a known support nor the computed outer range (a 4x4 map,
-        # a non-normal 2x2 map) keeps anything sized by the sample count.
-        support = normal_pdf(eig2_normal(REFERENCE)).support()
+        # No map (the 2x2 reference, a 4x4 map, a non-normal 2x2 map) keeps
+        # anything sized by the sample count.
         random4 = random_matrix(np.random.default_rng(4), 4, scale=0.25)
         non_normal = np.array([[1.0, 2.0], [0.0, -0.5j]])
-        runs = (
-            lambda samples: mc_histogram(REFERENCE, 50, samples, seed=1, value_range=support),
-            lambda samples: mc_sample(random4, 50, samples, seed=1),
-            lambda samples: mc_sample(non_normal, 50, samples, seed=1),
-        )
-        for run in runs:
+        for m in (REFERENCE, random4, non_normal):
             peaks = []
             for samples in (200_000, 800_000):
                 tracemalloc.start()
                 try:
-                    run(samples)
+                    mc_sample(m, 50, samples, seed=1)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -506,9 +501,8 @@ class TestOuterRange:
         lo, hi = _outer_range(m, bins)
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
         for seed in range(3):
-            # mc_histogram: at scale 1e150, f is near 1e300 and the squared
-            # deviations that mc_sample's estimate sums overflow.
-            hist = mc_histogram(m, bins, samples, seed)
+            hist, est = mc_sample(m, bins, samples, seed)
+            assert est == mc_moment(m, 1, samples, seed)
             assert hist.counts.sum() == samples
             assert (hist.edges[0], hist.edges[-1]) == (lo, hi)
             f = fidelities(m, samples, seed)
@@ -516,7 +510,7 @@ class TestOuterRange:
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_scalar_map_parks_all_mass_in_top_bin(self, n):
-        h = mc_histogram((0.3 + 0.4j) * np.eye(n), 20, 1000, seed=0)
+        h, _ = mc_sample((0.3 + 0.4j) * np.eye(n), 20, 1000, seed=0)
         assert h.counts[-1] == 1000
         assert h.edges[-1] == pytest.approx(0.25, rel=1e-15)
 
@@ -538,4 +532,4 @@ class TestOuterRange:
         lo, hi = _outer_range(1e200 * np.eye(3), 50)
         assert np.isfinite(lo) and hi == np.finfo(float).max
         with pytest.raises(ValueError, match="overflows"):
-            mc_histogram(1e200 * np.eye(3), 50, 1000, seed=0)
+            mc_sample(1e200 * np.eye(3), 50, 1000, seed=0)

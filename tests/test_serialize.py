@@ -3,10 +3,10 @@ import pytest
 
 from gatefid import (
     DegenerateSpectrumError,
+    Histogram,
     KrausMap,
     QubitSpectrum,
     depolarizing_kraus,
-    mc_histogram,
     normal_pdf,
 )
 from gatefid.serialize import (
@@ -68,7 +68,9 @@ class TestKrausJson:
 
 class TestCsv:
     def test_histogram_lines(self):
-        h = mc_histogram(np.eye(2), 4, 100, seed=0, value_range=(0.0, 1.0))
+        # 100 fidelities of the identity, all 1, over [0, 1]
+        counts, edges = np.histogram(np.ones(100), 4, (0.0, 1.0))
+        h = Histogram(edges=edges, counts=counts, samples=100, seed=0)
         lines = histogram_csv_lines(h)
         assert lines[0] == "bin_lo,bin_hi,count,density"
         assert len(lines) == 5

@@ -81,8 +81,8 @@ def test_public_api_is_the_agreed_list():
         "fourth_moment_hermitian",
         "gate_moments",
         "kraus_avg_fidelity",
-        "mc_histogram",
         "mc_moment",
+        "mc_sample",
         "monomial_integral_exact",
         "normal_pdf",
         "optimize",
