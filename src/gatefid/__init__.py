@@ -24,7 +24,6 @@ from .moments import (
     conditional_fidelity,
     depolarizing_kraus,
     fourth_moment_general,
-    fourth_moment_hermitian,
     gate_moments,
     kraus_avg_fidelity,
     variance,
@@ -83,7 +82,6 @@ __all__ = [
     "eig2_normal",
     "evaluate_objective",
     "fourth_moment_general",
-    "fourth_moment_hermitian",
     "gate_moments",
     "kraus_avg_fidelity",
     "mc_moment",

@@ -43,32 +43,21 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.conjugate(np.asarray(m)).T
 
 
-def _within(a: np.ndarray) -> bool:
-    """The entrywise max modulus of ``a`` is at most ``DEFAULT_TOL`` (absolute)."""
-    return float(np.abs(a).max()) <= DEFAULT_TOL
-
-
 def _is_unitary(m: np.ndarray) -> bool:
-    """``m^dag m = I`` within ``DEFAULT_TOL``, for a matrix from
-    :func:`as_matrix`."""
+    """``m^dag m = I`` within ``DEFAULT_TOL`` (absolute: unitarity fixes the
+    scale), for a matrix from :func:`as_matrix`."""
     gram = adjoint(m) @ m
     gram.ravel()[:: m.shape[0] + 1] -= 1.0  # a view: the product is contiguous
-    return _within(gram)
-
-
-def _is_normal(m: np.ndarray) -> bool:
-    """``m m^dag = m^dag m`` within ``DEFAULT_TOL``, for a matrix from
-    :func:`as_matrix`."""
-    md = adjoint(m)
-    comm = m @ md
-    comm -= md @ m
-    return _within(comm)
+    return float(np.abs(gram).max()) <= DEFAULT_TOL
 
 
 def check_selector(indices: Sequence[int], dim: int) -> tuple[int, ...]:
     """Validate a basis-index subset defining a subspace projector; a bad
     one raises :class:`ConfigError`."""
-    sel = tuple(int(i) for i in indices)
+    raw = tuple(indices)
+    sel = tuple(int(i) for i in raw)
+    if sel != raw:
+        raise ConfigError(f"selector indices must be integers, got {raw!r}")
     if not sel:
         raise ConfigError("subspace selector must be non-empty")
     if any(i < 0 or i >= dim for i in sel):
@@ -98,7 +87,7 @@ class QubitSpectrum:
 
     def __post_init__(self):
         if not (cmath.isfinite(self.lambda0) and cmath.isfinite(self.lambda1)):
-            raise ValueError("eigenvalues must be finite")
+            raise ValueError(f"eigenvalues ({self.lambda0!r}, {self.lambda1!r}) are not finite")
         if abs(self.lambda0) > abs(self.lambda1):
             raise ValueError("eigenvalues must be ordered |lambda0| <= |lambda1|")
 
@@ -109,29 +98,31 @@ class QubitSpectrum:
 
 
 def eig2_normal(m: np.ndarray) -> QubitSpectrum:
-    """Both eigenvalues of a 2x2 normal matrix, by the closed-form quadratic.
+    """Both eigenvalues of a 2x2 normal matrix, read off its Bloch form.
 
-    Raises :class:`NotNormalError` if the matrix is not normal within
-    ``DEFAULT_TOL``.
+    With ``m = z0 I + c.sigma`` (sigma the Pauli vector), the eigenvalues are
+    ``z0 -+ sqrt(c.c)`` and ``[m, m^dag] = 4 (Re c x Im c).sigma``. The
+    numerical range is an ellipse whose minor semi-axis is, to within sqrt 2,
+    ``|Re c x Im c| / |c|``; unless that is at most ``DEFAULT_TOL`` relative
+    to ``max|m_ij|``, :class:`NotNormalError` is raised. The work runs on
+    ``m / 2^e`` with ``2^e`` near ``max|m_ij|``, and scaling by a power of two
+    is exact, so ``eig2_normal(2^k m)`` is ``2^k eig2_normal(m)`` bit for bit
+    while ``2^e`` stays within ``2^-1000 .. 2^1000``.
     """
     m = as_matrix(m)
     if m.shape[0] != 2:
         raise ValueError("eig2_normal requires a 2x2 matrix")
-    # The normality test forms m m^dag - m^dag m, whose parts stay below
-    # 16 max|m_ij|^2; past that it overflows and cannot tell normal maps apart.
-    big = float(np.abs(m).max())
-    if not math.isfinite(16.0 * big * big):
-        raise ValueError(f"matrix is not representable: |m_ij|^2 overflows (max |m_ij| = {big!r})")
-    if not _is_normal(m):
+    entries = m.ravel().tolist()
+    big = max(max(abs(z.real), abs(z.imag)) for z in entries)
+    # frexp(0) gives e = 0; the clamp keeps 2^e and 2^-e normal.
+    e = min(max(math.frexp(big)[1], -1000), 1000)
+    a, b, c, d = (z * math.ldexp(1.0, -e) for z in entries)
+    z0 = 0.5 * (a + d)
+    bloch = (0.5 * (b + c), 0.5j * (b - c), 0.5 * (a - d))
+    (px, qx), (py, qy), (pz, qz) = ((v.real, v.imag) for v in bloch)
+    cross = math.hypot(py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx)
+    if cross > DEFAULT_TOL * math.hypot(px, py, pz, qx, qy, qz):
         raise NotNormalError("matrix is not normal within tolerance")
-    a, b = complex(m[0, 0]), complex(m[0, 1])
-    c, d = complex(m[1, 0]), complex(m[1, 1])
-    half_tr = 0.5 * (a + d)
-    det = a * d - b * c
-    r = cmath.sqrt(half_tr * half_tr - det)
-    # Pick the root that avoids cancellation, recover the other from det.
-    if (half_tr.conjugate() * r).real < 0.0:
-        r = -r
-    big = half_tr + r
-    small = det / big if big != 0 else half_tr - r
-    return QubitSpectrum.ordered(small, big)
+    w = cmath.sqrt(sum(v * v for v in bloch))
+    scale = math.ldexp(1.0, e)
+    return QubitSpectrum.ordered((z0 - w) * scale, (z0 + w) * scale)

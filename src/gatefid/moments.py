@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _is_unitary, _within, adjoint, as_matrix, check_selector
+from .linalg import DEFAULT_TOL, _is_unitary, adjoint, as_matrix, check_selector
 
 ACCEPTANCE_EPS = 1e-14
 VARIANCE_CLAMP = 1e-10
@@ -180,35 +180,6 @@ def _mean(m: np.ndarray) -> float:
     # as products, since a float ** raises OverflowError where * gives inf.
     t = abs(m.trace())
     return _real(float((np.vdot(m, m).real + t * t) / (n * (n + 1))), 0.0, "mean")
-
-
-@_quiet_overflow
-def fourth_moment_hermitian(s: np.ndarray) -> float:
-    """Haar average of <psi|s|psi>^4 for Hermitian (or anti-Hermitian) s.
-
-    [6 Tr s^4 + 8 Tr s^3 Tr s + 3 (Tr s^2)^2 + 6 Tr s^2 (Tr s)^2 + (Tr s)^4]
-    divided by n(n+1)(n+2)(n+3). Degree-4 homogeneity makes the same
-    expression valid for anti-Hermitian input.
-    """
-    s = as_matrix(s)
-    sd = adjoint(s)
-    hermitian = _within(s - sd)
-    if not (hermitian or _within(s + sd)):
-        raise ValueError("matrix is neither Hermitian nor anti-Hermitian")
-    n = s.shape[0]
-    s2 = s @ s
-    t1 = complex(np.trace(s))
-    t2 = complex(np.trace(s2))
-    t3 = complex(np.trace(s2 @ s))
-    t4 = complex(np.trace(s2 @ s2))
-    if hermitian:
-        scale = max(1.0, abs(t1), abs(t2), abs(t3), abs(t4))
-        if not max(abs(t.imag) for t in (t1, t2, t3, t4)) <= 1e-12 * scale:
-            raise InvariantError("traces of a Hermitian matrix are not real")
-    t1_sq = t1 * t1  # t1_sq * t1_sq == t1**4, but gives inf where ** would raise
-    total = 6 * t4 + 8 * t3 * t1 + 3 * t2 * t2 + 6 * t2 * t1 * t1 + t1_sq * t1_sq
-    total = _real(total, 1e-10, "fourth-moment trace sum")
-    return total / (n * (n + 1) * (n + 2) * (n + 3))
 
 
 @_quiet_overflow

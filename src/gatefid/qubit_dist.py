@@ -133,7 +133,9 @@ def normal_pdf(s: QubitSpectrum) -> FidelityDistribution:
     # keeps them finite (and float ** 2 from raising OverflowError).
     if not math.isfinite(4.0 * abs(l1) * abs(l1)):
         raise InvariantError(f"spectrum ({l0!r}, {l1!r}) is not representable: |l1|^2 overflows")
-    if abs(l0 - l1) <= DEGENERACY_TOL:
+    # Degeneracy is judged relative to |l1|; the unit-modulus test below
+    # stays absolute, since unit modulus fixes the scale.
+    if abs(l0 - l1) <= DEGENERACY_TOL * abs(l1):
         raise DegenerateSpectrumError(
             f"degenerate spectrum: point mass at f = {abs(l0) ** 2!r}",
             point_mass=abs(l0) ** 2,
@@ -166,6 +168,11 @@ def quadrature_moments(d: FidelityDistribution) -> MomentReport:
     out (x^k - y^k = (x - y) sum x^i y^(k-1-i)), so narrow segments stay accurate.
     """
     hi, lo, f0 = d.s1, d.s0, d.f0
+    # Every term below is at most 8 top^2 in size, top >= max f: one test
+    # keeps them finite (and float ** 2 from raising OverflowError).
+    top = f0 + max(hi * hi, lo * lo)
+    if not math.isfinite(8.0 * top * top):
+        raise InvariantError(f"second moment is not representable: f up to {top!r} squared overflows")
     quad = hi * hi + hi * lo + lo * lo
     quart = (hi * hi + lo * lo) * quad - (hi * lo) ** 2
     return MomentReport(

@@ -3,6 +3,7 @@ import pytest
 
 from gatefid import adjoint
 from gatefid.sampling import state_batches
+from gatefid.verify import _quartic_table
 
 
 @pytest.fixture
@@ -44,6 +45,13 @@ def random_hermitian(rng, n):
 def random_antihermitian(rng, n):
     m = random_matrix(rng, n)
     return (m - adjoint(m)) / 2
+
+
+def fourth_by_eigenvalues(lam):
+    """E (sum_i lam_i |c_i|^2)^4 over Haar states c: the fourth moment of
+    <psi|h|psi> for a Hermitian h with eigenvalues lam."""
+    ks, weights = _quartic_table(len(lam))
+    return float(np.prod(np.asarray(lam) ** ks, axis=1) @ weights)
 
 
 def reference_states(n, count, rng):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gatefid
-from gatefid import depolarizing_kraus, mc_moment, mc_sample
+from gatefid import depolarizing_kraus, eig2_normal, mc_moment, mc_sample, normal_pdf
 from gatefid import cli as cli_mod, sampling
 from gatefid.cli import main
 from gatefid.moments import MomentReport
@@ -337,6 +337,39 @@ class TestDist:
         assert abs(moments_report["variance"] - dist_report["variance"]) <= 1e-9
 
 
+# dist --matrix across scales: (map, exit at 2^k m for k <= 100, at k = 400).
+# At k = 400, f is near 1e240 and its second moment overflows.
+_U = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+SCALED_DIST = {
+    "normal": (_U @ np.diag([0.3 + 0.4j, -0.6 + 0.1j]) @ _U.conj().T, 0, "second moment"),
+    "non_normal": (np.array([[1, 3], [0, -1]], dtype=complex), "not normal", "not normal"),
+    "scalar": ((0.6 - 0.8j) * np.eye(2), "point mass", "point mass"),
+}
+
+
+class TestDistAcrossScales:
+    @pytest.mark.parametrize("k", [-400, -100, 0, 100, 400])
+    @pytest.mark.parametrize("name", sorted(SCALED_DIST))
+    def test_law_scales_or_one_error_line(self, files, capsys, name, k):
+        # Either exit 0 with the support of m scaled by 4^k, or exit 2 with
+        # one error line; an exception would escape main as a traceback.
+        m, low, high = SCALED_DIST[name]
+        path = files["dir"] / "scaled.json"
+        save_matrix(m * 2.0**k, path)
+        out_csv = files["dir"] / "scaled.csv"
+        code, out, err = run(capsys, "dist", "--matrix", str(path), "--out", str(out_csv))
+        want = low if k <= 100 else high
+        if want == 0:
+            assert code == 0 and err == ""
+            base = normal_pdf(eig2_normal(m)).support()
+            assert json.loads(out)["support"] == [2.0 ** (2 * k) * f for f in base]
+            assert "nan" not in (out + out_csv.read_text()).lower()
+        else:
+            assert_one_error_line_in_process((code, out, err), 2)
+            assert want in err
+            assert not out_csv.exists()
+
+
 class TestSample:
     def test_identity(self, files, capsys):
         prefix = str(files["dir"] / "ident")
@@ -522,8 +555,9 @@ class TestSample:
         assert abs(mean - want) <= 1e-15 * abs(want)
 
     def test_nearly_normal_map_keeps_every_draw(self, files, capsys):
-        # eig2_normal takes this map as normal, but its numerical range is an
-        # ellipse; the closed-form support would hold about a fifth of it.
+        # Its numerical range is a visible ellipse, though an absolute test
+        # of [m, m^dag] takes it as normal; a segment law would hold about a
+        # fifth of its draws.
         path = str(files["dir"] / "ellipse.json")
         save_matrix(np.array([[1.0, 5e-6], [0.0, 1.0 + 1e-6]]), path)
         prefix = files["dir"] / "ellipse_out"
@@ -536,8 +570,8 @@ class TestSample:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts_on", "optimized"])
     def test_overflowing_map_exits_2(self, files, flags, n):
-        # f overflows for every state; the 2x2 map also overflows the
-        # normality test. One error line, no numpy warnings, no files.
+        # f overflows for every state. One error line, no numpy warnings,
+        # no files.
         huge = str(files["dir"] / "huge.json")
         save_matrix(1e200 * np.eye(n), huge)
         prefix = files["dir"] / "huge_out"

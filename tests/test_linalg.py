@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gatefid import (
@@ -9,9 +9,10 @@ from gatefid import (
     adjoint,
     as_matrix,
     eig2_normal,
+    normal_pdf,
 )
-from gatefid.linalg import check_selector
-from gatefid.moments import comparison_matrix
+from gatefid.linalg import ConfigError, check_selector
+from gatefid.moments import InvariantError, comparison_matrix
 from conftest import random_matrix, random_unitary
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
@@ -90,6 +91,15 @@ class TestRestrict:
         with pytest.raises(ValueError):
             check_selector(sel, 3)
 
+    @pytest.mark.parametrize("sel", [(0.9, 1.9), (0, 1.5), (np.float64(0.5),)])
+    def test_non_integral_selector(self, sel):
+        with pytest.raises(ConfigError, match="integers"):
+            check_selector(sel, 3)
+
+    def test_integral_selector_types(self):
+        assert check_selector((np.int64(0), np.uint8(2)), 3) == (0, 2)
+        assert check_selector([1, 2], 3) == (1, 2)
+
     def test_projector(self, rng):
         # The kept block is the nonzero block of the projector sandwich P m P.
         m = random_matrix(rng, 4)
@@ -99,6 +109,22 @@ class TestRestrict:
         got = comparison_matrix(np.eye(4), m, sel)
         assert np.array_equal(got, sandwich[np.ix_(sel, sel)])
         assert not sandwich[1].any() and not sandwich[:, 1].any()
+
+
+# Not normal, though an absolute 1e-10 test of [m, m^dag] passes the first
+# two: a small upper-triangular map and a visible ellipse near I.
+NON_NORMAL = {
+    "small_triangular": 1e-6 * np.array([[1, 3], [0, -1]], dtype=complex),
+    "ellipse": np.array([[1, 5e-6], [0, 1 + 1e-6]], dtype=complex),
+    "small_nilpotent": 1e-6 * np.array([[0, 1], [0, 0]], dtype=complex),
+}
+
+
+def rotated_normal(l0, l1, theta, phi):
+    """u diag(l0, l1) u^dag for the unitary u of angles theta and phi."""
+    c, s = np.cos(theta), np.sin(theta) * np.exp(1j * phi)
+    u = np.array([[c, -np.conj(s)], [s, c]])
+    return u @ np.diag([l0, l1]) @ adjoint(u)
 
 
 def _eigvec(m, lam):
@@ -163,13 +189,65 @@ class TestEig2Normal:
 
     @pytest.mark.filterwarnings("error")
     def test_unrepresentable_entries_raise_without_warnings(self):
-        # The normality test of diag(1e155, 1e155 i) overflows; the map is
-        # normal, so the error must name the overflow, not non-normality.
-        with pytest.raises(ValueError, match="not representable") as err:
-            eig2_normal(np.diag([1e155, 1e155j]))
-        assert not isinstance(err.value, NotNormalError)
+        # The Bloch form runs on m / 2^e, so diag(1e155, 1e155 i) has a
+        # spectrum; its law, with |l|^2 near 1e310, names the overflow.
+        s = eig2_normal(np.diag([1e155, 1e155j]))
+        assert (s.lambda0, s.lambda1) == (1e155, 1e155j)
+        with pytest.raises(InvariantError, match="not representable"):
+            normal_pdf(s)
         s = eig2_normal(np.diag([1e153, 1e153j]))
         assert (s.lambda0, s.lambda1) == (1e153, 1e153j)
+        # Eigenvalue 2e308: the spectrum itself overflows.
+        with pytest.raises(ValueError, match="not finite") as err:
+            eig2_normal(np.full((2, 2), 1e308))
+        assert not isinstance(err.value, NotNormalError)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+        st.floats(0, np.pi),
+        st.floats(-np.pi, np.pi),
+        st.integers(-500, 500),
+    )
+    def test_power_of_two_scale_is_exact(self, parts, theta, phi, k):
+        m = rotated_normal(complex(*parts[:2]), complex(*parts[2:]), theta, phi)
+        scale = 2.0**k
+        assume(np.abs(m).max() >= 2.0**-400 and np.array_equal(m * scale / scale, m))
+        s = eig2_normal(m)
+        want = (s.lambda0 * scale, s.lambda1 * scale)
+        assume(all(z / scale == w for z, w in zip(want, (s.lambda0, s.lambda1))))
+        got = eig2_normal(m * scale)
+        assert (got.lambda0, got.lambda1) == want
+
+    @pytest.mark.parametrize("k", [-40, -20, 0, 20, 40])
+    @pytest.mark.parametrize("name", sorted(NON_NORMAL))
+    def test_rejects_non_normal_at_every_scale(self, name, k):
+        with pytest.raises(NotNormalError):
+            eig2_normal(NON_NORMAL[name] * 2.0**k)
+
+    @pytest.mark.parametrize("gap,bound", [(1e-3, 1e-9), (1e-6, 1e-7)])
+    def test_support_accuracy_near_degenerate(self, gap, bound):
+        # Rotated normal maps with |l0 - l1| = gap |l0|: the support edges
+        # against a 50-digit eigen-solve of the same float matrix, in widths.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(300):
+            l0 = complex(*rng.uniform(-1, 1, 2))
+            l1 = l0 + gap * abs(l0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            u = random_unitary(rng, 2)
+            m = u @ np.diag([l0, l1]) @ adjoint(u)
+            with mpmath.workdps(50):
+                a, b, c, d = (mpmath.mpc(z.real, z.imag) for z in m.ravel().tolist())
+                half = (a + d) / 2
+                r = mpmath.sqrt(half * half - (a * d - b * c))
+                e0, diff = half - r, 2 * r
+                t = min(max(-mpmath.re(e0 * mpmath.conj(diff)) / abs(diff) ** 2, 0), 1)
+                lo, hi = abs(e0 + t * diff) ** 2, max(abs(e0), abs(e0 + diff)) ** 2
+                got = normal_pdf(eig2_normal(m)).support()
+                err = max(abs(got[0] - lo), abs(got[1] - hi)) / (hi - lo)
+            worst = max(worst, float(err))
+        assert worst <= bound
 
 
 class TestQubitSpectrum:

@@ -14,7 +14,6 @@ from gatefid import (
     depolarizing_kraus,
     eig2_normal,
     fourth_moment_general,
-    fourth_moment_hermitian,
     gate_moments,
     kraus_avg_fidelity,
     mc_moment,
@@ -25,6 +24,7 @@ from gatefid import linalg
 from gatefid.moments import InvariantError
 from gatefid.verify import _sa_decomposition
 from conftest import (
+    fourth_by_eigenvalues,
     haar_states,
     random_antihermitian,
     random_hermitian,
@@ -229,12 +229,16 @@ class TestKrausAvgFidelity:
 
 
 class TestFourthMomentHermitian:
+    # fourth_moment_general on Hermitian maps (and i times them) against the
+    # expansion of (sum_i lambda_i |c_i|^2)^4 over the exact sphere monomials.
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_identity(self, n):
-        assert fourth_moment_hermitian(np.eye(n)) == pytest.approx(1.0, abs=1e-13)
+        assert fourth_by_eigenvalues(np.ones(n)) == pytest.approx(1.0, abs=1e-15)
+        assert fourth_moment_general(np.eye(n)) == pytest.approx(1.0, abs=1e-13)
 
     def test_projector(self):
-        assert fourth_moment_hermitian(np.diag([1.0, 0.0])) == pytest.approx(0.2)
+        assert fourth_by_eigenvalues([1.0, 0.0]) == pytest.approx(0.2, abs=1e-15)
+        assert fourth_moment_general(np.diag([1.0, 0.0])) == pytest.approx(0.2)
 
     def test_pauli_z_matches_monomial_expansion(self):
         # (|c0|^2 - |c1|^2)^4 expanded into the five quartic monomials.
@@ -245,19 +249,15 @@ class TestFourthMomentHermitian:
             - 4 * monomial_integral_exact((1, 3), 2)
             + monomial_integral_exact((0, 4), 2)
         )
-        got = fourth_moment_hermitian(np.diag([1.0, -1.0]))
+        assert fourth_by_eigenvalues([1.0, -1.0]) == pytest.approx(want, abs=1e-15)
+        got = fourth_moment_general(np.diag([1.0, -1.0]))
         assert got == pytest.approx(want, abs=1e-14)
         assert got == pytest.approx(0.2, abs=1e-14)
 
     def test_anti_hermitian_accepted(self, rng):
         a = random_antihermitian(rng, 3)
-        assert fourth_moment_hermitian(a) == pytest.approx(
-            fourth_moment_hermitian(1j * a), abs=1e-12
-        )
-
-    def test_rejects_general_matrix(self, rng):
-        with pytest.raises(ValueError, match="neither Hermitian nor anti-Hermitian"):
-            fourth_moment_hermitian(random_matrix(rng, 3))
+        want = fourth_by_eigenvalues(np.linalg.eigvalsh(a / 1j))
+        assert fourth_moment_general(a) == pytest.approx(want, rel=1e-12)
 
 
 class TestFourthMomentGeneral:
@@ -267,10 +267,10 @@ class TestFourthMomentGeneral:
 
     def test_collapses_to_hermitian_form(self, rng):
         for n in (2, 3, 4, 5):
-            for make in (random_hermitian, random_antihermitian):
+            for make, phase in ((random_hermitian, 1), (random_antihermitian, 1j)):
                 s = make(rng, n)
                 a = fourth_moment_general(s)
-                b = fourth_moment_hermitian(s)
+                b = fourth_by_eigenvalues(np.linalg.eigvalsh(s / phase))
                 assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
 
     def test_reference_against_mc(self):
@@ -349,7 +349,7 @@ class TestVariance:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "fn,scale",
-        [(variance, 1e150), (fourth_moment_hermitian, 1e80), (avg_fidelity, 9e153)],
+        [(variance, 1e150), (fourth_moment_general, 1e80), (avg_fidelity, 9e153)],
     )
     def test_unrepresentable_moment_raises(self, fn, scale):
         # Finite entries whose moment overflows a float: a typed error, not
@@ -362,7 +362,6 @@ class TestVariance:
         "fn,scale",
         [
             pytest.param(fourth_moment_general, 1e150, id="fourth_moment_general"),
-            pytest.param(fourth_moment_hermitian, 1e150, id="fourth_moment_hermitian"),
             pytest.param(avg_fidelity, 1e200, id="avg_fidelity"),
         ],
     )

@@ -8,7 +8,9 @@ every objective value and the result must be identical, not merely close.
 ``evaluations`` and ``converged`` at 17 significant digits for each shipped
 problem under the three objectives (taken with numpy 2.4 on x86-64), and
 ``TRACE_SHA256`` the digest of its ``--trace-out`` CSV for one problem per
-family.
+family. The ``min_support`` values were retaken when ``eig2_normal`` moved to
+the Bloch form, which rounds the eigenvalues behind the support floor
+differently; the other objectives never call it.
 """
 
 import hashlib
@@ -30,24 +32,24 @@ OBJECTIVES = {
 PINNED = {
     ("leaky_gate", "mean"): ((1.0, -5.0092838998893056e-07), 0.99999999999995826, 74, True),
     ("leaky_gate", "mean_minus_k_sigma"): ((1.0, -3.4939777454488758e-07), 0.99999999999997957, 81, True),
-    ("leaky_gate", "min_support"): ((1.0, 7.6641314963877394e-07), 0.99999999999985323, 75, True),
+    ("leaky_gate", "min_support"): ((1.0, -6.6658129008671351e-07), 0.9999999999998892, 72, True),
     ("phase_gate", "mean"): ((6.4244466318528581e-07,), 0.99999999999993117, 44, True),
     ("phase_gate", "mean_minus_k_sigma"): ((8.1325852290331431e-06,), 0.99999999998897682, 62, True),
-    ("phase_gate", "min_support"): ((6.4244466318528581e-07,), 0.99999999999989697, 44, True),
+    ("phase_gate", "min_support"): ((6.4244466318528581e-07,), 0.99999999999989675, 44, True),
     ("polar_eig_gate", "mean"): ((0.79999999999999982, 0.39269720644413364), 0.56333333333300495, 73, True),
     ("polar_eig_gate", "mean_minus_k_sigma"): ((0.80000000000000004, 0.39270005272497832), 0.52002564861614653, 72, True),
-    ("polar_eig_gate", "min_support"): ((0.74249999999999972, 0.61504440784612413), 0.49000000000000088, 19, True),
+    ("polar_eig_gate", "min_support"): ((0.74249999999999972, 0.61504440784612413), 0.48999999999999994, 21, True),
     ("two_phase_gate", "mean"): ((2.9432286024691114, -2.5545581436245), 0.99999999999997369, 59, True),
     ("two_phase_gate", "mean_minus_k_sigma"): ((2.9143164502575729, -2.5834712252038914), 0.99999999999995293, 70, True),
-    ("two_phase_gate", "min_support"): ((2.9491867611234346, -2.5486018825304617), 0.9999999999993574, 139, True),
+    ("two_phase_gate", "min_support"): ((2.9432286024691114, -2.5545581436245), 0.9999999999999607, 61, True),
 }
 
 # One problem per family: (problem, objective): sha256 of the trace CSV.
 TRACE_SHA256 = {
     ("leaky_gate", "mean_minus_k_sigma"): "f59ec2a60784570db5860f06837d4fdd10e45d9dc21baf14fa330ae2b6bf0434",
-    ("phase_gate", "min_support"): "08fc2feea5e7651f50ac6ce30b3cccb308f763619d1023995933907d1ab9964e",
+    ("phase_gate", "min_support"): "67c1d32086153522330865598766dc8e7941d844d93c31272063b008647aef83",
     ("polar_eig_gate", "mean"): "6b272efc1c0b5ffb94c4eb8db3bbe3b7c9a26997f0264bebae35addea023c0ab",
-    ("two_phase_gate", "min_support"): "485ce4168a553a0c7092f5c44ca4a4d8138f9965d7612520533210b7babbf0e4",
+    ("two_phase_gate", "min_support"): "8265b20a59850ba22af65d856c5bb9ea06d41b615447bf68176e52bbe9b764ff",
 }
 
 

@@ -180,10 +180,28 @@ class TestNormalPdf:
         with pytest.raises(DegenerateSpectrumError):
             normal_pdf(QubitSpectrum(1.0, 1.0))
 
+    @pytest.mark.parametrize("scale", [2.0**-300, 2.0**-60, 1.0, 2.0**60])
+    def test_degeneracy_is_relative(self, scale):
+        # The same spectra, in any units: a gap of 1e-13 |l1| is a point
+        # mass, a gap of 1e-11 |l1| is a law whose support scales by scale^2.
+        with pytest.raises(DegenerateSpectrumError):
+            normal_pdf(QubitSpectrum.ordered(0.5 * scale, (0.5 + 1e-13) * scale))
+        d = normal_pdf(QubitSpectrum.ordered(0.5 * scale, (0.5 + 1e-11) * scale))
+        unit = normal_pdf(QubitSpectrum.ordered(0.5, 0.5 + 1e-11))
+        assert d.support() == tuple(scale * scale * f for f in unit.support())
+
     @pytest.mark.parametrize("l0,l1", [(1e155, 1e155j), (0.5, 1e160), (1e200, 1e200)])
     def test_unrepresentable_spectrum_raises(self, l0, l1):
         with pytest.raises(InvariantError, match="not representable"):
             normal_pdf(QubitSpectrum.ordered(l0, l1))
+
+    @pytest.mark.parametrize("scale", [1e77, 1e100, 1e150])
+    def test_unrepresentable_second_moment_raises(self, scale):
+        # The law exists, but E f^2 near scale^4 is past float range: a typed
+        # error, not an OverflowError or a NaN variance.
+        d = normal_pdf(QubitSpectrum.ordered(scale, 2j * scale))
+        with pytest.raises(InvariantError, match="second moment is not representable"):
+            quadrature_moments(d)
 
     def test_mass_normalized_for_random_spectra(self, rng):
         for _ in range(50):

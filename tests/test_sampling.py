@@ -476,8 +476,8 @@ def sweep_maps():
     rng = np.random.default_rng(2026)
     maps = {f"random{n}": random_matrix(rng, n) for n in range(1, 6)}
     maps["non_normal2"] = np.array([[1.0, 2.0], [0.0, -0.5j]])
-    # Normal to eig2_normal's tolerance, but W(m) is a visible ellipse: the
-    # closed-form support holds about a fifth of its draws.
+    # Normal to an absolute 1e-10 test of [m, m^dag], but W(m) is a visible
+    # ellipse: a segment law would hold about a fifth of its draws.
     maps["nearly_normal2"] = np.array([[1.0, 5e-6], [0.0, 1.0 + 1e-6]])
     u, v = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     maps["rank1"] = np.outer(u, v.conj())

@@ -78,7 +78,6 @@ def test_public_api_is_the_agreed_list():
         "eig2_normal",
         "evaluate_objective",
         "fourth_moment_general",
-        "fourth_moment_hermitian",
         "gate_moments",
         "kraus_avg_fidelity",
         "mc_moment",

@@ -7,6 +7,8 @@ from gatefid.verify import (
     QUICK_SEED,
     check_conditional_oracle,
     check_distribution_moments,
+    check_hermitian_collapse,
+    check_mc_closed_form,
     check_sa_decomposition,
     reference_matrix,
     reference_spectrum,
@@ -82,6 +84,17 @@ def test_corrupted_fourth_moment_detected(monkeypatch):
     assert not report["passed"]
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "mc_closed_form" in failed
+
+
+def test_fourth_moment_off_by_1e_11_detected(monkeypatch):
+    # A relative error of 1e-11 hides in the Monte-Carlo noise of
+    # mc_closed_form; the eigenvalue expansion of hermitian_collapse sees it.
+    true_fn = moments_mod.fourth_moment_general
+    monkeypatch.setattr(
+        moments_mod, "fourth_moment_general", lambda m: (1 + 1e-11) * true_fn(m)
+    )
+    assert not check_hermitian_collapse(QUICK_SEED).passed
+    assert check_mc_closed_form(QUICK_SEED + 2, samples=20_000).passed
 
 
 @pytest.mark.parametrize("piece", ["lower", "upper"])
