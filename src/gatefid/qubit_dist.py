@@ -25,7 +25,7 @@ import numpy as np
 
 from .linalg import QubitSpectrum
 from .moments import InvariantError, MomentReport
-from .sampling import Histogram
+from .sampling import EDGE_SLACK, Histogram
 
 DEGENERACY_TOL = 1e-12
 MIN_EXPECTED_COUNT = 5.0
@@ -120,9 +120,10 @@ class HistogramComparison:
     chi_square: float
     dof: int
     bins_compared: int
+    max_pull: float  # largest |count - expected| / sqrt(expected) of the compared bins
 
     def __post_init__(self):
-        if self.sup_norm_density_gap < 0 or self.chi_square < 0:
+        if self.sup_norm_density_gap < 0 or self.chi_square < 0 or self.max_pull < 0:
             raise ValueError("gaps must be non-negative")
 
 
@@ -192,14 +193,16 @@ def compare_histogram(d: FidelityDistribution, h: Histogram) -> HistogramCompari
     """
     lo, hi = d.support()
     widths = h.widths
-    if h.edges[0] < lo - widths[0] - 1e-12 or h.edges[-1] > hi + widths[-1] + 1e-12:
+    slack = EDGE_SLACK * hi
+    if h.edges[0] < lo - widths[0] - slack or h.edges[-1] > hi + widths[-1] + slack:
         raise ValueError("histogram extends beyond the support by more than one bin")
     probs = np.diff(d.cdf(h.edges))
     expected = probs * h.samples
     usable = expected >= MIN_EXPECTED_COUNT
     if not usable.any():
         raise ValueError("no histogram bin has expected count >= 5")
-    chi_square = float((((h.counts[usable] - expected[usable]) ** 2) / expected[usable]).sum())
+    resid = h.counts[usable] - expected[usable]
+    chi_square = float((resid**2 / expected[usable]).sum())
     gap = float(np.abs(h.densities - probs / widths).max())
     bins_compared = int(usable.sum())
     return HistogramComparison(
@@ -207,4 +210,5 @@ def compare_histogram(d: FidelityDistribution, h: Histogram) -> HistogramCompari
         chi_square=chi_square,
         dof=bins_compared - 1,
         bins_compared=bins_compared,
+        max_pull=float((np.abs(resid) / np.sqrt(expected[usable])).max()),
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, factorial, frexp, ldexp, pi, sqrt
+from math import cos, factorial, frexp, ldexp, pi, sqrt, ulp
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .linalg import ConfigError, as_matrix
 _BATCH = 1 << 14
 _ANGLES = 64
 _ZOOMS = 5
+EDGE_SLACK = 1e-9  # of max(|lo|, |hi|): rounding outside a histogram range
 
 
 def _gaussian_rows(
@@ -97,7 +98,9 @@ class Histogram:
 
     @property
     def densities(self) -> np.ndarray:
-        return self.counts / (self.samples * self.widths)
+        # samples * width at an exact power-of-two scale: no overflow for bins near 1e308.
+        e = frexp(float(self.widths.max()))[1]
+        return np.ldexp(self.counts / (self.samples * np.ldexp(self.widths, -e)), -e)
 
 
 def state_batches(n: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -174,10 +177,13 @@ def _outer_range(m: np.ndarray, bins: int) -> tuple[float, float]:
     normal maps. Below, dist(0, W) >= -h(t + pi) = lambda_min(Herm(e^{-i t} m))
     at every t, so the best grid angle is refined on ``_ZOOMS`` finer grids
     around it; near-unitary and scalar maps then get their bottom edge to a
-    few ulps. Rounding is left to the 1e-9 edge slack of :class:`_Tally`, far
-    above the eigensolver's error of 8 n eps ||m||_F (2e-13 of ||m||_2 at n=5).
-    A range narrower than ``bins`` ulps, as for c I, is opened just below
-    its top, so all the mass lands in the top bin.
+    few ulps. Rounding is left to the :data:`EDGE_SLACK` of :class:`_Tally`,
+    far above the eigensolver's error of 8 n eps ||m||_F (2e-13 of ||m||_2 at
+    n=5). A range under ``bins`` ulps (c I) is opened that slack below its top,
+    so all the mass lands in the top bin. One whose bins would be narrower
+    than the least normal float, where densities overflow (the zero map, f
+    near 1e-308), is opened 1e-9 below it. Every other decision is relative:
+    2^k m gets 4^k times the edges of m.
     """
     scale = float(np.abs(m).max())
     if scale == 0.0:
@@ -199,8 +205,10 @@ def _outer_range(m: np.ndarray, bins: int) -> tuple[float, float]:
         big = np.finfo(float).max
         lo_z, hi_z = scale * max(low, 0.0), scale * top
         lo, hi = min(lo_z * lo_z, big), min(hi_z * hi_z, big)
-    if hi - lo < bins * np.finfo(float).eps * max(1.0, abs(lo), abs(hi)):
-        lo = hi - 1e-9 * max(1.0, abs(hi))
+    if hi - lo <= bins * ulp(hi):
+        lo = hi - EDGE_SLACK * hi
+    if hi - lo < bins * np.finfo(float).tiny:
+        lo = hi - EDGE_SLACK
     return lo, hi
 
 
@@ -214,8 +222,8 @@ class _Tally:
     underflow where ``x`` is near the ends of the float range; a power-of-two
     scale is exact, so the estimate is the same bits as unscaled wherever
     that does not happen.
-    Histogram (when ``bins`` is given, over ``value_range``): each batch is
-    clamped and its bin counts added.
+    Histogram (when ``bins`` is given, over ``value_range``): a value beyond
+    its :data:`EDGE_SLACK` raises ``ValueError``; the rest are clipped and counted.
     """
 
     def __init__(self, bins: int, value_range: tuple[float, float] | None):
@@ -226,12 +234,12 @@ class _Tally:
         self.work = np.empty(0)
 
     def add(self, x: np.ndarray) -> None:
-        """Take one batch; values at the range's edges are clamped in place."""
+        """Take one batch; values outside the range are clipped in place."""
         if self.work.size < x.size:
             self.work = np.empty(x.size)
         tmp = self.work[: x.size]
         count = self.count + x.size
-        # The moments come first, so the estimate never sees the clamp.
+        # The moments come first, so the estimate never sees the clip.
         if self.exponent is None:
             # frexp(0) gives e = 0; the clamp keeps 2^e and 2^-e normal.
             self.exponent = min(max(frexp(float(x.max()))[1], -1000), 1000)
@@ -242,21 +250,12 @@ class _Tally:
         self.mean += delta * (x.size / count)
         self.m2 += float(tmp.sum()) + delta * delta * (self.count * x.size / count)
         if self.bins:
-            # Keep boundary rounding dust (f = support edge +- ~1e-15) in range:
-            # values up to ``slack`` outside an edge, or up to ``inner`` inside
-            # it, move onto it. Anything further out is genuinely outside and
-            # stays dropped. ``inner`` is at most half a bin, so no value inside
-            # changes bin and a range narrower than the slack keeps its shape.
-            # A batch with no value within reach of an edge skips its pass.
             lo, hi = self.range
-            slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-            inner = min(slack, (hi - lo) / (2 * self.bins))
-            half = (slack + inner) / 2
-            if x.min() <= lo + inner:
-                x[np.abs(np.subtract(x, lo + (inner - slack) / 2, out=tmp), out=tmp) <= half] = lo
-            if x.max() >= hi - inner:
-                x[np.abs(np.subtract(x, hi + (slack - inner) / 2, out=tmp), out=tmp) <= half] = hi
-            counts, self.edges = np.histogram(x, self.bins, self.range)
+            slack = EDGE_SLACK * max(abs(lo), abs(hi))
+            low, high = float(x.min()), float(x.max())
+            if low < lo - slack or high > hi + slack:
+                raise ValueError(f"sampled f in [{low!r}, {high!r}] leaves the histogram range [{lo!r}, {hi!r}]")
+            counts, self.edges = np.histogram(np.clip(x, lo, hi, out=x), self.bins, self.range)
             self.counts += counts
         self.count = count
 

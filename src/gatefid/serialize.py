@@ -8,6 +8,7 @@ arrays. A Kraus map is ``{"operators": [<matrix>, ...]}``.
 from __future__ import annotations
 
 import json
+from math import ulp
 from pathlib import Path
 from typing import Iterable
 
@@ -101,8 +102,9 @@ def density_csv_lines(d: FidelityDistribution, grid: int) -> list[str]:
             f"point mass at f = {hi!r}",
             point_mass=hi,
         )
-    # 1e-9 off the anchor, or a thousandth of the width on narrower supports.
-    points = np.linspace(lo + min(1e-9, 1e-3 * (hi - lo)), hi, grid)
+    # 1e-9 off the anchor (relative, once f passes 1), or a thousandth of the
+    # width on narrower supports; at least one ulp, so no row is at f0.
+    points = np.linspace(lo + max(min(1e-9 * max(1.0, hi), 1e-3 * (hi - lo)), ulp(lo)), hi, grid)
     dens = d.pdf(points)
     return ["f,density"] + [
         f"{float(f)!r},{float(p)!r}" for f, p in zip(points, dens)

@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .optimize import _leaky_map
 QUICK_SEED = 20260810
 _RATIO_BATCHES = 50  # of the Monte-Carlo conditional fidelity
 _MIN_SEP = 0.05  # between the eigenvalues of a random qubit spectrum
+_FALSE_ALARM = 1e-3  # of histogram_regeneration on correct code
 
 
 @dataclass(frozen=True)
@@ -199,15 +201,21 @@ def check_mc_closed_form(seed: int, samples: int) -> CheckResult:
 
 
 def check_histogram_regeneration(seed: int, samples: int, bins: int) -> CheckResult:
+    """Two tests with half of ``_FALSE_ALARM`` each: chi2/dof under its upper
+    quantile (Wilson-Hilferty), and |count - expected| <= z sqrt(expected) in
+    every compared bin, z two-sided and Bonferroni over the bins."""
     dist = qubit_dist.normal_pdf(reference_spectrum())
     hist, _ = sampling.mc_sample(reference_matrix(), bins, samples, seed)
     cmp = qubit_dist.compare_histogram(dist, hist)
+    alpha, h = _FALSE_ALARM / 2, 2 / (9 * cmp.dof)
+    z = NormalDist().inv_cdf(1 - alpha / (2 * cmp.bins_compared))
+    ratio_max = (1 - h + NormalDist().inv_cdf(1 - alpha) * math.sqrt(h)) ** 3
     ratio = cmp.chi_square / cmp.dof
-    ok = ratio < 1.5 and cmp.sup_norm_density_gap < 0.05
+    ok = ratio < ratio_max and cmp.max_pull <= z
     return CheckResult(
         "histogram_regeneration",
         ok,
-        f"chi2/dof {ratio:.3f}, sup-norm gap {cmp.sup_norm_density_gap:.4f}",
+        f"chi2/dof {ratio:.3f} (bound {ratio_max:.3f}), max bin pull {cmp.max_pull:.2f} (bound {z:.2f})",
     )
 
 

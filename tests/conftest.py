@@ -66,3 +66,16 @@ def haar_states(n, count, seed):
     return np.concatenate(
         [v / np.sqrt(r2)[:, None] for v, r2 in state_batches(n, count, seed)]
     )
+
+
+def assert_scale_covariant(run, m, k, degree):
+    """``run(2^k m)`` against ``run(m)``: the same integer arrays, and every
+    float array exactly ``2^(degree k)`` times, bit for bit. A power-of-two
+    scale is exact in binary floating point (Higham 2002, ch. 27), so a
+    result homogeneous of ``degree`` in m must follow it wherever nothing
+    under- or overflows."""
+    for want, got in zip(run(m), run(m * 2.0**k), strict=True):
+        want, got = np.asarray(want), np.asarray(got)
+        if want.dtype.kind == "f":
+            want = np.ldexp(want, degree * k)
+        assert want.dtype == got.dtype and want.tobytes() == got.tobytes()

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import shlex
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gatefid
 from gatefid import depolarizing_kraus, eig2_normal, mc_moment, mc_sample, normal_pdf
@@ -17,6 +21,7 @@ from gatefid.cli import main
 from gatefid.moments import MomentReport
 from gatefid.sampling import mc_sample
 from gatefid.serialize import kraus_to_obj, matrix_to_obj, save_matrix
+from conftest import random_matrix
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
 L1 = 0.8 * np.exp(1j * 4 * np.pi / 5)
@@ -318,6 +323,23 @@ class TestDist:
         assert "not representable" in proc.stderr
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("modulus", [1e76, 1e77])
+    def test_second_moment_limit(self, files, capsys, modulus):
+        # The JSON carries E f^2, with f up to |l|^2: its square is a float
+        # at 1e76 (f up to 1e152) and overflows at 1e77, as the README says.
+        out_csv = files["dir"] / "big.csv"
+        argv = [f"--lambda0={modulus},0", f"--lambda1=0,{modulus}", "--out", str(out_csv)]
+        code, out, err = run(capsys, "dist", *argv)
+        if modulus < 1e77:
+            assert code == 0 and err == ""
+            assert json.loads(out)["support"] == pytest.approx([modulus**2 / 2, modulus**2])
+            text = out_csv.read_text().lower()
+            assert "inf" not in text and "nan" not in text
+        else:
+            assert_one_error_line_in_process((code, out, err), 2)
+            assert "second moment is not representable" in err
+            assert not out_csv.exists()
+
     def test_agrees_with_moments_command(self, files, capsys):
         code, out, _ = run(
             capsys, "moments", "--target", files["eye2"], "--actual", files["reference"]
@@ -363,11 +385,50 @@ class TestDistAcrossScales:
             assert code == 0 and err == ""
             base = normal_pdf(eig2_normal(m)).support()
             assert json.loads(out)["support"] == [2.0 ** (2 * k) * f for f in base]
-            assert "nan" not in (out + out_csv.read_text()).lower()
+            text = (out + out_csv.read_text()).lower()
+            assert "nan" not in text and "inf" not in text
         else:
             assert_one_error_line_in_process((code, out, err), 2)
             assert want in err
             assert not out_csv.exists()
+
+
+# gatefid sample across scales: a two-piece, a full 3x3, a non-normal and a
+# scalar map.
+SCALED_SAMPLE = {
+    "reference": np.diag([L0, L1]),
+    "random3": random_matrix(np.random.default_rng(3), 3),
+    "non_normal": np.array([[1, 2], [0, -0.5j]]),
+    "scalar": (0.3 + 0.4j) * np.eye(2),
+}
+
+
+class TestSampleAcrossScales:
+    @pytest.mark.parametrize("name", sorted(SCALED_SAMPLE))
+    @settings(max_examples=20, deadline=None)
+    @given(exponent=st.floats(-300, 300))
+    @example(exponent=-300.0)
+    @example(exponent=-156.0)
+    @example(exponent=153.75)
+    @example(exponent=154.5)
+    @example(exponent=300.0)
+    def test_counts_every_draw_or_one_error_line(self, tmp_path_factory, name, exponent):
+        # Exit 0 with every draw counted, or exit 2 with one error line; an
+        # exception (or a RuntimeWarning, under pytest) escapes main.
+        workdir = tmp_path_factory.mktemp("scaled")
+        save_matrix(SCALED_SAMPLE[name] * 10.0**exponent, workdir / "m.json")
+        argv = ["sample", "--matrix", str(workdir / "m.json"), "--samples", "500"]
+        argv += ["--bins", "20", "--seed", "1", "--out", str(workdir / "run")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert json.loads(out.getvalue())["samples"] == 500
+            rows = (workdir / "run.csv").read_text().splitlines()[1:]
+            assert sum(int(r.split(",")[2]) for r in rows) == 500
+        else:
+            assert_one_error_line_in_process((code, out.getvalue(), err.getvalue()), 2)
 
 
 class TestSample:

@@ -4,6 +4,8 @@ from math import ldexp
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gatefid import (
     eig2_normal,
@@ -15,6 +17,7 @@ from gatefid import (
 from gatefid.linalg import ConfigError
 from gatefid.sampling import (
     _BATCH,
+    EDGE_SLACK,
     _Tally,
     _fidelity_batches,
     _gaussian_rows,
@@ -23,6 +26,7 @@ from gatefid.sampling import (
     state_batches,
 )
 from conftest import (
+    assert_scale_covariant,
     haar_states,
     random_hermitian,
     random_matrix,
@@ -33,6 +37,16 @@ from conftest import (
 L0 = 0.7 * np.exp(1j * np.pi / 8)
 L1 = 0.8 * np.exp(1j * 4 * np.pi / 5)
 REFERENCE = np.diag([L0, L1])
+
+
+# Maps whose histogram must follow a power-of-two scale: two-piece, a full
+# 4x4 numerical range, a scalar (parked range) and a non-normal 2x2 map.
+SCALED = {
+    "reference": REFERENCE,
+    "random4": random_matrix(np.random.default_rng(4), 4),
+    "scalar3": (0.3 + 0.4j) * np.eye(3),
+    "non_normal2": np.array([[1, 2], [0, -0.5j]]),
+}
 
 
 def fidelities(m, samples, seed):
@@ -321,21 +335,25 @@ class TestMcHistogram:
         assert total == pytest.approx(h.counts.sum() / h.samples)
 
     def test_edge_clamp_spans_batches(self):
-        # The clamp runs batch by batch; values near both edges in every
-        # batch must be clamped exactly as a whole-array pass would.
+        # The clip runs batch by batch; values near both edges in every
+        # batch must be clipped exactly as a whole-array pass would, and a
+        # value beyond the slack raises in whichever batch it comes.
         rng = np.random.default_rng(8)
         f = rng.uniform(0.2, 0.6, 2 * _BATCH + 3)
         f[rng.integers(0, f.size, 200)] = 0.2 - 1e-12
         f[rng.integers(0, f.size, 200)] = 0.6 + 1e-12
-        f[:3] = [0.2 - 1e-3, 0.6 + 1e-3, 0.6 - 1e-15]
-        want = f.copy()
-        for edge in (0.2, 0.6):
-            want[np.abs(want - edge) <= 1e-9] = edge
+        f[2] = 0.6 - 1e-15
+        want = np.clip(f, 0.2, 0.6)
         batches = [f[start : start + _BATCH] for start in range(0, f.size, _BATCH)]
         h = tally_histogram(batches, 20, (0.2, 0.6))  # the batches are views of f
         assert np.array_equal(f, want)
-        assert h.counts.sum() == f.size - 2
+        assert h.counts.sum() == f.size
         assert np.array_equal(h.counts, np.histogram(want, 20, (0.2, 0.6))[0])
+        for i, bad in ((0, 0.2 - 1e-3), (_BATCH + 1, 0.6 + 1e-3), (-1, 0.6 + 1e-9)):
+            g = f.copy()
+            g[i] = bad
+            with pytest.raises(ValueError, match="leaves the histogram range"):
+                tally_histogram([g[a : a + _BATCH] for a in range(0, g.size, _BATCH)], 20, (0.2, 0.6))
 
     def test_range_narrower_than_the_slack_keeps_its_shape(self):
         # The support of diag(1, e^{i 1e-4}) is 2.5e-9 wide, and so is the
@@ -364,54 +382,59 @@ class TestStream:
     def test_counts_match_concatenated_batches(self, seed, known):
         samples, bins = 2 * _BATCH + 5, 40  # three batches
         f = fidelities(REFERENCE, samples, seed)
+        cuts = range(0, samples, _BATCH)
         if known:
-            # Edges 5e-10 inside a value of the first batch and one of the
-            # last: both values fall outside the range unless clamped.
-            a, b = sorted((f[10], f[-10]))
-            value_range = a + 5e-10, b - 5e-10
-            expected_range = value_range
+            # Values half the slack outside both edges, one in the first
+            # batch and one in the last: both fall outside the range unless
+            # clipped.
+            value_range = expected_range = lo, hi = f.min(), f.max()
+            slack = EDGE_SLACK * hi
+            f[[10, -10]] = lo - 0.5 * slack, hi + 0.5 * slack
         else:
             value_range = None
             expected_range = _outer_range(REFERENCE, bins)
-        g = f.copy()
-        for edge in expected_range:
-            g[np.abs(g - edge) <= 1e-9] = edge
-        want = np.histogram(g, bins, expected_range)
+        want = np.histogram(np.clip(f, *expected_range), bins, expected_range)
+        assert want[0].sum() == samples
         if known:
-            assert want[0].sum() == np.histogram(f, bins, value_range)[0].sum() + 2
-        else:
-            assert want[0].sum() == samples
-        if known:
-            cuts = range(0, samples, _BATCH)
-            hist = tally_histogram((f[a : a + _BATCH] for a in cuts), bins, value_range)
+            assert np.histogram(f, bins, value_range)[0].sum() == samples - 2
+            g = f.copy()
+            hist = tally_histogram((g[a : a + _BATCH] for a in cuts), bins, value_range)
         else:
             hist, _ = mc_sample(REFERENCE, bins, samples, seed)
         assert hist.counts.tobytes() == want[0].tobytes()
         assert hist.edges.tobytes() == want[1].tobytes()
+        if known:
+            # Twice the slack outside an edge, in the last batch: a fault.
+            f[-10] = hi + 2 * slack
+            with pytest.raises(ValueError, match="leaves the histogram range"):
+                tally_histogram((f[a : a + _BATCH] for a in cuts), bins, value_range)
 
     def test_computed_range_edges_in_different_batches(self):
         # Values within the edge slack of both computed edges, just inside
         # and just outside, sit at uneven batch cuts, in the first, middle
-        # and last batches; each is clamped onto its edge and counted.
+        # and last batches; each is counted in its edge bin. One beyond the
+        # slack raises.
         m = np.eye(3) + 0.3 * random_matrix(np.random.default_rng(9), 3)
         lo, hi = _outer_range(m, 25)
         assert 0 < lo < hi
-        slack = 1e-9 * max(1.0, lo, hi)
+        slack = EDGE_SLACK * hi
         rng = np.random.default_rng(9)
         f = rng.uniform(lo, hi, 3 * _BATCH + 11)
         cuts = [0, 5, _BATCH + 3, 2 * _BATCH, f.size]
         f[[0, 4, _BATCH + 3, 2 * _BATCH - 1]] = [hi + 0.5 * slack, lo - 0.5 * slack, hi, lo]
         f[[2 * _BATCH, f.size - 1]] = [lo + 0.5 * slack, hi - 0.5 * slack]
-        f[7] = hi + 2 * slack  # beyond the slack: dropped
         want = f.copy()
         for edge in (lo, hi):
             want[np.abs(want - edge) <= slack] = edge
         batches = [f[a:b].copy() for a, b in zip(cuts, cuts[1:])]
         h = tally_histogram(batches, 25, (lo, hi))
         expected = np.histogram(want, 25, (lo, hi))
-        assert h.counts.sum() == f.size - 1
+        assert h.counts.sum() == f.size
         assert np.array_equal(h.counts, expected[0]) and np.array_equal(h.edges, expected[1])
         assert h.counts[0] >= 3 and h.counts[-1] >= 3
+        f[7] = hi + 2 * slack  # beyond the slack: a fault
+        with pytest.raises(ValueError, match="leaves the histogram range"):
+            tally_histogram([f[a:b].copy() for a, b in zip(cuts, cuts[1:])], 25, (lo, hi))
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("seed", [1, 3])
@@ -434,6 +457,21 @@ class TestStream:
         tiny = mc_moment(m / 2.0**500, 1, 2 * _BATCH + 5, seed=4)
         assert est.mean == ldexp(tiny.mean, 1000)
         assert est.std_error == ldexp(tiny.std_error, 1000)
+
+    @pytest.mark.parametrize("name", sorted(SCALED))
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(-480, 480))
+    @example(k=-480)
+    @example(k=480)
+    def test_histogram_follows_a_power_of_two_scale(self, name, k):
+        # f of 2^k m is 4^k times f of m, bit for bit, and every edge
+        # decision is relative: the same counts, and edges and estimate
+        # exactly 4^k times.
+        def run(m):
+            hist, est = mc_sample(m, 50, 2_000, seed=11)
+            return hist.counts, hist.edges, est.mean, est.std_error
+
+        assert_scale_covariant(run, SCALED[name], k, 2)
 
     def test_estimate_taken_before_the_clamp(self):
         # Values within the slack of an edge move onto it for binning only.

@@ -100,6 +100,18 @@ class TestCsv:
         assert lo < f[0] and f[-1] == hi
         assert (dens > 0).all() and np.isfinite(dens).all()
 
+    def test_density_first_row_clears_the_anchor_by_an_ulp(self):
+        # diag(1, e^{1e-7 i}): a support 22 ulps wide, where a thousandth of
+        # the width is below an ulp of f0 and would leave the first row at
+        # f0, with density inf.
+        d = normal_pdf(QubitSpectrum.ordered(1.0, np.exp(1e-7j)))
+        lo, hi = d.support()
+        assert 4 * np.spacing(hi) < hi - lo < 1e3 * np.spacing(lo)
+        rows = np.array([list(map(float, r.split(","))) for r in density_csv_lines(d, 8)[1:]])
+        f, dens = rows.T
+        assert f[0] == np.nextafter(lo, 1.0) and (np.diff(f) > 0).all()
+        assert np.isfinite(dens).all()
+
     @pytest.mark.parametrize(
         "spectrum",
         [
