@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import ConfigError, QubitSpectrum, eig2_normal
-from .moments import GateSpec, InvariantError, gate_moments, kraus_avg_fidelity
+from .moments import GateSpec, InvariantError, MomentReport, gate_moments, kraus_avg_fidelity
 from .optimize import (
     EvaluatorError,
     Objective,
@@ -122,14 +122,8 @@ def _cmd_moments(args) -> int:
             mean = kraus_avg_fidelity(kmap, target)
         except ValueError as exc:
             raise InvariantError(f"{args.target} / {args.kraus}: {exc}") from exc
-        _emit(
-            {
-                "n_eff": kmap.dim,
-                "mean": mean,
-                "method": "closed_form",
-                "trace_preserving": kmap.trace_preserving,
-            }
-        )
+        report = MomentReport(n_eff=kmap.dim, mean=mean).as_dict()
+        _emit({**report, "trace_preserving": kmap.trace_preserving})
         return EXIT_OK
     actual = _load(args.actual, load_matrix)
     try:

@@ -67,6 +67,11 @@ def check_selector(indices: Sequence[int], dim: int) -> tuple[int, ...]:
     return sel
 
 
+def _pow2_exponent(x: float) -> int:
+    """``frexp(x)``'s exponent e (0 at x = 0), clamped so 2^e and 2^-e stay normal."""
+    return min(max(math.frexp(x)[1], -1000), 1000)
+
+
 def _canonical_order(a: complex, b: complex) -> tuple[complex, complex]:
     # Sort by modulus; on exact ties, by principal argument in (-pi, pi].
     if abs(a) < abs(b):
@@ -114,8 +119,7 @@ def eig2_normal(m: np.ndarray) -> QubitSpectrum:
         raise ValueError("eig2_normal requires a 2x2 matrix")
     entries = m.ravel().tolist()
     big = max(max(abs(z.real), abs(z.imag)) for z in entries)
-    # frexp(0) gives e = 0; the clamp keeps 2^e and 2^-e normal.
-    e = min(max(math.frexp(big)[1], -1000), 1000)
+    e = _pow2_exponent(big)
     a, b, c, d = (z * math.ldexp(1.0, -e) for z in entries)
     z0 = 0.5 * (a + d)
     bloch = (0.5 * (b + c), 0.5j * (b - c), 0.5 * (a - d))

@@ -130,19 +130,19 @@ class HistogramComparison:
 def normal_pdf(s: QubitSpectrum) -> FidelityDistribution:
     """Fidelity density of a 2x2 normal map with the given spectrum."""
     l0, l1 = s.lambda0, s.lambda1
-    # Every quantity below is at most 4 |l1|^2 in size, so this one test
-    # keeps them finite (and float ** 2 from raising OverflowError).
-    if not math.isfinite(4.0 * abs(l1) * abs(l1)):
+    r0, r1 = abs(l0), abs(l1)
+    # Every quantity below is at most 4 |l1|^2, so this one test keeps them
+    # finite. Squares are products: x * x follows a 2^k scale exactly; pow may not.
+    if not math.isfinite(4.0 * r1 * r1):
         raise InvariantError(f"spectrum ({l0!r}, {l1!r}) is not representable: |l1|^2 overflows")
     # Degeneracy is judged relative to |l1|; the unit-modulus test below
     # stays absolute, since unit modulus fixes the scale.
-    if abs(l0 - l1) <= DEGENERACY_TOL * abs(l1):
+    if abs(l0 - l1) <= DEGENERACY_TOL * r1:
         raise DegenerateSpectrumError(
-            f"degenerate spectrum: point mass at f = {abs(l0) ** 2!r}",
-            point_mass=abs(l0) ** 2,
+            f"degenerate spectrum: point mass at f = {r0 * r0!r}", point_mass=r0 * r0
         )
-    unit = abs(abs(l0) - 1.0) <= DEGENERACY_TOL and abs(abs(l1) - 1.0) <= DEGENERACY_TOL
-    one_piece = abs(l0 - 0.5 * l1) < 0.5 * abs(l1)
+    unit = abs(r0 - 1.0) <= DEGENERACY_TOL and abs(r1 - 1.0) <= DEGENERACY_TOL
+    one_piece = abs(l0 - 0.5 * l1) < 0.5 * r1
     case = "unitary_like" if unit else "one_piece" if one_piece else "two_piece"
     diff = l0 - l1
     d = abs(diff)
@@ -154,8 +154,8 @@ def normal_pdf(s: QubitSpectrum) -> FidelityDistribution:
     s0 = u if one_piece else max(-u, -0.5 * d)
     # Im(l0 conj(l0 - l1)) = -Im(l0 conj(l1)), without the cancellation
     # of the latter when l0 and l1 nearly coincide.
-    f0 = (cross.imag / d) ** 2
-    out = FidelityDistribution(s, case, f0, s0, s0 + d, abs(l0) ** 2, abs(l1) ** 2)
+    h = cross.imag / d  # the signed distance from 0 to the segment's line
+    out = FidelityDistribution(s, case, h * h, s0, s0 + d, r0 * r0, r1 * r1)
     if not abs(out.mass() - 1.0) <= 1e-10:
         raise InvariantError(f"density mass {out.mass()} is not 1")
     return out
@@ -170,12 +170,12 @@ def quadrature_moments(d: FidelityDistribution) -> MomentReport:
     """
     hi, lo, f0 = d.s1, d.s0, d.f0
     # Every term below is at most 8 top^2 in size, top >= max f: one test
-    # keeps them finite (and float ** 2 from raising OverflowError).
+    # keeps them finite.
     top = f0 + max(hi * hi, lo * lo)
     if not math.isfinite(8.0 * top * top):
         raise InvariantError(f"second moment is not representable: f up to {top!r} squared overflows")
     quad = hi * hi + hi * lo + lo * lo
-    quart = (hi * hi + lo * lo) * quad - (hi * lo) ** 2
+    quart = (hi * hi + lo * lo) * quad - (hi * lo) * (hi * lo)
     return MomentReport(
         n_eff=2,
         mean=quad / 3.0 + f0,

@@ -4,9 +4,9 @@ States are sampled by normalizing standard complex Gaussian vectors, which is
 Haar-uniform on the unit sphere of C^n for every n. Every seeded Monte-Carlo
 path draws from one stream, :func:`state_batches`, and is deterministic for a
 fixed ``(seed, samples)`` pair. The stream yields unnormalized Gaussian rows
-``v``; the kernel takes ``f = (|<v|m|v>| / |v|^2)^2``. The states ``v / |v|``
-a seed draws are pinned bit for bit; ``f`` may differ from earlier versions in
-the last bits.
+``v``; every overlap ``|<v|a|v>| / |v|^2``, ``verify``'s included, comes from
+one kernel, and f is its square. The states ``v / |v|`` a seed draws are
+pinned bit for bit; ``f`` may differ from earlier versions in the last bits.
 
 ``mc_moment`` and ``mc_sample`` make one streaming pass over those batches
 into one tally: running moments and bin counts, so their memory does not grow
@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .linalg import ConfigError, as_matrix
+from .linalg import ConfigError, _pow2_exponent, as_matrix
 
 _BATCH = 1 << 14
 _ANGLES = 64
@@ -126,36 +126,31 @@ def _draw_batches(
         yield _gaussian_rows(rng, z[:count], r2[:count])
 
 
-def expectation(states: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """<psi|a|psi> for every row psi of ``states``."""
-    return np.einsum("bj,bj->b", states.conj() @ a, states)
-
-
-def _fidelity_batches(m: np.ndarray, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """f = (|<v|m|v>| / |v|^2)^2 for each batch of :func:`state_batches`,
-    in an array that, like the rows, the next batch overwrites."""
-    m = as_matrix(m)
-    n = m.shape[0]
+def _overlaps(ops, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """|<v|a|v>| / |v|^2 for each operator a of the (k, n, n) stack ``ops``
+    and each row v of a batch of :func:`state_batches`: a (k, rows) array
+    that, like the rows, the next batch overwrites."""
+    ops = np.asarray(ops, dtype=np.complex128)
+    k, n = ops.shape[:2]
     rows = min(_BATCH, samples)
     # Every per-batch array is a block of one workspace. As separate arrays,
     # freed at the end of each stream, the allocator handed them back to the
     # system and the next stream page-faulted them in again.
-    work = np.split(np.empty(rows * (6 * n + 4)), rows * np.cumsum([2 * n, 2 * n, 2 * n, 2, 1]))
-    z, norm2, fid = work[0].reshape(rows, 2 * n), work[4], work[5]
+    work = np.split(np.empty(rows * (6 * n + 3 + k)), rows * np.cumsum([2 * n, 2 * n, 2 * n, 2, 1]))
+    z, norm2, out = work[0].reshape(rows, 2 * n), work[4], work[5].reshape(k, rows)
     conj, prod = (block.view(complex).reshape(rows, n) for block in work[1:3])
     overlap = work[3].view(complex)
     for v, r2 in _draw_batches(samples, seed, z, norm2):
-        k = len(v)
+        count = len(v)
+        q = out[:, :count]
         # A decorator would not cover a generator's body, so the state is set here.
         with np.errstate(over="ignore", invalid="ignore"):
-            # expectation(v, m), with the same arithmetic, in the workspace
-            np.matmul(np.conjugate(v, out=conj[:k]), m, out=prod[:k])
-            f = np.abs(np.einsum("bj,bj->b", prod[:k], v, out=overlap[:k]), out=fid[:k])
-            f /= r2
-            np.square(f, out=f)
-        if not np.isfinite(f.max()):  # max propagates NaN
-            raise ValueError("sampled fidelity overflows: the map's entries are too large")
-        yield f
+            np.conjugate(v, out=conj[:count])
+            for a, row in zip(ops, q):  # one at a time: a batched matmul ran slower
+                np.matmul(conj[:count], a, out=prod[:count])
+                np.abs(np.einsum("bj,bj->b", prod[:count], v, out=overlap[:count]), out=row)
+                row /= r2
+        yield q
 
 
 def _herm_spectra(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -241,8 +236,7 @@ class _Tally:
         count = self.count + x.size
         # The moments come first, so the estimate never sees the clip.
         if self.exponent is None:
-            # frexp(0) gives e = 0; the clamp keeps 2^e and 2^-e normal.
-            self.exponent = min(max(frexp(float(x.max()))[1], -1000), 1000)
+            self.exponent = _pow2_exponent(float(x.max()))
         np.multiply(x, ldexp(1.0, -self.exponent), out=tmp)
         mean = float(tmp.mean())
         np.square(np.subtract(tmp, mean, out=tmp), out=tmp)
@@ -269,16 +263,18 @@ class _Tally:
 
 
 def _stream(m: np.ndarray, samples: int, seed: int, order: int = 1, bins: int = 0) -> _Tally:
-    """The one sampling loop: every batch of f (or f**2) goes into one tally,
-    binned, when ``bins`` is given, over :func:`_outer_range`."""
-    value_range = None
-    if bins:
-        m = as_matrix(m)
-        value_range = _outer_range(m, bins)
-    tally = _Tally(bins, value_range)
-    for f in _fidelity_batches(m, samples, seed):
-        if order == 2:
-            np.square(f, out=f)
+    """The one sampling loop: f (or f^2) of every batch is checked and goes
+    into one tally, binned, when ``bins`` is given, over :func:`_outer_range`."""
+    if samples < 100:
+        raise ConfigError(f"samples must be at least 100, got {samples}")
+    m = as_matrix(m)
+    tally = _Tally(bins, _outer_range(m, bins) if bins else None)
+    for (f,) in _overlaps(m[None], samples, seed):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(order):
+                np.square(f, out=f)
+        if not np.isfinite(f.max()):  # max propagates NaN
+            raise ValueError("sampled fidelity overflows: the map's entries are too large")
         tally.add(f)
     return tally
 
@@ -287,8 +283,6 @@ def mc_moment(m: np.ndarray, order: int, samples: int, seed: int) -> McEstimate:
     """Monte-Carlo estimate of the Haar average of |<psi|m|psi>|^(2*order)."""
     if order not in (1, 2):
         raise ConfigError("order must be 1 or 2")
-    if samples < 100:
-        raise ConfigError(f"samples must be at least 100, got {samples}")
     return _stream(m, samples, seed, order).estimate(seed)
 
 
@@ -304,7 +298,5 @@ def mc_sample(m: np.ndarray, bins: int, samples: int, seed: int) -> tuple[Histog
         raise ConfigError(f"bins must be at least 2, got {bins}")
     if samples < bins:
         raise ConfigError(f"samples ({samples}) must be at least bins ({bins})")
-    if samples < 100:
-        raise ConfigError(f"samples must be at least 100, got {samples}")
     tally = _stream(m, samples, seed, bins=bins)
     return tally.histogram(seed), tally.estimate(seed)

@@ -61,6 +61,12 @@ def reference_states(n, count, rng):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def reference_overlap(states, a):
+    """<psi|a|psi> for every row psi of ``states``, written out in numpy: the
+    reference for the sampler's overlap kernel."""
+    return np.einsum("bj,bj->b", states.conj() @ a, states)
+
+
 def haar_states(n, count, seed):
     """``count`` Haar states on C^n, the normalized rows of the seed's stream."""
     return np.concatenate(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gatefid
@@ -21,7 +21,7 @@ from gatefid.cli import main
 from gatefid.moments import MomentReport
 from gatefid.sampling import mc_sample
 from gatefid.serialize import kraus_to_obj, matrix_to_obj, save_matrix
-from conftest import random_matrix
+from conftest import assert_scale_covariant, random_matrix
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
 L1 = 0.8 * np.exp(1j * 4 * np.pi / 5)
@@ -429,6 +429,68 @@ class TestSampleAcrossScales:
             assert sum(int(r.split(",")[2]) for r in rows) == 500
         else:
             assert_one_error_line_in_process((code, out.getvalue(), err.getvalue()), 2)
+
+
+def cli_json(*argv):
+    """The JSON of one in-process command, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return json.loads(out.getvalue())
+
+
+def seeded_spectrum(seed):
+    z = np.random.default_rng(seed).uniform(-1, 1, 4)
+    return complex(z[0], z[1]), complex(z[2], z[3])
+
+
+class TestClosedFormsAcrossScales:
+    # f of 2^k m is 4^k times f of m, and a power-of-two scale is exact: the
+    # closed forms must follow it bit for bit, E f and the support at 4^k and
+    # E f^2 and the variance at 16^k. (The dist CSV is exempt: its first grid
+    # point sits an absolute 1e-9 above the support below f = 1.)
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), k=st.integers(-120, 120))
+    def test_moments(self, tmp_path_factory, seed, n, k):
+        workdir = tmp_path_factory.mktemp("moments")
+        target, actual = workdir / "target.json", workdir / "actual.json"
+        save_matrix(np.eye(n), target)
+
+        def report(m, keys):
+            save_matrix(m, actual)
+            out = cli_json("moments", "--target", str(target), "--actual", str(actual))
+            return [out[key] for key in keys]
+
+        m = random_matrix(np.random.default_rng(seed), n)
+        assert_scale_covariant(lambda a: report(a, ["mean"]), m, k, 2)
+        assert_scale_covariant(lambda a: report(a, ["second_moment", "variance"]), m, k, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spectrum=st.integers(0, 2**32 - 1).map(seeded_spectrum), k=st.integers(-120, 120))
+    # Squared with pow, |l1|^2 of this spectrum broke the 4^k rule at k = 7.
+    @example(
+        spectrum=(
+            -0.20815160696395218 - 0.121081734136268j,
+            0.5782436977541383 - 0.6910853595117401j,
+        ),
+        k=7,
+    )
+    def test_dist(self, tmp_path_factory, spectrum, k):
+        assume(abs(spectrum[0] - spectrum[1]) >= 1e-3)
+        out_csv = tmp_path_factory.mktemp("dist") / "pdf.csv"
+
+        def law(lams, degree):
+            a, b = (f"{float(z.real)!r},{float(z.imag)!r}" for z in lams)
+            out = cli_json(
+                "dist", f"--lambda0={a}", f"--lambda1={b}", "--grid", "8", "--out", str(out_csv)
+            )
+            if degree == 2:
+                return [*out["support"], out["f0"], out["moments"]["mean"]]
+            return [out["moments"]["second_moment"], out["moments"]["variance"]]
+
+        lams = np.array(spectrum)
+        assert_scale_covariant(lambda x: law(x, 2), lams, k, 2)
+        assert_scale_covariant(lambda x: law(x, 4), lams, k, 4)
 
 
 class TestSample:

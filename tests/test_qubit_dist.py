@@ -15,8 +15,7 @@ from gatefid import (
     quadrature_moments,
 )
 from gatefid.moments import InvariantError
-from gatefid.sampling import expectation
-from conftest import haar_states
+from conftest import haar_states, reference_overlap
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
 L1 = 0.8 * np.exp(1j * 4 * np.pi / 5)
@@ -33,7 +32,7 @@ def random_spectrum(rng, min_sep=0.05):
 
 def histogram_over(m, bins, samples, seed, value_range):
     """Histogram of the seed's sampled fidelities of ``m`` over a given range."""
-    f = np.abs(expectation(haar_states(m.shape[0], samples, seed), m)) ** 2
+    f = np.abs(reference_overlap(haar_states(m.shape[0], samples, seed), m)) ** 2
     counts, edges = np.histogram(f, bins, value_range)
     return Histogram(edges=edges, counts=counts, samples=samples, seed=seed)
 

@@ -19,10 +19,9 @@ from gatefid.sampling import (
     _BATCH,
     EDGE_SLACK,
     _Tally,
-    _fidelity_batches,
     _gaussian_rows,
     _outer_range,
-    expectation,
+    _overlaps,
     state_batches,
 )
 from conftest import (
@@ -31,6 +30,7 @@ from conftest import (
     random_hermitian,
     random_matrix,
     random_unitary,
+    reference_overlap,
     reference_states,
 )
 
@@ -52,7 +52,7 @@ SCALED = {
 def fidelities(m, samples, seed):
     """Every sampled f of one stream, concatenated in draw order (each batch
     is copied out before the next one overwrites it)."""
-    return np.concatenate([f.copy() for f in _fidelity_batches(m, samples, seed)])
+    return np.concatenate([q[0] ** 2 for q in _overlaps(np.asarray(m)[None], samples, seed)])
 
 
 def child_rng(seed):
@@ -163,7 +163,7 @@ class TestFidelityKernel:
         samples = _BATCH + 7
         got = fidelities(m, samples, seed)
         states = reference_states(n, samples, child_rng(seed))
-        want = np.abs(expectation(states, m)) ** 2
+        want = np.abs(reference_overlap(states, m)) ** 2
         assert np.abs(got - want).max() <= 1e-14 * want.max()
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -188,7 +188,7 @@ class TestFidelityKernel:
         f = fidelities(m, count, seed)
         monkeypatch.undo()
         v = z.view(np.complex128)
-        want = np.abs(expectation(v / np.linalg.norm(v, axis=1, keepdims=True), m)) ** 2
+        want = np.abs(reference_overlap(v / np.linalg.norm(v, axis=1, keepdims=True), m)) ** 2
         assert abs(f[row] - want[row]) <= 1e-14 * want.max()
         assert np.abs(f - want).max() <= 1e-14 * want.max()
 
@@ -199,23 +199,34 @@ class TestFidelityKernel:
         with pytest.raises(ValueError, match="overflows"):
             mc_moment(1e200 * np.eye(n), 1, 1000, seed=0)
 
+    def test_second_moment_overflow_raises_without_warnings(self):
+        # f near 1e200 is finite but f^2 is not: the check follows the last square.
+        with pytest.raises(ValueError, match="overflows"):
+            mc_moment(1e100 * np.eye(2), 2, 1000, seed=0)
+
 
 class TestExpectation:
+    # The kernel takes |<v|a|v>| / |v|^2 for a stack of operators from one
+    # stream; each must match the double loop over the normalized states.
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("kind", ["general", "hermitian"])
     def test_matches_double_loop(self, rng, n, kind):
-        a = random_matrix(rng, n, scale=3.0) if kind == "general" else random_hermitian(rng, n)
-        states = reference_states(n, 200, rng)
-        want = np.zeros(len(states), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                want += states[:, i].conj() * a[i, j] * states[:, j]
-        got = expectation(states, a)
-        assert got.shape == (len(states),)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(a).max()
-
-    def test_empty_batch(self):
-        assert expectation(np.empty((0, 3), dtype=np.complex128), np.eye(3)).shape == (0,)
+        ops = np.stack(
+            [
+                random_matrix(rng, n, scale=3.0) if kind == "general" else random_hermitian(rng, n)
+                for _ in range(3)
+            ]
+        )
+        samples, seed = _BATCH + 200, n
+        got = np.concatenate([q.copy() for q in _overlaps(ops, samples, seed)], axis=1)
+        assert got.shape == (3, samples)
+        states = reference_states(n, samples, child_rng(seed))
+        for a, q in zip(ops, got):
+            want = np.zeros(samples, dtype=np.complex128)
+            for i in range(n):
+                for j in range(n):
+                    want += states[:, i].conj() * a[i, j] * states[:, j]
+            assert np.abs(q - np.abs(want)).max() <= 1e-13 * np.abs(a).max()
 
 
 class TestMonomialIntegral:

@@ -36,7 +36,9 @@ def _names(tree) -> set[str]:
 
 def test_sampler_stays_behind_its_stream():
     # The closed forms need no sampler, and the batch size and the seeding
-    # belong to the one stream, sampling.state_batches.
+    # belong to the one stream, sampling.state_batches. How a draw is stored
+    # (unnormalized rows v and r2 = |v|^2) stays inside sampling too: every
+    # other module takes overlaps from its one kernel, sampling._overlaps.
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(PACKAGE.glob("*.py"))
@@ -46,6 +48,10 @@ def test_sampler_stays_behind_its_stream():
     assert [name for name, tree in trees.items() if "SeedSequence" in _names(tree)] == [
         "sampling.py"
     ]
+    stream = {"state_batches", "_draw_batches", "_gaussian_rows", "r2"}
+    outside = {name: _names(tree) for name, tree in trees.items() if name != "sampling.py"}
+    assert [name for name, names in outside.items() if stream & names] == []
+    assert [name for name, tree in trees.items() if "expectation" in _names(tree)] == []
 
 
 def test_public_api_is_the_agreed_list():

@@ -1,10 +1,21 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 import gatefid.moments as moments_mod
-from gatefid import qubit_dist, sampling
+from gatefid import cli, qubit_dist, sampling
+from gatefid.linalg import adjoint
+from gatefid.moments import comparison_matrix
+from gatefid.sampling import state_batches
 from gatefid.verify import (
+    _RATIO_BATCHES,
     QUICK_SEED,
+    _leaky_gate,
+    _mc_conditional,
+    _random_matrix,
+    _sa_decomposition,
     check_conditional_oracle,
     check_distribution_moments,
     check_hermitian_collapse,
@@ -14,6 +25,20 @@ from gatefid.verify import (
     reference_spectrum,
     run_checks,
 )
+from conftest import reference_overlap
+
+FULL_CHECKS = [
+    "monomial_patterns",
+    "monomial_completeness",
+    "hermitian_collapse",
+    "distribution_moments",
+    "worked_values",
+    "mc_closed_form",
+    "histogram_regeneration",
+    "mc_batch",
+    "conditional_oracle",
+    "sa_decomposition",
+]
 
 
 def test_reference_spectrum_values():
@@ -42,21 +67,16 @@ def test_quick_level_passes():
 def test_full_level_passes():
     report = run_checks("full")
     assert report["passed"]
-    names = {c["name"] for c in report["checks"]}
-    assert names >= {
-        "histogram_regeneration",
-        "mc_batch",
-        "conditional_oracle",
-        "sa_decomposition",
-    }
+    assert [c["name"] for c in report["checks"]] == FULL_CHECKS
 
 
 @pytest.mark.parametrize(
     "check,estimates", [(check_conditional_oracle, 3), (check_sa_decomposition, 1)]
 )
 def test_mc_checks_draw_from_the_one_stream(monkeypatch, check, estimates):
-    # Every state these checks use comes from sampling.state_batches, so the
-    # rows drawn through its generator are exactly samples per estimate.
+    # These checks take every overlap from the sampler's one kernel,
+    # sampling._overlaps, whose states come from the one stream, so the rows
+    # drawn through its generator are exactly samples per estimate.
     drawn = []
     gaussian_rows = sampling._gaussian_rows
 
@@ -68,6 +88,72 @@ def test_mc_checks_draw_from_the_one_stream(monkeypatch, check, estimates):
     samples = 5_000
     assert check(QUICK_SEED, samples).passed
     assert sum(drawn) == estimates * samples
+
+
+def hand_loop_conditional(g, samples, seed):
+    """The conditional estimate as a hand loop over state_batches."""
+    num_op = comparison_matrix(g.target, g.actual, g.subspace)
+    den_op = comparison_matrix(g.actual, g.actual, g.subspace)
+    per = samples // _RATIO_BATCHES
+    sums = np.zeros((2, _RATIO_BATCHES))
+    row = 0
+    for v, r2 in state_batches(len(g.subspace), per * _RATIO_BATCHES, seed):
+        run = (row + np.arange(len(v))) // per
+        num = (np.abs(reference_overlap(v, num_op)) / r2) ** 2
+        den = reference_overlap(v, den_op).real / r2
+        sums[0] += np.bincount(run, weights=num, minlength=_RATIO_BATCHES)
+        sums[1] += np.bincount(run, weights=den, minlength=_RATIO_BATCHES)
+        row += len(v)
+    ratios = sums[0] / sums[1]
+    return float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(_RATIO_BATCHES))
+
+
+def hand_loop_sa_decomposition(m, samples, seed):
+    """The S/A split as a hand loop over state_batches."""
+    sym, anti = (m + adjoint(m)) / 2.0, (m - adjoint(m)) / 2.0
+    totals, gap = np.zeros(4), 0.0
+    for v, r2 in state_batches(m.shape[0], samples, seed):
+        q_m, q_s, q_a = (np.abs(reference_overlap(v, a)) / r2 for a in (m, sym, anti))
+        f = np.stack([q_m**4, q_s**4, q_a**4, (q_s**2) * (q_a**2)])
+        totals += f.sum(axis=1)
+        gap = max(gap, float(np.abs(f[0] - (f[1] + f[2] + 2 * f[3])).max()))
+    return totals / samples, gap
+
+
+@pytest.mark.parametrize("seed", [0, QUICK_SEED + 5])
+def test_mc_checks_match_a_hand_loop_over_the_stream_bitwise(seed):
+    # The kernel keeps the arithmetic of a loop over the stream's rows, so
+    # the estimates keep their bits; the acceptance operator is positive
+    # semidefinite, so the modulus of its overlap is its real part.
+    samples = 3 * sampling._BATCH + 101
+    for alpha in (0.0, 0.5, 1.0):
+        g = _leaky_gate(alpha)
+        assert _mc_conditional(g, samples, seed) == hand_loop_conditional(g, samples, seed)
+    m = _random_matrix(np.random.default_rng(seed), 3)
+    (got, got_gap), (want, want_gap) = (
+        fn(m, samples, seed) for fn in (_sa_decomposition, hand_loop_sa_decomposition)
+    )
+    assert got.tobytes() == want.tobytes() and got_gap == want_gap
+
+
+def test_a_check_that_raises_is_reported_failed(monkeypatch, capsys):
+    # With every sampled f scaled by 1 - 1e-4, the lowest draws fall below
+    # the histogram range and the tally raises: that check fails (exit 3)
+    # and the other nine still report.
+    overlaps = sampling._overlaps
+
+    def scaled(ops, samples, seed):
+        for q in overlaps(ops, samples, seed):
+            q *= math.sqrt(1 - 1e-4)
+            yield q
+
+    monkeypatch.setattr(sampling, "_overlaps", scaled)
+    assert cli.main(["verify", "--level", "full"]) == cli.EXIT_VERIFY
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"]] == FULL_CHECKS
+    failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
+    assert "leaves the histogram range" in failed["histogram_regeneration"]
+    assert not report["passed"]
 
 
 def test_rejects_unknown_level():
