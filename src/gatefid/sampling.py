@@ -7,6 +7,9 @@ fixed ``(seed, samples)`` pair. The stream yields unnormalized Gaussian rows
 ``v``; every overlap ``|<v|a|v>| / |v|^2``, ``verify``'s included, comes from
 one kernel, and f is its square. The states ``v / |v|`` a seed draws are
 pinned bit for bit; ``f`` may differ from earlier versions in the last bits.
+One worker thread per stream draws the next batch into a second buffer while
+the caller works on the current one; only that thread uses the generator, in
+draw order, so a seed draws the same states as it would on one thread.
 
 ``mc_moment`` and ``mc_sample`` make one streaming pass over those batches
 into one tally: running moments and bin counts, so their memory does not grow
@@ -107,23 +110,43 @@ def state_batches(n: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray,
     """Yield ``samples`` Gaussian rows on C^n with their squared norms, in
     batches. Row ``v`` stands for the state ``v / |v|``.
 
-    Every batch is drawn into the same two arrays, so a batch is only valid
+    Batches alternate between two pairs of arrays, and a worker thread fills
+    the next batch while the caller holds this one, so a batch is only valid
     until the next one is requested.
     """
     rows = min(_BATCH, samples)
-    return _draw_batches(samples, seed, np.empty((rows, 2 * n)), np.empty(rows))
+    pairs = [(np.empty((rows, 2 * n)), np.empty(rows)) for _ in range(2)]
+    return _draw_batches(samples, seed, pairs)
 
 
 def _draw_batches(
-    samples: int, seed: int, z: np.ndarray, r2: np.ndarray
+    samples: int, seed: int, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """:func:`state_batches` drawing into the caller's ``z`` and ``r2``."""
+    """:func:`state_batches` drawing into the caller's two ``(z, r2)`` pairs
+    in turn: batch k+1 is drawn on one worker thread while batch k is out.
+
+    Only the worker touches the generator, one batch after another, so the
+    draws, redraws included, are those of one thread. Closing the stream, or
+    dropping it, joins the worker; an error in a draw is raised here.
+    """
+    # Imported here rather than at the top: it takes about 5 ms, which the
+    # commands that draw no states need not pay at start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
     # The seed's first SeedSequence child rather than the seed itself, so
     # that every seed keeps the states it has always drawn.
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    for done in range(0, samples, _BATCH):
-        count = min(_BATCH, samples - done)
-        yield _gaussian_rows(rng, z[:count], r2[:count])
+    with ThreadPoolExecutor(1) as worker:
+        previous = None
+        for k, done in enumerate(range(0, samples, _BATCH)):
+            count = min(_BATCH, samples - done)
+            z, r2 = pairs[k % 2]
+            drawing = worker.submit(_gaussian_rows, rng, z[:count], r2[:count])
+            if previous is not None:
+                yield previous.result()
+            previous = drawing
+        if previous is not None:
+            yield previous.result()
 
 
 def _overlaps(ops, samples: int, seed: int) -> Iterator[np.ndarray]:
@@ -133,14 +156,16 @@ def _overlaps(ops, samples: int, seed: int) -> Iterator[np.ndarray]:
     ops = np.asarray(ops, dtype=np.complex128)
     k, n = ops.shape[:2]
     rows = min(_BATCH, samples)
-    # Every per-batch array is a block of one workspace. As separate arrays,
-    # freed at the end of each stream, the allocator handed them back to the
-    # system and the next stream page-faulted them in again.
-    work = np.split(np.empty(rows * (6 * n + 3 + k)), rows * np.cumsum([2 * n, 2 * n, 2 * n, 2, 1]))
-    z, norm2, out = work[0].reshape(rows, 2 * n), work[4], work[5].reshape(k, rows)
-    conj, prod = (block.view(complex).reshape(rows, n) for block in work[1:3])
-    overlap = work[3].view(complex)
-    for v, r2 in _draw_batches(samples, seed, z, norm2):
+    # Every per-batch array, the stream's two (z, r2) pairs included, is a
+    # block of one workspace. As separate arrays, freed at the end of each
+    # stream, the allocator handed them back to the system and the next
+    # stream page-faulted them in again.
+    sizes = [2 * n, 2 * n, 2 * n, 2 * n, 2, 1, 1]
+    work = np.split(np.empty(rows * (8 * n + 4 + k)), rows * np.cumsum(sizes))
+    pairs = [(work[i].reshape(rows, 2 * n), work[5 + i]) for i in range(2)]
+    conj, prod = (block.view(complex).reshape(rows, n) for block in work[2:4])
+    overlap, out = work[4].view(complex), work[7].reshape(k, rows)
+    for v, r2 in _draw_batches(samples, seed, pairs):
         count = len(v)
         q = out[:, :count]
         # A decorator would not cover a generator's body, so the state is set here.

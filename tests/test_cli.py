@@ -18,10 +18,10 @@ import gatefid
 from gatefid import depolarizing_kraus, eig2_normal, mc_moment, mc_sample, normal_pdf
 from gatefid import cli as cli_mod, sampling
 from gatefid.cli import main
-from gatefid.moments import MomentReport
+from gatefid.moments import KrausMap, MomentReport
 from gatefid.sampling import mc_sample
 from gatefid.serialize import kraus_to_obj, matrix_to_obj, save_matrix
-from conftest import assert_scale_covariant, random_matrix
+from conftest import assert_scale_covariant, random_matrix, random_unitary
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
 L1 = 0.8 * np.exp(1j * 4 * np.pi / 5)
@@ -462,6 +462,43 @@ class TestClosedFormsAcrossScales:
             return [out[key] for key in keys]
 
         m = random_matrix(np.random.default_rng(seed), n)
+        assert_scale_covariant(lambda a: report(a, ["mean"]), m, k, 2)
+        assert_scale_covariant(lambda a: report(a, ["second_moment", "variance"]), m, k, 4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), k=st.integers(-120, 120))
+    def test_moments_kraus(self, tmp_path_factory, seed, n, k):
+        # trace_preserving is exempt: the completeness test is absolute.
+        workdir = tmp_path_factory.mktemp("kraus")
+        target, kraus = workdir / "target.json", workdir / "kraus.json"
+        rng = np.random.default_rng(seed)
+        save_matrix(random_unitary(rng, n), target)
+
+        def mean(ops):
+            kraus.write_text(json.dumps(kraus_to_obj(KrausMap(tuple(ops)))))
+            return [cli_json("moments", "--target", str(target), "--kraus", str(kraus))["mean"]]
+
+        ops = np.stack([random_matrix(rng, n) for _ in range(rng.integers(1, 4))])
+        assert_scale_covariant(mean, ops, k, 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), k=st.integers(-120, 120))
+    def test_moments_subspace(self, tmp_path_factory, seed, n, k):
+        workdir = tmp_path_factory.mktemp("subspace")
+        target, actual = workdir / "target.json", workdir / "actual.json"
+        rng = np.random.default_rng(seed)
+        # Diagonal, so block-diagonal over every subspace.
+        save_matrix(np.diag(np.exp(2j * np.pi * rng.uniform(size=n))), target)
+        picked = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
+        subspace = ",".join(str(i) for i in picked)
+
+        def report(m, keys):
+            save_matrix(m, actual)
+            argv = ["--target", str(target), "--actual", str(actual), "--subspace", subspace]
+            out = cli_json("moments", *argv)
+            return [out[key] for key in keys]
+
+        m = random_matrix(rng, n)
         assert_scale_covariant(lambda a: report(a, ["mean"]), m, k, 2)
         assert_scale_covariant(lambda a: report(a, ["second_moment", "variance"]), m, k, 4)
 

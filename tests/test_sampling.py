@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from fractions import Fraction
 from math import ldexp
@@ -135,18 +136,48 @@ class TestSeedToStateMap:
         assert np.array_equal(bits(got), bits(want))
 
 
-class ZeroRowRng:
-    """A generator whose first batch draw has an all-zero row ``row``, and
-    whose next ``zero_redraws`` one-row draws are zero too."""
+class TestWorkerThread:
+    # Each stream draws its next batch on one worker thread. An empty stream
+    # starts none, and no worker outlives its stream, however the stream ends.
+    def test_full_stream(self):
+        before = threading.active_count()
+        assert sum(len(v) for v, _ in state_batches(2, 3 * _BATCH + 5, 1)) == 3 * _BATCH + 5
+        assert threading.active_count() == before
 
-    def __init__(self, rng, row, zero_redraws=0):
-        self.rng, self.row, self.zero_redraws = rng, row, zero_redraws
+    def test_stream_dropped_after_its_first_batch(self):
+        before = threading.active_count()
+        batches = state_batches(2, 3 * _BATCH, 1)
+        next(batches)
+        assert threading.active_count() == before + 1
+        del batches
+        assert threading.active_count() == before
+
+    def test_consumer_raises_while_the_next_batch_is_drawn(self):
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="overflows"):
+            mc_moment(1e200 * np.eye(2), 1, 3 * _BATCH, 0)
+        assert threading.active_count() == before
+
+    def test_empty_stream(self):
+        before = threading.active_count()
+        assert list(state_batches(2, 0, 1)) == []
+        assert threading.active_count() == before
+
+
+class ZeroRowRng:
+    """A generator whose batch draw number ``batch`` (from 0) has an all-zero
+    row ``row``, and whose next ``zero_redraws`` one-row draws are zero too."""
+
+    def __init__(self, rng, row, zero_redraws=0, batch=0):
+        self.rng, self.row, self.zero_redraws, self.batch = rng, row, zero_redraws, batch
 
     def standard_normal(self, size=None, out=None):
         z = self.rng.standard_normal(size, out=out)
         if self.row is not None and np.ndim(z) == 2:
-            z[self.row] = 0.0
-            self.row = None
+            if self.batch == 0:
+                z[self.row] = 0.0
+                self.row = None
+            self.batch -= 1
         elif np.ndim(z) == 1 and self.zero_redraws:
             z[:] = 0.0
             self.zero_redraws -= 1
@@ -166,30 +197,43 @@ class TestFidelityKernel:
         want = np.abs(reference_overlap(states, m)) ** 2
         assert np.abs(got - want).max() <= 1e-14 * want.max()
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_tiny_norm_row_is_redrawn_in_place(self, monkeypatch, n):
-        row, count, seed = 5, 1000, 11
+    # The zero row sits in the last batch: the only one of a one-batch
+    # stream, or the second, which is drawn into the second buffer.
+    @pytest.mark.parametrize(
+        "n,batch",
+        [
+            pytest.param(1, 0, id="1"),
+            pytest.param(3, 0, id="3"),
+            pytest.param(1, 1, id="1-second_buffer"),
+            pytest.param(3, 1, id="3-second_buffer"),
+        ],
+    )
+    def test_tiny_norm_row_is_redrawn_in_place(self, monkeypatch, n, batch):
+        row, seed = 5, 11
+        count, at = batch * _BATCH + 1000, batch * _BATCH + row
         m = random_matrix(np.random.default_rng(0), n)
-        # Row ``row`` of the batch and its first redraw are zero; the row is
+        # Row ``row`` of that batch and its first redraw are zero; the row is
         # then the second 2n normals drawn after the batch.
         rng = child_rng(seed)
         z = rng.standard_normal((count, 2 * n))
         rng.standard_normal(2 * n)
-        z[row] = rng.standard_normal(2 * n)
-        zero_row = ZeroRowRng(child_rng(seed), row, zero_redraws=1)
+        z[at] = rng.standard_normal(2 * n)
+        zero_row = ZeroRowRng(child_rng(seed), at, zero_redraws=1)
         v, r2 = _gaussian_rows(zero_row, np.empty((count, 2 * n)), np.empty(count))
         assert np.array_equal(bits(v), bits(z.view(np.complex128)))
-        assert r2[row] == z[row] @ z[row]
+        assert r2[at] == z[at] @ z[at]
 
         default_rng = np.random.default_rng
         monkeypatch.setattr(
-            np.random, "default_rng", lambda s: ZeroRowRng(default_rng(s), row, zero_redraws=1)
+            np.random,
+            "default_rng",
+            lambda s: ZeroRowRng(default_rng(s), row, zero_redraws=1, batch=batch),
         )
         f = fidelities(m, count, seed)
         monkeypatch.undo()
         v = z.view(np.complex128)
         want = np.abs(reference_overlap(v / np.linalg.norm(v, axis=1, keepdims=True), m)) ** 2
-        assert abs(f[row] - want[row]) <= 1e-14 * want.max()
+        assert abs(f[at] - want[at]) <= 1e-14 * want.max()
         assert np.abs(f - want).max() <= 1e-14 * want.max()
 
     @pytest.mark.parametrize("n", [2, 3])

@@ -39,6 +39,9 @@ def test_sampler_stays_behind_its_stream():
     # belong to the one stream, sampling.state_batches. How a draw is stored
     # (unnormalized rows v and r2 = |v|^2) stays inside sampling too: every
     # other module takes overlaps from its one kernel, sampling._overlaps.
+    # Only the stream starts a thread, and its worker runs _gaussian_rows,
+    # which calls numpy alone: perfbench's tracer wraps public gatefid
+    # functions with one span stack, which is not thread-safe.
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(PACKAGE.glob("*.py"))
@@ -52,6 +55,16 @@ def test_sampler_stays_behind_its_stream():
     outside = {name: _names(tree) for name, tree in trees.items() if name != "sampling.py"}
     assert [name for name, names in outside.items() if stream & names] == []
     assert [name for name, tree in trees.items() if "expectation" in _names(tree)] == []
+    threads = {"threading", "concurrent"}
+    assert [name for name, tree in trees.items() if threads & _names(tree)] == ["sampling.py"]
+    submitted = [
+        ast.unparse(node.args[0])
+        for node in ast.walk(trees["sampling.py"])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "submit"
+    ]
+    assert submitted == ["_gaussian_rows"]
 
 
 def test_public_api_is_the_agreed_list():
