@@ -7,9 +7,12 @@ fixed ``(seed, samples)`` pair. The stream yields unnormalized Gaussian rows
 ``v``; every overlap ``|<v|a|v>| / |v|^2``, ``verify``'s included, comes from
 one kernel, and f is its square. The states ``v / |v|`` a seed draws are
 pinned bit for bit; ``f`` may differ from earlier versions in the last bits.
-One worker thread per stream draws the next batch into a second buffer while
-the caller works on the current one; only that thread uses the generator, in
-draw order, so a seed draws the same states as it would on one thread.
+A lone stream (``mc_moment``, ``mc_sample``, :func:`state_batches`) draws its
+next batch on one worker thread, into a second buffer, while the caller works
+on the current one. ``verify``'s independent streams run two at a time in the
+lanes of :func:`_lanes` instead: each lane draws and tallies its streams
+inline, on its own thread. Either way one thread advances a stream's
+generator, in draw order, so a seed draws the same states as on one thread.
 
 ``mc_moment`` and ``mc_sample`` make one streaming pass over those batches
 into one tally: running moments and bin counts, so their memory does not grow
@@ -21,6 +24,7 @@ raises :class:`~gatefid.linalg.ConfigError`.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, factorial, frexp, ldexp, pi, sqrt, ulp
@@ -110,62 +114,96 @@ def state_batches(n: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray,
     """Yield ``samples`` Gaussian rows on C^n with their squared norms, in
     batches. Row ``v`` stands for the state ``v / |v|``.
 
-    Batches alternate between two pairs of arrays, and a worker thread fills
-    the next batch while the caller holds this one, so a batch is only valid
-    until the next one is requested.
+    This is the lone stream: batches alternate between two pairs of arrays,
+    and a worker thread draws the next batch while the caller holds this
+    one, so a batch is only valid until the next one is requested. A lane of
+    :func:`_lanes` draws the same rows inline into one pair instead.
     """
     rows = min(_BATCH, samples)
     pairs = [(np.empty((rows, 2 * n)), np.empty(rows)) for _ in range(2)]
-    return _draw_batches(samples, seed, pairs)
+    return _ahead(_draws(samples, seed, pairs))
 
 
-def _draw_batches(
+def _draws(
     samples: int, seed: int, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """:func:`state_batches` drawing into the caller's two ``(z, r2)`` pairs
-    in turn: batch k+1 is drawn on one worker thread while batch k is out.
+    """The one owner of a stream's generator: batch k of its ``samples`` rows
+    is drawn into ``pairs[k % len(pairs)]`` on whichever thread asks for it.
 
-    Only the worker touches the generator, one batch after another, so the
-    draws, redraws included, are those of one thread. Closing the stream, or
-    dropping it, joins the worker; an error in a draw is raised here.
+    Batches are drawn one after another, redraws included, so a seed draws
+    the same rows on any thread.
+    """
+    # The seed's first SeedSequence child rather than the seed itself, so
+    # that every seed keeps the states it has always drawn.
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    for k, done in enumerate(range(0, samples, _BATCH)):
+        count = min(_BATCH, samples - done)
+        z, r2 = pairs[k % len(pairs)]
+        yield _gaussian_rows(rng, z[:count], r2[:count])
+
+
+def _ahead(items: Iterator) -> Iterator:
+    """``items``, each taken on one worker thread while the caller holds the
+    one before it.
+
+    Only the worker advances ``items``. Item k+1 is asked for before item k
+    is waited on, so the worker goes from one to the next without waiting
+    for the caller to wake. Closing the iterator, or dropping it, joins the
+    worker; an error the worker meets is raised here.
     """
     # Imported here rather than at the top: it takes about 5 ms, which the
     # commands that draw no states need not pay at start-up.
     from concurrent.futures import ThreadPoolExecutor
 
-    # The seed's first SeedSequence child rather than the seed itself, so
-    # that every seed keeps the states it has always drawn.
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     with ThreadPoolExecutor(1) as worker:
-        previous = None
-        for k, done in enumerate(range(0, samples, _BATCH)):
-            count = min(_BATCH, samples - done)
-            z, r2 = pairs[k % 2]
-            drawing = worker.submit(_gaussian_rows, rng, z[:count], r2[:count])
-            if previous is not None:
-                yield previous.result()
-            previous = drawing
-        if previous is not None:
-            yield previous.result()
+        pending = worker.submit(next, items, None)
+        while True:
+            following = worker.submit(next, items, None)
+            if (item := pending.result()) is None:
+                return
+            yield item
+            pending = following
+
+
+def _workspace_size(rows: int, n: int, k: int, pairs: int) -> int:
+    """Floats in :func:`_carve`'s workspace."""
+    return rows * ((2 * n + 1) * pairs + 4 * n + 2 + k)
+
+
+def _carve(block: np.ndarray, rows: int, n: int, k: int, pairs: int):
+    """``pairs`` ``(z, r2)`` pairs for batches of ``rows`` rows on C^n, and
+    the kernel's buffers for ``k`` operators, as views of the flat ``block``.
+
+    Every per-batch array of a stream is a view of one workspace. As separate
+    arrays, freed at the end of each stream, the allocator handed them back
+    to the system and the next stream page-faulted them in again. The blocks
+    viewed as complex come first, so each starts on an even float.
+    """
+    sizes = [2 * n] * pairs + [2 * n, 2 * n, 2] + [1] * pairs + [k]
+    work = np.split(block[: _workspace_size(rows, n, k, pairs)], rows * np.cumsum(sizes[:-1]))
+    z, (conj, prod, overlap), r2 = work[:pairs], work[pairs : pairs + 3], work[pairs + 3 : -1]
+    drawn = [(zi.reshape(rows, 2 * n), ri) for zi, ri in zip(z, r2)]
+    conj, prod = (b.view(complex).reshape(rows, n) for b in (conj, prod))
+    return drawn, (conj, prod, overlap.view(complex), work[-1].reshape(k, rows))
 
 
 def _overlaps(ops, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """|<v|a|v>| / |v|^2 for each operator a of the (k, n, n) stack ``ops``
-    and each row v of a batch of :func:`state_batches`: a (k, rows) array
-    that, like the rows, the next batch overwrites."""
+    """:func:`_kernel` over the lone stream of ``(samples, seed)``, in a
+    workspace of its own: the overlaps of the (k, n, n) stack ``ops`` with
+    each batch, as a (k, rows) array that the next batch overwrites."""
     ops = np.asarray(ops, dtype=np.complex128)
     k, n = ops.shape[:2]
     rows = min(_BATCH, samples)
-    # Every per-batch array, the stream's two (z, r2) pairs included, is a
-    # block of one workspace. As separate arrays, freed at the end of each
-    # stream, the allocator handed them back to the system and the next
-    # stream page-faulted them in again.
-    sizes = [2 * n, 2 * n, 2 * n, 2 * n, 2, 1, 1]
-    work = np.split(np.empty(rows * (8 * n + 4 + k)), rows * np.cumsum(sizes))
-    pairs = [(work[i].reshape(rows, 2 * n), work[5 + i]) for i in range(2)]
-    conj, prod = (block.view(complex).reshape(rows, n) for block in work[2:4])
-    overlap, out = work[4].view(complex), work[7].reshape(k, rows)
-    for v, r2 in _draw_batches(samples, seed, pairs):
+    pairs, buffers = _carve(np.empty(_workspace_size(rows, n, k, 2)), rows, n, k, 2)
+    return _kernel(ops, _ahead(_draws(samples, seed, pairs)), buffers)
+
+
+def _kernel(ops: np.ndarray, batches, buffers) -> Iterator[np.ndarray]:
+    """The one overlap kernel: |<v|a|v>| / |v|^2 for each operator a of the
+    (k, n, n) stack ``ops`` and each row v of each ``(v, r2)`` batch, into
+    the ``buffers`` of :func:`_carve`."""
+    conj, prod, overlap, out = buffers
+    for v, r2 in batches:
         count = len(v)
         q = out[:, :count]
         # A decorator would not cover a generator's body, so the state is set here.
@@ -176,6 +214,63 @@ def _overlaps(ops, samples: int, seed: int) -> Iterator[np.ndarray]:
                 np.abs(np.einsum("bj,bj->b", prod[:count], v, out=overlap[:count]), out=row)
                 row /= r2
         yield q
+
+
+def _lanes(jobs: Sequence[tuple]) -> list:
+    """Run independent stream jobs two at a time; their results in job order.
+
+    A job ``(ops, samples, seed, reduce, *args)`` gives
+    ``reduce(overlaps, *args)``, with ``overlaps`` the batches that
+    ``_overlaps(ops, samples, seed)`` yields, so its result keeps the bits of
+    the lone stream. Two lanes, the caller's thread and one worker, each take
+    the next job not yet taken and draw its batches inline, with no
+    draw-ahead, into one ``(z, r2)`` pair and kernel buffers that it reuses
+    for every job. Both workspaces are allocated here, on the caller's
+    thread: allocated in the worker, glibc's per-thread arena kept them.
+
+    A lane runs private code only: perfbench's tracer wraps public gatefid
+    functions with one span stack, which is not thread-safe, so ``ops`` is
+    built by the caller and ``reduce`` is private. Once a job raises, no
+    lane starts another, and the first error in job order is raised when
+    both have stopped.
+    """
+    if not jobs:
+        return []
+    from concurrent.futures import ThreadPoolExecutor
+
+    jobs = [(np.asarray(ops, dtype=np.complex128), *rest) for ops, *rest in jobs]
+    size = max(_workspace_size(min(_BATCH, j[1]), j[0].shape[1], len(j[0]), 1) for j in jobs)
+    blocks = [np.empty(size) for _ in jobs[:2]]
+    outcomes = [None] * len(jobs)
+    todo, lock = iter(range(len(jobs))), threading.Lock()
+    with ThreadPoolExecutor(1) as worker:
+        others = [worker.submit(_lane, jobs, block, todo, lock, outcomes) for block in blocks[1:]]
+        _lane(jobs, blocks[0], todo, lock, outcomes)
+    for lane in others:
+        lane.result()
+    for ok, value in filter(None, outcomes):
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _lane(jobs, block: np.ndarray, todo: Iterator[int], lock, outcomes: list) -> None:
+    """One lane of :func:`_lanes`: run the jobs it takes from ``todo`` in
+    ``block``, and store each ``(True, result)`` or ``(False, error)``."""
+    while True:
+        with lock:
+            i = next(todo, None)
+        if i is None:
+            return
+        try:
+            ops, samples, seed, reduce, *args = jobs[i]
+            pairs, buffers = _carve(block, min(_BATCH, samples), ops.shape[1], len(ops), 1)
+            outcomes[i] = True, reduce(_kernel(ops, _draws(samples, seed, pairs), buffers), *args)
+        except BaseException as exc:
+            outcomes[i] = False, exc
+            with lock:
+                for _ in todo:  # no lane starts another job
+                    pass
 
 
 def _herm_spectra(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -287,28 +382,44 @@ class _Tally:
         return Histogram(self.edges, self.counts, self.count, seed)
 
 
-def _stream(m: np.ndarray, samples: int, seed: int, order: int = 1, bins: int = 0) -> _Tally:
-    """The one sampling loop: f (or f^2) of every batch is checked and goes
-    into one tally, binned, when ``bins`` is given, over :func:`_outer_range`."""
-    if samples < 100:
-        raise ConfigError(f"samples must be at least 100, got {samples}")
-    m = as_matrix(m)
-    tally = _Tally(bins, _outer_range(m, bins) if bins else None)
-    for (f,) in _overlaps(m[None], samples, seed):
+def _fold(overlaps, order: int, bins: int = 0, value_range=None) -> _Tally:
+    """The one sampling loop: f (or f^2) of every batch of ``overlaps`` is
+    checked and goes into one tally, binned when ``bins`` is given."""
+    tally = _Tally(bins, value_range)
+    for (f,) in overlaps:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(order):
                 np.square(f, out=f)
         if not np.isfinite(f.max()):  # max propagates NaN
             raise ValueError("sampled fidelity overflows: the map's entries are too large")
         tally.add(f)
+    tally.work = np.empty(0)  # a tally kept after its stream keeps no batch-sized scratch
     return tally
+
+
+def _moment_ops(m: np.ndarray, order: int, samples: int) -> np.ndarray:
+    """The checked (1, n, n) stack of ``m`` for an order-``order`` stream."""
+    if order not in (1, 2):
+        raise ConfigError("order must be 1 or 2")
+    if samples < 100:
+        raise ConfigError(f"samples must be at least 100, got {samples}")
+    return as_matrix(m)[None]
 
 
 def mc_moment(m: np.ndarray, order: int, samples: int, seed: int) -> McEstimate:
     """Monte-Carlo estimate of the Haar average of |<psi|m|psi>|^(2*order)."""
-    if order not in (1, 2):
-        raise ConfigError("order must be 1 or 2")
-    return _stream(m, samples, seed, order).estimate(seed)
+    ops = _moment_ops(m, order, samples)
+    return _fold(_overlaps(ops, samples, seed), order).estimate(seed)
+
+
+def _mc_moments(streams: Sequence[tuple[np.ndarray, int, int, int]]) -> list[McEstimate]:
+    """``mc_moment(m, order, samples, seed)`` for each tuple, the streams run
+    in :func:`_lanes`; each estimate keeps its bits."""
+    jobs = [
+        (_moment_ops(m, order, samples), samples, seed, _fold, order)
+        for m, order, samples, seed in streams
+    ]
+    return [tally.estimate(seed) for tally, (*_, seed) in zip(_lanes(jobs), streams)]
 
 
 def mc_sample(m: np.ndarray, bins: int, samples: int, seed: int) -> tuple[Histogram, McEstimate]:
@@ -323,5 +434,6 @@ def mc_sample(m: np.ndarray, bins: int, samples: int, seed: int) -> tuple[Histog
         raise ConfigError(f"bins must be at least 2, got {bins}")
     if samples < bins:
         raise ConfigError(f"samples ({samples}) must be at least bins ({bins})")
-    tally = _stream(m, samples, seed, bins=bins)
+    ops = _moment_ops(m, 1, samples)
+    tally = _fold(_overlaps(ops, samples, seed), 1, bins, _outer_range(ops[0], bins))
     return tally.histogram(seed), tally.estimate(seed)

@@ -187,16 +187,18 @@ def _leaky_gate(alpha: float) -> GateSpec:
 
 def check_mc_closed_form(seed: int, samples: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    closed, streams = [], []
     cases = [reference_matrix()] + [_random_matrix(rng, n) / n for n in (2, 3, 4)]
     for i, m in enumerate(cases):
-        for order, closed in (
+        for order, value in (
             (1, moments.avg_fidelity(m)),
             (2, moments.fourth_moment_general(m)),
         ):
-            est = sampling.mc_moment(m, order, samples, seed=seed + 17 * i + order)
-            sigma = max(est.std_error, 1e-300)
-            worst = max(worst, abs(est.mean - closed) / sigma)
+            closed.append(value)
+            streams.append((m, order, samples, seed + 17 * i + order))
+    worst = 0.0
+    for value, est in zip(closed, sampling._mc_moments(streams)):
+        worst = max(worst, abs(est.mean - value) / max(est.std_error, 1e-300))
     return CheckResult("mc_closed_form", worst <= 4.0, f"max |z| = {worst:.2f} sigma")
 
 
@@ -221,27 +223,30 @@ def check_histogram_regeneration(seed: int, samples: int, bins: int) -> CheckRes
 
 def check_mc_batch(seed: int, samples: int, per_dim: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    hits = 0
-    total = 0
+    closed, streams = [], []
     for n in (2, 3, 4, 5):
         for i in range(per_dim):
             m = _random_matrix(rng, n) / n
-            closed = moments.fourth_moment_general(m)
-            est = sampling.mc_moment(m, 2, samples, seed=seed + 101 * n + i)
-            total += 1
-            if abs(est.mean - closed) <= 4.0 * max(est.std_error, 1e-300):
-                hits += 1
-    ok = hits >= 0.95 * total
-    return CheckResult("mc_batch", ok, f"{hits}/{total} within 4 sigma")
+            closed.append(moments.fourth_moment_general(m))
+            streams.append((m, 2, samples, seed + 101 * n + i))
+    estimates = sampling._mc_moments(streams)
+    hits = sum(abs(est.mean - c) <= 4.0 * max(est.std_error, 1e-300) for c, est in zip(closed, estimates))
+    ok = hits >= 0.95 * len(streams)
+    return CheckResult("mc_batch", ok, f"{hits}/{len(streams)} within 4 sigma")
 
 
 def check_conditional_oracle(seed: int, samples: int) -> CheckResult:
+    gates = [_leaky_gate(alpha) for alpha in (0.0, 0.5, 1.0)]
+    closed = [moments.conditional_fidelity(g) for g in gates]
+    per = samples // _RATIO_BATCHES
+    jobs = [
+        (_conditional_ops(g), per * _RATIO_BATCHES, seed + i, _ratio_sums, per)
+        for i, g in enumerate(gates)
+    ]
     worst = 0.0
-    for i, alpha in enumerate((0.0, 0.5, 1.0)):
-        g = _leaky_gate(alpha)
-        got = moments.conditional_fidelity(g)
-        est, se = _mc_conditional(g, samples, seed + i)
-        worst = max(worst, abs(est - got) / max(se, 1e-300))
+    for value, sums in zip(closed, sampling._lanes(jobs)):
+        est, se = _ratio_estimate(sums)
+        worst = max(worst, abs(est - value) / max(se, 1e-300))
     return CheckResult("conditional_oracle", worst <= 4.0, f"max |z| = {worst:.2f} sigma")
 
 
@@ -253,17 +258,37 @@ def _mc_conditional(g: GateSpec, samples: int, seed: int) -> tuple[float, float]
     consecutive rows (whole runs only), and each run gives the ratio of its
     mean fidelity to its mean acceptance.
     """
-    num_op = moments.comparison_matrix(g.target, g.actual, g.subspace)
-    # Positive semidefinite: the modulus of its overlap is the acceptance.
-    den_op = moments.comparison_matrix(g.actual, g.actual, g.subspace)
     per = samples // _RATIO_BATCHES
+    overlaps = sampling._overlaps(_conditional_ops(g), per * _RATIO_BATCHES, seed)
+    return _ratio_estimate(_ratio_sums(overlaps, per))
+
+
+def _conditional_ops(g: GateSpec) -> np.ndarray:
+    """The fidelity and acceptance operators of ``g`` over its subspace; the
+    acceptance one is positive semidefinite, so the modulus of its overlap
+    is the acceptance."""
+    return np.stack(
+        [
+            moments.comparison_matrix(g.target, g.actual, g.subspace),
+            moments.comparison_matrix(g.actual, g.actual, g.subspace),
+        ]
+    )
+
+
+def _ratio_sums(overlaps, per: int) -> np.ndarray:
+    """Sums of f and of the acceptance over each run of ``per`` rows of the
+    conditional operators' overlaps: a (2, ``_RATIO_BATCHES``) array."""
     sums = np.zeros((2, _RATIO_BATCHES))
     row = 0
-    for q_num, q_den in sampling._overlaps([num_op, den_op], per * _RATIO_BATCHES, seed):
+    for q_num, q_den in overlaps:
         run = (row + np.arange(len(q_num))) // per
         sums[0] += np.bincount(run, weights=q_num**2, minlength=_RATIO_BATCHES)
         sums[1] += np.bincount(run, weights=q_den, minlength=_RATIO_BATCHES)
         row += len(q_num)
+    return sums
+
+
+def _ratio_estimate(sums: np.ndarray) -> tuple[float, float]:
     ratios = sums[0] / sums[1]
     return float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(_RATIO_BATCHES))
 

@@ -1,3 +1,5 @@
+import inspect
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -20,11 +22,16 @@ from gatefid.sampling import (
     _BATCH,
     EDGE_SLACK,
     _Tally,
+    _fold,
     _gaussian_rows,
+    _lanes,
+    _mc_moments,
     _outer_range,
     _overlaps,
+    _workspace_size,
     state_batches,
 )
+from gatefid.verify import _RATIO_BATCHES, _conditional_ops, _leaky_gate, _ratio_sums
 from conftest import (
     assert_scale_covariant,
     haar_states,
@@ -162,6 +169,156 @@ class TestWorkerThread:
         before = threading.active_count()
         assert list(state_batches(2, 0, 1)) == []
         assert threading.active_count() == before
+
+
+def collect(overlaps):
+    """Every overlap of a stream, copied out batch by batch: (k, samples)."""
+    return np.concatenate([q.copy() for q in overlaps], axis=1)
+
+
+def tally_bits(tally):
+    return tally.count, tally.mean, tally.m2, tally.exponent
+
+
+def one_after_another(jobs):
+    """Each job on its own lone stream, in job order."""
+    return [reduce(_overlaps(ops, samples, seed), *args) for ops, samples, seed, reduce, *args in jobs]
+
+
+def lane_jobs(count):
+    """``count`` jobs over n = 2..5: overlap copies, orders 1 and 2 of the
+    tally, and a two-operator conditional job, at stream lengths from under
+    one batch to over two."""
+    rng = np.random.default_rng(20)
+    kinds = [
+        lambda m: (m[None], collect),
+        lambda m: (m[None], _fold, 1),
+        lambda m: (m[None], _fold, 2),
+        lambda m: (_conditional_ops(_leaky_gate(0.5)), _ratio_sums),
+    ]
+    jobs = []
+    for i in range(count):
+        n, samples = 2 + i % 4, (150, _BATCH + 7, 2 * _BATCH + 2000)[i % 3]
+        ops, reduce, *args = kinds[i % 4](random_matrix(rng, n))
+        if reduce is _ratio_sums:  # whole runs of samples // _RATIO_BATCHES rows
+            args = [samples // _RATIO_BATCHES]
+            samples = args[0] * _RATIO_BATCHES
+        jobs.append((ops, samples, 100 + i, reduce, *args))
+    return jobs
+
+
+def result_bits(results):
+    return [
+        tally_bits(r) if isinstance(r, _Tally) else (r.shape, bits(r).tolist()) for r in results
+    ]
+
+
+class TestLanes:
+    # The lane runner runs independent streams two at a time: each job keeps
+    # the bits of its lone stream, the results come in job order, and no
+    # thread or workspace outlives a run.
+    @pytest.mark.parametrize("count", [0, 1, 3, 20])
+    def test_bits_of_the_lone_streams(self, count):
+        jobs = lane_jobs(count)
+        assert {len(j[0][0]) for j in jobs} <= {2, 3, 4, 5}
+        assert result_bits(_lanes(jobs)) == result_bits(one_after_another(jobs))
+
+    def test_mc_moments_are_mc_moment(self):
+        rng = np.random.default_rng(5)
+        streams = [(random_matrix(rng, n), order, 3000, n + order) for n in (2, 3) for order in (1, 2)]
+        assert _mc_moments(streams) == [mc_moment(*s) for s in streams]
+
+    def test_two_runs_at_once_with_fast_thread_switches(self):
+        # Four lanes on two cores, switching threads every microsecond: each
+        # job runs once and keeps the bits of its lone stream.
+        ran = []
+
+        def counted(overlaps, i):
+            ran.append(i)
+            return tally_bits(_fold(overlaps, 1))
+
+        jobs = [(np.diag([1.0, 0.5 + i / 200])[None], 100 + i, i, counted, i) for i in range(120)]
+        want = [tally_bits(_fold(_overlaps(ops, samples, seed), 1)) for ops, samples, seed, *_ in jobs]
+        got = [None, None]
+
+        def run(half):
+            got[half] = _lanes(jobs[half::2])
+
+        threads = [threading.Thread(target=run, args=(half,)) for half in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(ran) == list(range(len(jobs)))
+        assert got[0] == want[0::2] and got[1] == want[1::2]
+
+    def test_threads_after_a_run(self):
+        before = threading.active_count()
+        _lanes(lane_jobs(5))
+        assert threading.active_count() == before
+
+    def test_threads_after_a_job_raises(self):
+        # Job 2 of 5 overflows on its first batch; that error is raised once
+        # both lanes have stopped.
+        jobs = lane_jobs(5)
+        jobs[1] = (1e200 * np.eye(2)[None], 3 * _BATCH, 0, _fold, 1)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="overflows"):
+            _lanes(jobs)
+        assert threading.active_count() == before
+
+    def test_empty_list_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+        assert _lanes([]) == []
+        assert started == []
+
+    def test_workspaces_are_the_only_large_blocks(self):
+        # Allocated by the caller and reused: every block of 1 MB or more
+        # that a 20-job run holds comes from the runner's workspace line, and
+        # there are two of them. Each job snapshots the heap when its stream
+        # is done, and the run's peak is the workspaces and a little more.
+        source, first = inspect.getsourcelines(_lanes)
+        line = first + next(i for i, text in enumerate(source) if "np.empty(" in text)
+        snapshots = []
+
+        def fold_then_snapshot(overlaps, order):
+            tally = _fold(overlaps, order)
+            snapshots.append(tracemalloc.take_snapshot())
+            return tally
+
+        rng = np.random.default_rng(6)
+        jobs = [
+            (random_matrix(rng, n)[None], 2 * _BATCH, n + i, fold_then_snapshot, 2)
+            for n in (2, 3, 4, 5)
+            for i in range(5)
+        ]
+        tracemalloc.start()
+        try:
+            _lanes(jobs)
+            # The snapshots themselves are traced, so the peak is taken on a
+            # run without them.
+            plain = [(ops, samples, seed, _fold, order) for ops, samples, seed, _, order in jobs]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            _lanes(plain)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        workspace = _workspace_size(_BATCH, 5, 1, 1) * 8
+        assert len(snapshots) == 20
+        for snapshot in snapshots:
+            large = [t for t in snapshot.traces if t.size >= 1 << 20]
+            where = {(t.traceback[0].filename, t.traceback[0].lineno) for t in large}
+            assert where == {(inspect.getsourcefile(_lanes), line)}
+            assert [t.size for t in large] == [workspace, workspace]
+        assert peak <= 2 * workspace + (1 << 20)
 
 
 class ZeroRowRng:

@@ -3,7 +3,10 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import gatefid
+from gatefid import sampling, verify
 
 PACKAGE = Path(gatefid.__file__).resolve().parent
 
@@ -34,14 +37,44 @@ def _names(tree) -> set[str]:
     return out
 
 
-def test_sampler_stays_behind_its_stream():
+def _module_defs(trees) -> dict[str, list]:
+    """Each module-level function or class of the package, by name."""
+    defs = {}
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+    return defs
+
+
+def _reachable_names(defs, roots) -> set[str]:
+    """Every name in the private definitions ``roots`` and in the private
+    definitions they name, transitively."""
+    names, todo, seen = set(), list(roots), set()
+    while todo:
+        root = todo.pop()
+        if root in seen:
+            continue
+        seen.add(root)
+        for node in defs[root]:
+            found = _names(node)
+            names |= found
+            todo += [name for name in found if name.startswith("_") and name in defs]
+    return names
+
+
+def test_sampler_stays_behind_its_stream(monkeypatch):
     # The closed forms need no sampler, and the batch size and the seeding
     # belong to the one stream, sampling.state_batches. How a draw is stored
     # (unnormalized rows v and r2 = |v|^2) stays inside sampling too: every
-    # other module takes overlaps from its one kernel, sampling._overlaps.
-    # Only the stream starts a thread, and its worker runs _gaussian_rows,
-    # which calls numpy alone: perfbench's tracer wraps public gatefid
-    # functions with one span stack, which is not thread-safe.
+    # other module takes overlaps from its one kernel, sampling._overlaps,
+    # or through sampling's lane runner.
+    # Only sampling starts a thread: the lone stream's worker advances the
+    # stream's drawer, _draws, and the lane runner's worker runs _lane. Both
+    # run private code that names no public gatefid function: perfbench's
+    # tracer wraps those with one span stack, which is not thread-safe. So
+    # verify builds its operators before it calls the runner, and hands it
+    # private reductions only.
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(PACKAGE.glob("*.py"))
@@ -51,20 +84,45 @@ def test_sampler_stays_behind_its_stream():
     assert [name for name, tree in trees.items() if "SeedSequence" in _names(tree)] == [
         "sampling.py"
     ]
-    stream = {"state_batches", "_draw_batches", "_gaussian_rows", "r2"}
+    stream = {"state_batches", "_draws", "_gaussian_rows", "r2"}
     outside = {name: _names(tree) for name, tree in trees.items() if name != "sampling.py"}
     assert [name for name, names in outside.items() if stream & names] == []
     assert [name for name, tree in trees.items() if "expectation" in _names(tree)] == []
     threads = {"threading", "concurrent"}
     assert [name for name, tree in trees.items() if threads & _names(tree)] == ["sampling.py"]
-    submitted = [
+    calls = [node for node in ast.walk(trees["sampling.py"]) if isinstance(node, ast.Call)]
+    submitted = {
         ast.unparse(node.args[0])
-        for node in ast.walk(trees["sampling.py"])
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "submit"
-    ]
-    assert submitted == ["_gaussian_rows"]
+        for node in calls
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "submit"
+    }
+    assert submitted == {"next", "_lane"}
+    advanced = [ast.unparse(node.args[0]) for node in calls if ast.unparse(node.func) == "_ahead"]
+    assert advanced and all(arg.startswith("_draws(") for arg in advanced)
+
+    jobs = []
+    lanes = sampling._lanes
+
+    def recording(batch):
+        jobs.extend(batch)
+        return lanes(batch)
+
+    monkeypatch.setattr(sampling, "_lanes", recording)
+    assert verify.run_checks("full")["passed"]
+    assert len(jobs) == 31
+    reductions = set()
+    for ops, samples, seed, reduce, *args in jobs:
+        assert isinstance(ops, np.ndarray) and ops.dtype == np.complex128
+        assert reduce.__module__.startswith("gatefid.") and reduce.__name__.startswith("_")
+        reductions.add(reduce.__name__)
+    assert reductions == {"_fold", "_ratio_sums"}
+    defs = _module_defs(trees)
+    public = {
+        name
+        for name, nodes in defs.items()
+        if not name.startswith("_") and any(isinstance(node, ast.FunctionDef) for node in nodes)
+    }
+    assert _reachable_names(defs, {"_draws", "_lane"} | reductions) & public == set()
 
 
 def test_public_api_is_the_agreed_list():
