@@ -112,7 +112,10 @@ def eig2_normal(m: np.ndarray) -> QubitSpectrum:
     to ``max|m_ij|``, :class:`NotNormalError` is raised. The work runs on
     ``m / 2^e`` with ``2^e`` near ``max|m_ij|``, and scaling by a power of two
     is exact, so ``eig2_normal(2^k m)`` is ``2^k eig2_normal(m)`` bit for bit
-    while ``2^e`` stays within ``2^-1000 .. 2^1000``.
+    while ``2^e`` stays within ``2^-1000 .. 2^1000``, except where a real or
+    imaginary part of an eigenvalue rounds into the subnormal range: scaling
+    back by ``2^e`` is not exact there, and that part may differ by one
+    subnormal ulp (5e-324).
     """
     m = as_matrix(m)
     if m.shape[0] != 2:

@@ -5,6 +5,11 @@ The quick level re-derives closed-form results from independent routes
 Hermitian maps from their eigenvalues, density-vs-trace moments) in a few
 seconds. The full level adds Monte-Carlo agreement at larger sample counts,
 including the reference two-piece histogram regeneration.
+
+Each Monte-Carlo check is a plan, its stream jobs and closed forms, and a
+judge of the jobs' results. :func:`run_checks` runs every job of its level
+in one longest-first schedule of ``sampling._lanes`` and judges each check
+on its own results; a job or a plan that raises fails only its check.
 """
 
 from __future__ import annotations
@@ -185,9 +190,21 @@ def _leaky_gate(alpha: float) -> GateSpec:
     return GateSpec(target=np.eye(3), actual=_leaky_map((alpha, 0.0)), subspace=(0, 1))
 
 
-def check_mc_closed_form(seed: int, samples: int) -> CheckResult:
+def _run(plan) -> CheckResult:
+    """A Monte-Carlo check on its own: its plan's jobs in one lane run, then
+    its judge."""
+    jobs, judge = plan
+    return judge(sampling._lanes(jobs))
+
+
+def _estimates(jobs, tallies) -> list:
+    """The estimate of each moment job's tally, under the job's seed."""
+    return [tally.estimate(seed) for (_, _, seed, *_), tally in zip(jobs, tallies)]
+
+
+def _plan_mc_closed_form(seed: int, samples: int):
     rng = np.random.default_rng(seed)
-    closed, streams = [], []
+    closed, jobs = [], []
     cases = [reference_matrix()] + [_random_matrix(rng, n) / n for n in (2, 3, 4)]
     for i, m in enumerate(cases):
         for order, value in (
@@ -195,59 +212,87 @@ def check_mc_closed_form(seed: int, samples: int) -> CheckResult:
             (2, moments.fourth_moment_general(m)),
         ):
             closed.append(value)
-            streams.append((m, order, samples, seed + 17 * i + order))
-    worst = 0.0
-    for value, est in zip(closed, sampling._mc_moments(streams)):
-        worst = max(worst, abs(est.mean - value) / max(est.std_error, 1e-300))
-    return CheckResult("mc_closed_form", worst <= 4.0, f"max |z| = {worst:.2f} sigma")
+            jobs.append(sampling._moment_job(m, order, samples, seed + 17 * i + order))
+
+    def judge(tallies) -> CheckResult:
+        worst = 0.0
+        for value, est in zip(closed, _estimates(jobs, tallies)):
+            worst = max(worst, abs(est.mean - value) / max(est.std_error, 1e-300))
+        return CheckResult("mc_closed_form", worst <= 4.0, f"max |z| = {worst:.2f} sigma")
+
+    return jobs, judge
+
+
+def check_mc_closed_form(seed: int, samples: int) -> CheckResult:
+    return _run(_plan_mc_closed_form(seed, samples))
+
+
+def _plan_histogram_regeneration(seed: int, samples: int, bins: int):
+    dist = qubit_dist.normal_pdf(reference_spectrum())
+    job = sampling._sample_job(reference_matrix(), bins, samples, seed)
+
+    def judge(tallies) -> CheckResult:
+        cmp = qubit_dist.compare_histogram(dist, tallies[0].histogram(seed))
+        alpha, h = _FALSE_ALARM / 2, 2 / (9 * cmp.dof)
+        z = NormalDist().inv_cdf(1 - alpha / (2 * cmp.bins_compared))
+        ratio_max = (1 - h + NormalDist().inv_cdf(1 - alpha) * math.sqrt(h)) ** 3
+        ratio = cmp.chi_square / cmp.dof
+        ok = ratio < ratio_max and cmp.max_pull <= z
+        return CheckResult(
+            "histogram_regeneration",
+            ok,
+            f"chi2/dof {ratio:.3f} (bound {ratio_max:.3f}), max bin pull {cmp.max_pull:.2f} (bound {z:.2f})",
+        )
+
+    return [job], judge
 
 
 def check_histogram_regeneration(seed: int, samples: int, bins: int) -> CheckResult:
     """Two tests with half of ``_FALSE_ALARM`` each: chi2/dof under its upper
     quantile (Wilson-Hilferty), and |count - expected| <= z sqrt(expected) in
     every compared bin, z two-sided and Bonferroni over the bins."""
-    dist = qubit_dist.normal_pdf(reference_spectrum())
-    hist, _ = sampling.mc_sample(reference_matrix(), bins, samples, seed)
-    cmp = qubit_dist.compare_histogram(dist, hist)
-    alpha, h = _FALSE_ALARM / 2, 2 / (9 * cmp.dof)
-    z = NormalDist().inv_cdf(1 - alpha / (2 * cmp.bins_compared))
-    ratio_max = (1 - h + NormalDist().inv_cdf(1 - alpha) * math.sqrt(h)) ** 3
-    ratio = cmp.chi_square / cmp.dof
-    ok = ratio < ratio_max and cmp.max_pull <= z
-    return CheckResult(
-        "histogram_regeneration",
-        ok,
-        f"chi2/dof {ratio:.3f} (bound {ratio_max:.3f}), max bin pull {cmp.max_pull:.2f} (bound {z:.2f})",
-    )
+    return _run(_plan_histogram_regeneration(seed, samples, bins))
 
 
-def check_mc_batch(seed: int, samples: int, per_dim: int) -> CheckResult:
+def _plan_mc_batch(seed: int, samples: int, per_dim: int):
     rng = np.random.default_rng(seed)
-    closed, streams = [], []
+    closed, jobs = [], []
     for n in (2, 3, 4, 5):
         for i in range(per_dim):
             m = _random_matrix(rng, n) / n
             closed.append(moments.fourth_moment_general(m))
-            streams.append((m, 2, samples, seed + 101 * n + i))
-    estimates = sampling._mc_moments(streams)
-    hits = sum(abs(est.mean - c) <= 4.0 * max(est.std_error, 1e-300) for c, est in zip(closed, estimates))
-    ok = hits >= 0.95 * len(streams)
-    return CheckResult("mc_batch", ok, f"{hits}/{len(streams)} within 4 sigma")
+            jobs.append(sampling._moment_job(m, 2, samples, seed + 101 * n + i))
+
+    def judge(tallies) -> CheckResult:
+        estimates = _estimates(jobs, tallies)
+        hits = sum(abs(est.mean - c) <= 4.0 * max(est.std_error, 1e-300) for c, est in zip(closed, estimates))
+        ok = hits >= 0.95 * len(jobs)
+        return CheckResult("mc_batch", ok, f"{hits}/{len(jobs)} within 4 sigma")
+
+    return jobs, judge
+
+
+def check_mc_batch(seed: int, samples: int, per_dim: int) -> CheckResult:
+    return _run(_plan_mc_batch(seed, samples, per_dim))
+
+
+def _plan_conditional_oracle(seed: int, samples: int):
+    gates = [_leaky_gate(alpha) for alpha in (0.0, 0.5, 1.0)]
+    closed = [moments.conditional_fidelity(g) for g in gates]
+    jobs = [_conditional_job(g, samples, seed + i) for i, g in enumerate(gates)]
+
+    def judge(sums) -> CheckResult:
+        worst = 0.0
+        for value, run_sums in zip(closed, sums):
+            est, se = _ratio_estimate(run_sums)
+            worst = max(worst, abs(est - value) / max(se, 1e-300))
+        return CheckResult("conditional_oracle", worst <= 4.0, f"max |z| = {worst:.2f} sigma")
+
+    return jobs, judge
 
 
 def check_conditional_oracle(seed: int, samples: int) -> CheckResult:
-    gates = [_leaky_gate(alpha) for alpha in (0.0, 0.5, 1.0)]
-    closed = [moments.conditional_fidelity(g) for g in gates]
-    per = samples // _RATIO_BATCHES
-    jobs = [
-        (_conditional_ops(g), per * _RATIO_BATCHES, seed + i, _ratio_sums, per)
-        for i, g in enumerate(gates)
-    ]
-    worst = 0.0
-    for value, sums in zip(closed, sampling._lanes(jobs)):
-        est, se = _ratio_estimate(sums)
-        worst = max(worst, abs(est - value) / max(se, 1e-300))
-    return CheckResult("conditional_oracle", worst <= 4.0, f"max |z| = {worst:.2f} sigma")
+    return _run(_plan_conditional_oracle(seed, samples))
 
 
 def _mc_conditional(g: GateSpec, samples: int, seed: int) -> tuple[float, float]:
@@ -258,9 +303,14 @@ def _mc_conditional(g: GateSpec, samples: int, seed: int) -> tuple[float, float]
     consecutive rows (whole runs only), and each run gives the ratio of its
     mean fidelity to its mean acceptance.
     """
+    return _ratio_estimate(sampling._lanes([_conditional_job(g, samples, seed)])[0])
+
+
+def _conditional_job(g: GateSpec, samples: int, seed: int) -> tuple:
+    """The stream job of ``_mc_conditional(g, samples, seed)``: whole runs
+    of ``samples // _RATIO_BATCHES`` rows, summed by :func:`_ratio_sums`."""
     per = samples // _RATIO_BATCHES
-    overlaps = sampling._overlaps(_conditional_ops(g), per * _RATIO_BATCHES, seed)
-    return _ratio_estimate(_ratio_sums(overlaps, per))
+    return (_conditional_ops(g), per * _RATIO_BATCHES, seed, _ratio_sums, per)
 
 
 def _conditional_ops(g: GateSpec) -> np.ndarray:
@@ -301,35 +351,82 @@ def _sa_decomposition(m: np.ndarray, samples: int, seed: int) -> tuple[np.ndarra
     largest per-sample gap of the identity, which holds up to rounding since
     all four terms use the same states.
     """
+    return sampling._lanes([_sa_job(m, samples, seed)])[0]
+
+
+def _sa_job(m: np.ndarray, samples: int, seed: int) -> tuple:
+    """The stream job of ``_sa_decomposition(m, samples, seed)``."""
     sym = (m + adjoint(m)) / 2.0
     anti = (m - adjoint(m)) / 2.0
+    return (np.stack([m, sym, anti]), samples, seed, _sa_sums, samples)
+
+
+def _sa_sums(overlaps, samples: int) -> tuple[np.ndarray, float]:
+    """The S/A split's sample means and largest pointwise gap over the
+    overlaps of m, S and A."""
     totals = np.zeros(4)
     gap = 0.0
-    for q_m, q_s, q_a in sampling._overlaps([m, sym, anti], samples, seed):
+    for q_m, q_s, q_a in overlaps:
         f = np.stack([q_m**4, q_s**4, q_a**4, (q_s**2) * (q_a**2)])
         totals += f.sum(axis=1)
         gap = max(gap, float(np.abs(f[0] - (f[1] + f[2] + 2 * f[3])).max()))
     return totals / samples, gap
 
 
-def check_sa_decomposition(seed: int, samples: int) -> CheckResult:
+def _plan_sa_decomposition(seed: int, samples: int):
     rng = np.random.default_rng(seed)
     m = _random_matrix(rng, 3)
-    (total, herm, anti, cross), gap = _sa_decomposition(m, samples, seed)
-    recombined = herm + anti + 2 * cross
-    ok = gap <= 1e-12 * max(1.0, total) and (
-        abs(recombined - total) <= 1e-12 * max(1.0, total)
-    )
-    return CheckResult("sa_decomposition", ok, f"max pointwise gap {gap:.3g}")
+
+    def judge(results) -> CheckResult:
+        (total, herm, anti, cross), gap = results[0]
+        recombined = herm + anti + 2 * cross
+        ok = gap <= 1e-12 * max(1.0, total) and (
+            abs(recombined - total) <= 1e-12 * max(1.0, total)
+        )
+        return CheckResult("sa_decomposition", ok, f"max pointwise gap {gap:.3g}")
+
+    return [_sa_job(m, samples, seed)], judge
 
 
-def _guarded(check, *args, **kwargs) -> CheckResult:
-    """Run one check; a ``ValueError`` it raises (a broken invariant, a bad
-    setting, a sampled f outside its histogram range) fails it, and only it."""
+def check_sa_decomposition(seed: int, samples: int) -> CheckResult:
+    return _run(_plan_sa_decomposition(seed, samples))
+
+
+def _guarded(name: str, step, *args):
+    """Run one step of a check; a ``ValueError`` it raises (a broken
+    invariant, a bad setting, a sampled f outside its histogram range) fails
+    that check, and only it."""
     try:
-        return check(*args, **kwargs)
+        return step(*args)
     except ValueError as exc:
-        return CheckResult(check.__name__.removeprefix("check_"), False, str(exc))
+        return CheckResult(name, False, str(exc))
+
+
+def _planned(name: str, plan, *args):
+    """``plan(*args)``; a plan that raises has no jobs, and its judge fails
+    the check with the error's text."""
+    try:
+        return plan(*args)
+    except ValueError as exc:
+        detail = str(exc)
+    return [], lambda _: CheckResult(name, False, detail)
+
+
+def _caught(overlaps, reduce, *args):
+    """``reduce(overlaps, *args)``, or the ``ValueError`` it raises, so that
+    a job of :func:`run_checks`'s one lane run fails only its own check."""
+    try:
+        return reduce(overlaps, *args)
+    except ValueError as exc:
+        return exc
+
+
+def _judged(judge, results: list) -> CheckResult:
+    """``judge(results)``, or the first error a job of the check returned."""
+    for result in results:
+        if isinstance(result, ValueError):
+            raise result
+    return judge(results)
 
 
 def run_checks(level: str = "quick", seed: int = QUICK_SEED) -> dict:
@@ -337,20 +434,27 @@ def run_checks(level: str = "quick", seed: int = QUICK_SEED) -> dict:
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     checks = [
-        _guarded(check_monomial_patterns),
-        _guarded(check_monomial_completeness),
-        _guarded(check_hermitian_collapse, seed),
-        _guarded(check_distribution_moments, seed + 1),
-        _guarded(check_worked_values),
-        _guarded(check_mc_closed_form, seed + 2, samples=20_000),
+        _guarded("monomial_patterns", check_monomial_patterns),
+        _guarded("monomial_completeness", check_monomial_completeness),
+        _guarded("hermitian_collapse", check_hermitian_collapse, seed),
+        _guarded("distribution_moments", check_distribution_moments, seed + 1),
+        _guarded("worked_values", check_worked_values),
     ]
+    sampled = [("mc_closed_form", _plan_mc_closed_form, seed + 2, 20_000)]
     if level == "full":
-        checks += [
-            _guarded(check_histogram_regeneration, seed + 3, samples=1_000_000, bins=50),
-            _guarded(check_mc_batch, seed + 4, samples=100_000, per_dim=5),
-            _guarded(check_conditional_oracle, seed + 5, samples=100_000),
-            _guarded(check_sa_decomposition, seed + 6, samples=100_000),
+        sampled += [
+            ("histogram_regeneration", _plan_histogram_regeneration, seed + 3, 1_000_000, 50),
+            ("mc_batch", _plan_mc_batch, seed + 4, 100_000, 5),
+            ("conditional_oracle", _plan_conditional_oracle, seed + 5, 100_000),
+            ("sa_decomposition", _plan_sa_decomposition, seed + 6, 100_000),
         ]
+    # Every Monte-Carlo job of the level runs in one lane schedule, longest
+    # first; each check is judged on its own slice of the results.
+    plans = [_planned(name, plan, *args) for name, plan, *args in sampled]
+    jobs = [(*job[:3], _caught, *job[3:]) for plan_jobs, _ in plans for job in plan_jobs]
+    results = iter(sampling._lanes(jobs))
+    for (name, *_), (plan_jobs, judge) in zip(sampled, plans):
+        checks.append(_guarded(name, _judged, judge, [next(results) for _ in plan_jobs]))
     return {
         "level": level,
         "seed": seed,

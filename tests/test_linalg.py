@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -127,6 +129,12 @@ def rotated_normal(l0, l1, theta, phi):
     return u @ np.diag([l0, l1]) @ adjoint(u)
 
 
+def normal_or_zero(*values):
+    """Whether every nonzero real or imaginary part of ``values`` is a normal float."""
+    tiny = np.finfo(float).tiny
+    return all(x == 0 or abs(x) >= tiny for z in values for x in (z.real, z.imag))
+
+
 def _eigvec(m, lam):
     # Null vector of m - lam*I for a 2x2 matrix, via the larger row.
     a, b = m[0, 0] - lam, m[0, 1]
@@ -210,6 +218,9 @@ class TestEig2Normal:
         st.integers(-500, 500),
     )
     def test_power_of_two_scale_is_exact(self, parts, theta, phi, k):
+        # Exact where every nonzero part of both spectra is a normal float: a
+        # part that rounds into the subnormal range may move by one subnormal
+        # ulp (see the test below).
         m = rotated_normal(complex(*parts[:2]), complex(*parts[2:]), theta, phi)
         scale = 2.0**k
         assume(np.abs(m).max() >= 2.0**-400 and np.array_equal(m * scale / scale, m))
@@ -217,7 +228,23 @@ class TestEig2Normal:
         want = (s.lambda0 * scale, s.lambda1 * scale)
         assume(all(z / scale == w for z, w in zip(want, (s.lambda0, s.lambda1))))
         got = eig2_normal(m * scale)
+        assume(normal_or_zero(s.lambda0, s.lambda1, got.lambda0, got.lambda1))
         assert (got.lambda0, got.lambda1) == want
+
+    @pytest.mark.parametrize(
+        "parts,theta,phi",
+        [([0, 0, 0.5, 1.11e-308], 1.0, 0.0), ([0, 0, 0, 0.398], 1.0, 2.2e-309)],
+    )
+    def test_power_of_two_scale_within_a_subnormal_ulp(self, parts, theta, phi):
+        # Eigenvalue parts that round into the subnormal range: 2 eig2_normal(m)
+        # and eig2_normal(2 m) differ there, by at most one subnormal ulp.
+        m = rotated_normal(complex(*parts[:2]), complex(*parts[2:]), theta, phi)
+        s, got = eig2_normal(m), eig2_normal(2 * m)
+        pairs = [(2 * a, b) for a, b in zip((s.lambda0, s.lambda1), (got.lambda0, got.lambda1))]
+        assert (got.lambda0, got.lambda1) != (2 * s.lambda0, 2 * s.lambda1)
+        for want, z in pairs:
+            assert abs(want.real - z.real) <= math.ulp(0.0)
+            assert abs(want.imag - z.imag) <= math.ulp(0.0)
 
     @pytest.mark.parametrize("k", [-40, -20, 0, 20, 40])
     @pytest.mark.parametrize("name", sorted(NON_NORMAL))

@@ -17,6 +17,7 @@ from gatefid import (
     monomial_integral_exact,
     normal_pdf,
 )
+from gatefid import sampling
 from gatefid.linalg import ConfigError
 from gatefid.sampling import (
     _BATCH,
@@ -25,7 +26,7 @@ from gatefid.sampling import (
     _fold,
     _gaussian_rows,
     _lanes,
-    _mc_moments,
+    _moment_job,
     _outer_range,
     _overlaps,
     _workspace_size,
@@ -223,10 +224,41 @@ class TestLanes:
         assert {len(j[0][0]) for j in jobs} <= {2, 3, 4, 5}
         assert result_bits(_lanes(jobs)) == result_bits(one_after_another(jobs))
 
-    def test_mc_moments_are_mc_moment(self):
+    def test_moment_jobs_are_mc_moment(self):
         rng = np.random.default_rng(5)
         streams = [(random_matrix(rng, n), order, 3000, n + order) for n in (2, 3) for order in (1, 2)]
-        assert _mc_moments(streams) == [mc_moment(*s) for s in streams]
+        tallies = _lanes([_moment_job(*s) for s in streams])
+        assert [t.estimate(s[-1]) for t, s in zip(tallies, streams)] == [mc_moment(*s) for s in streams]
+
+    def test_longest_jobs_start_first(self, monkeypatch):
+        # Jobs listed from the cheapest to the costliest, by samples * (2n + k):
+        # each lane starts its jobs in non-increasing cost (the seeds a lane
+        # hands _draws are its jobs' ranks, in the order it took them), and
+        # the results still come back in job order with the lone streams' bits.
+        rng = np.random.default_rng(9)
+        jobs = [
+            (random_matrix(rng, n)[None], samples, 0, _fold, 2)
+            for samples in (200, 900, 3000)
+            for n in (2, 3, 4, 5)
+        ]
+        jobs.append((_conditional_ops(_leaky_gate(0.5)), 50 * 80, 0, _ratio_sums, 80))
+        cost = [samples * (2 * ops.shape[1] + len(ops)) for ops, samples, *_ in jobs]
+        assert cost != sorted(cost, reverse=True)
+        rank = sorted(range(len(jobs)), key=lambda i: (-cost[i], i))
+        jobs = [(ops, samples, rank.index(i), *rest) for i, (ops, samples, _, *rest) in enumerate(jobs)]
+        started = {}
+        draws = sampling._draws
+
+        def recording(samples, seed, pairs):
+            started.setdefault(threading.get_ident(), []).append(seed)
+            return draws(samples, seed, pairs)
+
+        monkeypatch.setattr(sampling, "_draws", recording)
+        got = _lanes(jobs)
+        monkeypatch.undo()
+        assert sorted(seed for seeds in started.values() for seed in seeds) == list(range(len(jobs)))
+        assert all(seeds == sorted(seeds) for seeds in started.values())
+        assert result_bits(got) == result_bits(one_after_another(jobs))
 
     def test_two_runs_at_once_with_fast_thread_switches(self):
         # Four lanes on two cores, switching threads every microsecond: each

@@ -68,7 +68,7 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
     # belong to the one stream, sampling.state_batches. How a draw is stored
     # (unnormalized rows v and r2 = |v|^2) stays inside sampling too: every
     # other module takes overlaps from its one kernel, sampling._overlaps,
-    # or through sampling's lane runner.
+    # or through sampling's lane runner; verify only through the runner.
     # Only sampling starts a thread: the lone stream's worker advances the
     # stream's drawer, _draws, and the lane runner's worker runs _lane. Both
     # run private code that names no public gatefid function: perfbench's
@@ -88,6 +88,7 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
     outside = {name: _names(tree) for name, tree in trees.items() if name != "sampling.py"}
     assert [name for name, names in outside.items() if stream & names] == []
     assert [name for name, tree in trees.items() if "expectation" in _names(tree)] == []
+    assert "_overlaps" not in _names(trees["verify.py"])
     threads = {"threading", "concurrent"}
     assert [name for name, tree in trees.items() if threads & _names(tree)] == ["sampling.py"]
     calls = [node for node in ast.walk(trees["sampling.py"]) if isinstance(node, ast.Call)]
@@ -100,22 +101,29 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
     advanced = [ast.unparse(node.args[0]) for node in calls if ast.unparse(node.func) == "_ahead"]
     assert advanced and all(arg.startswith("_draws(") for arg in advanced)
 
-    jobs = []
+    # run_checks hands every Monte-Carlo job of its level to one lane run,
+    # each job's reduction wrapped in verify's private error catch.
+    runs = []
     lanes = sampling._lanes
 
     def recording(batch):
-        jobs.extend(batch)
+        runs.append(list(batch))
         return lanes(batch)
 
     monkeypatch.setattr(sampling, "_lanes", recording)
+    assert verify.run_checks("quick")["passed"]
+    assert [len(jobs) for jobs in runs] == [8]
+    runs.clear()
     assert verify.run_checks("full")["passed"]
-    assert len(jobs) == 31
+    assert [len(jobs) for jobs in runs] == [33]
     reductions = set()
-    for ops, samples, seed, reduce, *args in jobs:
+    for ops, samples, seed, caught, reduce, *args in runs[0]:
         assert isinstance(ops, np.ndarray) and ops.dtype == np.complex128
+        assert caught is verify._caught
         assert reduce.__module__.startswith("gatefid.") and reduce.__name__.startswith("_")
         reductions.add(reduce.__name__)
-    assert reductions == {"_fold", "_ratio_sums"}
+    assert reductions == {"_fold", "_ratio_sums", "_sa_sums"}
+    reductions.add(caught.__name__)
     defs = _module_defs(trees)
     public = {
         name

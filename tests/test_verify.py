@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -39,6 +40,24 @@ FULL_CHECKS = [
     "conditional_oracle",
     "sa_decomposition",
 ]
+
+
+# sha256 of the report text `gatefid verify` prints, taken before every
+# Monte-Carlo job of a level shared one longest-first lane schedule: how the
+# streams are scheduled moves no bit of a report. The last digits of some
+# details (the S/A rounding gap) follow the BLAS build's arithmetic.
+REPORT_SHA256 = {
+    ("quick", QUICK_SEED): "cec519ef51fab0f00428a1e7de38d55fd7dc2b01356bc03dc68dabd0a413874a",
+    ("full", QUICK_SEED): "3e268e21cafbe7ccfe086ab29f6cc9944bd7a7cde99d2101bc68e51838021248",
+    ("quick", 7): "ec57ef17595422ab5f76092e22feb93b87786781d3b02f2ea1b4e850bb9dfe12",
+    ("full", 7): "7fccd4125b57f37aa5188527ab3827de4ffac86d99269ea9c786deb222f8fe48",
+}
+
+
+@pytest.mark.parametrize("level,seed", sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned(level, seed):
+    text = cli._dumps(run_checks(level, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[level, seed]
 
 
 def test_reference_spectrum_values():
@@ -137,23 +156,50 @@ def test_mc_checks_match_a_hand_loop_over_the_stream_bitwise(seed):
 
 
 def test_a_check_that_raises_is_reported_failed(monkeypatch, capsys):
-    # With every sampled f scaled by 1 - 1e-4, the lowest draws fall below
-    # the histogram range and the tally raises: that check fails (exit 3)
-    # and the other nine still report.
-    overlaps = sampling._overlaps
+    # With the sampled f of the histogram's stream scaled by 1 - 1e-4, the
+    # lowest draws fall below the histogram range and the tally raises: that
+    # check fails (exit 3) and the other nine still report, each with the
+    # detail of a run with no fault. The kernel the lanes use scales the rows
+    # past the first 100,000 of a stream, and only the histogram's stream of
+    # 10^6 rows is that long.
+    clean = {c["name"]: c["detail"] for c in run_checks("full")["checks"]}
+    kernel = sampling._kernel
 
-    def scaled(ops, samples, seed):
-        for q in overlaps(ops, samples, seed):
-            q *= math.sqrt(1 - 1e-4)
+    def scaled(ops, batches, buffers):
+        rows = 0
+        for q in kernel(ops, batches, buffers):
+            rows += q.shape[1]
+            if rows > 100_000:
+                q *= math.sqrt(1 - 1e-4)
             yield q
 
-    monkeypatch.setattr(sampling, "_overlaps", scaled)
+    monkeypatch.setattr(sampling, "_kernel", scaled)
     assert cli.main(["verify", "--level", "full"]) == cli.EXIT_VERIFY
     report = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in report["checks"]] == FULL_CHECKS
     failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
     assert "leaves the histogram range" in failed["histogram_regeneration"]
     assert not report["passed"]
+    others = {c["name"]: c["detail"] for c in report["checks"] if c["name"] != "histogram_regeneration"}
+    assert others == {name: detail for name, detail in clean.items() if name in others}
+    assert len(others) == 9
+
+
+def test_a_plan_that_raises_fails_only_its_check(monkeypatch):
+    # The histogram's plan raises before any draw: that check fails with the
+    # error's text, its job never reaches the lanes, and the other nine
+    # report as in a run with no fault.
+    clean = run_checks("full")["checks"]
+
+    def no_job(*args):
+        raise ValueError("no histogram job")
+
+    monkeypatch.setattr(sampling, "_sample_job", no_job)
+    checks = run_checks("full")["checks"]
+    assert [c for c in checks if not c["passed"]] == [
+        {"name": "histogram_regeneration", "passed": False, "detail": "no histogram job"}
+    ]
+    assert [c for c in checks if c["passed"]] == [c for c in clean if c["name"] != "histogram_regeneration"]
 
 
 def test_rejects_unknown_level():
