@@ -13,7 +13,10 @@ on the current one. ``verify``'s independent streams run two at a time,
 longest first, in the lanes of :func:`_lanes` instead: each lane draws and
 tallies its streams inline, on its own thread. Either way one thread advances
 a stream's generator, in draw order, so a seed draws the same states as on
-one thread.
+one thread. While a lone stream or a lane run is open, numpy's bundled
+OpenBLAS keeps to one thread (:func:`_one_blas_thread`): left on every core,
+it runs each batch's small matrix product on both and spins between them on
+the core the worker needs. Where numpy links another BLAS, nothing is capped.
 
 ``mc_moment`` and ``mc_sample`` make one streaming pass over those batches
 into one tally: running moments and bin counts, so their memory does not grow
@@ -25,9 +28,12 @@ raises :class:`~gatefid.linalg.ConfigError`.
 
 from __future__ import annotations
 
+import sys
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import cos, factorial, frexp, ldexp, pi, sqrt, ulp
 from typing import Iterator, Sequence
 
@@ -156,7 +162,7 @@ def _ahead(items: Iterator) -> Iterator:
     # commands that draw no states need not pay at start-up.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(1) as worker:
+    with _one_blas_thread(), ThreadPoolExecutor(1) as worker:
         pending = worker.submit(next, items, None)
         while True:
             following = worker.submit(next, items, None)
@@ -164,6 +170,40 @@ def _ahead(items: Iterator) -> Iterator:
                 return
             yield item
             pending = following
+
+
+@cache
+def _blas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, found
+    on the first stream (about 0.15 ms; a command that draws nothing does
+    not look), or None where numpy links a BLAS without them."""
+    import ctypes
+
+    try:  # dlsym on numpy's core extension also searches the libraries it links
+        lib = ctypes.CDLL(sys.modules["numpy._core._multiarray_umath"].__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (KeyError, AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread while the block runs, entered on the caller's
+    thread before a stream's worker starts. A count already at one (inside
+    another stream's cap, or set so by the user) is left alone, as is a BLAS
+    that :func:`_blas_threads` does not find."""
+    found = _blas_threads()
+    old = found[0]() if found else 1
+    if old != 1:
+        found[1](1)
+    try:
+        yield
+    finally:
+        if old != 1:
+            found[1](old)
 
 
 def _workspace_size(rows: int, n: int, k: int, pairs: int) -> int:
@@ -235,9 +275,11 @@ def _lanes(jobs: Sequence[tuple]) -> list:
 
     A lane runs private code only: perfbench's tracer wraps public gatefid
     functions with one span stack, which is not thread-safe, so ``ops`` is
-    built by the caller and ``reduce`` is private. Once a job raises, no
-    lane starts another, and the first error in job order is raised when
-    both have stopped.
+    built by the caller and ``reduce`` is private. A job that raises
+    ``ValueError`` (a bad setting, an overflow, a sampled f outside its
+    histogram range) has that error as its result, and the other jobs run
+    on. Once a job raises anything else, no lane starts another, and the
+    first such error in job order is raised when both have stopped.
     """
     if not jobs:
         return []
@@ -250,20 +292,20 @@ def _lanes(jobs: Sequence[tuple]) -> list:
     cost = [samples * (2 * ops.shape[1] + len(ops)) for ops, samples, *_ in jobs]
     todo = iter(sorted(range(len(jobs)), key=cost.__getitem__, reverse=True))
     lock = threading.Lock()
-    with ThreadPoolExecutor(1) as worker:
+    with _one_blas_thread(), ThreadPoolExecutor(1) as worker:
         others = [worker.submit(_lane, jobs, block, todo, lock, outcomes) for block in blocks[1:]]
         _lane(jobs, blocks[0], todo, lock, outcomes)
     for lane in others:
         lane.result()
-    for ok, value in filter(None, outcomes):
-        if not ok:
+    for value in outcomes:
+        if isinstance(value, BaseException) and not isinstance(value, ValueError):
             raise value
-    return [value for _, value in outcomes]
+    return outcomes
 
 
 def _lane(jobs, block: np.ndarray, todo: Iterator[int], lock, outcomes: list) -> None:
     """One lane of :func:`_lanes`: run the jobs it takes from ``todo`` in
-    ``block``, and store each ``(True, result)`` or ``(False, error)``."""
+    ``block``, and store each one's result or the error it raised."""
     while True:
         with lock:
             i = next(todo, None)
@@ -272,9 +314,11 @@ def _lane(jobs, block: np.ndarray, todo: Iterator[int], lock, outcomes: list) ->
         try:
             ops, samples, seed, reduce, *args = jobs[i]
             pairs, buffers = _carve(block, min(_BATCH, samples), ops.shape[1], len(ops), 1)
-            outcomes[i] = True, reduce(_kernel(ops, _draws(samples, seed, pairs), buffers), *args)
+            outcomes[i] = reduce(_kernel(ops, _draws(samples, seed, pairs), buffers), *args)
+        except ValueError as exc:  # fails this job only
+            outcomes[i] = exc
         except BaseException as exc:
-            outcomes[i] = False, exc
+            outcomes[i] = exc
             with lock:
                 for _ in todo:  # no lane starts another job
                     pass

@@ -7,9 +7,11 @@ seconds. The full level adds Monte-Carlo agreement at larger sample counts,
 including the reference two-piece histogram regeneration.
 
 Each Monte-Carlo check is a plan, its stream jobs and closed forms, and a
-judge of the jobs' results. :func:`run_checks` runs every job of its level
-in one longest-first schedule of ``sampling._lanes`` and judges each check
-on its own results; a job or a plan that raises fails only its check.
+judge of the jobs' results. :func:`run_checks` is the one runner: it runs
+every job of its level in one longest-first schedule of ``sampling._lanes``
+and judges each check on its own results. A ``ValueError`` from a plan, a
+job or a judge fails only its check (:func:`_guarded`); any other error
+escapes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from statistics import NormalDist
 
 import numpy as np
@@ -98,15 +101,19 @@ def check_monomial_completeness() -> CheckResult:
     return CheckResult("monomial_completeness", ok, "sum over (sum|c|^2)^2 expansion")
 
 
+@cache
 def _quartic_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The exponent rows k with |k| = 4 over n coordinates, and their weights
-    (4! / prod k_i!) E prod |c_i|^(2 k_i) over Haar states c."""
+    (4! / prod k_i!) E prod |c_i|^(2 k_i) over Haar states c; built once per
+    n, as read-only arrays."""
     ks = [k for k in itertools.product(range(5), repeat=n) if sum(k) == 4]
     weights = [
         float(sampling.monomial_integral_exact(k, n) * 24 / math.prod(map(math.factorial, k)))
         for k in ks
     ]
-    return np.array(ks), np.array(weights)
+    ks, weights = np.array(ks), np.array(weights)
+    ks.flags.writeable = weights.flags.writeable = False
+    return ks, weights
 
 
 def check_hermitian_collapse(seed: int) -> CheckResult:
@@ -190,13 +197,6 @@ def _leaky_gate(alpha: float) -> GateSpec:
     return GateSpec(target=np.eye(3), actual=_leaky_map((alpha, 0.0)), subspace=(0, 1))
 
 
-def _run(plan) -> CheckResult:
-    """A Monte-Carlo check on its own: its plan's jobs in one lane run, then
-    its judge."""
-    jobs, judge = plan
-    return judge(sampling._lanes(jobs))
-
-
 def _estimates(jobs, tallies) -> list:
     """The estimate of each moment job's tally, under the job's seed."""
     return [tally.estimate(seed) for (_, _, seed, *_), tally in zip(jobs, tallies)]
@@ -207,14 +207,11 @@ def _plan_mc_closed_form(seed: int, samples: int):
     closed, jobs = [], []
     cases = [reference_matrix()] + [_random_matrix(rng, n) / n for n in (2, 3, 4)]
     for i, m in enumerate(cases):
-        for order, value in (
-            (1, moments.avg_fidelity(m)),
-            (2, moments.fourth_moment_general(m)),
-        ):
+        for order, value in ((1, moments.avg_fidelity(m)), (2, moments.fourth_moment_general(m))):
             closed.append(value)
             jobs.append(sampling._moment_job(m, order, samples, seed + 17 * i + order))
 
-    def judge(tallies) -> CheckResult:
+    def judge(*tallies) -> CheckResult:
         worst = 0.0
         for value, est in zip(closed, _estimates(jobs, tallies)):
             worst = max(worst, abs(est.mean - value) / max(est.std_error, 1e-300))
@@ -223,35 +220,24 @@ def _plan_mc_closed_form(seed: int, samples: int):
     return jobs, judge
 
 
-def check_mc_closed_form(seed: int, samples: int) -> CheckResult:
-    return _run(_plan_mc_closed_form(seed, samples))
-
-
 def _plan_histogram_regeneration(seed: int, samples: int, bins: int):
+    """Two tests with half of ``_FALSE_ALARM`` each: chi2/dof under its upper
+    quantile (Wilson-Hilferty), and |count - expected| <= z sqrt(expected) in
+    every compared bin, z two-sided and Bonferroni over the bins."""
     dist = qubit_dist.normal_pdf(reference_spectrum())
     job = sampling._sample_job(reference_matrix(), bins, samples, seed)
 
-    def judge(tallies) -> CheckResult:
-        cmp = qubit_dist.compare_histogram(dist, tallies[0].histogram(seed))
+    def judge(tally) -> CheckResult:
+        cmp = qubit_dist.compare_histogram(dist, tally.histogram(seed))
         alpha, h = _FALSE_ALARM / 2, 2 / (9 * cmp.dof)
         z = NormalDist().inv_cdf(1 - alpha / (2 * cmp.bins_compared))
         ratio_max = (1 - h + NormalDist().inv_cdf(1 - alpha) * math.sqrt(h)) ** 3
         ratio = cmp.chi_square / cmp.dof
         ok = ratio < ratio_max and cmp.max_pull <= z
-        return CheckResult(
-            "histogram_regeneration",
-            ok,
-            f"chi2/dof {ratio:.3f} (bound {ratio_max:.3f}), max bin pull {cmp.max_pull:.2f} (bound {z:.2f})",
-        )
+        detail = f"chi2/dof {ratio:.3f} (bound {ratio_max:.3f}), max bin pull {cmp.max_pull:.2f} (bound {z:.2f})"
+        return CheckResult("histogram_regeneration", ok, detail)
 
     return [job], judge
-
-
-def check_histogram_regeneration(seed: int, samples: int, bins: int) -> CheckResult:
-    """Two tests with half of ``_FALSE_ALARM`` each: chi2/dof under its upper
-    quantile (Wilson-Hilferty), and |count - expected| <= z sqrt(expected) in
-    every compared bin, z two-sided and Bonferroni over the bins."""
-    return _run(_plan_histogram_regeneration(seed, samples, bins))
 
 
 def _plan_mc_batch(seed: int, samples: int, per_dim: int):
@@ -263,7 +249,7 @@ def _plan_mc_batch(seed: int, samples: int, per_dim: int):
             closed.append(moments.fourth_moment_general(m))
             jobs.append(sampling._moment_job(m, 2, samples, seed + 101 * n + i))
 
-    def judge(tallies) -> CheckResult:
+    def judge(*tallies) -> CheckResult:
         estimates = _estimates(jobs, tallies)
         hits = sum(abs(est.mean - c) <= 4.0 * max(est.std_error, 1e-300) for c, est in zip(closed, estimates))
         ok = hits >= 0.95 * len(jobs)
@@ -272,16 +258,12 @@ def _plan_mc_batch(seed: int, samples: int, per_dim: int):
     return jobs, judge
 
 
-def check_mc_batch(seed: int, samples: int, per_dim: int) -> CheckResult:
-    return _run(_plan_mc_batch(seed, samples, per_dim))
-
-
 def _plan_conditional_oracle(seed: int, samples: int):
     gates = [_leaky_gate(alpha) for alpha in (0.0, 0.5, 1.0)]
     closed = [moments.conditional_fidelity(g) for g in gates]
     jobs = [_conditional_job(g, samples, seed + i) for i, g in enumerate(gates)]
 
-    def judge(sums) -> CheckResult:
+    def judge(*sums) -> CheckResult:
         worst = 0.0
         for value, run_sums in zip(closed, sums):
             est, se = _ratio_estimate(run_sums)
@@ -291,24 +273,11 @@ def _plan_conditional_oracle(seed: int, samples: int):
     return jobs, judge
 
 
-def check_conditional_oracle(seed: int, samples: int) -> CheckResult:
-    return _run(_plan_conditional_oracle(seed, samples))
-
-
-def _mc_conditional(g: GateSpec, samples: int, seed: int) -> tuple[float, float]:
-    """Acceptance-weighted Monte-Carlo conditional fidelity over the subspace.
-
-    Returns a batched ratio estimate with its standard error: the stream's
-    rows are cut into ``_RATIO_BATCHES`` runs of ``samples // _RATIO_BATCHES``
-    consecutive rows (whole runs only), and each run gives the ratio of its
-    mean fidelity to its mean acceptance.
-    """
-    return _ratio_estimate(sampling._lanes([_conditional_job(g, samples, seed)])[0])
-
-
 def _conditional_job(g: GateSpec, samples: int, seed: int) -> tuple:
-    """The stream job of ``_mc_conditional(g, samples, seed)``: whole runs
-    of ``samples // _RATIO_BATCHES`` rows, summed by :func:`_ratio_sums`."""
+    """The stream job of the acceptance-weighted Monte-Carlo conditional
+    fidelity of ``g`` over its subspace: ``_RATIO_BATCHES`` runs of
+    ``samples // _RATIO_BATCHES`` consecutive rows (whole runs only), each
+    giving the ratio of its mean fidelity to its mean acceptance."""
     per = samples // _RATIO_BATCHES
     return (_conditional_ops(g), per * _RATIO_BATCHES, seed, _ratio_sums, per)
 
@@ -317,12 +286,7 @@ def _conditional_ops(g: GateSpec) -> np.ndarray:
     """The fidelity and acceptance operators of ``g`` over its subspace; the
     acceptance one is positive semidefinite, so the modulus of its overlap
     is the acceptance."""
-    return np.stack(
-        [
-            moments.comparison_matrix(g.target, g.actual, g.subspace),
-            moments.comparison_matrix(g.actual, g.actual, g.subspace),
-        ]
-    )
+    return np.stack([moments.comparison_matrix(a, g.actual, g.subspace) for a in (g.target, g.actual)])
 
 
 def _ratio_sums(overlaps, per: int) -> np.ndarray:
@@ -339,31 +303,23 @@ def _ratio_sums(overlaps, per: int) -> np.ndarray:
 
 
 def _ratio_estimate(sums: np.ndarray) -> tuple[float, float]:
+    """The batched ratio estimate of :func:`_ratio_sums` and its standard error."""
     ratios = sums[0] / sums[1]
     return float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(_RATIO_BATCHES))
 
 
-def _sa_decomposition(m: np.ndarray, samples: int, seed: int) -> tuple[np.ndarray, float]:
-    """Split <f^2> by |<m>|^4 = |<S>|^4 + |<A>|^4 + 2|<S>|^2|<A>|^2 on one stream.
-
-    S and A are the Hermitian and anti-Hermitian parts of ``m``. Returns the
-    sample means of the total, S, A and cross terms, in that order, and the
-    largest per-sample gap of the identity, which holds up to rounding since
-    all four terms use the same states.
-    """
-    return sampling._lanes([_sa_job(m, samples, seed)])[0]
-
-
 def _sa_job(m: np.ndarray, samples: int, seed: int) -> tuple:
-    """The stream job of ``_sa_decomposition(m, samples, seed)``."""
+    """The stream job that splits <f^2> by |<m>|^4 = |<S>|^4 + |<A>|^4 +
+    2|<S>|^2|<A>|^2, S and A the Hermitian and anti-Hermitian parts of
+    ``m``; the identity holds up to rounding, as all terms use one stream."""
     sym = (m + adjoint(m)) / 2.0
     anti = (m - adjoint(m)) / 2.0
     return (np.stack([m, sym, anti]), samples, seed, _sa_sums, samples)
 
 
 def _sa_sums(overlaps, samples: int) -> tuple[np.ndarray, float]:
-    """The S/A split's sample means and largest pointwise gap over the
-    overlaps of m, S and A."""
+    """The sample means of the total, S, A and cross terms, in that order,
+    and the identity's largest pointwise gap, over the overlaps of m, S, A."""
     totals = np.zeros(4)
     gap = 0.0
     for q_m, q_s, q_a in overlaps:
@@ -377,8 +333,8 @@ def _plan_sa_decomposition(seed: int, samples: int):
     rng = np.random.default_rng(seed)
     m = _random_matrix(rng, 3)
 
-    def judge(results) -> CheckResult:
-        (total, herm, anti, cross), gap = results[0]
+    def judge(split) -> CheckResult:
+        (total, herm, anti, cross), gap = split
         recombined = herm + anti + 2 * cross
         ok = gap <= 1e-12 * max(1.0, total) and (
             abs(recombined - total) <= 1e-12 * max(1.0, total)
@@ -388,45 +344,19 @@ def _plan_sa_decomposition(seed: int, samples: int):
     return [_sa_job(m, samples, seed)], judge
 
 
-def check_sa_decomposition(seed: int, samples: int) -> CheckResult:
-    return _run(_plan_sa_decomposition(seed, samples))
-
-
 def _guarded(name: str, step, *args):
-    """Run one step of a check; a ``ValueError`` it raises (a broken
-    invariant, a bad setting, a sampled f outside its histogram range) fails
-    that check, and only it."""
-    try:
-        return step(*args)
-    except ValueError as exc:
-        return CheckResult(name, False, str(exc))
-
-
-def _planned(name: str, plan, *args):
-    """``plan(*args)``; a plan that raises has no jobs, and its judge fails
-    the check with the error's text."""
-    try:
-        return plan(*args)
-    except ValueError as exc:
-        detail = str(exc)
-    return [], lambda _: CheckResult(name, False, detail)
-
-
-def _caught(overlaps, reduce, *args):
-    """``reduce(overlaps, *args)``, or the ``ValueError`` it raises, so that
-    a job of :func:`run_checks`'s one lane run fails only its own check."""
-    try:
-        return reduce(overlaps, *args)
-    except ValueError as exc:
-        return exc
-
-
-def _judged(judge, results: list) -> CheckResult:
-    """``judge(results)``, or the first error a job of the check returned."""
-    for result in results:
-        if isinstance(result, ValueError):
-            raise result
-    return judge(results)
+    """``step(*args)`` for the check ``name``: a whole check, a plan, or a
+    judge given its jobs' results. A ``ValueError`` (a broken invariant, a
+    bad setting, a sampled f outside its histogram range) fails that check,
+    and only it, with the error's text: the first one that
+    ``sampling._lanes`` returned among the results, or one ``step`` raises."""
+    error = next((arg for arg in args if isinstance(arg, ValueError)), None)
+    if error is None:
+        try:
+            return step(*args)
+        except ValueError as exc:
+            error = exc
+    return CheckResult(name, False, str(error))
 
 
 def run_checks(level: str = "quick", seed: int = QUICK_SEED) -> dict:
@@ -449,12 +379,16 @@ def run_checks(level: str = "quick", seed: int = QUICK_SEED) -> dict:
             ("sa_decomposition", _plan_sa_decomposition, seed + 6, 100_000),
         ]
     # Every Monte-Carlo job of the level runs in one lane schedule, longest
-    # first; each check is judged on its own slice of the results.
-    plans = [_planned(name, plan, *args) for name, plan, *args in sampled]
-    jobs = [(*job[:3], _caught, *job[3:]) for plan_jobs, _ in plans for job in plan_jobs]
-    results = iter(sampling._lanes(jobs))
-    for (name, *_), (plan_jobs, judge) in zip(sampled, plans):
-        checks.append(_guarded(name, _judged, judge, [next(results) for _ in plan_jobs]))
+    # first; each check is judged on its own slice of the results. A plan
+    # that raised is its check's failed result, with no jobs.
+    plans = [_guarded(name, plan, *args) for name, plan, *args in sampled]
+    staged = [plan for plan in plans if not isinstance(plan, CheckResult)]
+    results = iter(sampling._lanes([job for jobs, _ in staged for job in jobs]))
+    for (name, *_), plan in zip(sampled, plans):
+        if not isinstance(plan, CheckResult):
+            jobs, judge = plan
+            plan = _guarded(name, judge, *[next(results) for _ in jobs])
+        checks.append(plan)
     return {
         "level": level,
         "seed": seed,

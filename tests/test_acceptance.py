@@ -32,8 +32,9 @@ from gatefid import (
     quadrature_moments,
     variance,
 )
+from gatefid import sampling
 from gatefid.serialize import matrix_from_obj
-from gatefid.verify import _mc_conditional, reference_matrix, reference_spectrum
+from gatefid.verify import _conditional_job, _ratio_estimate, reference_matrix, reference_spectrum
 from conftest import (
     fourth_by_eigenvalues,
     haar_states,
@@ -159,7 +160,8 @@ def test_criterion_08_conditional_fidelity():
         g = _leaky_gate(alpha)
         got = conditional_fidelity(g)
         assert abs(got - want) <= 1e-12
-        est, se = _mc_conditional(g, 100_000, seed=80_2026 + i)
+        (sums,) = sampling._lanes([_conditional_job(g, 100_000, seed=80_2026 + i)])
+        est, se = _ratio_estimate(sums)
         worst_z = max(worst_z, abs(est - got) / max(se, 1e-300))
     assert worst_z <= 4.0
     report(8, f"closed form exact, MC oracle max |z| {worst_z:.2f} <= 4")

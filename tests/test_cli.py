@@ -18,6 +18,7 @@ import gatefid
 from gatefid import depolarizing_kraus, eig2_normal, mc_moment, mc_sample, normal_pdf
 from gatefid import cli as cli_mod, sampling
 from gatefid.cli import main
+from gatefid.linalg import QubitSpectrum
 from gatefid.moments import KrausMap, MomentReport
 from gatefid.sampling import mc_sample
 from gatefid.serialize import kraus_to_obj, matrix_to_obj, save_matrix
@@ -325,20 +326,33 @@ class TestDist:
 
     @pytest.mark.parametrize("modulus", [1e76, 1e77])
     def test_second_moment_limit(self, files, capsys, modulus):
-        # The JSON carries E f^2, with f up to |l|^2: its square is a float
-        # at 1e76 (f up to 1e152) and overflows at 1e77, as the README says.
+        # The JSON carries E f^2, with f up to |l|^2, while its square is a
+        # float: at 1e76 (f up to 1e152), not at 1e77, as the README says.
+        # The law is finite at both, so both exit 0 with the law and its CSV.
         out_csv = files["dir"] / "big.csv"
         argv = [f"--lambda0={modulus},0", f"--lambda1=0,{modulus}", "--out", str(out_csv)]
         code, out, err = run(capsys, "dist", *argv)
-        if modulus < 1e77:
-            assert code == 0 and err == ""
-            assert json.loads(out)["support"] == pytest.approx([modulus**2 / 2, modulus**2])
-            text = out_csv.read_text().lower()
-            assert "inf" not in text and "nan" not in text
-        else:
-            assert_one_error_line_in_process((code, out, err), 2)
-            assert "second moment is not representable" in err
-            assert not out_csv.exists()
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["support"] == pytest.approx([modulus**2 / 2, modulus**2])
+        assert ("moments" in report) == (modulus < 1e77)
+        text = out_csv.read_text().lower()
+        assert "inf" not in text and "nan" not in text
+
+    def test_law_without_moments_where_they_overflow(self, files, capsys):
+        # f reaches 4e200, whose square overflows, but the law is finite:
+        # exit 0 with the law's JSON, less its moments, and the CSV written.
+        out_csv = files["dir"] / "law.csv"
+        argv = ["--lambda0=1e100,0", "--lambda1=0,2e100", "--grid", "16", "--out", str(out_csv)]
+        code, out, err = run(capsys, "dist", *argv)
+        assert code == 0 and err == ""
+        law = normal_pdf(QubitSpectrum.ordered(1e100, 2e100j))
+        assert json.loads(out) == json.loads(cli_mod._dumps({**law.as_dict(), "csv": str(out_csv)}))
+        rows = out_csv.read_text().splitlines()[1:]
+        assert len(rows) == 16
+        f, density = np.array([[float(x) for x in row.split(",")] for row in rows]).T
+        assert np.isfinite(density).all() and (density > 0).all()
+        assert law.support()[0] < f[0] and f[-1] == law.support()[1] == 4e200
 
     def test_agrees_with_moments_command(self, files, capsys):
         code, out, _ = run(
@@ -360,10 +374,11 @@ class TestDist:
 
 
 # dist --matrix across scales: (map, exit at 2^k m for k <= 100, at k = 400).
-# At k = 400, f is near 1e240 and its second moment overflows.
+# At k = 400, f is near 1e240: the law is reported without its moments,
+# since the second moment overflows.
 _U = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
 SCALED_DIST = {
-    "normal": (_U @ np.diag([0.3 + 0.4j, -0.6 + 0.1j]) @ _U.conj().T, 0, "second moment"),
+    "normal": (_U @ np.diag([0.3 + 0.4j, -0.6 + 0.1j]) @ _U.conj().T, 0, 0),
     "non_normal": (np.array([[1, 3], [0, -1]], dtype=complex), "not normal", "not normal"),
     "scalar": ((0.6 - 0.8j) * np.eye(2), "point mass", "point mass"),
 }
@@ -384,7 +399,9 @@ class TestDistAcrossScales:
         if want == 0:
             assert code == 0 and err == ""
             base = normal_pdf(eig2_normal(m)).support()
-            assert json.loads(out)["support"] == [2.0 ** (2 * k) * f for f in base]
+            report = json.loads(out)
+            assert report["support"] == [2.0 ** (2 * k) * f for f in base]
+            assert ("moments" in report) == (k <= 100)
             text = (out + out_csv.read_text()).lower()
             assert "nan" not in text and "inf" not in text
         else:

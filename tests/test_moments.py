@@ -22,7 +22,8 @@ from gatefid import (
 )
 from gatefid import linalg
 from gatefid.moments import InvariantError
-from gatefid.verify import _sa_decomposition
+from gatefid.sampling import _lanes
+from gatefid.verify import _sa_job
 from conftest import (
     fourth_by_eigenvalues,
     haar_states,
@@ -408,18 +409,18 @@ class TestSaDecomposition:
     # The Monte-Carlo split that verify's sa_decomposition check runs; its
     # means are (total, Hermitian, anti-Hermitian, cross).
     def test_hermitian_input_kills_cross_terms(self, rng):
-        (total, herm, anti, cross), _ = _sa_decomposition(random_hermitian(rng, 3), 2000, seed=5)
+        (((total, herm, anti, cross), _),) = _lanes([_sa_job(random_hermitian(rng, 3), 2000, seed=5)])
         assert anti == 0.0
         assert cross == 0.0
         assert total == pytest.approx(herm, rel=1e-12)
 
     def test_anti_hermitian_input(self, rng):
-        (total, herm, anti, _), _ = _sa_decomposition(random_antihermitian(rng, 3), 2000, seed=6)
+        (((total, herm, anti, _), _),) = _lanes([_sa_job(random_antihermitian(rng, 3), 2000, seed=6)])
         assert herm == 0.0
         assert total == pytest.approx(anti, rel=1e-12)
 
     def test_pointwise_identity_random_matrix(self, rng):
         m = random_matrix(rng, 3)
-        (total, herm, anti, cross), gap = _sa_decomposition(m, 50_000, seed=7)
+        (((total, herm, anti, cross), gap),) = _lanes([_sa_job(m, 50_000, seed=7)])
         assert gap <= 1e-12 * max(1.0, total)
         assert total == pytest.approx(herm + anti + 2 * cross, rel=1e-12)

@@ -296,12 +296,29 @@ class TestLanes:
         assert threading.active_count() == before
 
     def test_threads_after_a_job_raises(self):
-        # Job 2 of 5 overflows on its first batch; that error is raised once
-        # both lanes have stopped.
+        # Job 2 of 5 overflows on its first batch: that ValueError is its
+        # result, and the other jobs run on with the bits of their lone
+        # streams.
         jobs = lane_jobs(5)
         jobs[1] = (1e200 * np.eye(2)[None], 3 * _BATCH, 0, _fold, 1)
         before = threading.active_count()
-        with pytest.raises(ValueError, match="overflows"):
+        got = _lanes(jobs)
+        assert threading.active_count() == before
+        assert isinstance(got[1], ValueError) and "overflows" in str(got[1])
+        others = jobs[:1] + jobs[2:]
+        assert result_bits(got[:1] + got[2:]) == result_bits(one_after_another(others))
+
+    def test_any_other_error_escapes(self):
+        # An error that is not a ValueError is a fault, not a result: it is
+        # raised once both lanes have stopped.
+        def broken(overlaps, i):
+            if i == 1:
+                raise RuntimeError("broken reduction")
+            return _fold(overlaps, 1)
+
+        jobs = [(np.eye(2)[None], 200 - i, i, broken, i) for i in range(6)]
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="broken reduction"):
             _lanes(jobs)
         assert threading.active_count() == before
 
@@ -351,6 +368,75 @@ class TestLanes:
             assert where == {(inspect.getsourcefile(_lanes), line)}
             assert [t.size for t in large] == [workspace, workspace]
         assert peak <= 2 * workspace + (1 << 20)
+
+
+@pytest.fixture
+def blas_threads():
+    """The getter of numpy's OpenBLAS thread count, set to two for the test
+    and restored after it."""
+    found = sampling._blas_threads()
+    if found is None:
+        pytest.skip("numpy's BLAS exports no thread-count control")
+    get, put = found
+    old = get()
+    put(2)
+    yield get
+    put(old)
+
+
+class TestBlasCap:
+    # While a lone stream or a lane run is open, OpenBLAS keeps to one
+    # thread; after it, the count is what it was, however the stream ended.
+    def test_full_stream(self, blas_threads):
+        seen = [blas_threads() for _ in state_batches(2, 3 * _BATCH + 5, 1)]
+        assert seen == [1] * 4 and blas_threads() == 2
+
+    def test_abandoned_stream(self, blas_threads):
+        batches = state_batches(2, 3 * _BATCH, 1)
+        next(batches)
+        assert blas_threads() == 1
+        del batches
+        assert blas_threads() == 2
+
+    def test_lane_runs_and_raising_jobs(self, blas_threads):
+        seen = []
+
+        def fold(overlaps, order):
+            seen.append(blas_threads())
+            if order == 3:
+                raise RuntimeError("broken reduction")
+            return _fold(overlaps, order)
+
+        jobs = [(np.eye(2)[None], 300, i, fold, 1) for i in range(3)]
+        _lanes(jobs)
+        assert seen == [1, 1, 1] and blas_threads() == 2
+        with pytest.raises(RuntimeError, match="broken reduction"):
+            _lanes(jobs + [(np.eye(2)[None], 300, 3, fold, 3)])
+        assert blas_threads() == 2
+        with pytest.raises(ValueError, match="overflows"):
+            mc_moment(1e200 * np.eye(2), 1, 3 * _BATCH, 0)
+        assert blas_threads() == 2
+
+    def test_a_count_already_at_one_is_left_alone(self, blas_threads):
+        with sampling._one_blas_thread():
+            assert mc_moment(REFERENCE, 1, 1000, 0).samples == 1000
+            assert _lanes([_moment_job(REFERENCE, 1, 1000, 0)])[0].count == 1000
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+        # Two open streams, closed in the order they were opened: the
+        # second found the count at one and leaves it to the first.
+        first, second = state_batches(2, 3 * _BATCH, 1), state_batches(2, 3 * _BATCH, 2)
+        next(first), next(second)
+        first.close()
+        second.close()
+        assert blas_threads() == 2
+
+    def test_no_symbols_no_cap(self, blas_threads, monkeypatch):
+        capped = mc_moment(REFERENCE, 2, 3000, 1)
+        monkeypatch.setattr(sampling, "_blas_threads", lambda: None)
+        seen = [blas_threads() for _ in state_batches(2, 2 * _BATCH, 1)]
+        assert seen == [2, 2] and blas_threads() == 2
+        assert mc_moment(REFERENCE, 2, 3000, 1) == capped
 
 
 class ZeroRowRng:

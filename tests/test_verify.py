@@ -13,15 +13,15 @@ from gatefid.sampling import state_batches
 from gatefid.verify import (
     _RATIO_BATCHES,
     QUICK_SEED,
+    _conditional_job,
     _leaky_gate,
-    _mc_conditional,
+    _plan_conditional_oracle,
+    _plan_sa_decomposition,
     _random_matrix,
-    _sa_decomposition,
-    check_conditional_oracle,
+    _ratio_estimate,
+    _sa_job,
     check_distribution_moments,
     check_hermitian_collapse,
-    check_mc_closed_form,
-    check_sa_decomposition,
     reference_matrix,
     reference_spectrum,
     run_checks,
@@ -90,9 +90,9 @@ def test_full_level_passes():
 
 
 @pytest.mark.parametrize(
-    "check,estimates", [(check_conditional_oracle, 3), (check_sa_decomposition, 1)]
+    "plan,estimates", [(_plan_conditional_oracle, 3), (_plan_sa_decomposition, 1)]
 )
-def test_mc_checks_draw_from_the_one_stream(monkeypatch, check, estimates):
+def test_mc_checks_draw_from_the_one_stream(monkeypatch, plan, estimates):
     # These checks take every overlap from the sampler's one kernel,
     # sampling._overlaps, whose states come from the one stream, so the rows
     # drawn through its generator are exactly samples per estimate.
@@ -105,7 +105,8 @@ def test_mc_checks_draw_from_the_one_stream(monkeypatch, check, estimates):
 
     monkeypatch.setattr(sampling, "_gaussian_rows", counting)
     samples = 5_000
-    assert check(QUICK_SEED, samples).passed
+    jobs, judge = plan(QUICK_SEED, samples)
+    assert judge(*sampling._lanes(jobs)).passed
     assert sum(drawn) == estimates * samples
 
 
@@ -147,11 +148,11 @@ def test_mc_checks_match_a_hand_loop_over_the_stream_bitwise(seed):
     samples = 3 * sampling._BATCH + 101
     for alpha in (0.0, 0.5, 1.0):
         g = _leaky_gate(alpha)
-        assert _mc_conditional(g, samples, seed) == hand_loop_conditional(g, samples, seed)
+        (sums,) = sampling._lanes([_conditional_job(g, samples, seed)])
+        assert _ratio_estimate(sums) == hand_loop_conditional(g, samples, seed)
     m = _random_matrix(np.random.default_rng(seed), 3)
-    (got, got_gap), (want, want_gap) = (
-        fn(m, samples, seed) for fn in (_sa_decomposition, hand_loop_sa_decomposition)
-    )
+    ((got, got_gap),) = sampling._lanes([_sa_job(m, samples, seed)])
+    want, want_gap = hand_loop_sa_decomposition(m, samples, seed)
     assert got.tobytes() == want.tobytes() and got_gap == want_gap
 
 
@@ -226,7 +227,21 @@ def test_fourth_moment_off_by_1e_11_detected(monkeypatch):
         moments_mod, "fourth_moment_general", lambda m: (1 + 1e-11) * true_fn(m)
     )
     assert not check_hermitian_collapse(QUICK_SEED).passed
-    assert check_mc_closed_form(QUICK_SEED + 2, samples=20_000).passed
+    checks = {c["name"]: c["passed"] for c in run_checks("quick")["checks"]}
+    assert not checks["hermitian_collapse"] and checks["mc_closed_form"]
+
+
+def test_conditional_fidelity_off_by_one_percent_detected(monkeypatch):
+    # The Monte-Carlo oracle catches a closed form 1% high, and at alpha = 0
+    # on its own too (about 7 sigma), where the standard error is not zero
+    # as it is for the perfect gate; worked_values checks the same closed
+    # form. The other Monte-Carlo checks still pass.
+    true_fn = moments_mod.conditional_fidelity
+    monkeypatch.setattr(moments_mod, "conditional_fidelity", lambda g: 1.01 * true_fn(g))
+    failed = {c["name"] for c in run_checks("full")["checks"] if not c["passed"]}
+    assert failed == {"conditional_oracle", "worked_values"}
+    jobs, judge = _plan_conditional_oracle(QUICK_SEED + 5, 100_000)
+    assert not judge(*sampling._lanes(jobs[:1])).passed
 
 
 @pytest.mark.parametrize("piece", ["lower", "upper"])
