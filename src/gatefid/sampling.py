@@ -433,34 +433,66 @@ class _Tally:
         return Histogram(self.edges, self.counts, self.count, seed)
 
 
-def _fold(overlaps, order: int, bins: int = 0, value_range=None) -> _Tally:
-    """The one sampling loop: f (or f^2) of every batch of ``overlaps`` is
-    checked and goes into one tally, binned when ``bins`` is given."""
-    tally = _Tally(bins, value_range)
-    for (f,) in overlaps:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(order):
-                np.square(f, out=f)
-        if not np.isfinite(f.max()):  # max propagates NaN
-            raise ValueError("sampled fidelity overflows: the map's entries are too large")
-        tally.add(f)
-    tally.work = np.empty(0)  # a tally kept after its stream keeps no batch-sized scratch
-    return tally
+def _fold(overlaps, orders, bins: int = 0, value_range=None):
+    """The one sampling loop: each row of every batch of ``overlaps`` gives
+    f, squared further for each higher order of the ascending tuple
+    ``orders``; every (row, order) pair is checked and has its own tally,
+    binned when ``bins`` is given (binning clips f in place, so a binned
+    fold takes one order). The result is the list of tallies, row by
+    row, each row's orders in turn. Given one order as an int, for a
+    one-operator stack, the result is that row's tally.
+
+    A tally sees the same values, in the same order, as on a stream of its
+    row alone, so it keeps that stream's bits: several maps and orders can
+    share one draw of the states (common random numbers), and each estimate
+    is still ``mc_moment``'s for its own map, order and seed.
+    """
+    single = isinstance(orders, int)
+    orders = (orders,) if single else orders
+    tallies = []
+    for q in overlaps:
+        if not tallies:  # the tallies add in turn, so one scratch, sized by the first batch, serves all
+            tallies = [_Tally(bins, value_range) for _ in range(len(q) * len(orders))]
+            work = np.empty(q.shape[1])
+            for tally in tallies:
+                tally.work = work
+        for i, f in enumerate(q):
+            done = 0
+            for j, order in enumerate(orders):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for _ in range(order - done):
+                        np.square(f, out=f)
+                done = order
+                if not np.isfinite(f.max()):  # max propagates NaN
+                    raise ValueError("sampled fidelity overflows: the map's entries are too large")
+                tallies[i * len(orders) + j].add(f)
+    for tally in tallies:  # a tally kept after its stream keeps no batch-sized scratch
+        tally.work = np.empty(0)
+    return tallies[0] if single else tallies
 
 
-def _moment_ops(m: np.ndarray, order: int, samples: int) -> np.ndarray:
-    """The checked (1, n, n) stack of ``m`` for an order-``order`` stream."""
-    if order not in (1, 2):
+def _moment_ops(maps, orders, samples: int) -> np.ndarray:
+    """The checked (k, n, n) stack of ``maps`` for a stream of moments of
+    ``orders``."""
+    if any(order not in (1, 2) for order in orders):
         raise ConfigError("order must be 1 or 2")
     if samples < 100:
         raise ConfigError(f"samples must be at least 100, got {samples}")
-    return as_matrix(m)[None]
+    return np.stack([as_matrix(m) for m in maps])
 
 
 def _moment_job(m: np.ndarray, order: int, samples: int, seed: int) -> tuple:
     """The stream job of ``mc_moment(m, order, samples, seed)``: a tally
     whose ``estimate(seed)`` is that estimate."""
-    return (_moment_ops(m, order, samples), samples, seed, _fold, order)
+    return (_moment_ops([m], (order,), samples), samples, seed, _fold, order)
+
+
+def _shared_moment_job(maps, orders: tuple, samples: int, seed: int) -> tuple:
+    """One stream job for every map of ``maps`` (all of one dimension) at
+    each of the ascending ``orders``: the list of tallies, map by map, whose
+    ``estimate(seed)`` is ``mc_moment(m, order, samples, seed)``, bit for
+    bit, for each map m and order in turn."""
+    return (_moment_ops(maps, orders, samples), samples, seed, _fold, tuple(orders))
 
 
 def _sample_job(m: np.ndarray, bins: int, samples: int, seed: int) -> tuple:
@@ -471,7 +503,7 @@ def _sample_job(m: np.ndarray, bins: int, samples: int, seed: int) -> tuple:
         raise ConfigError(f"bins must be at least 2, got {bins}")
     if samples < bins:
         raise ConfigError(f"samples ({samples}) must be at least bins ({bins})")
-    ops = _moment_ops(m, 1, samples)
+    ops = _moment_ops([m], (1,), samples)
     return (ops, samples, seed, _fold, 1, bins, _outer_range(ops[0], bins))
 
 

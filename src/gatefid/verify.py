@@ -12,6 +12,27 @@ every job of its level in one longest-first schedule of ``sampling._lanes``
 and judges each check on its own results. A ``ValueError`` from a plan, a
 job or a judge fails only its check (:func:`_guarded`); any other error
 escapes.
+
+A check draws one seeded stream of states per dimension, and every map of
+the check in that dimension is evaluated on it (common random numbers):
+``mc_closed_form`` draws 3 streams, ``mc_batch`` 4, and the other three
+Monte-Carlo checks one each, every one with a seed of its own within a
+level. The estimates of one stream are then not independent, but no bound
+below needs them to be. Each check's false-alarm rate on correct code, with
+P(|Z| > 4) = 6.3e-5 for an estimate's z under the normal approximation:
+
+- ``mc_closed_form``: max |z| <= 4 over 8 estimates; at most 8 x 6.3e-5 =
+  5.1e-4 by the union bound.
+- ``mc_batch``: at most one miss of 20 estimates at |z| > 4. The expected
+  number of misses is 20 x 6.3e-5, so two or more have a rate of at most
+  half that, 6.3e-4, by Markov's inequality.
+- ``conditional_oracle``: max |z| <= 4 over 3 gates; at most 1.9e-4.
+- ``histogram_regeneration``: 1e-3, split between its two tests.
+- ``sa_decomposition``: 0; it checks an identity up to rounding.
+
+An estimate whose standard error is exactly 0 (the perfect gate of
+``conditional_oracle``) must equal its closed form to 1e-12 relative
+(:func:`_z`).
 """
 
 from __future__ import annotations
@@ -34,6 +55,8 @@ QUICK_SEED = 20260810
 _RATIO_BATCHES = 50  # of the Monte-Carlo conditional fidelity
 _MIN_SEP = 0.05  # between the eigenvalues of a random qubit spectrum
 _FALSE_ALARM = 1e-3  # of histogram_regeneration on correct code
+_Z_MAX = 4.0  # the largest |z| a Monte-Carlo estimate may show
+_EXACT = 1e-12  # relative: how close an estimate with no spread must be
 
 
 @dataclass(frozen=True)
@@ -197,25 +220,42 @@ def _leaky_gate(alpha: float) -> GateSpec:
     return GateSpec(target=np.eye(3), actual=_leaky_map((alpha, 0.0)), subspace=(0, 1))
 
 
+def _z(estimate: float, std_error: float, value: float) -> float:
+    """|estimate - value| in standard errors. Where the standard error is 0
+    (every draw gave one value, as for a perfect gate) the estimate is exact,
+    so it must equal the closed form to ``_EXACT`` relative: the gap is then
+    taken in units of ``_EXACT / _Z_MAX`` of the larger, and z is finite."""
+    gap = abs(estimate - value)
+    if std_error > 0:
+        return gap / std_error
+    if gap == 0:
+        return 0.0
+    return gap / (_EXACT / _Z_MAX * max(abs(estimate), abs(value)))
+
+
 def _estimates(jobs, tallies) -> list:
-    """The estimate of each moment job's tally, under the job's seed."""
-    return [tally.estimate(seed) for (_, _, seed, *_), tally in zip(jobs, tallies)]
+    """The estimates of the tallies of shared moment jobs, job by job, each
+    under its job's seed."""
+    return [t.estimate(seed) for (_, _, seed, *_), job_tallies in zip(jobs, tallies) for t in job_tallies]
 
 
 def _plan_mc_closed_form(seed: int, samples: int):
     rng = np.random.default_rng(seed)
     closed, jobs = [], []
-    cases = [reference_matrix()] + [_random_matrix(rng, n) / n for n in (2, 3, 4)]
-    for i, m in enumerate(cases):
-        for order, value in ((1, moments.avg_fidelity(m)), (2, moments.fourth_moment_general(m))):
-            closed.append(value)
-            jobs.append(sampling._moment_job(m, order, samples, seed + 17 * i + order))
+    # One stream per dimension: the reference and the random 2x2 map share one.
+    by_dim = {}
+    for m in [reference_matrix()] + [_random_matrix(rng, n) / n for n in (2, 3, 4)]:
+        by_dim.setdefault(len(m), []).append(m)
+    for n, maps in by_dim.items():
+        for m in maps:
+            closed += [moments.avg_fidelity(m), moments.fourth_moment_general(m)]
+        jobs.append(sampling._shared_moment_job(maps, (1, 2), samples, seed + 17 * n))
 
     def judge(*tallies) -> CheckResult:
         worst = 0.0
         for value, est in zip(closed, _estimates(jobs, tallies)):
-            worst = max(worst, abs(est.mean - value) / max(est.std_error, 1e-300))
-        return CheckResult("mc_closed_form", worst <= 4.0, f"max |z| = {worst:.2f} sigma")
+            worst = max(worst, _z(est.mean, est.std_error, value))
+        return CheckResult("mc_closed_form", worst <= _Z_MAX, f"max |z| = {worst:.2f} sigma")
 
     return jobs, judge
 
@@ -244,16 +284,15 @@ def _plan_mc_batch(seed: int, samples: int, per_dim: int):
     rng = np.random.default_rng(seed)
     closed, jobs = [], []
     for n in (2, 3, 4, 5):
-        for i in range(per_dim):
-            m = _random_matrix(rng, n) / n
-            closed.append(moments.fourth_moment_general(m))
-            jobs.append(sampling._moment_job(m, 2, samples, seed + 101 * n + i))
+        maps = [_random_matrix(rng, n) / n for _ in range(per_dim)]
+        closed += [moments.fourth_moment_general(m) for m in maps]
+        jobs.append(sampling._shared_moment_job(maps, (2,), samples, seed + 101 * n))
 
     def judge(*tallies) -> CheckResult:
         estimates = _estimates(jobs, tallies)
-        hits = sum(abs(est.mean - c) <= 4.0 * max(est.std_error, 1e-300) for c, est in zip(closed, estimates))
-        ok = hits >= 0.95 * len(jobs)
-        return CheckResult("mc_batch", ok, f"{hits}/{len(jobs)} within 4 sigma")
+        hits = sum(_z(est.mean, est.std_error, c) <= _Z_MAX for c, est in zip(closed, estimates))
+        ok = hits >= 0.95 * len(estimates)
+        return CheckResult("mc_batch", ok, f"{hits}/{len(estimates)} within 4 sigma")
 
     return jobs, judge
 
@@ -261,25 +300,26 @@ def _plan_mc_batch(seed: int, samples: int, per_dim: int):
 def _plan_conditional_oracle(seed: int, samples: int):
     gates = [_leaky_gate(alpha) for alpha in (0.0, 0.5, 1.0)]
     closed = [moments.conditional_fidelity(g) for g in gates]
-    jobs = [_conditional_job(g, samples, seed + i) for i, g in enumerate(gates)]
 
-    def judge(*sums) -> CheckResult:
+    def judge(sums) -> CheckResult:
         worst = 0.0
-        for value, run_sums in zip(closed, sums):
-            est, se = _ratio_estimate(run_sums)
-            worst = max(worst, abs(est - value) / max(se, 1e-300))
-        return CheckResult("conditional_oracle", worst <= 4.0, f"max |z| = {worst:.2f} sigma")
+        for i, value in enumerate(closed):
+            est, se = _ratio_estimate(sums[2 * i : 2 * i + 2])
+            worst = max(worst, _z(est, se, value))
+        return CheckResult("conditional_oracle", worst <= _Z_MAX, f"max |z| = {worst:.2f} sigma")
 
-    return jobs, judge
+    return [_conditional_job(gates, samples, seed)], judge
 
 
-def _conditional_job(g: GateSpec, samples: int, seed: int) -> tuple:
+def _conditional_job(gates, samples: int, seed: int) -> tuple:
     """The stream job of the acceptance-weighted Monte-Carlo conditional
-    fidelity of ``g`` over its subspace: ``_RATIO_BATCHES`` runs of
-    ``samples // _RATIO_BATCHES`` consecutive rows (whole runs only), each
-    giving the ratio of its mean fidelity to its mean acceptance."""
+    fidelity of each gate of ``gates`` (one ``GateSpec``, or a list of them
+    over subspaces of one dimension) on one stream: ``_RATIO_BATCHES`` runs
+    of ``samples // _RATIO_BATCHES`` consecutive rows (whole runs only),
+    each giving the ratio of its mean fidelity to its mean acceptance."""
     per = samples // _RATIO_BATCHES
-    return (_conditional_ops(g), per * _RATIO_BATCHES, seed, _ratio_sums, per)
+    ops = np.concatenate([_conditional_ops(g) for g in ([gates] if isinstance(gates, GateSpec) else gates)])
+    return (ops, per * _RATIO_BATCHES, seed, _ratio_sums, per)
 
 
 def _conditional_ops(g: GateSpec) -> np.ndarray:
@@ -290,20 +330,26 @@ def _conditional_ops(g: GateSpec) -> np.ndarray:
 
 
 def _ratio_sums(overlaps, per: int) -> np.ndarray:
-    """Sums of f and of the acceptance over each run of ``per`` rows of the
-    conditional operators' overlaps: a (2, ``_RATIO_BATCHES``) array."""
-    sums = np.zeros((2, _RATIO_BATCHES))
+    """Sums over each run of ``per`` rows of the conditional operators'
+    overlaps, f of each fidelity operator and the acceptance of each
+    acceptance one: a (2 * gates, ``_RATIO_BATCHES``) array whose rows
+    2i and 2i + 1 are gate i's, the same bits as on a stream of its own."""
+    sums = None
     row = 0
-    for q_num, q_den in overlaps:
-        run = (row + np.arange(len(q_num))) // per
-        sums[0] += np.bincount(run, weights=q_num**2, minlength=_RATIO_BATCHES)
-        sums[1] += np.bincount(run, weights=q_den, minlength=_RATIO_BATCHES)
-        row += len(q_num)
+    for q in overlaps:
+        if sums is None:
+            sums = np.zeros((len(q), _RATIO_BATCHES))
+        run = (row + np.arange(q.shape[1])) // per
+        for i in range(0, len(q), 2):
+            sums[i] += np.bincount(run, weights=q[i] ** 2, minlength=_RATIO_BATCHES)
+            sums[i + 1] += np.bincount(run, weights=q[i + 1], minlength=_RATIO_BATCHES)
+        row += q.shape[1]
     return sums
 
 
 def _ratio_estimate(sums: np.ndarray) -> tuple[float, float]:
-    """The batched ratio estimate of :func:`_ratio_sums` and its standard error."""
+    """The batched ratio estimate of one gate's rows of :func:`_ratio_sums`
+    and its standard error."""
     ratios = sums[0] / sums[1]
     return float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(_RATIO_BATCHES))
 

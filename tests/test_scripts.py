@@ -56,3 +56,14 @@ def test_tune_gates():
         result = json.loads(block)
         assert result["converged"] is True
         assert result["evaluations"] > 0
+
+
+def test_verify_false_alarms():
+    proc = run_script("verify_false_alarms.py", "--level", "quick", "--first", "5", "--count", "3")
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)
+    assert (summary["level"], summary["seeds"], summary["runs"]) == ("quick", [5, 7], 3)
+    names = ["monomial_patterns", "monomial_completeness", "hermitian_collapse"]
+    names += ["distribution_moments", "worked_values", "mc_closed_form"]
+    assert summary["failures"] == dict.fromkeys(names, 0)
+    assert summary["suite_failures"] == 0

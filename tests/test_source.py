@@ -105,7 +105,7 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
     assert advanced and all(arg.startswith("_draws(") for arg in advanced)
 
     # run_checks hands every Monte-Carlo job of its level to one lane run,
-    # as the plans built them.
+    # as the plans built them: one stream per check and dimension.
     runs = []
     lanes = sampling._lanes
 
@@ -115,10 +115,10 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
 
     monkeypatch.setattr(sampling, "_lanes", recording)
     assert verify.run_checks("quick")["passed"]
-    assert [len(jobs) for jobs in runs] == [8]
+    assert [len(jobs) for jobs in runs] == [3]
     runs.clear()
     assert verify.run_checks("full")["passed"]
-    assert [len(jobs) for jobs in runs] == [33]
+    assert [len(jobs) for jobs in runs] == [10]
     reductions = set()
     for ops, samples, seed, reduce, *args in runs[0]:
         assert isinstance(ops, np.ndarray) and ops.dtype == np.complex128

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from gatefid.verify import (
     _conditional_job,
     _leaky_gate,
     _plan_conditional_oracle,
+    _plan_mc_batch,
+    _plan_mc_closed_form,
     _plan_sa_decomposition,
     _random_matrix,
     _ratio_estimate,
@@ -42,15 +45,17 @@ FULL_CHECKS = [
 ]
 
 
-# sha256 of the report text `gatefid verify` prints, taken before every
-# Monte-Carlo job of a level shared one longest-first lane schedule: how the
-# streams are scheduled moves no bit of a report. The last digits of some
-# details (the S/A rounding gap) follow the BLAS build's arithmetic.
+# sha256 of the report text `gatefid verify` prints, taken once each check
+# drew one stream per dimension for all of its maps (and its own seed for
+# each), after the estimates were shown to equal their lone streams' bit for
+# bit. How the streams are scheduled moves no bit of a report. The last
+# digits of some details (the S/A rounding gap) follow the BLAS build's
+# arithmetic.
 REPORT_SHA256 = {
-    ("quick", QUICK_SEED): "cec519ef51fab0f00428a1e7de38d55fd7dc2b01356bc03dc68dabd0a413874a",
-    ("full", QUICK_SEED): "3e268e21cafbe7ccfe086ab29f6cc9944bd7a7cde99d2101bc68e51838021248",
-    ("quick", 7): "ec57ef17595422ab5f76092e22feb93b87786781d3b02f2ea1b4e850bb9dfe12",
-    ("full", 7): "7fccd4125b57f37aa5188527ab3827de4ffac86d99269ea9c786deb222f8fe48",
+    ("quick", QUICK_SEED): "2c4617d20c14e711cebcff345c614f32408371fa4a3e2cb1d0759df6ad2e047d",
+    ("full", QUICK_SEED): "e5be6b464a439304599ce105827a37e9d12427e87d435b0dc96a7c3f7e310070",
+    ("quick", 7): "19d85f44733790ebccd8d090f6d892c58b79aaa6b27cf4ccea8679ae81ca83a0",
+    ("full", 7): "fe3d7abae992f6d33146c6a69cf4a9f4b30c9f41bbab60137dae864e6639902c",
 }
 
 
@@ -90,12 +95,13 @@ def test_full_level_passes():
 
 
 @pytest.mark.parametrize(
-    "plan,estimates", [(_plan_conditional_oracle, 3), (_plan_sa_decomposition, 1)]
+    "plan,streams", [(_plan_conditional_oracle, 1), (_plan_sa_decomposition, 1)]
 )
-def test_mc_checks_draw_from_the_one_stream(monkeypatch, plan, estimates):
+def test_mc_checks_draw_from_the_one_stream(monkeypatch, plan, streams):
     # These checks take every overlap from the sampler's one kernel,
     # sampling._overlaps, whose states come from the one stream, so the rows
-    # drawn through its generator are exactly samples per estimate.
+    # drawn through its generator are exactly samples per stream; the three
+    # gates of the conditional check share one.
     drawn = []
     gaussian_rows = sampling._gaussian_rows
 
@@ -107,7 +113,7 @@ def test_mc_checks_draw_from_the_one_stream(monkeypatch, plan, estimates):
     samples = 5_000
     jobs, judge = plan(QUICK_SEED, samples)
     assert judge(*sampling._lanes(jobs)).passed
-    assert sum(drawn) == estimates * samples
+    assert sum(drawn) == streams * samples
 
 
 def hand_loop_conditional(g, samples, seed):
@@ -154,6 +160,93 @@ def test_mc_checks_match_a_hand_loop_over_the_stream_bitwise(seed):
     ((got, got_gap),) = sampling._lanes([_sa_job(m, samples, seed)])
     want, want_gap = hand_loop_sa_decomposition(m, samples, seed)
     assert got.tobytes() == want.tobytes() and got_gap == want_gap
+
+
+@pytest.mark.parametrize("plan,args,estimates", [(_plan_mc_closed_form, (), 8), (_plan_mc_batch, (5,), 20)])
+def test_shared_stream_estimates_are_mc_moment(plan, args, estimates):
+    # Each map and order of a stream shared by a dimension gets the estimate
+    # of its own lone stream at that seed, bit for bit.
+    samples = sampling._BATCH + 101
+    jobs, _ = plan(QUICK_SEED, samples, *args)
+    got, want = [], []
+    for (ops, _, seed, _, orders), tallies in zip(jobs, sampling._lanes(jobs)):
+        got += [t.estimate(seed) for t in tallies]
+        want += [sampling.mc_moment(m, order, samples, seed) for m in ops for order in orders]
+    assert len(got) == estimates and got == want
+
+
+def test_each_gate_of_the_shared_stream_keeps_its_own_bits():
+    samples = 3 * sampling._BATCH + 101
+    jobs, _ = _plan_conditional_oracle(QUICK_SEED, samples)
+    ((_, _, seed, *_),) = jobs
+    (sums,) = sampling._lanes(jobs)
+    assert sums.shape == (6, _RATIO_BATCHES)
+    for i, alpha in enumerate((0.0, 0.5, 1.0)):
+        (alone,) = sampling._lanes([_conditional_job(_leaky_gate(alpha), samples, seed)])
+        assert sums[2 * i : 2 * i + 2].tobytes() == alone.tobytes()
+
+
+def test_rows_drawn_per_level(monkeypatch):
+    # One stream per check and dimension: 3 of 20,000 rows at quick; at full
+    # also the 10^6-row histogram, 4 mc_batch streams and the conditional
+    # and S/A streams of 100,000 rows each.
+    drawn = []
+    gaussian_rows = sampling._gaussian_rows
+
+    def counting(rng, z, r2):
+        drawn.append(len(z))
+        return gaussian_rows(rng, z, r2)
+
+    monkeypatch.setattr(sampling, "_gaussian_rows", counting)
+    run_checks("quick")
+    assert sum(drawn) == 60_000
+    drawn.clear()
+    run_checks("full")
+    assert sum(drawn) == 1_660_000
+
+
+@pytest.mark.parametrize("seed", [0, 7, QUICK_SEED])
+def test_every_stream_of_a_level_has_its_own_seed(monkeypatch, seed):
+    runs = []
+    lanes = sampling._lanes
+
+    def recording(jobs):
+        runs.append([job[2] for job in jobs])
+        return lanes(jobs)
+
+    monkeypatch.setattr(sampling, "_lanes", recording)
+    run_checks("quick", seed)
+    run_checks("full", seed)
+    assert [len(seeds) for seeds in runs] == [3, 10]
+    assert all(len(set(seeds)) == len(seeds) for seeds in runs)
+
+
+def test_perfect_gate_one_percent_off_fails_with_a_finite_z(monkeypatch):
+    # At alpha = 1 every run's ratio is exactly 1, so the standard error is
+    # 0; a closed form 1% high then fails with a finite z in a short detail.
+    # The alpha = 0 gate, whose standard error is not 0, misses on its own.
+    true_fn = moments_mod.conditional_fidelity
+    monkeypatch.setattr(moments_mod, "conditional_fidelity", lambda g: 1.01 * true_fn(g))
+    jobs, judge = _plan_conditional_oracle(QUICK_SEED + 5, 100_000)
+    (sums,) = sampling._lanes(jobs)
+    assert _ratio_estimate(sums[4:6]) == (1.0, 0.0)
+    est, se = _ratio_estimate(sums[0:2])
+    assert se > 0 and abs(est - 1.01 * (2 / 3)) > 4 * se
+    result = judge(sums)
+    assert not result.passed and len(result.detail) < 40
+    z = float(re.fullmatch(r"max \|z\| = (\S+) sigma", result.detail)[1])
+    assert 4 < z < math.inf
+
+
+def test_perfect_gate_one_ulp_off_passes(monkeypatch):
+    # An estimate with no spread must match its closed form to 1e-12
+    # relative, not bit for bit.
+    true_fn = moments_mod.conditional_fidelity
+    monkeypatch.setattr(moments_mod, "conditional_fidelity", lambda g: math.nextafter(true_fn(g), 2.0))
+    jobs, judge = _plan_conditional_oracle(QUICK_SEED + 5, 100_000)
+    (sums,) = sampling._lanes(jobs)
+    assert _ratio_estimate(sums[4:6]) == (1.0, 0.0)
+    assert judge(sums).passed
 
 
 def test_a_check_that_raises_is_reported_failed(monkeypatch, capsys):
