@@ -2,18 +2,19 @@
 
 States are sampled by normalizing standard complex Gaussian vectors, which is
 Haar-uniform on the unit sphere of C^n for every n. Every seeded Monte-Carlo
-path draws from one stream, :func:`state_batches`, and is deterministic for a
-fixed ``(seed, samples)`` pair. The stream yields unnormalized Gaussian rows
+path draws from one stream per seed, :func:`_draws`, and is deterministic for
+a fixed ``(seed, samples)`` pair. The stream yields unnormalized Gaussian rows
 ``v``; every overlap ``|<v|a|v>| / |v|^2``, ``verify``'s included, comes from
 one kernel, and f is its square. The states ``v / |v|`` a seed draws are
 pinned bit for bit; ``f`` may differ from earlier versions in the last bits.
-A lone stream (``mc_moment``, ``mc_sample``, :func:`state_batches`) draws its
-next batch on one worker thread, into a second buffer, while the caller works
-on the current one. ``verify``'s independent streams run two at a time,
-longest first, in the lanes of :func:`_lanes` instead: each lane draws and
-tallies its streams inline, on its own thread. Either way one thread advances
-a stream's generator, in draw order, so a seed draws the same states as on
-one thread. While a lone stream or a lane run is open, numpy's bundled
+
+Every stream is a job of one runner, :func:`_lanes`, which starts one worker
+thread. A job run alone (``mc_moment``, ``mc_sample``) draws its next batch on
+the worker, into a second buffer, while the caller works on the current one.
+Two or more jobs (``verify``'s streams) run two at a time, longest first: the
+caller's thread and the worker each draw and tally their jobs inline. Either
+way one thread advances a stream's generator, in draw order, so a seed draws
+the same states as on one thread. While the runner runs, numpy's bundled
 OpenBLAS keeps to one thread (:func:`_one_blas_thread`): left on every core,
 it runs each batch's small matrix product on both and spins between them on
 the core the worker needs. Where numpy links another BLAS, nothing is capped.
@@ -117,20 +118,6 @@ class Histogram:
         return np.ldexp(self.counts / (self.samples * np.ldexp(self.widths, -e)), -e)
 
 
-def state_batches(n: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``samples`` Gaussian rows on C^n with their squared norms, in
-    batches. Row ``v`` stands for the state ``v / |v|``.
-
-    This is the lone stream: batches alternate between two pairs of arrays,
-    and a worker thread draws the next batch while the caller holds this
-    one, so a batch is only valid until the next one is requested. A lane of
-    :func:`_lanes` draws the same rows inline into one pair instead.
-    """
-    rows = min(_BATCH, samples)
-    pairs = [(np.empty((rows, 2 * n)), np.empty(rows)) for _ in range(2)]
-    return _ahead(_draws(samples, seed, pairs))
-
-
 def _draws(
     samples: int, seed: int, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -149,27 +136,23 @@ def _draws(
         yield _gaussian_rows(rng, z[:count], r2[:count])
 
 
-def _ahead(items: Iterator) -> Iterator:
-    """``items``, each taken on one worker thread while the caller holds the
-    one before it.
+def _ahead(items: Iterator, worker) -> Iterator:
+    """``items``, each taken on the one-thread executor ``worker`` while the
+    caller holds the one before it.
 
     Only the worker advances ``items``. Item k+1 is asked for before item k
     is waited on, so the worker goes from one to the next without waiting
-    for the caller to wake. Closing the iterator, or dropping it, joins the
-    worker; an error the worker meets is raised here.
+    for the caller to wake. An error the worker meets is raised here. A
+    request still pending when the caller stops runs out on the worker,
+    which :func:`_lanes` joins before it returns.
     """
-    # Imported here rather than at the top: it takes about 5 ms, which the
-    # commands that draw no states need not pay at start-up.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with _one_blas_thread(), ThreadPoolExecutor(1) as worker:
-        pending = worker.submit(next, items, None)
-        while True:
-            following = worker.submit(next, items, None)
-            if (item := pending.result()) is None:
-                return
-            yield item
-            pending = following
+    pending = worker.submit(next, items, None)
+    while True:
+        following = worker.submit(next, items, None)
+        if (item := pending.result()) is None:
+            return
+        yield item
+        pending = following
 
 
 @cache
@@ -192,8 +175,8 @@ def _blas_threads():
 @contextmanager
 def _one_blas_thread():
     """OpenBLAS on one thread while the block runs, entered on the caller's
-    thread before a stream's worker starts. A count already at one (inside
-    another stream's cap, or set so by the user) is left alone, as is a BLAS
+    thread before the runner's worker starts. A count already at one (inside
+    another run's cap, or set so by the user) is left alone, as is a BLAS
     that :func:`_blas_threads` does not find."""
     found = _blas_threads()
     old = found[0]() if found else 1
@@ -228,21 +211,10 @@ def _carve(block: np.ndarray, rows: int, n: int, k: int, pairs: int):
     return drawn, (conj, prod, overlap.view(complex), work[-1].reshape(k, rows))
 
 
-def _overlaps(ops, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """:func:`_kernel` over the lone stream of ``(samples, seed)``, in a
-    workspace of its own: the overlaps of the (k, n, n) stack ``ops`` with
-    each batch, as a (k, rows) array that the next batch overwrites."""
-    ops = np.asarray(ops, dtype=np.complex128)
-    k, n = ops.shape[:2]
-    rows = min(_BATCH, samples)
-    pairs, buffers = _carve(np.empty(_workspace_size(rows, n, k, 2)), rows, n, k, 2)
-    return _kernel(ops, _ahead(_draws(samples, seed, pairs)), buffers)
-
-
 def _kernel(ops: np.ndarray, batches, buffers) -> Iterator[np.ndarray]:
     """The one overlap kernel: |<v|a|v>| / |v|^2 for each operator a of the
     (k, n, n) stack ``ops`` and each row v of each ``(v, r2)`` batch, into
-    the ``buffers`` of :func:`_carve`."""
+    the ``buffers`` of :func:`_carve`, which the next batch overwrites."""
     conj, prod, overlap, out = buffers
     for v, r2 in batches:
         count = len(v)
@@ -258,17 +230,19 @@ def _kernel(ops: np.ndarray, batches, buffers) -> Iterator[np.ndarray]:
 
 
 def _lanes(jobs: Sequence[tuple]) -> list:
-    """Run independent stream jobs two at a time; their results in job order.
+    """The one runner of stream jobs: their results, in job order.
 
     A job ``(ops, samples, seed, reduce, *args)`` gives
-    ``reduce(overlaps, *args)``, with ``overlaps`` the batches that
-    ``_overlaps(ops, samples, seed)`` yields, so its result keeps the bits of
-    the lone stream. Two lanes, the caller's thread and one worker, each take
-    the next job not yet taken and draw its batches inline, with no
-    draw-ahead, into one ``(z, r2)`` pair and kernel buffers that it reuses
-    for every job. Both workspaces are allocated here, on the caller's
-    thread: allocated in the worker, glibc's per-thread arena kept them.
-    Jobs are handed out longest first, by the shape cost
+    ``reduce(overlaps, *args)``, with ``overlaps`` the :func:`_kernel`
+    batches of ``ops`` over the stream of ``(samples, seed)``. A job run
+    alone draws ahead: the one worker thread draws its next batch into a
+    second ``(z, r2)`` pair while the caller reduces this one. Two or more
+    jobs run in two lanes, the caller's thread and the worker, each taking
+    the next job not yet taken and drawing it inline into one pair, with
+    kernel buffers that it reuses for every job; a job keeps its bits either
+    way. The workspaces are allocated here, on the caller's thread:
+    allocated in the worker, glibc's per-thread arena kept them. Jobs are
+    handed out longest first, by the shape cost
     ``samples * (2n + k)`` (ties in job order), so neither lane is left with
     a long job at the end: a greedy longest-first list is within 4/3 of the
     best two-lane finish (Graham, SIAM J. Appl. Math. 17, 1969).
@@ -283,10 +257,13 @@ def _lanes(jobs: Sequence[tuple]) -> list:
     """
     if not jobs:
         return []
+    # Imported here rather than at the top: it takes about 5 ms, which the
+    # commands that draw no states need not pay at start-up.
     from concurrent.futures import ThreadPoolExecutor
 
     jobs = [(np.asarray(ops, dtype=np.complex128), *rest) for ops, *rest in jobs]
-    size = max(_workspace_size(min(_BATCH, j[1]), j[0].shape[1], len(j[0]), 1) for j in jobs)
+    pairs = 2 if len(jobs) == 1 else 1
+    size = max(_workspace_size(min(_BATCH, j[1]), j[0].shape[1], len(j[0]), pairs) for j in jobs)
     blocks = [np.empty(size) for _ in jobs[:2]]
     outcomes = [None] * len(jobs)
     cost = [samples * (2 * ops.shape[1] + len(ops)) for ops, samples, *_ in jobs]
@@ -294,7 +271,7 @@ def _lanes(jobs: Sequence[tuple]) -> list:
     lock = threading.Lock()
     with _one_blas_thread(), ThreadPoolExecutor(1) as worker:
         others = [worker.submit(_lane, jobs, block, todo, lock, outcomes) for block in blocks[1:]]
-        _lane(jobs, blocks[0], todo, lock, outcomes)
+        _lane(jobs, blocks[0], todo, lock, outcomes, None if others else worker)
     for lane in others:
         lane.result()
     for value in outcomes:
@@ -303,9 +280,11 @@ def _lanes(jobs: Sequence[tuple]) -> list:
     return outcomes
 
 
-def _lane(jobs, block: np.ndarray, todo: Iterator[int], lock, outcomes: list) -> None:
+def _lane(jobs, block: np.ndarray, todo: Iterator[int], lock, outcomes: list, worker=None) -> None:
     """One lane of :func:`_lanes`: run the jobs it takes from ``todo`` in
-    ``block``, and store each one's result or the error it raised."""
+    ``block``, and store each one's result or the error it raised. Given a
+    ``worker``, each stream draws ahead on it, into two pairs."""
+    pairs = 1 if worker is None else 2
     while True:
         with lock:
             i = next(todo, None)
@@ -313,15 +292,16 @@ def _lane(jobs, block: np.ndarray, todo: Iterator[int], lock, outcomes: list) ->
             return
         try:
             ops, samples, seed, reduce, *args = jobs[i]
-            pairs, buffers = _carve(block, min(_BATCH, samples), ops.shape[1], len(ops), 1)
-            outcomes[i] = reduce(_kernel(ops, _draws(samples, seed, pairs), buffers), *args)
-        except ValueError as exc:  # fails this job only
-            outcomes[i] = exc
+            drawn, buffers = _carve(block, min(_BATCH, samples), ops.shape[1], len(ops), pairs)
+            batches = _draws(samples, seed, drawn)
+            overlaps = _kernel(ops, batches if worker is None else _ahead(batches, worker), buffers)
+            outcomes[i] = reduce(overlaps, *args)
         except BaseException as exc:
             outcomes[i] = exc
-            with lock:
-                for _ in todo:  # no lane starts another job
-                    pass
+            if not isinstance(exc, ValueError):  # a ValueError fails this job only
+                with lock:
+                    for _ in todo:  # no lane starts another job
+                        pass
 
 
 def _herm_spectra(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -439,16 +419,13 @@ def _fold(overlaps, orders, bins: int = 0, value_range=None):
     ``orders``; every (row, order) pair is checked and has its own tally,
     binned when ``bins`` is given (binning clips f in place, so a binned
     fold takes one order). The result is the list of tallies, row by
-    row, each row's orders in turn. Given one order as an int, for a
-    one-operator stack, the result is that row's tally.
+    row, each row's orders in turn.
 
     A tally sees the same values, in the same order, as on a stream of its
     row alone, so it keeps that stream's bits: several maps and orders can
     share one draw of the states (common random numbers), and each estimate
     is still ``mc_moment``'s for its own map, order and seed.
     """
-    single = isinstance(orders, int)
-    orders = (orders,) if single else orders
     tallies = []
     for q in overlaps:
         if not tallies:  # the tallies add in turn, so one scratch, sized by the first batch, serves all
@@ -468,7 +445,7 @@ def _fold(overlaps, orders, bins: int = 0, value_range=None):
                 tallies[i * len(orders) + j].add(f)
     for tally in tallies:  # a tally kept after its stream keeps no batch-sized scratch
         tally.work = np.empty(0)
-    return tallies[0] if single else tallies
+    return tallies
 
 
 def _moment_ops(maps, orders, samples: int) -> np.ndarray:
@@ -481,13 +458,7 @@ def _moment_ops(maps, orders, samples: int) -> np.ndarray:
     return np.stack([as_matrix(m) for m in maps])
 
 
-def _moment_job(m: np.ndarray, order: int, samples: int, seed: int) -> tuple:
-    """The stream job of ``mc_moment(m, order, samples, seed)``: a tally
-    whose ``estimate(seed)`` is that estimate."""
-    return (_moment_ops([m], (order,), samples), samples, seed, _fold, order)
-
-
-def _shared_moment_job(maps, orders: tuple, samples: int, seed: int) -> tuple:
+def _moment_job(maps, orders: tuple, samples: int, seed: int) -> tuple:
     """One stream job for every map of ``maps`` (all of one dimension) at
     each of the ascending ``orders``: the list of tallies, map by map, whose
     ``estimate(seed)`` is ``mc_moment(m, order, samples, seed)``, bit for
@@ -496,26 +467,30 @@ def _shared_moment_job(maps, orders: tuple, samples: int, seed: int) -> tuple:
 
 
 def _sample_job(m: np.ndarray, bins: int, samples: int, seed: int) -> tuple:
-    """The stream job of ``mc_sample(m, bins, samples, seed)``: a tally whose
-    ``histogram(seed)`` and ``estimate(seed)`` are its results. The range is
-    fixed here, before the first draw."""
+    """The stream job of ``mc_sample(m, bins, samples, seed)``: one tally
+    whose ``histogram(seed)`` and ``estimate(seed)`` are its results. The
+    range is fixed here, before the first draw."""
     if bins < 2:
         raise ConfigError(f"bins must be at least 2, got {bins}")
     if samples < bins:
         raise ConfigError(f"samples ({samples}) must be at least bins ({bins})")
     ops = _moment_ops([m], (1,), samples)
-    return (ops, samples, seed, _fold, 1, bins, _outer_range(ops[0], bins))
+    return (ops, samples, seed, _fold, (1,), bins, _outer_range(ops[0], bins))
 
 
 def _alone(job: tuple):
-    """One stream job on the lone stream, with draw-ahead."""
-    ops, samples, seed, reduce, *args = job
-    return reduce(_overlaps(ops, samples, seed), *args)
+    """The result of one stream job, run alone (with draw-ahead); a
+    ``ValueError`` the job raised is raised here."""
+    (result,) = _lanes([job])
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
 
 def mc_moment(m: np.ndarray, order: int, samples: int, seed: int) -> McEstimate:
     """Monte-Carlo estimate of the Haar average of |<psi|m|psi>|^(2*order)."""
-    return _alone(_moment_job(m, order, samples, seed)).estimate(seed)
+    (tally,) = _alone(_moment_job([m], (order,), samples, seed))
+    return tally.estimate(seed)
 
 
 def mc_sample(m: np.ndarray, bins: int, samples: int, seed: int) -> tuple[Histogram, McEstimate]:
@@ -526,5 +501,5 @@ def mc_sample(m: np.ndarray, bins: int, samples: int, seed: int) -> tuple[Histog
     ``m``, known before the first draw, so no sample is kept; its edges hold
     every f but may lie outside the law's support.
     """
-    tally = _alone(_sample_job(m, bins, samples, seed))
+    (tally,) = _alone(_sample_job(m, bins, samples, seed))
     return tally.histogram(seed), tally.estimate(seed)

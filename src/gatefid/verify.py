@@ -32,7 +32,8 @@ P(|Z| > 4) = 6.3e-5 for an estimate's z under the normal approximation:
 
 An estimate whose standard error is exactly 0 (the perfect gate of
 ``conditional_oracle``) must equal its closed form to 1e-12 relative
-(:func:`_z`).
+(:func:`_z`). Each check takes its worst gap or z with :func:`_worst`, which
+keeps a NaN, so a closed form that returns NaN fails every check that calls it.
 """
 
 from __future__ import annotations
@@ -90,9 +91,16 @@ def _random_spectrum(rng: np.random.Generator) -> QubitSpectrum:
             return QubitSpectrum.ordered(l0, l1)
 
 
+def _worst(gaps) -> float:
+    """The largest of the non-negative ``gaps`` (0 for none), or NaN if any
+    is NaN, so that a NaN gap fails its check: ``max`` keeps a number over a
+    NaN that follows it."""
+    return float(np.max(np.fromiter(gaps, float), initial=0.0))
+
+
 def check_monomial_patterns() -> CheckResult:
     pattern_weights = {(4,): 24, (2, 2): 4, (3, 1): 6, (2, 1, 1): 2, (1, 1, 1, 1): 1}
-    worst = 0.0
+    gaps = []
     ok = True
     for n in (4, 6):
         denom = n * (n + 1) * (n + 2) * (n + 3)
@@ -101,8 +109,8 @@ def check_monomial_patterns() -> CheckResult:
             exact = sampling.monomial_integral_exact(k, n)
             if exact != Fraction(weight, denom):
                 ok = False
-            worst = max(worst, abs(float(exact) - weight / denom))
-    return CheckResult("monomial_patterns", ok, f"max float gap {worst:.3g}")
+            gaps.append(abs(float(exact) - weight / denom))
+    return CheckResult("monomial_patterns", ok, f"max float gap {_worst(gaps):.3g}")
 
 
 def check_monomial_completeness() -> CheckResult:
@@ -147,7 +155,7 @@ def check_hermitian_collapse(seed: int) -> CheckResult:
     weighted by the exact sphere monomials.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    gaps = []
     for n in (2, 3, 4, 5):
         ks, weights = _quartic_table(n)
         for _ in range(10):
@@ -155,25 +163,25 @@ def check_hermitian_collapse(seed: int) -> CheckResult:
             for part in ((raw + adjoint(raw)) / 2, (raw - adjoint(raw)) / 2j):
                 a = float(np.prod(np.linalg.eigvalsh(part) ** ks, axis=1) @ weights)
                 b = moments.fourth_moment_general(part)
-                worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
+                gaps.append(abs(a - b) / max(abs(a), abs(b), 1e-300))
+    worst = _worst(gaps)
     return CheckResult("hermitian_collapse", worst <= 1e-12, f"max rel gap {worst:.3g}")
 
 
 def check_distribution_moments(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst_moment = 0.0
-    worst_mass = 0.0
+    moment_gaps, mass_gaps = [], []
     for _ in range(50):
         s = _random_spectrum(rng)
         dist = qubit_dist.normal_pdf(s)
         rep = qubit_dist.quadrature_moments(dist)
         m = np.diag([s.lambda0, s.lambda1]).astype(np.complex128)
-        worst_moment = max(
-            worst_moment,
+        moment_gaps += [
             abs(rep.mean - moments.avg_fidelity(m)),
             abs(rep.second_moment - moments.fourth_moment_general(m)),
-        )
-        worst_mass = max(worst_mass, _pdf_cdf_gap(dist))
+        ]
+        mass_gaps.append(_pdf_cdf_gap(dist))
+    worst_moment, worst_mass = _worst(moment_gaps), _worst(mass_gaps)
     ok = worst_moment <= 1e-9 and worst_mass <= 1e-10
     return CheckResult(
         "distribution_moments",
@@ -199,7 +207,7 @@ def _pdf_cdf_gap(dist: qubit_dist.FidelityDistribution) -> float:
     f[::8] = ends  # the piece ends exactly, not through t
     mid = 0.5 * (t[1:] + t[:-1])
     masses = dist.pdf(dist.f0 + mid * mid) * 2.0 * mid * np.diff(t)
-    return max(float(np.abs(masses - np.diff(dist.cdf(f))).max()), abs(float(masses.sum()) - 1.0))
+    return _worst([float(np.abs(masses - np.diff(dist.cdf(f))).max()), abs(float(masses.sum()) - 1.0)])
 
 
 def check_worked_values() -> CheckResult:
@@ -212,7 +220,7 @@ def check_worked_values() -> CheckResult:
     for p in (0.0, 0.2, 1.0):
         got = moments.kraus_avg_fidelity(moments.depolarizing_kraus(p), np.eye(2))
         gaps.append(abs(got - (1 - p / 2)))
-    worst = max(gaps)
+    worst = _worst(gaps)
     return CheckResult("worked_values", worst <= 1e-12, f"max gap {worst:.3g}")
 
 
@@ -249,12 +257,11 @@ def _plan_mc_closed_form(seed: int, samples: int):
     for n, maps in by_dim.items():
         for m in maps:
             closed += [moments.avg_fidelity(m), moments.fourth_moment_general(m)]
-        jobs.append(sampling._shared_moment_job(maps, (1, 2), samples, seed + 17 * n))
+        jobs.append(sampling._moment_job(maps, (1, 2), samples, seed + 17 * n))
 
     def judge(*tallies) -> CheckResult:
-        worst = 0.0
-        for value, est in zip(closed, _estimates(jobs, tallies)):
-            worst = max(worst, _z(est.mean, est.std_error, value))
+        estimates = _estimates(jobs, tallies)
+        worst = _worst(_z(est.mean, est.std_error, value) for value, est in zip(closed, estimates))
         return CheckResult("mc_closed_form", worst <= _Z_MAX, f"max |z| = {worst:.2f} sigma")
 
     return jobs, judge
@@ -267,8 +274,8 @@ def _plan_histogram_regeneration(seed: int, samples: int, bins: int):
     dist = qubit_dist.normal_pdf(reference_spectrum())
     job = sampling._sample_job(reference_matrix(), bins, samples, seed)
 
-    def judge(tally) -> CheckResult:
-        cmp = qubit_dist.compare_histogram(dist, tally.histogram(seed))
+    def judge(tallies) -> CheckResult:
+        cmp = qubit_dist.compare_histogram(dist, tallies[0].histogram(seed))
         alpha, h = _FALSE_ALARM / 2, 2 / (9 * cmp.dof)
         z = NormalDist().inv_cdf(1 - alpha / (2 * cmp.bins_compared))
         ratio_max = (1 - h + NormalDist().inv_cdf(1 - alpha) * math.sqrt(h)) ** 3
@@ -286,13 +293,13 @@ def _plan_mc_batch(seed: int, samples: int, per_dim: int):
     for n in (2, 3, 4, 5):
         maps = [_random_matrix(rng, n) / n for _ in range(per_dim)]
         closed += [moments.fourth_moment_general(m) for m in maps]
-        jobs.append(sampling._shared_moment_job(maps, (2,), samples, seed + 101 * n))
+        jobs.append(sampling._moment_job(maps, (2,), samples, seed + 101 * n))
 
     def judge(*tallies) -> CheckResult:
-        estimates = _estimates(jobs, tallies)
-        hits = sum(_z(est.mean, est.std_error, c) <= _Z_MAX for c, est in zip(closed, estimates))
-        ok = hits >= 0.95 * len(estimates)
-        return CheckResult("mc_batch", ok, f"{hits}/{len(estimates)} within 4 sigma")
+        zs = [_z(est.mean, est.std_error, c) for c, est in zip(closed, _estimates(jobs, tallies))]
+        hits = sum(z <= _Z_MAX for z in zs)
+        ok = hits >= 0.95 * len(zs) and not math.isnan(_worst(zs))  # a NaN z is a fault, not a miss
+        return CheckResult("mc_batch", ok, f"{hits}/{len(zs)} within 4 sigma")
 
     return jobs, judge
 
@@ -302,10 +309,8 @@ def _plan_conditional_oracle(seed: int, samples: int):
     closed = [moments.conditional_fidelity(g) for g in gates]
 
     def judge(sums) -> CheckResult:
-        worst = 0.0
-        for i, value in enumerate(closed):
-            est, se = _ratio_estimate(sums[2 * i : 2 * i + 2])
-            worst = max(worst, _z(est, se, value))
+        estimates = [_ratio_estimate(sums[2 * i : 2 * i + 2]) for i in range(len(closed))]
+        worst = _worst(_z(est, se, value) for (est, se), value in zip(estimates, closed))
         return CheckResult("conditional_oracle", worst <= _Z_MAX, f"max |z| = {worst:.2f} sigma")
 
     return [_conditional_job(gates, samples, seed)], judge
@@ -371,7 +376,7 @@ def _sa_sums(overlaps, samples: int) -> tuple[np.ndarray, float]:
     for q_m, q_s, q_a in overlaps:
         f = np.stack([q_m**4, q_s**4, q_a**4, (q_s**2) * (q_a**2)])
         totals += f.sum(axis=1)
-        gap = max(gap, float(np.abs(f[0] - (f[1] + f[2] + 2 * f[3])).max()))
+        gap = _worst([gap, float(np.abs(f[0] - (f[1] + f[2] + 2 * f[3])).max())])
     return totals / samples, gap
 
 

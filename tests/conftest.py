@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gatefid import adjoint
-from gatefid.sampling import state_batches
+from gatefid.sampling import _BATCH
 from gatefid.verify import _quartic_table
 
 
@@ -67,10 +67,22 @@ def reference_overlap(states, a):
     return np.einsum("bj,bj->b", states.conj() @ a, states)
 
 
+def reference_batches(n, count, seed):
+    """The ``(v, r2)`` batches of the sampler's stream of ``seed``, from numpy
+    alone: one normal draw of the seed's first SeedSequence child, cut at
+    ``_BATCH`` rows, whose consecutive pairs (re, im) make the rows v, with
+    r2 = |v|^2 summed as the sampler sums it. The sampler's redraw of a row
+    too short to normalize (norm^2 <= 1e-300) is left out."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    for start in range(0, count, _BATCH):
+        z = rng.standard_normal((min(_BATCH, count - start), 2 * n))
+        yield z.view(np.complex128), np.einsum("ij,ij->i", z, z)
+
+
 def haar_states(n, count, seed):
     """``count`` Haar states on C^n, the normalized rows of the seed's stream."""
     return np.concatenate(
-        [v / np.sqrt(r2)[:, None] for v, r2 in state_batches(n, count, seed)]
+        [v / np.sqrt(r2)[:, None] for v, r2 in reference_batches(n, count, seed)]
     )
 
 

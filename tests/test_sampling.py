@@ -23,22 +23,30 @@ from gatefid.sampling import (
     _BATCH,
     EDGE_SLACK,
     _Tally,
+    _draws,
     _fold,
     _gaussian_rows,
     _lanes,
     _moment_job,
     _outer_range,
-    _overlaps,
     _workspace_size,
-    state_batches,
 )
-from gatefid.verify import _RATIO_BATCHES, _conditional_ops, _leaky_gate, _ratio_sums
+from gatefid.verify import (
+    _RATIO_BATCHES,
+    _conditional_job,
+    _conditional_ops,
+    _leaky_gate,
+    _ratio_sums,
+    _sa_job,
+    _sa_sums,
+)
 from conftest import (
     assert_scale_covariant,
     haar_states,
     random_hermitian,
     random_matrix,
     random_unitary,
+    reference_batches,
     reference_overlap,
     reference_states,
 )
@@ -58,10 +66,15 @@ SCALED = {
 }
 
 
+def collect(overlaps):
+    """Every overlap of a stream, copied out batch by batch: (k, samples)."""
+    return np.concatenate([q.copy() for q in overlaps], axis=1)
+
+
 def fidelities(m, samples, seed):
-    """Every sampled f of one stream, concatenated in draw order (each batch
-    is copied out before the next one overwrites it)."""
-    return np.concatenate([q[0] ** 2 for q in _overlaps(np.asarray(m)[None], samples, seed)])
+    """Every sampled f of one stream, run alone, in draw order."""
+    ((q,),) = _lanes([(np.asarray(m)[None], samples, seed, collect)])
+    return q**2
 
 
 def child_rng(seed):
@@ -121,60 +134,76 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def drawn_batches(n, samples, seed):
+    """Copies of the ``(v, r2)`` batches that ``sampling._draws`` draws for
+    the stream of ``seed`` into two alternating pairs, as a job run alone
+    does."""
+    rows = min(_BATCH, samples)
+    pairs = [(np.empty((rows, 2 * n)), np.empty(rows)) for _ in range(2)]
+    return [(v.copy(), r2.copy()) for v, r2 in _draws(samples, seed, pairs)]
+
+
+def assert_reference_stream(n, samples, seed):
+    """The stream's batches are the reference stream's, bit for bit, and
+    its states the normalized rows of one normal draw."""
+    got = drawn_batches(n, samples, seed)
+    want = list(reference_batches(n, samples, seed))
+    assert len(got) == len(want) == -(-samples // _BATCH)
+    for (v, r2), (want_v, want_r2) in zip(got, want):
+        assert np.array_equal(bits(v), bits(want_v)) and np.array_equal(bits(r2), bits(want_r2))
+    states = np.concatenate([v / np.linalg.norm(v, axis=1, keepdims=True) for v, _ in got])
+    assert np.array_equal(bits(states), bits(reference_states(n, samples, child_rng(seed))))
+
+
 class TestSeedToStateMap:
     # Pins the map from a seed to its states bit for bit: a faster kernel
     # must not change which states a seed draws. The states are the rows
-    # of one normal draw from the seed's first SeedSequence child.
+    # of one normal draw from the seed's first SeedSequence child, built in
+    # the tests from numpy alone.
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("seed", [0, 42])
     def test_sample_states_bitwise(self, n, seed):
         # One batch in every dimension.
-        ((v, _),) = state_batches(n, 4096, seed)
-        got = v / np.linalg.norm(v, axis=1, keepdims=True)
-        want = reference_states(n, 4096, child_rng(seed))
-        assert np.array_equal(bits(got), bits(want))
+        assert_reference_stream(n, 4096, seed)
 
     @pytest.mark.parametrize("full_batches", [1, 3])
     def test_state_batches_bitwise(self, full_batches):
         # The stream continues across batch cuts as one draw.
-        n, samples, seed = 2, full_batches * _BATCH + 5, 7
-        batches = state_batches(n, samples, seed)
-        got = np.concatenate([v / np.linalg.norm(v, axis=1, keepdims=True) for v, _ in batches])
-        want = reference_states(n, samples, child_rng(seed))
-        assert np.array_equal(bits(got), bits(want))
+        assert_reference_stream(2, full_batches * _BATCH + 5, 7)
 
 
 class TestWorkerThread:
-    # Each stream draws its next batch on one worker thread. An empty stream
-    # starts none, and no worker outlives its stream, however the stream ends.
-    def test_full_stream(self):
-        before = threading.active_count()
-        assert sum(len(v) for v, _ in state_batches(2, 3 * _BATCH + 5, 1)) == 3 * _BATCH + 5
-        assert threading.active_count() == before
+    # A run of stream jobs has one worker thread; a job run alone draws its
+    # next batch on it. An empty run starts none, and no worker outlives its
+    # run, however the run ends.
+    def test_full_stream(self, monkeypatch):
+        gaussian_rows, drawn_on = sampling._gaussian_rows, set()
 
-    def test_stream_dropped_after_its_first_batch(self):
+        def recording(rng, z, r2):
+            drawn_on.add(threading.get_ident())
+            return gaussian_rows(rng, z, r2)
+
+        monkeypatch.setattr(sampling, "_gaussian_rows", recording)
         before = threading.active_count()
-        batches = state_batches(2, 3 * _BATCH, 1)
-        next(batches)
-        assert threading.active_count() == before + 1
-        del batches
+        (q,) = _lanes([(np.eye(2)[None], 3 * _BATCH + 5, 1, collect)])
+        assert q.shape == (1, 3 * _BATCH + 5)
         assert threading.active_count() == before
+        assert len(drawn_on) == 1 and threading.get_ident() not in drawn_on
 
     def test_consumer_raises_while_the_next_batch_is_drawn(self):
+        # f = 1e400 overflows on the first batch, while the worker draws the
+        # second: the error is the job's result, and mc_moment raises it.
         before = threading.active_count()
+        (got,) = _lanes([(1e200 * np.eye(2)[None], 3 * _BATCH, 0, _fold, (1,))])
+        assert isinstance(got, ValueError) and "overflows" in str(got)
         with pytest.raises(ValueError, match="overflows"):
             mc_moment(1e200 * np.eye(2), 1, 3 * _BATCH, 0)
         assert threading.active_count() == before
 
     def test_empty_stream(self):
         before = threading.active_count()
-        assert list(state_batches(2, 0, 1)) == []
+        assert _lanes([]) == []
         assert threading.active_count() == before
-
-
-def collect(overlaps):
-    """Every overlap of a stream, copied out batch by batch: (k, samples)."""
-    return np.concatenate([q.copy() for q in overlaps], axis=1)
 
 
 def tally_bits(tally):
@@ -182,8 +211,8 @@ def tally_bits(tally):
 
 
 def one_after_another(jobs):
-    """Each job on its own lone stream, in job order."""
-    return [reduce(_overlaps(ops, samples, seed), *args) for ops, samples, seed, reduce, *args in jobs]
+    """Each job run alone, drawing ahead, in job order."""
+    return [_lanes([job])[0] for job in jobs]
 
 
 def lane_jobs(count):
@@ -193,8 +222,8 @@ def lane_jobs(count):
     rng = np.random.default_rng(20)
     kinds = [
         lambda m: (m[None], collect),
-        lambda m: (m[None], _fold, 1),
-        lambda m: (m[None], _fold, 2),
+        lambda m: (m[None], _fold, (1,)),
+        lambda m: (m[None], _fold, (2,)),
         lambda m: (_conditional_ops(_leaky_gate(0.5)), _ratio_sums),
     ]
     jobs = []
@@ -209,15 +238,23 @@ def lane_jobs(count):
 
 
 def result_bits(results):
-    return [
-        tally_bits(r) if isinstance(r, _Tally) else (r.shape, bits(r).tolist()) for r in results
-    ]
+    """The bits of each result: a tally, an array or a float, or a list or
+    tuple of them."""
+
+    def of(r):
+        if isinstance(r, _Tally):
+            return tally_bits(r)
+        if isinstance(r, (list, tuple)):
+            return [of(x) for x in r]
+        return np.shape(r), bits(np.asarray(r)).tolist()
+
+    return [of(r) for r in results]
 
 
 class TestLanes:
-    # The lane runner runs independent streams two at a time: each job keeps
-    # the bits of its lone stream, the results come in job order, and no
-    # thread or workspace outlives a run.
+    # The runner runs two or more jobs two at a time, and a job alone with
+    # draw-ahead: each job keeps the same bits either way, the results come
+    # in job order, and no thread or workspace outlives a run.
     @pytest.mark.parametrize("count", [0, 1, 3, 20])
     def test_bits_of_the_lone_streams(self, count):
         jobs = lane_jobs(count)
@@ -227,8 +264,22 @@ class TestLanes:
     def test_moment_jobs_are_mc_moment(self):
         rng = np.random.default_rng(5)
         streams = [(random_matrix(rng, n), order, 3000, n + order) for n in (2, 3) for order in (1, 2)]
-        tallies = _lanes([_moment_job(*s) for s in streams])
-        assert [t.estimate(s[-1]) for t, s in zip(tallies, streams)] == [mc_moment(*s) for s in streams]
+        tallies = _lanes([_moment_job([m], (order,), samples, seed) for m, order, samples, seed in streams])
+        assert [t.estimate(s[-1]) for (t,), s in zip(tallies, streams)] == [mc_moment(*s) for s in streams]
+
+    def test_each_reduction_alone_and_among_others(self):
+        # Alone, a job draws ahead into two pairs; among other jobs, a lane
+        # draws it inline into one. Each reduction keeps its bits either way.
+        rng = np.random.default_rng(21)
+        samples = 2 * _BATCH + 2000
+        jobs = [
+            _moment_job([random_matrix(rng, 3) for _ in range(2)], (1, 2), samples, 1),
+            _conditional_job([_leaky_gate(alpha) for alpha in (0.0, 0.5, 1.0)], samples, 2),
+            _sa_job(random_matrix(rng, 4), samples, 3),
+        ]
+        assert [job[3] for job in jobs] == [_fold, _ratio_sums, _sa_sums]
+        among = _lanes(jobs + lane_jobs(4))[:3]
+        assert result_bits(among) == result_bits(one_after_another(jobs))
 
     def test_longest_jobs_start_first(self, monkeypatch):
         # Jobs listed from the cheapest to the costliest, by samples * (2n + k):
@@ -237,7 +288,7 @@ class TestLanes:
         # the results still come back in job order with the lone streams' bits.
         rng = np.random.default_rng(9)
         jobs = [
-            (random_matrix(rng, n)[None], samples, 0, _fold, 2)
+            (random_matrix(rng, n)[None], samples, 0, _fold, (2,))
             for samples in (200, 900, 3000)
             for n in (2, 3, 4, 5)
         ]
@@ -262,15 +313,16 @@ class TestLanes:
 
     def test_two_runs_at_once_with_fast_thread_switches(self):
         # Four lanes on two cores, switching threads every microsecond: each
-        # job runs once and keeps the bits of its lone stream.
+        # job runs once and keeps the bits it has when run alone.
         ran = []
 
         def counted(overlaps, i):
             ran.append(i)
-            return tally_bits(_fold(overlaps, 1))
+            return tally_bits(_fold(overlaps, (1,))[0])
 
         jobs = [(np.diag([1.0, 0.5 + i / 200])[None], 100 + i, i, counted, i) for i in range(120)]
-        want = [tally_bits(_fold(_overlaps(ops, samples, seed), 1)) for ops, samples, seed, *_ in jobs]
+        want = one_after_another(jobs)
+        ran.clear()
         got = [None, None]
 
         def run(half):
@@ -297,10 +349,9 @@ class TestLanes:
 
     def test_threads_after_a_job_raises(self):
         # Job 2 of 5 overflows on its first batch: that ValueError is its
-        # result, and the other jobs run on with the bits of their lone
-        # streams.
+        # result, and the other jobs run on with the bits they have alone.
         jobs = lane_jobs(5)
-        jobs[1] = (1e200 * np.eye(2)[None], 3 * _BATCH, 0, _fold, 1)
+        jobs[1] = (1e200 * np.eye(2)[None], 3 * _BATCH, 0, _fold, (1,))
         before = threading.active_count()
         got = _lanes(jobs)
         assert threading.active_count() == before
@@ -314,7 +365,7 @@ class TestLanes:
         def broken(overlaps, i):
             if i == 1:
                 raise RuntimeError("broken reduction")
-            return _fold(overlaps, 1)
+            return _fold(overlaps, (1,))
 
         jobs = [(np.eye(2)[None], 200 - i, i, broken, i) for i in range(6)]
         before = threading.active_count()
@@ -337,14 +388,14 @@ class TestLanes:
         line = first + next(i for i, text in enumerate(source) if "np.empty(" in text)
         snapshots = []
 
-        def fold_then_snapshot(overlaps, order):
-            tally = _fold(overlaps, order)
+        def fold_then_snapshot(overlaps, orders):
+            tallies = _fold(overlaps, orders)
             snapshots.append(tracemalloc.take_snapshot())
-            return tally
+            return tallies
 
         rng = np.random.default_rng(6)
         jobs = [
-            (random_matrix(rng, n)[None], 2 * _BATCH, n + i, fold_then_snapshot, 2)
+            (random_matrix(rng, n)[None], 2 * _BATCH, n + i, fold_then_snapshot, (2,))
             for n in (2, 3, 4, 5)
             for i in range(5)
         ]
@@ -353,7 +404,7 @@ class TestLanes:
             _lanes(jobs)
             # The snapshots themselves are traced, so the peak is taken on a
             # run without them.
-            plain = [(ops, samples, seed, _fold, order) for ops, samples, seed, _, order in jobs]
+            plain = [(ops, samples, seed, _fold, orders) for ops, samples, seed, _, orders in jobs]
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             _lanes(plain)
@@ -384,19 +435,17 @@ def blas_threads():
     put(old)
 
 
-class TestBlasCap:
-    # While a lone stream or a lane run is open, OpenBLAS keeps to one
-    # thread; after it, the count is what it was, however the stream ended.
-    def test_full_stream(self, blas_threads):
-        seen = [blas_threads() for _ in state_batches(2, 3 * _BATCH + 5, 1)]
-        assert seen == [1] * 4 and blas_threads() == 2
+def blas_counts(get):
+    """A stream job's reduction: ``get()`` at each batch."""
+    return lambda overlaps: [get() for _ in overlaps]
 
-    def test_abandoned_stream(self, blas_threads):
-        batches = state_batches(2, 3 * _BATCH, 1)
-        next(batches)
-        assert blas_threads() == 1
-        del batches
-        assert blas_threads() == 2
+
+class TestBlasCap:
+    # While a run of stream jobs is open, OpenBLAS keeps to one thread;
+    # after it, the count is what it was, however the run ended.
+    def test_full_stream(self, blas_threads):
+        (seen,) = _lanes([(np.eye(2)[None], 3 * _BATCH + 5, 1, blas_counts(blas_threads))])
+        assert seen == [1] * 4 and blas_threads() == 2
 
     def test_lane_runs_and_raising_jobs(self, blas_threads):
         seen = []
@@ -405,7 +454,7 @@ class TestBlasCap:
             seen.append(blas_threads())
             if order == 3:
                 raise RuntimeError("broken reduction")
-            return _fold(overlaps, order)
+            return _fold(overlaps, (order,))
 
         jobs = [(np.eye(2)[None], 300, i, fold, 1) for i in range(3)]
         _lanes(jobs)
@@ -420,21 +469,23 @@ class TestBlasCap:
     def test_a_count_already_at_one_is_left_alone(self, blas_threads):
         with sampling._one_blas_thread():
             assert mc_moment(REFERENCE, 1, 1000, 0).samples == 1000
-            assert _lanes([_moment_job(REFERENCE, 1, 1000, 0)])[0].count == 1000
+            assert [t.count for (t,) in _lanes([_moment_job([REFERENCE], (1,), 1000, 0)] * 2)] == [1000] * 2
             assert blas_threads() == 1
         assert blas_threads() == 2
-        # Two open streams, closed in the order they were opened: the
-        # second found the count at one and leaves it to the first.
-        first, second = state_batches(2, 3 * _BATCH, 1), state_batches(2, 3 * _BATCH, 2)
-        next(first), next(second)
-        first.close()
-        second.close()
+
+        # A run opened inside another finds the count at one and leaves it
+        # to the outer run.
+        def inner_run(overlaps):
+            seen = _lanes([(np.eye(2)[None], 300, 2, blas_counts(blas_threads))])[0]
+            return seen + blas_counts(blas_threads)(overlaps)
+
+        assert _lanes([(np.eye(2)[None], 2 * _BATCH, 1, inner_run)]) == [[1, 1, 1]]
         assert blas_threads() == 2
 
     def test_no_symbols_no_cap(self, blas_threads, monkeypatch):
         capped = mc_moment(REFERENCE, 2, 3000, 1)
         monkeypatch.setattr(sampling, "_blas_threads", lambda: None)
-        seen = [blas_threads() for _ in state_batches(2, 2 * _BATCH, 1)]
+        (seen,) = _lanes([(np.eye(2)[None], 2 * _BATCH, 1, blas_counts(blas_threads))])
         assert seen == [2, 2] and blas_threads() == 2
         assert mc_moment(REFERENCE, 2, 3000, 1) == capped
 
@@ -537,7 +588,7 @@ class TestExpectation:
             ]
         )
         samples, seed = _BATCH + 200, n
-        got = np.concatenate([q.copy() for q in _overlaps(ops, samples, seed)], axis=1)
+        (got,) = _lanes([(ops, samples, seed, collect)])
         assert got.shape == (3, samples)
         states = reference_states(n, samples, child_rng(seed))
         for a, q in zip(ops, got):

@@ -63,18 +63,35 @@ def _reachable_names(defs, roots) -> set[str]:
     return names
 
 
+def _call_sites(trees, name) -> list[str]:
+    """``module:definition`` for each call of ``name`` in ``trees``, by the
+    module-level definition it is in (``<module>`` outside any)."""
+    sites = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            where = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.attr if isinstance(func, ast.Attribute) else ast.unparse(func)
+                    if called == name:
+                        sites.append(f"{module}:{where}")
+    return sites
+
+
 def test_sampler_stays_behind_its_stream(monkeypatch):
     # The closed forms need no sampler, and the batch size and the seeding
-    # belong to the one stream, sampling.state_batches. How a draw is stored
+    # belong to the one stream, sampling._draws. How a draw is stored
     # (unnormalized rows v and r2 = |v|^2) stays inside sampling too: every
-    # other module takes overlaps from its one kernel, sampling._overlaps,
-    # or through sampling's lane runner; verify only through the runner.
-    # Only sampling starts a thread: the lone stream's worker advances the
-    # stream's drawer, _draws, and the lane runner's worker runs _lane. Both
-    # run private code that names no public gatefid function: perfbench's
-    # tracer wraps those with one span stack, which is not thread-safe. So
-    # verify builds its operators before it calls the runner, and hands it
-    # private reductions only.
+    # path, mc_moment, mc_sample and verify's checks, takes overlaps from
+    # its one kernel through the one runner, sampling._lanes.
+    # Only sampling starts a thread, and only in _lanes, which also holds
+    # the one BLAS cap: its one worker either draws a lone job's batches
+    # ahead (_ahead over the job's _draws, called only by _lane) or runs the
+    # second lane, _lane. Both run private code that names no public gatefid
+    # function: perfbench's tracer wraps those with one span stack, which is
+    # not thread-safe. So verify builds its operators before it calls the
+    # runner, and hands it private reductions only.
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(PACKAGE.glob("*.py"))
@@ -84,11 +101,10 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
     assert [name for name, tree in trees.items() if "SeedSequence" in _names(tree)] == [
         "sampling.py"
     ]
-    stream = {"state_batches", "_draws", "_gaussian_rows", "r2"}
+    stream = {"_draws", "_gaussian_rows", "r2"}
     outside = {name: _names(tree) for name, tree in trees.items() if name != "sampling.py"}
     assert [name for name, names in outside.items() if stream & names] == []
     assert [name for name, tree in trees.items() if "expectation" in _names(tree)] == []
-    assert "_overlaps" not in _names(trees["verify.py"])
     threads = {"threading", "concurrent"}
     assert [name for name, tree in trees.items() if threads & _names(tree)] == ["sampling.py"]
     # Only sampling loads a native library: numpy's OpenBLAS, to keep it on
@@ -101,8 +117,22 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
         if isinstance(node.func, ast.Attribute) and node.func.attr == "submit"
     }
     assert submitted == {"next", "_lane"}
-    advanced = [ast.unparse(node.args[0]) for node in calls if ast.unparse(node.func) == "_ahead"]
-    assert advanced and all(arg.startswith("_draws(") for arg in advanced)
+    assert _call_sites(trees, "ThreadPoolExecutor") == ["sampling.py:_lanes"]
+    assert _call_sites(trees, "_one_blas_thread") == ["sampling.py:_lanes"]
+    assert _call_sites(trees, "_ahead") == ["sampling.py:_lane"]
+    # What _lane hands _ahead is bound only to a stream's _draws.
+    (lane,) = _module_defs({"sampling.py": trees["sampling.py"]})["_lane"]
+    advanced = {
+        ast.unparse(node.args[0])
+        for node in ast.walk(lane)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_ahead"
+    }
+    bound = [
+        ast.unparse(node.value)
+        for node in ast.walk(lane)
+        if isinstance(node, ast.Assign) and {ast.unparse(t) for t in node.targets} & advanced
+    ]
+    assert bound and all(value.startswith("_draws(") for value in bound)
 
     # run_checks hands every Monte-Carlo job of its level to one lane run,
     # as the plans built them: one stream per check and dimension.

@@ -10,7 +10,6 @@ import gatefid.moments as moments_mod
 from gatefid import cli, qubit_dist, sampling
 from gatefid.linalg import adjoint
 from gatefid.moments import comparison_matrix
-from gatefid.sampling import state_batches
 from gatefid.verify import (
     _RATIO_BATCHES,
     QUICK_SEED,
@@ -23,13 +22,15 @@ from gatefid.verify import (
     _random_matrix,
     _ratio_estimate,
     _sa_job,
+    _sa_sums,
+    _worst,
     check_distribution_moments,
     check_hermitian_collapse,
     reference_matrix,
     reference_spectrum,
     run_checks,
 )
-from conftest import reference_overlap
+from conftest import reference_batches, reference_overlap
 
 FULL_CHECKS = [
     "monomial_patterns",
@@ -98,8 +99,8 @@ def test_full_level_passes():
     "plan,streams", [(_plan_conditional_oracle, 1), (_plan_sa_decomposition, 1)]
 )
 def test_mc_checks_draw_from_the_one_stream(monkeypatch, plan, streams):
-    # These checks take every overlap from the sampler's one kernel,
-    # sampling._overlaps, whose states come from the one stream, so the rows
+    # These checks take every overlap from the sampler's one kernel, run by
+    # sampling._lanes, whose states come from the one stream, so the rows
     # drawn through its generator are exactly samples per stream; the three
     # gates of the conditional check share one.
     drawn = []
@@ -117,13 +118,13 @@ def test_mc_checks_draw_from_the_one_stream(monkeypatch, plan, streams):
 
 
 def hand_loop_conditional(g, samples, seed):
-    """The conditional estimate as a hand loop over state_batches."""
+    """The conditional estimate as a hand loop over the reference stream."""
     num_op = comparison_matrix(g.target, g.actual, g.subspace)
     den_op = comparison_matrix(g.actual, g.actual, g.subspace)
     per = samples // _RATIO_BATCHES
     sums = np.zeros((2, _RATIO_BATCHES))
     row = 0
-    for v, r2 in state_batches(len(g.subspace), per * _RATIO_BATCHES, seed):
+    for v, r2 in reference_batches(len(g.subspace), per * _RATIO_BATCHES, seed):
         run = (row + np.arange(len(v))) // per
         num = (np.abs(reference_overlap(v, num_op)) / r2) ** 2
         den = reference_overlap(v, den_op).real / r2
@@ -135,10 +136,10 @@ def hand_loop_conditional(g, samples, seed):
 
 
 def hand_loop_sa_decomposition(m, samples, seed):
-    """The S/A split as a hand loop over state_batches."""
+    """The S/A split as a hand loop over the reference stream."""
     sym, anti = (m + adjoint(m)) / 2.0, (m - adjoint(m)) / 2.0
     totals, gap = np.zeros(4), 0.0
-    for v, r2 in state_batches(m.shape[0], samples, seed):
+    for v, r2 in reference_batches(m.shape[0], samples, seed):
         q_m, q_s, q_a = (np.abs(reference_overlap(v, a)) / r2 for a in (m, sym, anti))
         f = np.stack([q_m**4, q_s**4, q_a**4, (q_s**2) * (q_a**2)])
         totals += f.sum(axis=1)
@@ -294,6 +295,58 @@ def test_a_plan_that_raises_fails_only_its_check(monkeypatch):
         {"name": "histogram_regeneration", "passed": False, "detail": "no histogram job"}
     ]
     assert [c for c in checks if c["passed"]] == [c for c in clean if c["name"] != "histogram_regeneration"]
+
+
+# The checks that call each closed form, at quick and the ones full adds.
+NAN_FAILS = {
+    "fourth_moment_general": (
+        {"hermitian_collapse", "distribution_moments", "mc_closed_form"},
+        {"mc_batch"},
+    ),
+    "avg_fidelity": ({"distribution_moments", "worked_values", "mc_closed_form"}, {"conditional_oracle"}),
+    "conditional_fidelity": ({"worked_values"}, {"conditional_oracle"}),
+    "kraus_avg_fidelity": ({"worked_values"}, set()),
+}
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+@pytest.mark.parametrize("name", sorted(NAN_FAILS))
+def test_a_closed_form_that_returns_nan_fails_its_checks(monkeypatch, name, level):
+    # max(worst, gap) keeps worst when gap is NaN, so every check that calls
+    # a closed form returning NaN passed; each one now fails, and only those.
+    monkeypatch.setattr(moments_mod, name, lambda *args: math.nan)
+    quick, full = NAN_FAILS[name]
+    failed = {c["name"] for c in run_checks(level)["checks"] if not c["passed"]}
+    assert failed == (quick | full if level == "full" else quick)
+
+
+def test_one_nan_estimate_fails_mc_batch(monkeypatch):
+    # mc_batch forgives one miss of 20 at |z| > 4; a NaN z is a fault, not
+    # that miss.
+    true_fn = moments_mod.fourth_moment_general
+    calls = []
+
+    def first_nan(m):
+        calls.append(m)
+        return math.nan if len(calls) == 1 else true_fn(m)
+
+    monkeypatch.setattr(moments_mod, "fourth_moment_general", first_nan)
+    jobs, judge = _plan_mc_batch(QUICK_SEED + 4, 20_000, 5)
+    result = judge(*sampling._lanes(jobs))
+    assert result.detail == "19/20 within 4 sigma" and not result.passed
+
+
+def test_worst_propagates_nan():
+    assert _worst([]) == 0.0 and _worst([0.5, 2.0, 1.0]) == 2.0
+    assert all(math.isnan(_worst(gaps)) for gaps in ([math.nan, 1.0], [1.0, math.nan], iter([0.0, math.nan])))
+
+
+def test_sa_gap_of_a_nan_batch_is_nan():
+    # A NaN in the second batch's overlaps makes the pointwise gap NaN, which
+    # fails sa_decomposition.
+    batches = [np.full((3, 8), 0.5), np.full((3, 8), math.nan)]
+    totals, gap = _sa_sums(iter(batches), 16)
+    assert math.isnan(gap) and np.isnan(totals).all()
 
 
 def test_rejects_unknown_level():
