@@ -7,14 +7,7 @@ with a Monte-Carlo oracle and a derivative-free gate tuner.
 
 __version__ = "0.1.0"
 
-from .linalg import (
-    DEFAULT_TOL,
-    NotNormalError,
-    QubitSpectrum,
-    adjoint,
-    as_matrix,
-    eig2_normal,
-)
+from .linalg import NotNormalError, QubitSpectrum, eig2_normal
 from .moments import (
     GateSpec,
     KrausMap,
@@ -22,14 +15,12 @@ from .moments import (
     NoAcceptanceError,
     avg_fidelity,
     conditional_fidelity,
-    depolarizing_kraus,
     fourth_moment_general,
     gate_moments,
     kraus_avg_fidelity,
     variance,
 )
 from .optimize import (
-    FAMILIES,
     GateFamily,
     Objective,
     OptimizationResult,
@@ -55,9 +46,7 @@ from .sampling import (
 )
 
 __all__ = [
-    "DEFAULT_TOL",
     "DegenerateSpectrumError",
-    "FAMILIES",
     "FidelityDistribution",
     "GateFamily",
     "GateSpec",
@@ -72,13 +61,10 @@ __all__ = [
     "OptimizationResult",
     "OptimizeConfig",
     "QubitSpectrum",
-    "adjoint",
-    "as_matrix",
     "avg_fidelity",
     "build_family",
     "compare_histogram",
     "conditional_fidelity",
-    "depolarizing_kraus",
     "eig2_normal",
     "evaluate_objective",
     "fourth_moment_general",

@@ -13,7 +13,7 @@ import functools
 import json
 import shlex
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,23 +21,11 @@ import numpy as np
 from . import __version__
 from .linalg import ConfigError, QubitSpectrum, eig2_normal
 from .moments import GateSpec, InvariantError, MomentReport, gate_moments, kraus_avg_fidelity
-from .optimize import (
-    EvaluatorError,
-    Objective,
-    OptimizeConfig,
-    build_family,
-    optimize,
-)
+from .optimize import EvaluatorError, optimize
 from .qubit_dist import normal_pdf, quadrature_moments
 from .sampling import mc_sample
-from .serialize import (
-    load_kraus,
-    load_matrix,
-    matrix_from_obj,
-    write_density_csv,
-    write_histogram_csv,
-    write_trace_csv,
-)
+from .serialize import load_kraus, load_matrix, load_problem
+from .serialize import write_density_csv, write_histogram_csv, write_trace_csv
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -66,13 +54,6 @@ class RunManifest:
     seed: int
     versions: str
     outputs: list[str]
-
-
-def _load(path: str, loader):
-    try:
-        return loader(path)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _seed(text: str) -> int:
@@ -112,12 +93,12 @@ def _emit(obj) -> None:
 
 
 def _cmd_moments(args) -> int:
-    target = _load(args.target, load_matrix)
+    target = load_matrix(args.target)
     subspace = _parse_subspace(args.subspace) if args.subspace else None
     if args.kraus:
         if subspace is not None:
             raise UsageError("--subspace is not supported with a Kraus map")
-        kmap = _load(args.kraus, load_kraus)
+        kmap = load_kraus(args.kraus)
         try:
             mean = kraus_avg_fidelity(kmap, target)
         except ValueError as exc:
@@ -125,7 +106,7 @@ def _cmd_moments(args) -> int:
         report = MomentReport(n_eff=kmap.dim, mean=mean).as_dict()
         _emit({**report, "trace_preserving": kmap.trace_preserving})
         return EXIT_OK
-    actual = _load(args.actual, load_matrix)
+    actual = load_matrix(args.actual)
     try:
         spec = GateSpec(target=target, actual=actual, subspace=subspace)
     except ConfigError:
@@ -140,7 +121,7 @@ def _cmd_dist(args) -> int:
     if args.matrix:
         if args.lambda1 is not None:
             raise UsageError("--lambda1 goes with --lambda0, not with --matrix")
-        m = _load(args.matrix, load_matrix)
+        m = load_matrix(args.matrix)
         spectrum = eig2_normal(m)
     else:
         if not args.lambda1:
@@ -161,7 +142,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    m = _load(args.matrix, load_matrix)
+    m = load_matrix(args.matrix)
     hist, est = mc_sample(m, args.bins, args.samples, args.seed)
     csv_path = f"{args.out}.csv"
     json_path = f"{args.out}.json"
@@ -189,73 +170,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
-def _number(value, name: str) -> float:
-    """A JSON number as a float; a bool, string or container is malformed."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a number, not {value!r}")
-    return float(value)
-
-
-def _integer(value, name: str) -> int:
-    """A JSON integer (or an integral float) as an int."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, not {value!r}")
-    return value
-
-
-def _items(value, name: str, length: int | None = None) -> list:
-    """A JSON list, of ``length`` items if given."""
-    if not isinstance(value, list) or length not in (None, len(value)):
-        size = "a list" if length is None else f"a list of {length}"
-        raise TypeError(f"{name} must be {size}, not {value!r}")
-    return value
-
-
 def _cmd_optimize(args) -> int:
-    with open(args.problem, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"cannot parse {args.problem}: {exc}") from exc
-    try:
-        if not isinstance(obj, dict):
-            raise TypeError(f"expected a JSON object, not {type(obj).__name__}")
-        family_name = obj["family"]
-        if not isinstance(family_name, str):
-            raise TypeError(f"family must be a name, not {family_name!r}")
-        target = _matrix_from_problem(obj["target"], args.problem)
-        spec = obj["objective"]
-        if not isinstance(spec, dict) or not isinstance(spec["kind"], str):
-            raise TypeError(f"objective must be {{'kind': name, 'k': number}}, not {spec!r}")
-        objective = Objective(kind=spec["kind"], k=_number(spec.get("k", 0.0), "k"))
-        box = []
-        for pair in _items(obj["box"], "box"):
-            lo, hi = _items(pair, "a box entry", 2)
-            box.append((_number(lo, "box"), _number(hi, "box")))
-        max_evals = obj.get("max_evals")
-        config = OptimizeConfig(
-            start=tuple(_number(x, "start") for x in _items(obj["start"], "start")),
-            box=tuple(box),
-            max_evals=None if max_evals is None else _integer(max_evals, "max_evals"),
-            x_tol=_number(obj.get("x_tol", 1e-8), "x_tol"),
-            f_tol=_number(obj.get("f_tol", 1e-10), "f_tol"),
-            record_trace=bool(args.trace_out),
-        )
-        subspace = obj.get("subspace")
-        if subspace is not None:
-            subspace = [_integer(i, "subspace") for i in _items(subspace, "subspace")]
-    except KeyError as exc:
-        raise UsageError(f"malformed problem file {args.problem}: no field {exc}") from exc
-    # A ValueError here is Objective's: an unknown kind or a bad k.
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"malformed problem file {args.problem}: {exc}") from exc
-    try:
-        family = build_family(family_name, target, subspace=subspace)
-    except KeyError as exc:
-        raise UsageError(str(exc.args[0])) from exc
-    result = optimize(family, objective, config)
+    family, objective, config = load_problem(args.problem)
+    result = optimize(family, objective, replace(config, record_trace=bool(args.trace_out)))
     if args.trace_out:
         write_trace_csv(result.trace, args.trace_out)
     _emit(
@@ -267,13 +184,6 @@ def _cmd_optimize(args) -> int:
         }
     )
     return EXIT_OK
-
-
-def _matrix_from_problem(obj, path: str) -> np.ndarray:
-    try:
-        return matrix_from_obj(obj)
-    except ValueError as exc:
-        raise UsageError(f"bad target matrix in {path}: {exc}") from exc
 
 
 @functools.cache
@@ -333,8 +243,8 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    # A ConfigError is a setting out of range, such as --bins 1, or a problem
-    # file whose fields do not fit together.
+    # A ConfigError is a setting out of range, such as --bins 1, or an input
+    # file that is malformed or whose fields do not fit together.
     except (UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -45,7 +45,10 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 def _is_unitary(m: np.ndarray) -> bool:
     """``m^dag m = I`` within ``DEFAULT_TOL`` (absolute: unitarity fixes the
-    scale), for a matrix from :func:`as_matrix`."""
+    scale), for a matrix from :func:`as_matrix`. No unitary has an entry
+    above 1, so one above 2 is refused before the product, which could overflow."""
+    if float(np.abs(m).max()) > 2.0:
+        return False
     gram = adjoint(m) @ m
     gram.ravel()[:: m.shape[0] + 1] -= 1.0  # a view: the product is contiguous
     return float(np.abs(gram).max()) <= DEFAULT_TOL

@@ -74,7 +74,8 @@ class FidelityDistribution:
         return (self.s1 - self.s0) / self.d
 
     def pdf(self, f) -> np.ndarray | float:
-        """Density at f; 0 outside the support, +inf exactly at f = f0."""
+        """Density at f; 0 outside the support, +inf exactly at f = f0 and
+        where the density passes the float range."""
         farr = np.asarray(f, dtype=float)
         lo, hi = self.support()
         # Roots +-u of f = f0 + u^2 in [s0, s1], counted on the f side so the
@@ -84,7 +85,7 @@ class FidelityDistribution:
         under = (farr < self.f_l0) | ((farr <= self.f_l0) & (self.s1 <= -self.s0))
         roots += (self.s0 < 0.0) & (farr >= lo) & under
         u = np.sqrt(np.maximum(farr - self.f0, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = np.where(roots > 0, roots / (2.0 * self.d * u), 0.0)
         return out if out.ndim else float(out)
 

@@ -335,7 +335,11 @@ def _outer_range(m: np.ndarray, bins: int) -> tuple[float, float]:
     if scale == 0.0:
         lo = hi = 0.0
     else:
-        a = m / scale  # every product below stays finite
+        # Every product below stays finite. Both sides go through 2^-e first,
+        # exactly: numpy divides a complex array by a real through its
+        # reciprocal, which overflows at a subnormal scale.
+        k = ldexp(1.0, -_pow2_exponent(scale))
+        a = (m * k) / (scale * k)
         step = 2 * pi / _ANGLES
         theta = step * np.arange(_ANGLES)
         w = _herm_spectra(a, theta)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gatefid import adjoint
+from gatefid.linalg import adjoint
 from gatefid.sampling import _BATCH
 from gatefid.verify import _quartic_table
 

@@ -20,7 +20,6 @@ from gatefid import (
     build_family,
     compare_histogram,
     conditional_fidelity,
-    depolarizing_kraus,
     evaluate_objective,
     fourth_moment_general,
     kraus_avg_fidelity,
@@ -33,6 +32,7 @@ from gatefid import (
     variance,
 )
 from gatefid import sampling
+from gatefid.moments import depolarizing_kraus
 from gatefid.serialize import matrix_from_obj
 from gatefid.verify import _conditional_job, _ratio_estimate, reference_matrix, reference_spectrum
 from conftest import (

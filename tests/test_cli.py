@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import copy
 import dataclasses
 import io
 import json
@@ -15,11 +16,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gatefid
-from gatefid import depolarizing_kraus, eig2_normal, mc_moment, mc_sample, normal_pdf
+from gatefid import eig2_normal, mc_moment, mc_sample, normal_pdf
 from gatefid import cli as cli_mod, sampling
 from gatefid.cli import main
 from gatefid.linalg import QubitSpectrum
-from gatefid.moments import KrausMap, MomentReport
+from gatefid.moments import KrausMap, MomentReport, depolarizing_kraus
 from gatefid.sampling import mc_sample
 from gatefid.serialize import kraus_to_obj, matrix_to_obj, save_matrix
 from conftest import assert_scale_covariant, random_matrix, random_unitary
@@ -424,6 +425,7 @@ class TestSampleAcrossScales:
     @pytest.mark.parametrize("name", sorted(SCALED_SAMPLE))
     @settings(max_examples=20, deadline=None)
     @given(exponent=st.floats(-300, 300))
+    @example(exponent=-310.0)  # a subnormal largest entry
     @example(exponent=-300.0)
     @example(exponent=-156.0)
     @example(exponent=153.75)
@@ -932,6 +934,107 @@ class TestInconsistentProblem:
         path = tmp_path / "subspace.json"
         path.write_text(json.dumps(problem))
         assert_one_error_line(run_fresh("optimize", str(path)), 1)
+
+
+# The exit contract under any input file: valid matrix, Kraus and problem
+# files, each run with one mutation, exit 0 with finite JSON or 1 or 2 with
+# one error line. A RuntimeWarning is an error under pytest, so a numpy
+# overflow on the way escapes main and fails here too.
+_MAGNITUDES = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-320, 300))
+_HUGE = st.integers(10**3, 10**400) | st.sampled_from([2.0**63, 1e300])
+_TEXT = st.text("ab1e.é", max_size=4)
+_JUNK = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.sampled_from([0, 1, 2, -1, 2.0, 0.5])
+    | _MAGNITUDES
+    | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=2),
+    max_leaves=4,
+)
+_FUZZ_FILES = {
+    "unitary": matrix_to_obj(np.array([[0, 1j], [1j, 0]])),
+    "reference": matrix_to_obj(np.diag([L0, L1])),
+    "kraus": kraus_to_obj(depolarizing_kraus(0.2)),
+    **{path.stem: json.loads(path.read_text()) for path in sorted(PROBLEMS.glob("*.json"))},
+}
+# "OUT" stands for an output path in the run's directory.
+_FUZZ_RUNS = [
+    ("moments", "--target", "unitary", "--actual", "reference"),
+    ("moments", "--target", "unitary", "--kraus", "kraus"),
+    ("dist", "--matrix", "reference", "--out", "OUT"),
+    ("sample", "--matrix", "reference", "--samples", "100", "--out", "OUT"),
+    *(("optimize", path.stem) for path in sorted(PROBLEMS.glob("*.json"))),
+]
+
+
+def _slots(node):
+    """Every (container, key) pair in a JSON document."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in list(keys):
+        yield node, key
+        yield from _slots(node[key])
+
+
+def _mutate(data, doc):
+    """One mutation of ``doc`` in place: a value replaced by any JSON value,
+    nested in a list or dropped; an extra field or item; every matrix entry
+    scaled by one power of ten; or every dim made huge."""
+    kind = data.draw(st.sampled_from(["replace", "nest", "drop", "extra", "scale", "huge_dim"]))
+    slots = list(_slots(doc))
+    if kind == "scale":
+        factor = data.draw(_MAGNITUDES)
+        for parent, key in slots:
+            if key == "entries":
+                parent[key] = [[x * factor for x in entry] for entry in parent[key]]
+        return
+    if kind == "huge_dim":
+        for parent, key in slots:
+            if key == "dim":
+                parent[key] = data.draw(_HUGE)
+        return
+    parent, key = data.draw(st.sampled_from(slots))
+    if kind == "replace":
+        parent[key] = data.draw(_JUNK)
+    elif kind == "nest":
+        parent[key] = [parent[key]]
+    elif kind == "drop":
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent[data.draw(_TEXT)] = data.draw(_JUNK)
+    else:
+        parent.append(data.draw(_JUNK))
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} in the JSON output")
+
+
+class TestFuzzedFiles:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=st.sampled_from(_FUZZ_RUNS), data=st.data())
+    def test_exit_contract(self, tmp_path_factory, argv, data):
+        workdir = tmp_path_factory.mktemp("fuzz")
+        mutated = data.draw(st.sampled_from([arg for arg in argv if arg in _FUZZ_FILES]))
+        args = []
+        for arg in argv:
+            if arg in _FUZZ_FILES:
+                doc = copy.deepcopy(_FUZZ_FILES[arg])
+                if arg == mutated:
+                    _mutate(data, doc)
+                arg = workdir / f"{arg}.json"
+                arg.write_text(json.dumps(doc))
+            args.append(str(workdir / "out") if arg == "OUT" else str(arg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err.getvalue() == ""
+            json.loads(out.getvalue(), parse_constant=_refuse)
+        else:
+            assert_one_error_line_in_process((code, out.getvalue(), err.getvalue()), code)
 
 
 class TestVerifyCommand:

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from gatefid import (
     NotNormalError,
     QubitSpectrum,
-    adjoint,
-    as_matrix,
     eig2_normal,
     normal_pdf,
 )
-from gatefid.linalg import ConfigError, check_selector
+from gatefid.linalg import ConfigError, adjoint, as_matrix, check_selector
 from gatefid.moments import InvariantError, comparison_matrix
 from conftest import random_matrix, random_unitary
 

@@ -8,10 +8,8 @@ from gatefid import (
     KrausMap,
     MomentReport,
     NoAcceptanceError,
-    adjoint,
     avg_fidelity,
     conditional_fidelity,
-    depolarizing_kraus,
     eig2_normal,
     fourth_moment_general,
     gate_moments,
@@ -21,7 +19,8 @@ from gatefid import (
     variance,
 )
 from gatefid import linalg
-from gatefid.moments import InvariantError
+from gatefid.linalg import adjoint
+from gatefid.moments import InvariantError, depolarizing_kraus
 from gatefid.sampling import _lanes
 from gatefid.verify import _sa_job
 from conftest import (

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gatefid import (
-    FAMILIES,
     GateFamily,
     Objective,
     OptimizeConfig,
@@ -15,7 +14,7 @@ from gatefid import (
     evaluate_objective,
     optimize,
 )
-from gatefid.optimize import EvaluatorError
+from gatefid.optimize import FAMILIES, EvaluatorError
 
 PI = np.pi
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"

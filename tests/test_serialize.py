@@ -6,9 +6,9 @@ from gatefid import (
     Histogram,
     KrausMap,
     QubitSpectrum,
-    depolarizing_kraus,
     normal_pdf,
 )
+from gatefid.moments import depolarizing_kraus
 from gatefid.serialize import (
     density_csv_lines,
     histogram_csv_lines,

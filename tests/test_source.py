@@ -164,12 +164,22 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
     assert _reachable_names(defs, {"_draws", "_lane"} | reductions) & public == set()
 
 
+def test_only_serialize_reads_files():
+    # One reader with one rule set for every input file: serialize opens,
+    # decodes and parses each, so no other module names open, json.load or
+    # json.loads.
+    readers = {"open", "load", "loads"}
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert [name for name, tree in trees.items() if readers & _names(tree)] == ["serialize.py"]
+
+
 def test_public_api_is_the_agreed_list():
     # A new public name has to be added here on purpose.
     assert sorted(gatefid.__all__) == [
-        "DEFAULT_TOL",
         "DegenerateSpectrumError",
-        "FAMILIES",
         "FidelityDistribution",
         "GateFamily",
         "GateSpec",
@@ -184,13 +194,10 @@ def test_public_api_is_the_agreed_list():
         "OptimizationResult",
         "OptimizeConfig",
         "QubitSpectrum",
-        "adjoint",
-        "as_matrix",
         "avg_fidelity",
         "build_family",
         "compare_histogram",
         "conditional_fidelity",
-        "depolarizing_kraus",
         "eig2_normal",
         "evaluate_objective",
         "fourth_moment_general",
