@@ -77,12 +77,29 @@ class MomentReport:
         return out
 
 
+def _checked_target(target: np.ndarray, subspace) -> tuple[int, ...] | None:
+    """The one rule for a target from :func:`as_matrix`: unitary within 1e-10, or block-diagonal
+    over a valid ``subspace`` selector and unitary on it. Returns the checked selector."""
+    if subspace is None:
+        if not _is_unitary(target):
+            raise ValueError("target must be unitary within 1e-10")
+        return None
+    sel = check_selector(subspace, target.shape[0])
+    rest = [i for i in range(target.shape[0]) if i not in sel]
+    off = np.concatenate([target[np.ix_(sel, rest)].ravel(), target[np.ix_(rest, sel)].ravel()])
+    if float(np.abs(off).max(initial=0.0)) > DEFAULT_TOL:
+        raise ValueError("target must be block-diagonal over the subspace")
+    if not _is_unitary(target[np.ix_(sel, sel)]):
+        raise ValueError("target must be unitary on the subspace within 1e-10")
+    return sel
+
+
 @dataclass(frozen=True, eq=False)
 class GateSpec:
     """A target unitary, the map actually applied, and an optional subspace.
 
-    With a subspace, the target must be block-diagonal with respect to it and
-    unitary on it, so the restricted comparison matrix is unambiguous.
+    Target and subspace pass the one target rule (``_checked_target``, shared with ``GateFamily``
+    and :func:`kraus_avg_fidelity`), so the restricted comparison matrix is unambiguous.
     """
 
     target: np.ndarray
@@ -98,22 +115,7 @@ class GateSpec:
             )
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "actual", actual)
-        if self.subspace is None:
-            if not _is_unitary(target):
-                raise ValueError("target must be unitary within 1e-10")
-            return
-        sel = check_selector(self.subspace, target.shape[0])
-        object.__setattr__(self, "subspace", sel)
-        rest = tuple(i for i in range(target.shape[0]) if i not in sel)
-        if rest:
-            off = max(
-                float(np.abs(target[np.ix_(sel, rest)]).max()),
-                float(np.abs(target[np.ix_(rest, sel)]).max()),
-            )
-            if off > DEFAULT_TOL:
-                raise ValueError("target must be block-diagonal over the subspace")
-        if not _is_unitary(target[np.ix_(sel, sel)]):
-            raise ValueError("target must be unitary on the subspace within 1e-10")
+        object.__setattr__(self, "subspace", _checked_target(target, self.subspace))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,12 +233,11 @@ def variance(m: np.ndarray) -> MomentReport:
 def comparison_matrix(
     target: np.ndarray, actual: np.ndarray, subspace: tuple[int, ...] | None = None
 ) -> np.ndarray:
-    """``target^dag @ actual``, or the product of their blocks on the
-    subspace's rows and columns: the map whose fidelity moments are taken."""
+    """``target^dag @ actual``, or the product of their blocks on the rows and
+    columns of the checked selector ``subspace``: the map whose fidelity moments are taken."""
     if subspace is None:
         return adjoint(target) @ actual
-    sel = check_selector(subspace, target.shape[0])
-    block = np.ix_(sel, sel)
+    block = np.ix_(subspace, subspace)
     return adjoint(target[block]) @ actual[block]
 
 
@@ -282,8 +283,7 @@ def kraus_avg_fidelity(k: KrausMap, target: np.ndarray) -> float:
         raise ValueError(
             f"dimension mismatch: target {target.shape[0]} vs Kraus {k.dim}"
         )
-    if not _is_unitary(target):
-        raise ValueError("target must be unitary within 1e-10")
+    _checked_target(target, None)
     n = k.dim
     m_ks = adjoint(target) @ k.stack
     gram = _real(np.vdot(m_ks, m_ks), 1e-12, "Kraus Gram trace")

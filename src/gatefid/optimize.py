@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import ConfigError, NotNormalError, as_matrix, check_selector, eig2_normal
-from .moments import avg_fidelity, comparison_matrix, variance
+from .linalg import ConfigError, NotNormalError, as_matrix, eig2_normal
+from .moments import _checked_target, avg_fidelity, comparison_matrix, variance
 from .qubit_dist import DegenerateSpectrumError, normal_pdf
 
 OBJECTIVE_KINDS = ("mean", "mean_minus_k_sigma", "min_support")
@@ -31,7 +31,7 @@ class EvaluatorError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GateFamily:
-    """Parameterized family of gate implementations against a fixed target."""
+    """Parameterized family of gate implementations against a target checked as by GateSpec."""
 
     dim: int
     param_count: int
@@ -43,6 +43,7 @@ class GateFamily:
         object.__setattr__(self, "target", as_matrix(self.target))
         if self.target.shape[0] != self.dim:
             raise ValueError("target dimension does not match the family")
+        object.__setattr__(self, "subspace", _checked_target(self.target, self.subspace))
 
 
 @dataclass(frozen=True)
@@ -277,14 +278,13 @@ def build_family(
 ) -> GateFamily:
     """Instantiate a registered family against a target matrix.
 
-    An unknown name raises KeyError; a target of the wrong dimension or a
-    bad subspace selector raises :class:`ConfigError`.
+    An unknown name raises KeyError; a target or subspace selector that
+    :class:`GateFamily` refuses raises :class:`ConfigError`.
     """
     if name not in FAMILIES:
         raise KeyError(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
     family = FAMILIES[name]
     try:
-        sel = family.subspace if subspace is None else check_selector(subspace, family.dim)
-        return replace(family, target=target, subspace=sel)
+        return replace(family, target=target, subspace=family.subspace if subspace is None else subspace)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -28,7 +28,8 @@ P(|Z| > 4) = 6.3e-5 for an estimate's z under the normal approximation:
   half that, 6.3e-4, by Markov's inequality.
 - ``conditional_oracle``: max |z| <= 4 over 3 gates; at most 1.9e-4.
 - ``histogram_regeneration``: 1e-3, split between its two tests.
-- ``sa_decomposition``: 0; it checks an identity up to rounding.
+- ``sa_decomposition``: 0; it splits E f of a map into E f of its
+  Hermitian and anti-Hermitian parts, an identity up to rounding.
 
 An estimate whose standard error is exactly 0 (the perfect gate of
 ``conditional_oracle``) must equal its closed form to 1e-12 relative
@@ -318,12 +319,12 @@ def _plan_conditional_oracle(seed: int, samples: int):
 
 def _conditional_job(gates, samples: int, seed: int) -> tuple:
     """The stream job of the acceptance-weighted Monte-Carlo conditional
-    fidelity of each gate of ``gates`` (one ``GateSpec``, or a list of them
-    over subspaces of one dimension) on one stream: ``_RATIO_BATCHES`` runs
+    fidelity of each gate of ``gates``, a list of gate specs over subspaces
+    of one dimension, on one stream: ``_RATIO_BATCHES`` runs
     of ``samples // _RATIO_BATCHES`` consecutive rows (whole runs only),
     each giving the ratio of its mean fidelity to its mean acceptance."""
     per = samples // _RATIO_BATCHES
-    ops = np.concatenate([_conditional_ops(g) for g in ([gates] if isinstance(gates, GateSpec) else gates)])
+    ops = np.concatenate([_conditional_ops(g) for g in gates])
     return (ops, per * _RATIO_BATCHES, seed, _ratio_sums, per)
 
 
@@ -359,40 +360,20 @@ def _ratio_estimate(sums: np.ndarray) -> tuple[float, float]:
     return float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(_RATIO_BATCHES))
 
 
-def _sa_job(m: np.ndarray, samples: int, seed: int) -> tuple:
-    """The stream job that splits <f^2> by |<m>|^4 = |<S>|^4 + |<A>|^4 +
-    2|<S>|^2|<A>|^2, S and A the Hermitian and anti-Hermitian parts of
-    ``m``; the identity holds up to rounding, as all terms use one stream."""
-    sym = (m + adjoint(m)) / 2.0
-    anti = (m - adjoint(m)) / 2.0
-    return (np.stack([m, sym, anti]), samples, seed, _sa_sums, samples)
-
-
-def _sa_sums(overlaps, samples: int) -> tuple[np.ndarray, float]:
-    """The sample means of the total, S, A and cross terms, in that order,
-    and the identity's largest pointwise gap, over the overlaps of m, S, A."""
-    totals = np.zeros(4)
-    gap = 0.0
-    for q_m, q_s, q_a in overlaps:
-        f = np.stack([q_m**4, q_s**4, q_a**4, (q_s**2) * (q_a**2)])
-        totals += f.sum(axis=1)
-        gap = _worst([gap, float(np.abs(f[0] - (f[1] + f[2] + 2 * f[3])).max())])
-    return totals / samples, gap
-
-
 def _plan_sa_decomposition(seed: int, samples: int):
+    """E f of a random m against E f of its Hermitian and anti-Hermitian
+    parts S and A on one stream: <S> is real and <A> imaginary, so
+    f = |<S>|^2 + |<A>|^2 on every state, and the means add up to rounding."""
     rng = np.random.default_rng(seed)
     m = _random_matrix(rng, 3)
+    job = sampling._moment_job([m, (m + adjoint(m)) / 2.0, (m - adjoint(m)) / 2.0], (1,), samples, seed)
 
-    def judge(split) -> CheckResult:
-        (total, herm, anti, cross), gap = split
-        recombined = herm + anti + 2 * cross
-        ok = gap <= 1e-12 * max(1.0, total) and (
-            abs(recombined - total) <= 1e-12 * max(1.0, total)
-        )
-        return CheckResult("sa_decomposition", ok, f"max pointwise gap {gap:.3g}")
+    def judge(tallies) -> CheckResult:
+        total, herm, anti = (t.estimate(seed).mean for t in tallies)
+        gap = abs(total - (herm + anti))
+        return CheckResult("sa_decomposition", gap <= 1e-12 * max(1.0, total), f"mean gap {gap:.3g}")
 
-    return [_sa_job(m, samples, seed)], judge
+    return [job], judge
 
 
 def _guarded(name: str, step, *args):

@@ -160,7 +160,7 @@ def test_criterion_08_conditional_fidelity():
         g = _leaky_gate(alpha)
         got = conditional_fidelity(g)
         assert abs(got - want) <= 1e-12
-        (sums,) = sampling._lanes([_conditional_job(g, 100_000, seed=80_2026 + i)])
+        (sums,) = sampling._lanes([_conditional_job([g], 100_000, seed=80_2026 + i)])
         est, se = _ratio_estimate(sums)
         worst_z = max(worst_z, abs(est - got) / max(se, 1e-300))
     assert worst_z <= 4.0

@@ -175,8 +175,12 @@ class TestMoments:
 
     @pytest.mark.parametrize(
         "subspace,message",
-        [("0,5", "selector indices must lie in [0, 2)"), ("1,0", "strictly increasing")],
-        ids=["out_of_range", "not_increasing"],
+        [
+            ("0,5", "selector indices must lie in [0, 2)"),
+            ("1,0", "strictly increasing"),
+            ("0,x", "bad subspace list '0,x'"),
+        ],
+        ids=["out_of_range", "not_increasing", "not_an_integer"],
     )
     def test_bad_subspace_exits_1_with_one_line(self, files, capsys, subspace, message):
         # A bad selector is a usage error here, as in a problem file's "subspace".
@@ -856,12 +860,15 @@ MALFORMED_FIELDS = {
     "x_tol_text": {"x_tol": "a"},
     "start_too_large": {"start": [10**400]},
     "no_start": {"start": None},
+    "target_three_identity": {"target": {"dim": 2, "entries": [[3, 0], [0, 0], [0, 0], [3, 0]]}},
+    "target_huge_identity": {"target": {"dim": 2, "entries": [[1e200, 0], [0, 0], [0, 0], [1e200, 0]]}},
 }
 
 
 class TestMalformedProblem:
-    # A field of the wrong type is a usage error: exit 1 with one line,
-    # never a traceback or the invariant exit code.
+    # A field of the wrong type, or a target that is not unitary, is a usage
+    # error: exit 1 with one line, never a traceback, the invariant exit
+    # code, or a "fidelity" above 1.
     @pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
     def test_exits_1_with_one_line(self, tmp_path, capsys, case):
         problem = json.loads((PROBLEMS / "phase_gate.json").read_text())
@@ -898,6 +905,10 @@ INCONSISTENT_FIELDS = {
     "subspace_out_of_range": {"subspace": [0, 5]},
     "subspace_not_increasing": {"subspace": [1, 0]},
     "target_of_wrong_dim": {"target": {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}},
+    # Unitary, but it swaps level 1 of the subspace (0, 1) with level 2.
+    "target_not_block_diagonal": {
+        "target": {"dim": 3, "entries": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [1, 0], [0, 0]]}
+    },
 }
 
 
@@ -920,6 +931,7 @@ class TestInconsistentProblem:
             "box_one_pair_short": "one (lo, hi) pair per parameter",
             "max_evals_below_param_count_plus_2": "param_count + 2",
             "subspace_out_of_range": "selector indices must lie in [0, 3)",
+            "target_not_block_diagonal": "target must be block-diagonal over the subspace",
         }
         for case, text in want.items():
             problem = json.loads((PROBLEMS / "leaky_gate.json").read_text())
@@ -1113,6 +1125,8 @@ BAD_FLAGS = {
         "grid must be at least 2",
     ),
     "dist_lambda1_with_matrix": (["dist", "--lambda1", "1,0"], "--lambda1"),
+    "dist_lambda_not_a_pair": (["dist", "--lambda0", "1", "--lambda1", "0,0"], "expected 're,im', got '1'"),
+    "dist_lambda_not_numbers": (["dist", "--lambda0", "a,b", "--lambda1", "0,1"], "bad complex literal 'a,b'"),
 }
 
 

@@ -21,8 +21,7 @@ from gatefid import (
 from gatefid import linalg
 from gatefid.linalg import adjoint
 from gatefid.moments import InvariantError, depolarizing_kraus
-from gatefid.sampling import _lanes
-from gatefid.verify import _sa_job
+from gatefid.sampling import _lanes, _moment_job
 from conftest import (
     fourth_by_eigenvalues,
     haar_states,
@@ -30,6 +29,7 @@ from conftest import (
     random_hermitian,
     random_matrix,
     random_unitary,
+    reference_overlap,
 )
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
@@ -346,6 +346,14 @@ class TestVariance:
         assert rep.mean == pytest.approx(1.0, abs=1e-12)
         assert rep.variance <= 1e-12
 
+    @pytest.mark.parametrize("subspace", [None, (0, 2)])
+    def test_gate_moments_without_variance_keeps_the_mean(self, rng, subspace):
+        spec = GateSpec(np.eye(3), random_matrix(rng, 3), subspace)
+        rep = gate_moments(spec, with_variance=False)
+        assert rep.mean == gate_moments(spec).mean
+        assert rep.second_moment is None and rep.variance is None
+        assert rep.n_eff == (3 if subspace is None else 2)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "fn,scale",
@@ -404,22 +412,33 @@ class TestVariance:
             MomentReport(n_eff=2, mean=0.5, second_moment=0.25 - 1e-9)
 
 
+def sa_means(m, samples, seed):
+    """E f of m, of its Hermitian part S and of its anti-Hermitian part A on
+    one stream: the job of verify's sa_decomposition check."""
+    parts = [m, (m + adjoint(m)) / 2.0, (m - adjoint(m)) / 2.0]
+    (tallies,) = _lanes([_moment_job(parts, (1,), samples, seed)])
+    return [t.estimate(seed).mean for t in tallies]
+
+
 class TestSaDecomposition:
-    # The Monte-Carlo split that verify's sa_decomposition check runs; its
-    # means are (total, Hermitian, anti-Hermitian, cross).
+    # <S> is real and <A> imaginary, so f = |<S>|^2 + |<A>|^2 on every state
+    # and the means (total, Hermitian, anti-Hermitian) add up to rounding.
     def test_hermitian_input_kills_cross_terms(self, rng):
-        (((total, herm, anti, cross), _),) = _lanes([_sa_job(random_hermitian(rng, 3), 2000, seed=5)])
+        total, herm, anti = sa_means(random_hermitian(rng, 3), 2000, seed=5)
         assert anti == 0.0
-        assert cross == 0.0
         assert total == pytest.approx(herm, rel=1e-12)
 
     def test_anti_hermitian_input(self, rng):
-        (((total, herm, anti, _), _),) = _lanes([_sa_job(random_antihermitian(rng, 3), 2000, seed=6)])
+        total, herm, anti = sa_means(random_antihermitian(rng, 3), 2000, seed=6)
         assert herm == 0.0
         assert total == pytest.approx(anti, rel=1e-12)
 
     def test_pointwise_identity_random_matrix(self, rng):
         m = random_matrix(rng, 3)
-        (((total, herm, anti, cross), gap),) = _lanes([_sa_job(m, 50_000, seed=7)])
-        assert gap <= 1e-12 * max(1.0, total)
-        assert total == pytest.approx(herm + anti + 2 * cross, rel=1e-12)
+        states = haar_states(3, 1000, seed=7)
+        f_m, f_s, f_a = (
+            np.abs(reference_overlap(states, a)) ** 2 for a in (m, (m + adjoint(m)) / 2, (m - adjoint(m)) / 2)
+        )
+        assert np.abs(f_m - (f_s + f_a)).max() <= 1e-12
+        total, herm, anti = sa_means(m, 50_000, seed=7)
+        assert abs(total - (herm + anti)) <= 1e-12 * max(1.0, total)

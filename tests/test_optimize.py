@@ -14,6 +14,7 @@ from gatefid import (
     evaluate_objective,
     optimize,
 )
+from gatefid.linalg import ConfigError
 from gatefid.optimize import FAMILIES, EvaluatorError
 
 PI = np.pi
@@ -58,6 +59,16 @@ class TestEvaluateObjective:
             param_count=1,
             evaluator=lambda p: np.diag([1.0, np.exp(1j * p[0]), 1.0]),
             target=np.eye(3),
+        )
+        with pytest.raises(ValueError, match="min_support"):
+            evaluate_objective(fam, Objective("min_support"), [0.5])
+
+    def test_min_support_needs_normal_family(self):
+        fam = GateFamily(
+            dim=2,
+            param_count=1,
+            evaluator=lambda p: np.array([[1.0, p[0]], [0.0, 0.5]]),
+            target=np.eye(2),
         )
         with pytest.raises(ValueError, match="min_support"):
             evaluate_objective(fam, Objective("min_support"), [0.5])
@@ -277,6 +288,33 @@ class TestGridOracle:
             for point in itertools.product(*axes)
         )
         assert res.best_value >= grid_best - cfg.f_tol
+
+
+# Targets the one target rule refuses, with the family they are given to.
+REFUSED_TARGETS = {
+    "three_identity": ("phase", 3 * np.eye(2), "unitary within 1e-10"),
+    "huge_identity": ("phase", 1e200 * np.eye(2), "unitary within 1e-10"),
+    "leaky_not_block_diagonal": ("leaky", np.eye(3)[[0, 2, 1]], "block-diagonal over the subspace"),
+    "leaky_not_unitary_on_subspace": ("leaky", np.diag([1.0, 0.5, 1.0]), "unitary on the subspace"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_TARGETS))
+def test_family_refuses_a_target_that_is_not_unitary(case):
+    # A family checks its target as GateSpec does, so no probe ever compares
+    # against a map that is not unitary where the fidelity is taken.
+    name, target, message = REFUSED_TARGETS[case]
+    with pytest.raises(ConfigError, match=message):
+        build_family(name, target)
+    fam = FAMILIES[name]
+    with pytest.raises(ValueError, match=message):
+        GateFamily(fam.dim, fam.param_count, fam.evaluator, target, fam.subspace)
+
+
+def test_family_checks_its_subspace():
+    assert GateFamily(3, 2, FAMILIES["leaky"].evaluator, np.eye(3), [0, 1]).subspace == (0, 1)
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        GateFamily(3, 2, FAMILIES["leaky"].evaluator, np.eye(3), (1, 0))
 
 
 def test_registry_families_have_expected_dims():

@@ -36,9 +36,8 @@ from gatefid.verify import (
     _conditional_job,
     _conditional_ops,
     _leaky_gate,
+    _plan_sa_decomposition,
     _ratio_sums,
-    _sa_job,
-    _sa_sums,
 )
 from conftest import (
     assert_scale_covariant,
@@ -277,9 +276,9 @@ class TestLanes:
         jobs = [
             _moment_job([random_matrix(rng, 3) for _ in range(2)], (1, 2), samples, 1),
             _conditional_job([_leaky_gate(alpha) for alpha in (0.0, 0.5, 1.0)], samples, 2),
-            _sa_job(random_matrix(rng, 4), samples, 3),
+            *_plan_sa_decomposition(3, samples)[0],
         ]
-        assert [job[3] for job in jobs] == [_fold, _ratio_sums, _sa_sums]
+        assert [job[3] for job in jobs] == [_fold, _ratio_sums, _fold]
         among = _lanes(jobs + lane_jobs(4))[:3]
         assert result_bits(among) == result_bits(one_after_another(jobs))
 

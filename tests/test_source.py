@@ -154,7 +154,7 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
         assert isinstance(ops, np.ndarray) and ops.dtype == np.complex128
         assert reduce.__module__.startswith("gatefid.") and reduce.__name__.startswith("_")
         reductions.add(reduce.__name__)
-    assert reductions == {"_fold", "_ratio_sums", "_sa_sums"}
+    assert reductions == {"_fold", "_ratio_sums"}
     defs = _module_defs(trees)
     public = {
         name
@@ -162,6 +162,25 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
         if not name.startswith("_") and any(isinstance(node, ast.FunctionDef) for node in nodes)
     }
     assert _reachable_names(defs, {"_draws", "_lane"} | reductions) & public == set()
+
+
+def test_one_rule_for_a_target():
+    # GateSpec, kraus_avg_fidelity and GateFamily (so build_family and the
+    # FAMILIES registry too) take a target through one check, which alone
+    # tests unitarity and validates a selector; comparison_matrix trusts the
+    # selector its callers hold, and optimize names neither helper.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    for helper in ("_is_unitary", "check_selector"):
+        assert set(_call_sites(trees, helper)) == {"moments.py:_checked_target"}
+        assert helper not in _names(trees["optimize.py"])
+    assert set(_call_sites(trees, "_checked_target")) == {
+        "moments.py:GateSpec",
+        "moments.py:kraus_avg_fidelity",
+        "optimize.py:GateFamily",
+    }
 
 
 def test_only_serialize_reads_files():

@@ -8,7 +8,6 @@ import pytest
 
 import gatefid.moments as moments_mod
 from gatefid import cli, qubit_dist, sampling
-from gatefid.linalg import adjoint
 from gatefid.moments import comparison_matrix
 from gatefid.verify import (
     _RATIO_BATCHES,
@@ -19,10 +18,7 @@ from gatefid.verify import (
     _plan_mc_batch,
     _plan_mc_closed_form,
     _plan_sa_decomposition,
-    _random_matrix,
     _ratio_estimate,
-    _sa_job,
-    _sa_sums,
     _worst,
     check_distribution_moments,
     check_hermitian_collapse,
@@ -55,9 +51,9 @@ FULL_CHECKS = [
 # streams across numpy versions, so another version may draw other states.
 REPORT_SHA256 = {
     ("quick", QUICK_SEED): "2c4617d20c14e711cebcff345c614f32408371fa4a3e2cb1d0759df6ad2e047d",
-    ("full", QUICK_SEED): "e5be6b464a439304599ce105827a37e9d12427e87d435b0dc96a7c3f7e310070",
+    ("full", QUICK_SEED): "5348ef6f03410ff2171c6627e0da34da1e7b15713e91106c79f59920e31cedb5",
     ("quick", 7): "19d85f44733790ebccd8d090f6d892c58b79aaa6b27cf4ccea8679ae81ca83a0",
-    ("full", 7): "fe3d7abae992f6d33146c6a69cf4a9f4b30c9f41bbab60137dae864e6639902c",
+    ("full", 7): "7fa54c90a6efd66699fef8ca6e38c785f3587368e0b138bf0f084f504afa27b8",
 }
 
 
@@ -136,18 +132,6 @@ def hand_loop_conditional(g, samples, seed):
     return float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(_RATIO_BATCHES))
 
 
-def hand_loop_sa_decomposition(m, samples, seed):
-    """The S/A split as a hand loop over the reference stream."""
-    sym, anti = (m + adjoint(m)) / 2.0, (m - adjoint(m)) / 2.0
-    totals, gap = np.zeros(4), 0.0
-    for v, r2 in reference_batches(m.shape[0], samples, seed):
-        q_m, q_s, q_a = (np.abs(reference_overlap(v, a)) / r2 for a in (m, sym, anti))
-        f = np.stack([q_m**4, q_s**4, q_a**4, (q_s**2) * (q_a**2)])
-        totals += f.sum(axis=1)
-        gap = max(gap, float(np.abs(f[0] - (f[1] + f[2] + 2 * f[3])).max()))
-    return totals / samples, gap
-
-
 @pytest.mark.parametrize("seed", [0, QUICK_SEED + 5])
 def test_mc_checks_match_a_hand_loop_over_the_stream_bitwise(seed):
     # The kernel keeps the arithmetic of a loop over the stream's rows, so
@@ -156,15 +140,14 @@ def test_mc_checks_match_a_hand_loop_over_the_stream_bitwise(seed):
     samples = 3 * sampling._BATCH + 101
     for alpha in (0.0, 0.5, 1.0):
         g = _leaky_gate(alpha)
-        (sums,) = sampling._lanes([_conditional_job(g, samples, seed)])
+        (sums,) = sampling._lanes([_conditional_job([g], samples, seed)])
         assert _ratio_estimate(sums) == hand_loop_conditional(g, samples, seed)
-    m = _random_matrix(np.random.default_rng(seed), 3)
-    ((got, got_gap),) = sampling._lanes([_sa_job(m, samples, seed)])
-    want, want_gap = hand_loop_sa_decomposition(m, samples, seed)
-    assert got.tobytes() == want.tobytes() and got_gap == want_gap
 
 
-@pytest.mark.parametrize("plan,args,estimates", [(_plan_mc_closed_form, (), 8), (_plan_mc_batch, (5,), 20)])
+@pytest.mark.parametrize(
+    "plan,args,estimates",
+    [(_plan_mc_closed_form, (), 8), (_plan_mc_batch, (5,), 20), (_plan_sa_decomposition, (), 3)],
+)
 def test_shared_stream_estimates_are_mc_moment(plan, args, estimates):
     # Each map and order of a stream shared by a dimension gets the estimate
     # of its own lone stream at that seed, bit for bit.
@@ -184,7 +167,7 @@ def test_each_gate_of_the_shared_stream_keeps_its_own_bits():
     (sums,) = sampling._lanes(jobs)
     assert sums.shape == (6, _RATIO_BATCHES)
     for i, alpha in enumerate((0.0, 0.5, 1.0)):
-        (alone,) = sampling._lanes([_conditional_job(_leaky_gate(alpha), samples, seed)])
+        (alone,) = sampling._lanes([_conditional_job([_leaky_gate(alpha)], samples, seed)])
         assert sums[2 * i : 2 * i + 2].tobytes() == alone.tobytes()
 
 
@@ -342,12 +325,12 @@ def test_worst_propagates_nan():
     assert all(math.isnan(_worst(gaps)) for gaps in ([math.nan, 1.0], [1.0, math.nan], iter([0.0, math.nan])))
 
 
-def test_sa_gap_of_a_nan_batch_is_nan():
-    # A NaN in the second batch's overlaps makes the pointwise gap NaN, which
-    # fails sa_decomposition.
+def test_a_nan_batch_of_the_sa_stream_raises():
+    # A NaN in the second batch of the S/A stream's overlaps raises in the
+    # shared fold, which fails sa_decomposition with the error's text.
     batches = [np.full((3, 8), 0.5), np.full((3, 8), math.nan)]
-    totals, gap = _sa_sums(iter(batches), 16)
-    assert math.isnan(gap) and np.isnan(totals).all()
+    with pytest.raises(ValueError, match="sampled fidelity overflows"):
+        sampling._fold(iter(batches), (1,))
 
 
 def test_rejects_unknown_level():
