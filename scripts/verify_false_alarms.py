@@ -25,6 +25,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.count < 1:
         parser.error("--count must be at least 1")
+    if args.first < 0:
+        parser.error("--first must be at least 0")
 
     failures, suite = {}, 0
     for seed in range(args.first, args.first + args.count):

@@ -7,7 +7,7 @@ with a Monte-Carlo oracle and a derivative-free gate tuner.
 
 __version__ = "0.1.0"
 
-from .linalg import NotNormalError, QubitSpectrum, eig2_normal
+from .linalg import QubitSpectrum, eig2_normal
 from .moments import (
     GateSpec,
     KrausMap,
@@ -56,7 +56,6 @@ __all__ = [
     "McEstimate",
     "MomentReport",
     "NoAcceptanceError",
-    "NotNormalError",
     "Objective",
     "OptimizationResult",
     "OptimizeConfig",

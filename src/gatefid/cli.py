@@ -1,14 +1,18 @@
 """Command-line front end.
 
-Subcommands: moments | dist | sample | verify | optimize. Exit codes:
-0 success, 1 usage/parse error, 2 invariant violation, 3 verification
-failure. All randomized commands take --seed and are reproducible for a
-fixed seed.
+Subcommands: moments | dist | sample | verify | optimize. All randomized
+commands take --seed and are reproducible for a fixed seed. Exit codes: 0
+success; 1 when an input is refused before any result (a ``ConfigError``,
+raised where the input is refused, or an ``OSError``); 2 when a result
+breaks an invariant, overflows or has no density (any other ``ValueError``,
+or an ``EvaluatorError``); 3 when ``verify`` finds a failing check.
+:func:`main` alone maps errors to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import shlex
@@ -38,13 +42,9 @@ _VERSIONS = "gatefid {}, numpy {}, python {}.{}.{}".format(
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ConfigError(message)
 
 
 @dataclass
@@ -56,31 +56,24 @@ class RunManifest:
     outputs: list[str]
 
 
-def _seed(text: str) -> int:
-    """An argparse ``type``: a non-negative int. The library leaves a negative
-    seed to ``SeedSequence``, so this check is the CLI's own; a bad value
-    reaches ``_Parser.error``, a usage error."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError(f"expected 're,im', got {text!r}")
+        raise ConfigError(f"expected 're,im', got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        z = complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
-        raise UsageError(f"bad complex literal {text!r}: {exc}") from exc
+        raise ConfigError(f"bad complex literal {text!r}: {exc}") from exc
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def _parse_subspace(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad subspace list {text!r}: {exc}") from exc
+        raise ConfigError(f"bad subspace list {text!r}: {exc}") from exc
 
 
 def _dumps(obj) -> str:
@@ -97,22 +90,12 @@ def _cmd_moments(args) -> int:
     subspace = _parse_subspace(args.subspace) if args.subspace else None
     if args.kraus:
         if subspace is not None:
-            raise UsageError("--subspace is not supported with a Kraus map")
+            raise ConfigError("--subspace is not supported with a Kraus map")
         kmap = load_kraus(args.kraus)
-        try:
-            mean = kraus_avg_fidelity(kmap, target)
-        except ValueError as exc:
-            raise InvariantError(f"{args.target} / {args.kraus}: {exc}") from exc
-        report = MomentReport(n_eff=kmap.dim, mean=mean).as_dict()
+        report = MomentReport(n_eff=kmap.dim, mean=kraus_avg_fidelity(kmap, target)).as_dict()
         _emit({**report, "trace_preserving": kmap.trace_preserving})
         return EXIT_OK
-    actual = load_matrix(args.actual)
-    try:
-        spec = GateSpec(target=target, actual=actual, subspace=subspace)
-    except ConfigError:
-        raise  # a bad --subspace is a usage error
-    except ValueError as exc:
-        raise InvariantError(f"target {args.target}: {exc}") from exc
+    spec = GateSpec(target=target, actual=load_matrix(args.actual), subspace=subspace)
     _emit(gate_moments(spec).as_dict())
     return EXIT_OK
 
@@ -120,12 +103,12 @@ def _cmd_moments(args) -> int:
 def _cmd_dist(args) -> int:
     if args.matrix:
         if args.lambda1 is not None:
-            raise UsageError("--lambda1 goes with --lambda0, not with --matrix")
+            raise ConfigError("--lambda1 goes with --lambda0, not with --matrix")
         m = load_matrix(args.matrix)
         spectrum = eig2_normal(m)
     else:
         if not args.lambda1:
-            raise UsageError("--lambda1 is required together with --lambda0")
+            raise ConfigError("--lambda1 is required together with --lambda0")
         spectrum = QubitSpectrum.ordered(
             _parse_complex(args.lambda0), _parse_complex(args.lambda1)
         )
@@ -216,13 +199,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--matrix", required=True, help="comparison matrix (JSON)")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("verify", help="cross-module consistency checks")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--seed", type=_seed, default=20260810)
+    p.add_argument("--seed", type=int, default=20260810)
     p.add_argument("--out", help="write the JSON report here as well")
     p.set_defaults(func=_cmd_verify)
 
@@ -237,15 +220,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    args.argv = argv
-    try:
+        args.argv = argv
         return args.func(args)
-    # A ConfigError is a setting out of range, such as --bins 1, or an input
-    # file that is malformed or whose fields do not fit together.
-    except (UsageError, ConfigError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, EvaluatorError) as exc:

@@ -18,12 +18,10 @@ DEFAULT_TOL = 1e-10
 
 
 class ConfigError(ValueError):
-    """A setting is out of range, or settings do not fit together: a usage
-    error, raised before any work is done."""
-
-
-class NotNormalError(ValueError):
-    """The matrix does not commute with its adjoint within tolerance."""
+    """An input is refused before any result is computed: a setting out of
+    range, settings that do not fit together, a target that is not unitary,
+    or a matrix without the structure a function needs. It is raised where
+    the input is refused, and the CLI maps it to exit 1."""
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -112,17 +110,17 @@ def eig2_normal(m: np.ndarray) -> QubitSpectrum:
     ``z0 -+ sqrt(c.c)`` and ``[m, m^dag] = 4 (Re c x Im c).sigma``. The
     numerical range is an ellipse whose minor semi-axis is, to within sqrt 2,
     ``|Re c x Im c| / |c|``; unless that is at most ``DEFAULT_TOL`` relative
-    to ``max|m_ij|``, :class:`NotNormalError` is raised. The work runs on
-    ``m / 2^e`` with ``2^e`` near ``max|m_ij|``, and scaling by a power of two
-    is exact, so ``eig2_normal(2^k m)`` is ``2^k eig2_normal(m)`` bit for bit
-    while ``2^e`` stays within ``2^-1000 .. 2^1000``, except where a real or
-    imaginary part of an eigenvalue rounds into the subnormal range: scaling
-    back by ``2^e`` is not exact there, and that part may differ by one
-    subnormal ulp (5e-324).
+    to ``max|m_ij|``, :class:`ConfigError` is raised, as for a matrix that is
+    not 2x2. The work runs on ``m / 2^e`` with ``2^e`` near ``max|m_ij|``, and
+    scaling by a power of two is exact, so ``eig2_normal(2^k m)`` is
+    ``2^k eig2_normal(m)`` bit for bit while ``2^e`` stays within
+    ``2^-1000 .. 2^1000``, except where a real or imaginary part of an
+    eigenvalue rounds into the subnormal range: scaling back by ``2^e`` is not
+    exact there, and that part may differ by one subnormal ulp (5e-324).
     """
     m = as_matrix(m)
     if m.shape[0] != 2:
-        raise ValueError("eig2_normal requires a 2x2 matrix")
+        raise ConfigError("eig2_normal requires a 2x2 matrix")
     entries = m.ravel().tolist()
     big = max(max(abs(z.real), abs(z.imag)) for z in entries)
     e = _pow2_exponent(big)
@@ -132,7 +130,7 @@ def eig2_normal(m: np.ndarray) -> QubitSpectrum:
     (px, qx), (py, qy), (pz, qz) = ((v.real, v.imag) for v in bloch)
     cross = math.hypot(py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx)
     if cross > DEFAULT_TOL * math.hypot(px, py, pz, qx, qy, qz):
-        raise NotNormalError("matrix is not normal within tolerance")
+        raise ConfigError("matrix is not normal within tolerance")
     w = cmath.sqrt(sum(v * v for v in bloch))
     scale = math.ldexp(1.0, e)
     return QubitSpectrum.ordered((z0 - w) * scale, (z0 + w) * scale)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _is_unitary, adjoint, as_matrix, check_selector
+from .linalg import DEFAULT_TOL, ConfigError, _is_unitary, adjoint, as_matrix, check_selector
 
 ACCEPTANCE_EPS = 1e-14
 VARIANCE_CLAMP = 1e-10
@@ -79,18 +79,19 @@ class MomentReport:
 
 def _checked_target(target: np.ndarray, subspace) -> tuple[int, ...] | None:
     """The one rule for a target from :func:`as_matrix`: unitary within 1e-10, or block-diagonal
-    over a valid ``subspace`` selector and unitary on it. Returns the checked selector."""
+    over a valid ``subspace`` selector and unitary on it. Returns the checked selector; a target
+    it refuses raises :class:`ConfigError`."""
     if subspace is None:
         if not _is_unitary(target):
-            raise ValueError("target must be unitary within 1e-10")
+            raise ConfigError("target must be unitary within 1e-10")
         return None
     sel = check_selector(subspace, target.shape[0])
     rest = [i for i in range(target.shape[0]) if i not in sel]
     off = np.concatenate([target[np.ix_(sel, rest)].ravel(), target[np.ix_(rest, sel)].ravel()])
     if float(np.abs(off).max(initial=0.0)) > DEFAULT_TOL:
-        raise ValueError("target must be block-diagonal over the subspace")
+        raise ConfigError("target must be block-diagonal over the subspace")
     if not _is_unitary(target[np.ix_(sel, sel)]):
-        raise ValueError("target must be unitary on the subspace within 1e-10")
+        raise ConfigError("target must be unitary on the subspace within 1e-10")
     return sel
 
 
@@ -110,9 +111,7 @@ class GateSpec:
         target = as_matrix(self.target)
         actual = as_matrix(self.actual)
         if target.shape != actual.shape:
-            raise ValueError(
-                f"dimension mismatch: target {target.shape[0]} vs actual {actual.shape[0]}"
-            )
+            raise ConfigError(f"dimension mismatch: target {target.shape[0]} vs actual {actual.shape[0]}")
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "actual", actual)
         object.__setattr__(self, "subspace", _checked_target(target, self.subspace))
@@ -280,9 +279,7 @@ def kraus_avg_fidelity(k: KrausMap, target: np.ndarray) -> float:
     """
     target = as_matrix(target)
     if target.shape[0] != k.dim:
-        raise ValueError(
-            f"dimension mismatch: target {target.shape[0]} vs Kraus {k.dim}"
-        )
+        raise ConfigError(f"dimension mismatch: target {target.shape[0]} vs Kraus {k.dim}")
     _checked_target(target, None)
     n = k.dim
     m_ks = adjoint(target) @ k.stack

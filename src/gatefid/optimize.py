@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import ConfigError, NotNormalError, as_matrix, eig2_normal
+from .linalg import ConfigError, as_matrix, eig2_normal
 from .moments import _checked_target, avg_fidelity, comparison_matrix, variance
 from .qubit_dist import DegenerateSpectrumError, normal_pdf
 
@@ -42,7 +42,7 @@ class GateFamily:
     def __post_init__(self):
         object.__setattr__(self, "target", as_matrix(self.target))
         if self.target.shape[0] != self.dim:
-            raise ValueError("target dimension does not match the family")
+            raise ConfigError("target dimension does not match the family")
         object.__setattr__(self, "subspace", _checked_target(self.target, self.subspace))
 
 
@@ -103,13 +103,10 @@ def evaluate_objective(fam: GateFamily, obj: Objective, params: Sequence[float])
     if obj.kind == "mean_minus_k_sigma":
         rep = variance(m)
         return rep.mean - obj.k * math.sqrt(rep.variance)
-    needs = "min_support needs a 2x2 normal comparison matrix"
-    if m.shape[0] != 2:
-        raise ValueError(needs)
     try:
         spectrum = eig2_normal(m)
-    except NotNormalError as exc:
-        raise ValueError(needs) from exc
+    except ConfigError as exc:  # the matrix comes from a probe: a result, not an input
+        raise ValueError("min_support needs a 2x2 normal comparison matrix") from exc
     try:
         return normal_pdf(spectrum).support()[0]
     except DegenerateSpectrumError as exc:
@@ -159,7 +156,7 @@ def optimize(fam: GateFamily, obj: Objective, config: OptimizeConfig) -> Optimiz
         raise ConfigError("box bounds must be finite with lo < hi")
     start = tuple(float(x) for x in config.start)
     if not all(a <= x <= b for x, a, b in zip(start, lo, hi)):
-        raise ValueError(f"start point {list(start)} lies outside the box")
+        raise ConfigError(f"start point {list(start)} lies outside the box")
     max_evals = config.max_evals if config.max_evals is not None else 500 * p
     if max_evals < p + 2:
         raise ConfigError("max_evals must be at least param_count + 2")
@@ -284,7 +281,4 @@ def build_family(
     if name not in FAMILIES:
         raise KeyError(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
     family = FAMILIES[name]
-    try:
-        return replace(family, target=target, subspace=family.subspace if subspace is None else subspace)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return replace(family, target=target, subspace=family.subspace if subspace is None else subspace)

@@ -23,8 +23,8 @@ the core the worker needs. Where numpy links another BLAS, nothing is capped.
 into one tally: running moments and bin counts, so their memory does not grow
 with the sample count. A histogram's range is fixed before the first draw: an
 outer bound on f from the map's numerical range. ``mc_sample`` takes its
-estimate and its histogram from the same draws. A bad bin or sample count
-raises :class:`~gatefid.linalg.ConfigError`.
+estimate and its histogram from the same draws. A bad bin or sample count,
+or a negative seed, raises :class:`~gatefid.linalg.ConfigError`.
 """
 
 from __future__ import annotations
@@ -452,22 +452,18 @@ def _fold(overlaps, orders, bins: int = 0, value_range=None):
     return tallies
 
 
-def _moment_ops(maps, orders, samples: int) -> np.ndarray:
-    """The checked (k, n, n) stack of ``maps`` for a stream of moments of
-    ``orders``."""
-    if any(order not in (1, 2) for order in orders):
-        raise ConfigError("order must be 1 or 2")
-    if samples < 100:
-        raise ConfigError(f"samples must be at least 100, got {samples}")
-    return np.stack([as_matrix(m) for m in maps])
-
-
 def _moment_job(maps, orders: tuple, samples: int, seed: int) -> tuple:
     """One stream job for every map of ``maps`` (all of one dimension) at
     each of the ascending ``orders``: the list of tallies, map by map, whose
     ``estimate(seed)`` is ``mc_moment(m, order, samples, seed)``, bit for
     bit, for each map m and order in turn."""
-    return (_moment_ops(maps, orders, samples), samples, seed, _fold, tuple(orders))
+    if any(order not in (1, 2) for order in orders):
+        raise ConfigError("order must be 1 or 2")
+    if samples < 100:
+        raise ConfigError(f"samples must be at least 100, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {seed}")
+    return (np.stack([as_matrix(m) for m in maps]), samples, seed, _fold, tuple(orders))
 
 
 def _sample_job(m: np.ndarray, bins: int, samples: int, seed: int) -> tuple:
@@ -478,8 +474,8 @@ def _sample_job(m: np.ndarray, bins: int, samples: int, seed: int) -> tuple:
         raise ConfigError(f"bins must be at least 2, got {bins}")
     if samples < bins:
         raise ConfigError(f"samples ({samples}) must be at least bins ({bins})")
-    ops = _moment_ops([m], (1,), samples)
-    return (ops, samples, seed, _fold, (1,), bins, _outer_range(ops[0], bins))
+    ops, *rest = _moment_job([m], (1,), samples, seed)
+    return (ops, *rest, bins, _outer_range(ops[0], bins))
 
 
 def _alone(job: tuple):

@@ -127,10 +127,6 @@ def load_kraus(path: str | Path) -> KrausMap:
     return _read(path, kraus_from_obj, "Kraus")
 
 
-def save_kraus(k: KrausMap, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(kraus_to_obj(k)), encoding="utf-8")
-
-
 def problem_from_obj(obj) -> tuple[GateFamily, Objective, OptimizeConfig]:
     """The family, objective and configuration of an optimizer problem."""
     obj = _object(obj, "problem", "family", "target", "objective", "start", "box")

@@ -49,7 +49,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import moments, qubit_dist, sampling
-from .linalg import QubitSpectrum, adjoint
+from .linalg import ConfigError, QubitSpectrum, adjoint
 from .moments import GateSpec
 from .optimize import _leaky_map
 
@@ -394,7 +394,9 @@ def _guarded(name: str, step, *args):
 def run_checks(level: str = "quick", seed: int = QUICK_SEED) -> dict:
     """Run the named check suite; returns a JSON-ready report."""
     if level not in ("quick", "full"):
-        raise ValueError("level must be 'quick' or 'full'")
+        raise ConfigError("level must be 'quick' or 'full'")
+    if seed < 0:  # before any check runs, so no check fails on the seed alone
+        raise ConfigError(f"seed must be at least 0, got {seed}")
     checks = [
         _guarded("monomial_patterns", check_monomial_patterns),
         _guarded("monomial_completeness", check_monomial_completeness),

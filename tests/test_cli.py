@@ -126,7 +126,7 @@ class TestMoments:
         assert report["n_eff"] == 2
         assert report["mean"] == pytest.approx(1.0)
 
-    def test_non_unitary_target_exits_2(self, files, capsys):
+    def test_non_unitary_target_exits_1(self, files, capsys):
         code, _, err = run(
             capsys,
             "moments",
@@ -135,9 +135,8 @@ class TestMoments:
             "--actual",
             files["eye2"],
         )
-        assert code == 2
-        assert "nonunitary.json" in err
-        assert "unitary" in err
+        assert code == 1
+        assert err == "error: target must be unitary within 1e-10\n"
 
     def test_missing_file_exits_1(self, files, capsys):
         code, _, err = run(
@@ -166,11 +165,11 @@ class TestMoments:
         )
         assert code == 1
 
-    def test_dim_mismatch_exits_2(self, files, capsys):
+    def test_dim_mismatch_exits_1(self, files, capsys):
         code, _, err = run(
             capsys, "moments", "--target", files["eye3"], "--actual", files["eye2"]
         )
-        assert code == 2
+        assert code == 1
         assert "mismatch" in err
 
     @pytest.mark.parametrize(
@@ -378,14 +377,14 @@ class TestDist:
         assert abs(moments_report["variance"] - dist_report["variance"]) <= 1e-9
 
 
-# dist --matrix across scales: (map, exit at 2^k m for k <= 100, at k = 400).
+# dist --matrix across scales: (map, exit code, a part of the error line).
 # At k = 400, f is near 1e240: the law is reported without its moments,
 # since the second moment overflows.
 _U = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
 SCALED_DIST = {
-    "normal": (_U @ np.diag([0.3 + 0.4j, -0.6 + 0.1j]) @ _U.conj().T, 0, 0),
-    "non_normal": (np.array([[1, 3], [0, -1]], dtype=complex), "not normal", "not normal"),
-    "scalar": ((0.6 - 0.8j) * np.eye(2), "point mass", "point mass"),
+    "normal": (_U @ np.diag([0.3 + 0.4j, -0.6 + 0.1j]) @ _U.conj().T, 0, ""),
+    "non_normal": (np.array([[1, 3], [0, -1]], dtype=complex), 1, "not normal"),
+    "scalar": ((0.6 - 0.8j) * np.eye(2), 2, "point mass"),
 }
 
 
@@ -393,14 +392,14 @@ class TestDistAcrossScales:
     @pytest.mark.parametrize("k", [-400, -100, 0, 100, 400])
     @pytest.mark.parametrize("name", sorted(SCALED_DIST))
     def test_law_scales_or_one_error_line(self, files, capsys, name, k):
-        # Either exit 0 with the support of m scaled by 4^k, or exit 2 with
-        # one error line; an exception would escape main as a traceback.
-        m, low, high = SCALED_DIST[name]
+        # Either exit 0 with the support of m scaled by 4^k, or exit 1 (a
+        # refused matrix) or 2 (a point mass) with one error line at every
+        # scale; an exception would escape main as a traceback.
+        m, want, message = SCALED_DIST[name]
         path = files["dir"] / "scaled.json"
         save_matrix(m * 2.0**k, path)
         out_csv = files["dir"] / "scaled.csv"
         code, out, err = run(capsys, "dist", "--matrix", str(path), "--out", str(out_csv))
-        want = low if k <= 100 else high
         if want == 0:
             assert code == 0 and err == ""
             base = normal_pdf(eig2_normal(m)).support()
@@ -410,8 +409,8 @@ class TestDistAcrossScales:
             text = (out + out_csv.read_text()).lower()
             assert "nan" not in text and "inf" not in text
         else:
-            assert_one_error_line_in_process((code, out, err), 2)
-            assert want in err
+            assert_one_error_line_in_process((code, out, err), want)
+            assert message in err
             assert not out_csv.exists()
 
 
@@ -814,7 +813,7 @@ class TestOptimize:
         assert code == 1
         assert "nope" in err
 
-    def test_start_outside_box_exits_2(self, tmp_path, capsys):
+    def test_start_outside_box_exits_1(self, tmp_path, capsys):
         problem = {
             "family": "phase",
             "target": {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]},
@@ -825,10 +824,10 @@ class TestOptimize:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(problem))
         code, _, err = run(capsys, "optimize", str(path))
-        assert code == 2
+        assert code == 1
         assert "outside" in err
 
-    def test_nan_start_exits_2(self, tmp_path):
+    def test_nan_start_exits_1(self, tmp_path):
         # Python's json reads NaN. The box check must reject it before any
         # probe runs, since every comparison with NaN is false.
         problem = json.loads((PROBLEMS / "leaky_gate.json").read_text())
@@ -837,7 +836,7 @@ class TestOptimize:
         path.write_text(json.dumps(problem))
         assert "NaN" in path.read_text()
         proc = run_fresh("optimize", str(path))
-        assert_one_error_line(proc, 2)
+        assert_one_error_line(proc, 1)
         assert "nan" in proc.stderr
         assert "start point [nan, nan] lies outside the box" in proc.stderr
 
@@ -1117,9 +1116,9 @@ BAD_FLAGS = {
         ["sample", "--samples", "200", "--bins", "300"],
         "samples (200) must be at least bins (300)",
     ),
-    "sample_seed": (["sample", "--seed", "-1"], "--seed: must be at least 0"),
+    "sample_seed": (["sample", "--seed", "-1"], "seed must be at least 0, got -1"),
     "sample_workers": (["sample", "--workers", "3"], "unrecognized arguments: --workers"),
-    "verify_seed": (["verify", "--seed", "-1"], "--seed: must be at least 0"),
+    "verify_seed": (["verify", "--seed", "-1"], "seed must be at least 0, got -1"),
     "dist_grid": (
         ["dist", "--lambda0", "1,0", "--lambda1", "0,1", "--grid", "1"],
         "grid must be at least 2",
@@ -1127,6 +1126,8 @@ BAD_FLAGS = {
     "dist_lambda1_with_matrix": (["dist", "--lambda1", "1,0"], "--lambda1"),
     "dist_lambda_not_a_pair": (["dist", "--lambda0", "1", "--lambda1", "0,0"], "expected 're,im', got '1'"),
     "dist_lambda_not_numbers": (["dist", "--lambda0", "a,b", "--lambda1", "0,1"], "bad complex literal 'a,b'"),
+    "dist_lambda_inf": (["dist", "--lambda0", "inf,0", "--lambda1", "0,1"], "'inf,0' is not finite"),
+    "dist_lambda_nan": (["dist", "--lambda0", "nan,0", "--lambda1", "0,1"], "'nan,0' is not finite"),
 }
 
 

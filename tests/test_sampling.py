@@ -679,6 +679,10 @@ class TestMcMoment:
         with pytest.raises(ConfigError):
             mc_moment(np.eye(2), 3, 1000, seed=0)
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be at least 0, got -1"):
+            mc_moment(np.eye(2), 1, 1000, seed=-1)
+
     def test_deterministic_per_seed(self):
         a = mc_moment(REFERENCE, 1, 30_000, seed=9)
         b = mc_moment(REFERENCE, 1, 30_000, seed=9)

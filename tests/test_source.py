@@ -183,6 +183,49 @@ def test_one_rule_for_a_target():
     }
 
 
+def _handler_raises(trees) -> set[tuple[str, str]]:
+    """``(module:definition, exception)`` for each exception that an
+    ``except`` handler raises by name, by the module-level definition it is in."""
+    found = set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            where = f"{module}:{getattr(top, 'name', '<module>')}"
+            for handler in ast.walk(top):
+                if isinstance(handler, ast.ExceptHandler):
+                    for node in ast.walk(handler):
+                        if isinstance(node, ast.Raise) and node.exc is not None:
+                            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                            found.add((where, ast.unparse(exc)))
+    return found
+
+
+def test_errors_keep_the_type_they_are_raised_with():
+    # cli.main alone maps an error's type to an exit code (ConfigError or
+    # OSError 1, any other ValueError 2), and code that refuses an input
+    # raises ConfigError itself. So no handler re-labels an error as a broken
+    # invariant, and only the file reader and the CLI's two flag parsers turn
+    # one into a ConfigError: a file's error named with its path, a flag's
+    # text that does not parse. The CLI has no error class of its own.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    raised = _handler_raises(trees)
+    assert {where for where, exc in raised if exc == "InvariantError"} == set()
+    assert {where for where, exc in raised if exc == "ConfigError"} == {
+        "serialize.py:_read",
+        "cli.py:_parse_complex",
+        "cli.py:_parse_subspace",
+    }
+    bases = {
+        ast.unparse(base)
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.ClassDef)
+        for base in node.bases
+    }
+    assert not {base for base in bases if base.endswith(("Error", "Exception"))}
+
+
 def test_only_serialize_reads_files():
     # One reader with one rule set for every input file: serialize opens,
     # decodes and parses each, so no other module names open, json.load or
@@ -208,7 +251,6 @@ def test_public_api_is_the_agreed_list():
         "McEstimate",
         "MomentReport",
         "NoAcceptanceError",
-        "NotNormalError",
         "Objective",
         "OptimizationResult",
         "OptimizeConfig",

@@ -8,6 +8,7 @@ import pytest
 
 import gatefid.moments as moments_mod
 from gatefid import cli, qubit_dist, sampling
+from gatefid.linalg import ConfigError
 from gatefid.moments import comparison_matrix
 from gatefid.verify import (
     _RATIO_BATCHES,
@@ -336,6 +337,12 @@ def test_a_nan_batch_of_the_sa_stream_raises():
 def test_rejects_unknown_level():
     with pytest.raises(ValueError):
         run_checks("paranoid")
+
+
+def test_rejects_a_negative_seed():
+    # Refused before any check runs, not reported as a failed check.
+    with pytest.raises(ConfigError, match="seed must be at least 0, got -1"):
+        run_checks("quick", -1)
 
 
 def test_corrupted_fourth_moment_detected(monkeypatch):
