@@ -3,7 +3,8 @@
 
 On correct code every failure is a false alarm, so the counts estimate each
 check's false-alarm rate; the ``verify`` module docstring states the bound
-each should stay under. Prints one JSON object:
+each should stay under. Runs at different seeds share no stream and no map
+generator, so the counts are over independent runs. Prints one JSON object:
 
     {"level": ..., "seeds": [first, last], "runs": N,
      "failures": {check: count, ...}, "suite_failures": count}

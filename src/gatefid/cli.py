@@ -17,7 +17,7 @@ import functools
 import json
 import shlex
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -155,7 +155,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_optimize(args) -> int:
     family, objective, config = load_problem(args.problem)
-    result = optimize(family, objective, replace(config, record_trace=bool(args.trace_out)))
+    result = optimize(family, objective, config)
     if args.trace_out:
         write_trace_csv(result.trace, args.trace_out)
     _emit(

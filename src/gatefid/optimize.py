@@ -67,7 +67,6 @@ class OptimizeConfig:
     max_evals: int | None = None
     x_tol: float = 1e-8
     f_tol: float = 1e-10
-    record_trace: bool = False
 
 
 @dataclass(eq=False)
@@ -76,7 +75,7 @@ class OptimizationResult:
     best_value: float
     evaluations: int
     converged: bool
-    trace: list[tuple[np.ndarray, float]] | None = None
+    trace: list[tuple[np.ndarray, float]]
 
 
 def _comparison_matrix(fam: GateFamily, params: np.ndarray) -> np.ndarray:
@@ -136,7 +135,8 @@ def optimize(fam: GateFamily, obj: Objective, config: OptimizeConfig) -> Optimiz
     """Maximize the objective over the box with Nelder-Mead.
 
     Converges when the simplex diameter drops below ``x_tol`` or the value
-    spread below ``f_tol``. The result is never worse than the start point.
+    spread below ``f_tol``. The result is never worse than the start point,
+    and its ``trace`` holds each probe's ``(params, value)`` in turn.
 
     The simplex is kept as tuples of Python floats: at one to a few
     parameters, numpy's per-call overhead outweighs the arithmetic. Each
@@ -160,17 +160,18 @@ def optimize(fam: GateFamily, obj: Objective, config: OptimizeConfig) -> Optimiz
     max_evals = config.max_evals if config.max_evals is not None else 500 * p
     if max_evals < p + 2:
         raise ConfigError("max_evals must be at least param_count + 2")
+    if not (config.x_tol >= 0 and config.f_tol >= 0):  # NaN included
+        raise ConfigError(f"x_tol and f_tol must be at least 0, got {config.x_tol} and {config.f_tol}")
+    n = fam.dim if fam.subspace is None else len(fam.subspace)
+    if obj.kind == "min_support" and n != 2:
+        raise ConfigError(f"min_support needs a 2x2 comparison matrix, not {n}x{n}")
 
-    trace: list[tuple[np.ndarray, float]] | None = [] if config.record_trace else None
-    evals = 0
+    trace: list[tuple[np.ndarray, float]] = []
 
     def neg_objective(x: _Point) -> float:
-        nonlocal evals
         params = np.array(x)
         value = evaluate_objective(fam, obj, params)
-        evals += 1
-        if trace is not None:
-            trace.append((params, value))
+        trace.append((params, value))
         return -value
 
     def clamp(x: _Point) -> _Point:
@@ -179,7 +180,7 @@ def optimize(fam: GateFamily, obj: Objective, config: OptimizeConfig) -> Optimiz
     verts = _initial_simplex(start, lo, hi)
     values = [neg_objective(v) for v in verts]
     converged = False
-    while evals < max_evals:
+    while len(trace) < max_evals:
         # Every value is finite (see evaluate_objective), so this stable sort
         # orders like np.argsort(kind="stable").
         order = sorted(range(len(values)), key=values.__getitem__)
@@ -221,7 +222,7 @@ def optimize(fam: GateFamily, obj: Objective, config: OptimizeConfig) -> Optimiz
     return OptimizationResult(
         best_params=np.array(verts[k]),
         best_value=-values[k],
-        evaluations=evals,
+        evaluations=len(trace),
         converged=converged,
         trace=trace,
     )

@@ -119,7 +119,7 @@ class Histogram:
 
 
 def _draws(
-    samples: int, seed: int, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
+    samples: int, seed: int | tuple, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one owner of a stream's generator: batch k of its ``samples`` rows
     is drawn into ``pairs[k % len(pairs)]`` on whichever thread asks for it.
@@ -368,7 +368,7 @@ class _Tally:
     Moments: each batch's two-pass ``(count, mean, M2)`` is merged into the
     running one by the pairwise update of Chan, Golub & LeVeque (Amer. Stat.
     37, 1983). They are taken on ``x / 2^e``, with ``2^e`` fixed by the first
-    batch's largest value, so squared deviations neither overflow nor
+    batch's largest magnitude, so squared deviations neither overflow nor
     underflow where ``x`` is near the ends of the float range; a power-of-two
     scale is exact, so the estimate is the same bits as unscaled wherever
     that does not happen.
@@ -390,8 +390,8 @@ class _Tally:
         tmp = self.work[: x.size]
         count = self.count + x.size
         # The moments come first, so the estimate never sees the clip.
-        if self.exponent is None:
-            self.exponent = _pow2_exponent(float(x.max()))
+        if self.exponent is None:  # of the largest magnitude: x.max() where x >= 0
+            self.exponent = _pow2_exponent(float(max(x.max(), -x.min())))
         np.multiply(x, ldexp(1.0, -self.exponent), out=tmp)
         mean = float(tmp.mean())
         np.square(np.subtract(tmp, mean, out=tmp), out=tmp)
@@ -452,21 +452,22 @@ def _fold(overlaps, orders, bins: int = 0, value_range=None):
     return tallies
 
 
-def _moment_job(maps, orders: tuple, samples: int, seed: int) -> tuple:
+def _moment_job(maps, orders: tuple, samples: int, seed: int | tuple) -> tuple:
     """One stream job for every map of ``maps`` (all of one dimension) at
     each of the ascending ``orders``: the list of tallies, map by map, whose
     ``estimate(seed)`` is ``mc_moment(m, order, samples, seed)``, bit for
-    bit, for each map m and order in turn."""
+    bit, for each map m and order in turn. A seed is a non-negative int or
+    a tuple of them, the entropy of the stream's ``SeedSequence``."""
     if any(order not in (1, 2) for order in orders):
         raise ConfigError("order must be 1 or 2")
     if samples < 100:
         raise ConfigError(f"samples must be at least 100, got {samples}")
-    if seed < 0:
+    if np.min(seed) < 0:
         raise ConfigError(f"seed must be at least 0, got {seed}")
     return (np.stack([as_matrix(m) for m in maps]), samples, seed, _fold, tuple(orders))
 
 
-def _sample_job(m: np.ndarray, bins: int, samples: int, seed: int) -> tuple:
+def _sample_job(m: np.ndarray, bins: int, samples: int, seed: int | tuple) -> tuple:
     """The stream job of ``mc_sample(m, bins, samples, seed)``: one tally
     whose ``histogram(seed)`` and ``estimate(seed)`` are its results. The
     range is fixed here, before the first draw."""

@@ -6,19 +6,18 @@ Hermitian maps from their eigenvalues, density-vs-trace moments) in a few
 seconds. The full level adds Monte-Carlo agreement at larger sample counts,
 including the reference two-piece histogram regeneration.
 
-Each Monte-Carlo check is a plan, its stream jobs and closed forms, and a
-judge of the jobs' results. :func:`run_checks` is the one runner: it runs
-every job of its level in one longest-first schedule of ``sampling._lanes``
-and judges each check on its own results. A ``ValueError`` from a plan, a
-job or a judge fails only its check (:func:`_guarded`); any other error
-escapes.
+:func:`run_checks` runs one ordered table of checks, ``_CHECKS``. Row k is
+a plan of the key ``(seed, k)``: a deterministic check returns its result,
+a Monte-Carlo check its stream jobs and a judge of their results. Every job
+of a level runs in one ``sampling._lanes`` call. A ``ValueError`` from a
+plan, a job or a judge fails only its check (:func:`_guarded`). Check k
+draws its maps from ``default_rng((seed, k))`` and its stream in dimension
+n from the seed ``(seed, k, n)``, so no two (seed, check, dimension) triples
+share a stream or a map generator: runs at different seeds are independent.
 
-A check draws one seeded stream of states per dimension, and every map of
-the check in that dimension is evaluated on it (common random numbers):
-``mc_closed_form`` draws 3 streams, ``mc_batch`` 4, and the other three
-Monte-Carlo checks one each, every one with a seed of its own within a
-level. The estimates of one stream are then not independent, but no bound
-below needs them to be. Each check's false-alarm rate on correct code, with
+A check evaluates all its maps of one dimension on one stream (common random
+numbers), so its estimates are not independent, but no bound below needs
+them to be. Each check's false-alarm rate on correct code, with
 P(|Z| > 4) = 6.3e-5 for an estimate's z under the normal approximation:
 
 - ``mc_closed_form``: max |z| <= 4 over 8 estimates; at most 8 x 6.3e-5 =
@@ -26,15 +25,18 @@ P(|Z| > 4) = 6.3e-5 for an estimate's z under the normal approximation:
 - ``mc_batch``: at most one miss of 20 estimates at |z| > 4. The expected
   number of misses is 20 x 6.3e-5, so two or more have a rate of at most
   half that, 6.3e-4, by Markov's inequality.
-- ``conditional_oracle``: max |z| <= 4 over 3 gates; at most 1.9e-4.
+- ``conditional_oracle``: max |z| <= 4 over 3 ratio estimates (:func:`_ratio`);
+  the perfect gate (alpha = 1) is exact, so at most 2 x 6.3e-5 = 1.3e-4.
 - ``histogram_regeneration``: 1e-3, split between its two tests.
 - ``sa_decomposition``: 0; it splits E f of a map into E f of its
   Hermitian and anti-Hermitian parts, an identity up to rounding.
 
-An estimate whose standard error is exactly 0 (the perfect gate of
-``conditional_oracle``) must equal its closed form to 1e-12 relative
-(:func:`_z`). Each check takes its worst gap or z with :func:`_worst`, which
-keeps a NaN, so a closed form that returns NaN fails every check that calls it.
+An estimate within 1e-12 relative of its closed form has z = 0 (:func:`_z`).
+Each check takes its worst gap or z with :func:`_worst`, which keeps a NaN,
+so a closed form that returns NaN fails every check that calls it. No check
+reads ``moments.VARIANCE_CLAMP``: correct closed forms come out negative
+only by rounding, far inside it, so only moments made inconsistent by hand
+reach it, which is a unit test of ``MomentReport``, not an oracle.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .moments import GateSpec
 from .optimize import _leaky_map
 
 QUICK_SEED = 20260810
-_RATIO_BATCHES = 50  # of the Monte-Carlo conditional fidelity
 _MIN_SEP = 0.05  # between the eigenvalues of a random qubit spectrum
 _FALSE_ALARM = 1e-3  # of histogram_regeneration on correct code
 _Z_MAX = 4.0  # the largest |z| a Monte-Carlo estimate may show
@@ -148,7 +149,7 @@ def _quartic_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ks, weights
 
 
-def check_hermitian_collapse(seed: int) -> CheckResult:
+def check_hermitian_collapse(seed: int | tuple) -> CheckResult:
     """``fourth_moment_general`` on Hermitian maps against their eigenvalues.
 
     In the eigenbasis of a Hermitian s, <psi|s|psi> = sum_i lambda_i |c_i|^2,
@@ -169,7 +170,7 @@ def check_hermitian_collapse(seed: int) -> CheckResult:
     return CheckResult("hermitian_collapse", worst <= 1e-12, f"max rel gap {worst:.3g}")
 
 
-def check_distribution_moments(seed: int) -> CheckResult:
+def check_distribution_moments(seed: int | tuple) -> CheckResult:
     rng = np.random.default_rng(seed)
     moment_gaps, mass_gaps = [], []
     for _ in range(50):
@@ -230,16 +231,33 @@ def _leaky_gate(alpha: float) -> GateSpec:
 
 
 def _z(estimate: float, std_error: float, value: float) -> float:
-    """|estimate - value| in standard errors. Where the standard error is 0
-    (every draw gave one value, as for a perfect gate) the estimate is exact,
-    so it must equal the closed form to ``_EXACT`` relative: the gap is then
-    taken in units of ``_EXACT / _Z_MAX`` of the larger, and z is finite."""
+    """|estimate - value| in standard errors, or 0 for a gap within
+    ``_EXACT`` relative of the larger: such an estimate is exact, whatever
+    its standard error (the perfect gate's is rounding). Where the standard
+    error is 0 (every draw gave one value) a larger gap is taken in units of
+    ``_EXACT / _Z_MAX`` of the larger, so z is finite and above ``_Z_MAX``."""
     gap = abs(estimate - value)
+    scale = max(abs(estimate), abs(value))
+    if gap <= _EXACT * scale:
+        return 0.0
     if std_error > 0:
         return gap / std_error
-    if gap == 0:
-        return 0.0
-    return gap / (_EXACT / _Z_MAX * max(abs(estimate), abs(value)))
+    return gap / (_EXACT / _Z_MAX * scale)
+
+
+def _z_judge(name: str, closed: list, estimates, misses: int = 0):
+    """The judge of a check whose ``estimates(*results)`` estimate its
+    ``closed`` forms: it passes with at most ``misses`` z above ``_Z_MAX``
+    and no NaN z, a fault rather than a miss."""
+
+    def judge(*results) -> CheckResult:
+        zs = [_z(est.mean, est.std_error, value) for est, value in zip(estimates(*results), closed)]
+        worst, hits = _worst(zs), sum(z <= _Z_MAX for z in zs)
+        ok = len(zs) - hits <= misses and not math.isnan(worst)
+        detail = f"{hits}/{len(zs)} within 4 sigma" if misses else f"max |z| = {worst:.2f} sigma"
+        return CheckResult(name, ok, detail)
+
+    return judge
 
 
 def _estimates(jobs, tallies) -> list:
@@ -248,8 +266,8 @@ def _estimates(jobs, tallies) -> list:
     return [t.estimate(seed) for (_, _, seed, *_), job_tallies in zip(jobs, tallies) for t in job_tallies]
 
 
-def _plan_mc_closed_form(seed: int, samples: int):
-    rng = np.random.default_rng(seed)
+def _plan_mc_closed_form(key: tuple, samples: int):
+    rng = np.random.default_rng(key)
     closed, jobs = [], []
     # One stream per dimension: the reference and the random 2x2 map share one.
     by_dim = {}
@@ -258,25 +276,19 @@ def _plan_mc_closed_form(seed: int, samples: int):
     for n, maps in by_dim.items():
         for m in maps:
             closed += [moments.avg_fidelity(m), moments.fourth_moment_general(m)]
-        jobs.append(sampling._moment_job(maps, (1, 2), samples, seed + 17 * n))
-
-    def judge(*tallies) -> CheckResult:
-        estimates = _estimates(jobs, tallies)
-        worst = _worst(_z(est.mean, est.std_error, value) for value, est in zip(closed, estimates))
-        return CheckResult("mc_closed_form", worst <= _Z_MAX, f"max |z| = {worst:.2f} sigma")
-
-    return jobs, judge
+        jobs.append(sampling._moment_job(maps, (1, 2), samples, (*key, n)))
+    return jobs, _z_judge("mc_closed_form", closed, lambda *tallies: _estimates(jobs, tallies))
 
 
-def _plan_histogram_regeneration(seed: int, samples: int, bins: int):
+def _plan_histogram_regeneration(key: tuple, samples: int, bins: int):
     """Two tests with half of ``_FALSE_ALARM`` each: chi2/dof under its upper
     quantile (Wilson-Hilferty), and |count - expected| <= z sqrt(expected) in
     every compared bin, z two-sided and Bonferroni over the bins."""
     dist = qubit_dist.normal_pdf(reference_spectrum())
-    job = sampling._sample_job(reference_matrix(), bins, samples, seed)
+    job = sampling._sample_job(reference_matrix(), bins, samples, (*key, 2))
 
     def judge(tallies) -> CheckResult:
-        cmp = qubit_dist.compare_histogram(dist, tallies[0].histogram(seed))
+        cmp = qubit_dist.compare_histogram(dist, tallies[0].histogram(job[2]))
         alpha, h = _FALSE_ALARM / 2, 2 / (9 * cmp.dof)
         z = NormalDist().inv_cdf(1 - alpha / (2 * cmp.bins_compared))
         ratio_max = (1 - h + NormalDist().inv_cdf(1 - alpha) * math.sqrt(h)) ** 3
@@ -288,44 +300,33 @@ def _plan_histogram_regeneration(seed: int, samples: int, bins: int):
     return [job], judge
 
 
-def _plan_mc_batch(seed: int, samples: int, per_dim: int):
-    rng = np.random.default_rng(seed)
+def _plan_mc_batch(key: tuple, samples: int, per_dim: int):
+    rng = np.random.default_rng(key)
     closed, jobs = [], []
     for n in (2, 3, 4, 5):
         maps = [_random_matrix(rng, n) / n for _ in range(per_dim)]
         closed += [moments.fourth_moment_general(m) for m in maps]
-        jobs.append(sampling._moment_job(maps, (2,), samples, seed + 101 * n))
-
-    def judge(*tallies) -> CheckResult:
-        zs = [_z(est.mean, est.std_error, c) for c, est in zip(closed, _estimates(jobs, tallies))]
-        hits = sum(z <= _Z_MAX for z in zs)
-        ok = hits >= 0.95 * len(zs) and not math.isnan(_worst(zs))  # a NaN z is a fault, not a miss
-        return CheckResult("mc_batch", ok, f"{hits}/{len(zs)} within 4 sigma")
-
-    return jobs, judge
+        jobs.append(sampling._moment_job(maps, (2,), samples, (*key, n)))
+    return jobs, _z_judge("mc_batch", closed, lambda *tallies: _estimates(jobs, tallies), misses=1)
 
 
-def _plan_conditional_oracle(seed: int, samples: int):
+def _plan_conditional_oracle(key: tuple, samples: int):
     gates = [_leaky_gate(alpha) for alpha in (0.0, 0.5, 1.0)]
     closed = [moments.conditional_fidelity(g) for g in gates]
+    job = _conditional_job(gates, samples, (*key, 2))
 
-    def judge(sums) -> CheckResult:
-        estimates = [_ratio_estimate(sums[2 * i : 2 * i + 2]) for i in range(len(closed))]
-        worst = _worst(_z(est, se, value) for (est, se), value in zip(estimates, closed))
-        return CheckResult("conditional_oracle", worst <= _Z_MAX, f"max |z| = {worst:.2f} sigma")
+    def estimates(tallies) -> list:
+        return [_ratio(tallies[i : i + 3], job[2]) for i in range(0, len(tallies), 3)]
 
-    return [_conditional_job(gates, samples, seed)], judge
+    return [job], _z_judge("conditional_oracle", closed, estimates)
 
 
-def _conditional_job(gates, samples: int, seed: int) -> tuple:
+def _conditional_job(gates, samples: int, seed: int | tuple) -> tuple:
     """The stream job of the acceptance-weighted Monte-Carlo conditional
     fidelity of each gate of ``gates``, a list of gate specs over subspaces
-    of one dimension, on one stream: ``_RATIO_BATCHES`` runs
-    of ``samples // _RATIO_BATCHES`` consecutive rows (whole runs only),
-    each giving the ratio of its mean fidelity to its mean acceptance."""
-    per = samples // _RATIO_BATCHES
+    of one dimension, on one stream."""
     ops = np.concatenate([_conditional_ops(g) for g in gates])
-    return (ops, per * _RATIO_BATCHES, seed, _ratio_sums, per)
+    return (ops, samples, seed, _ratio_tallies)
 
 
 def _conditional_ops(g: GateSpec) -> np.ndarray:
@@ -335,53 +336,73 @@ def _conditional_ops(g: GateSpec) -> np.ndarray:
     return np.stack([moments.comparison_matrix(a, g.actual, g.subspace) for a in (g.target, g.actual)])
 
 
-def _ratio_sums(overlaps, per: int) -> np.ndarray:
-    """Sums over each run of ``per`` rows of the conditional operators'
-    overlaps, f of each fidelity operator and the acceptance of each
-    acceptance one: a (2 * gates, ``_RATIO_BATCHES``) array whose rows
-    2i and 2i + 1 are gate i's, the same bits as on a stream of its own."""
-    sums = None
-    row = 0
+def _ratio_tallies(overlaps) -> list:
+    """Three tallies per gate of the conditional operators' overlaps: of f
+    (its fidelity row, squared), of the acceptance a (its acceptance row)
+    and of f - a, gate by gate. Each tally sees its values in stream order,
+    so a gate keeps its bits on a stream shared with other gates."""
+    tallies = []
     for q in overlaps:
-        if sums is None:
-            sums = np.zeros((len(q), _RATIO_BATCHES))
-        run = (row + np.arange(q.shape[1])) // per
+        if not tallies:  # the tallies add in turn, so one scratch serves all
+            tallies = [sampling._Tally(0, None) for _ in range(3 * len(q) // 2)]
+            work = np.empty(q.shape[1])
+            for tally in tallies:
+                tally.work = work
         for i in range(0, len(q), 2):
-            sums[i] += np.bincount(run, weights=q[i] ** 2, minlength=_RATIO_BATCHES)
-            sums[i + 1] += np.bincount(run, weights=q[i + 1], minlength=_RATIO_BATCHES)
-        row += q.shape[1]
-    return sums
+            f, a = q[i] ** 2, q[i + 1]
+            for tally, x in zip(tallies[3 * i // 2 : 3 * i // 2 + 3], (f, a, f - a)):
+                tally.add(x)
+    return tallies
 
 
-def _ratio_estimate(sums: np.ndarray) -> tuple[float, float]:
-    """The batched ratio estimate of one gate's rows of :func:`_ratio_sums`
-    and its standard error."""
-    ratios = sums[0] / sums[1]
-    return float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(_RATIO_BATCHES))
+def _ratio(tallies, seed) -> sampling.McEstimate:
+    """The ratio estimate R = mean f / mean a of one gate's tallies (f, a,
+    f - a), with the delta-method standard error of mean(f - R a) / mean a.
+    The tally of f - a gives the covariance of f and a, so
+    Var(f - R a) = (1 - R) Var f + R (R - 1) Var a + R Var(f - a)."""
+    f, a, d = (t.estimate(seed) for t in tallies)
+    r = f.mean / a.mean
+    var = (1 - r) * f.std_error**2 + r * (r - 1) * a.std_error**2 + r * d.std_error**2
+    return sampling.McEstimate(r, math.sqrt(max(var, 0.0)) / a.mean, f.samples, seed)
 
 
-def _plan_sa_decomposition(seed: int, samples: int):
+def _plan_sa_decomposition(key: tuple, samples: int):
     """E f of a random m against E f of its Hermitian and anti-Hermitian
     parts S and A on one stream: <S> is real and <A> imaginary, so
     f = |<S>|^2 + |<A>|^2 on every state, and the means add up to rounding."""
-    rng = np.random.default_rng(seed)
-    m = _random_matrix(rng, 3)
-    job = sampling._moment_job([m, (m + adjoint(m)) / 2.0, (m - adjoint(m)) / 2.0], (1,), samples, seed)
+    m = _random_matrix(np.random.default_rng(key), 3)
+    job = sampling._moment_job([m, (m + adjoint(m)) / 2.0, (m - adjoint(m)) / 2.0], (1,), samples, (*key, 3))
 
     def judge(tallies) -> CheckResult:
-        total, herm, anti = (t.estimate(seed).mean for t in tallies)
+        total, herm, anti = (t.estimate(job[2]).mean for t in tallies)
         gap = abs(total - (herm + anti))
         return CheckResult("sa_decomposition", gap <= 1e-12 * max(1.0, total), f"mean gap {gap:.3g}")
 
     return [job], judge
 
 
+# The checks in report order, each a plan of its key; the quick level runs the first _QUICK_ROWS.
+_CHECKS = (
+    ("monomial_patterns", lambda key: check_monomial_patterns()),
+    ("monomial_completeness", lambda key: check_monomial_completeness()),
+    ("hermitian_collapse", lambda key: check_hermitian_collapse(key)),
+    ("distribution_moments", lambda key: check_distribution_moments(key)),
+    ("worked_values", lambda key: check_worked_values()),
+    ("mc_closed_form", lambda key: _plan_mc_closed_form(key, 20_000)),
+    ("histogram_regeneration", lambda key: _plan_histogram_regeneration(key, 1_000_000, 50)),
+    ("mc_batch", lambda key: _plan_mc_batch(key, 100_000, 5)),
+    ("conditional_oracle", lambda key: _plan_conditional_oracle(key, 100_000)),
+    ("sa_decomposition", lambda key: _plan_sa_decomposition(key, 100_000)),
+)
+_QUICK_ROWS = 6
+
+
 def _guarded(name: str, step, *args):
-    """``step(*args)`` for the check ``name``: a whole check, a plan, or a
-    judge given its jobs' results. A ``ValueError`` (a broken invariant, a
-    bad setting, a sampled f outside its histogram range) fails that check,
-    and only it, with the error's text: the first one that
-    ``sampling._lanes`` returned among the results, or one ``step`` raises."""
+    """``step(*args)`` for the check ``name``: its plan, or its judge given
+    its jobs' results. A ``ValueError`` (a broken invariant, a bad setting,
+    a sampled f outside its histogram range) fails that check, and only it,
+    with the error's text: the first one that ``sampling._lanes`` returned
+    among the results, or one ``step`` raises."""
     error = next((arg for arg in args if isinstance(arg, ValueError)), None)
     if error is None:
         try:
@@ -397,38 +418,14 @@ def run_checks(level: str = "quick", seed: int = QUICK_SEED) -> dict:
         raise ConfigError("level must be 'quick' or 'full'")
     if seed < 0:  # before any check runs, so no check fails on the seed alone
         raise ConfigError(f"seed must be at least 0, got {seed}")
-    checks = [
-        _guarded("monomial_patterns", check_monomial_patterns),
-        _guarded("monomial_completeness", check_monomial_completeness),
-        _guarded("hermitian_collapse", check_hermitian_collapse, seed),
-        _guarded("distribution_moments", check_distribution_moments, seed + 1),
-        _guarded("worked_values", check_worked_values),
-    ]
-    sampled = [("mc_closed_form", _plan_mc_closed_form, seed + 2, 20_000)]
-    if level == "full":
-        sampled += [
-            ("histogram_regeneration", _plan_histogram_regeneration, seed + 3, 1_000_000, 50),
-            ("mc_batch", _plan_mc_batch, seed + 4, 100_000, 5),
-            ("conditional_oracle", _plan_conditional_oracle, seed + 5, 100_000),
-            ("sa_decomposition", _plan_sa_decomposition, seed + 6, 100_000),
-        ]
-    # Every Monte-Carlo job of the level runs in one lane schedule, longest
-    # first; each check is judged on its own slice of the results. A plan
-    # that raised is its check's failed result, with no jobs.
-    plans = [_guarded(name, plan, *args) for name, plan, *args in sampled]
+    rows = _CHECKS if level == "full" else _CHECKS[:_QUICK_ROWS]
+    plans = [_guarded(name, plan, (seed, k)) for k, (name, plan) in enumerate(rows)]
+    # One lane schedule runs every job; a check is judged on its own results.
     staged = [plan for plan in plans if not isinstance(plan, CheckResult)]
     results = iter(sampling._lanes([job for jobs, _ in staged for job in jobs]))
-    for (name, *_), plan in zip(sampled, plans):
-        if not isinstance(plan, CheckResult):
-            jobs, judge = plan
-            plan = _guarded(name, judge, *[next(results) for _ in jobs])
-        checks.append(plan)
-    return {
-        "level": level,
-        "seed": seed,
-        "passed": bool(all(c.passed for c in checks)),
-        "checks": [
-            {"name": c.name, "passed": bool(c.passed), "detail": c.detail}
-            for c in checks
-        ],
-    }
+    checks = [
+        plan if isinstance(plan, CheckResult) else _guarded(name, plan[1], *[next(results) for _ in plan[0]])
+        for (name, _), plan in zip(rows, plans)
+    ]
+    report = [{"name": c.name, "passed": bool(c.passed), "detail": c.detail} for c in checks]
+    return {"level": level, "seed": seed, "passed": all(c["passed"] for c in report), "checks": report}

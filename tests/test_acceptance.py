@@ -37,7 +37,8 @@ from gatefid.serialize import matrix_from_obj
 from gatefid.verify import (
     _conditional_job,
     _pdf_cdf_gap,
-    _ratio_estimate,
+    _ratio,
+    _z,
     reference_matrix,
     reference_spectrum,
 )
@@ -166,9 +167,9 @@ def test_criterion_08_conditional_fidelity():
         g = _leaky_gate(alpha)
         got = conditional_fidelity(g)
         assert abs(got - want) <= 1e-12
-        (sums,) = sampling._lanes([_conditional_job([g], 100_000, seed=80_2026 + i)])
-        est, se = _ratio_estimate(sums)
-        worst_z = max(worst_z, abs(est - got) / max(se, 1e-300))
+        (tallies,) = sampling._lanes([_conditional_job([g], 100_000, seed=80_2026 + i)])
+        est = _ratio(tallies, 80_2026 + i)
+        worst_z = max(worst_z, _z(est.mean, est.std_error, got))
     assert worst_z <= 4.0
     report(8, f"closed form exact, MC oracle max |z| {worst_z:.2f} <= 4")
 

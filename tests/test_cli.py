@@ -904,6 +904,11 @@ INCONSISTENT_FIELDS = {
     "subspace_out_of_range": {"subspace": [0, 5]},
     "subspace_not_increasing": {"subspace": [1, 0]},
     "target_of_wrong_dim": {"target": {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}},
+    "x_tol_nan": {"x_tol": float("nan")},
+    "x_tol_negative": {"x_tol": -1.0},
+    "f_tol_nan": {"f_tol": float("nan")},
+    "f_tol_negative": {"f_tol": -1.0},
+    "min_support_on_three_levels": {"subspace": [0, 1, 2], "objective": {"kind": "min_support"}},
     # Unitary, but it swaps level 1 of the subspace (0, 1) with level 2.
     "target_not_block_diagonal": {
         "target": {"dim": 3, "entries": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [1, 0], [0, 0]]}
@@ -931,6 +936,9 @@ class TestInconsistentProblem:
             "max_evals_below_param_count_plus_2": "param_count + 2",
             "subspace_out_of_range": "selector indices must lie in [0, 3)",
             "target_not_block_diagonal": "target must be block-diagonal over the subspace",
+            "x_tol_nan": "x_tol and f_tol must be at least 0, got nan and 1e-12",
+            "f_tol_negative": "x_tol and f_tol must be at least 0, got 1e-08 and -1.0",
+            "min_support_on_three_levels": "min_support needs a 2x2 comparison matrix, not 3x3",
         }
         for case, text in want.items():
             problem = json.loads((PROBLEMS / "leaky_gate.json").read_text())

@@ -185,9 +185,8 @@ class TestOptimize:
         ) <= 1e-12
 
     def test_trace_recorded(self):
-        cfg = OptimizeConfig(start=(2.0,), box=((-PI, PI),), record_trace=True)
+        cfg = OptimizeConfig(start=(2.0,), box=((-PI, PI),))
         res = optimize(phase_family(), Objective("mean"), cfg)
-        assert res.trace is not None
         assert len(res.trace) == res.evaluations
         assert res.trace[0][1] == pytest.approx(
             evaluate_objective(phase_family(), Objective("mean"), [2.0])
@@ -200,6 +199,34 @@ class TestOptimize:
                 Objective("mean"),
                 OptimizeConfig(start=(5.0,), box=((-PI, PI),)),
             )
+
+    def test_zero_tolerances_allowed(self):
+        # A NaN or negative one is refused (tests/test_cli.py); 0 runs to max_evals.
+        cfg = OptimizeConfig(start=(2.0,), box=((-PI, PI),), max_evals=40, x_tol=0.0, f_tol=0.0)
+        res = optimize(phase_family(), Objective("mean"), cfg)
+        assert (res.evaluations, res.converged, len(res.trace)) == (40, False, 40)
+
+    def test_min_support_refused_before_any_probe_off_a_qubit(self):
+        probes = []
+
+        def evaluator(params):
+            probes.append(params)
+            return np.eye(3)
+
+        fam = GateFamily(dim=3, param_count=1, evaluator=evaluator, target=np.eye(3), subspace=(0, 1, 2))
+        cfg = OptimizeConfig(start=(0.5,), box=((-PI, PI),))
+        with pytest.raises(ConfigError, match="min_support needs a 2x2 comparison matrix, not 3x3"):
+            optimize(fam, Objective("min_support"), cfg)
+        assert probes == []
+
+    def test_min_support_on_a_non_normal_probe_is_not_an_input_error(self):
+        # Whether a probe's 2x2 matrix is normal is known only at the probe.
+        fam = GateFamily(
+            dim=2, param_count=1, evaluator=lambda p: np.array([[1.0, p[0]], [0.0, 0.5]]), target=np.eye(2)
+        )
+        with pytest.raises(ValueError, match="min_support") as err:
+            optimize(fam, Objective("min_support"), OptimizeConfig(start=(0.5,), box=((-PI, PI),)))
+        assert not isinstance(err.value, ConfigError)
 
     def test_max_evals_too_small(self):
         with pytest.raises(ValueError, match="max_evals"):
@@ -255,7 +282,7 @@ class TestProbesVisible:
             return np.diag([1.0, np.exp(1j * params[0])])
 
         fam = GateFamily(dim=2, param_count=1, evaluator=evaluator, target=np.eye(2))
-        cfg = OptimizeConfig(start=(2.0,), box=((-PI, PI),), record_trace=True)
+        cfg = OptimizeConfig(start=(2.0,), box=((-PI, PI),))
         res = optimize(fam, Objective("mean"), cfg)
         assert set(seen) == {(np.ndarray, np.dtype(float), (1,))}
         assert isinstance(res.best_params, np.ndarray) and res.best_params.shape == (1,)

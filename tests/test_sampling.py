@@ -32,12 +32,11 @@ from gatefid.sampling import (
     _workspace_size,
 )
 from gatefid.verify import (
-    _RATIO_BATCHES,
     _conditional_job,
     _conditional_ops,
     _leaky_gate,
     _plan_sa_decomposition,
-    _ratio_sums,
+    _ratio_tallies,
 )
 from conftest import (
     assert_scale_covariant,
@@ -225,15 +224,12 @@ def lane_jobs(count):
         lambda m: (m[None], collect),
         lambda m: (m[None], _fold, (1,)),
         lambda m: (m[None], _fold, (2,)),
-        lambda m: (_conditional_ops(_leaky_gate(0.5)), _ratio_sums),
+        lambda m: (_conditional_ops(_leaky_gate(0.5)), _ratio_tallies),
     ]
     jobs = []
     for i in range(count):
         n, samples = 2 + i % 4, (150, _BATCH + 7, 2 * _BATCH + 2000)[i % 3]
         ops, reduce, *args = kinds[i % 4](random_matrix(rng, n))
-        if reduce is _ratio_sums:  # whole runs of samples // _RATIO_BATCHES rows
-            args = [samples // _RATIO_BATCHES]
-            samples = args[0] * _RATIO_BATCHES
         jobs.append((ops, samples, 100 + i, reduce, *args))
     return jobs
 
@@ -276,9 +272,9 @@ class TestLanes:
         jobs = [
             _moment_job([random_matrix(rng, 3) for _ in range(2)], (1, 2), samples, 1),
             _conditional_job([_leaky_gate(alpha) for alpha in (0.0, 0.5, 1.0)], samples, 2),
-            *_plan_sa_decomposition(3, samples)[0],
+            *_plan_sa_decomposition((3, 0), samples)[0],
         ]
-        assert [job[3] for job in jobs] == [_fold, _ratio_sums, _fold]
+        assert [job[3] for job in jobs] == [_fold, _ratio_tallies, _fold]
         among = _lanes(jobs + lane_jobs(4))[:3]
         assert result_bits(among) == result_bits(one_after_another(jobs))
 
@@ -293,7 +289,7 @@ class TestLanes:
             for samples in (200, 900, 3000)
             for n in (2, 3, 4, 5)
         ]
-        jobs.append((_conditional_ops(_leaky_gate(0.5)), 50 * 80, 0, _ratio_sums, 80))
+        jobs.append((_conditional_ops(_leaky_gate(0.5)), 4000, 0, _ratio_tallies))
         cost = [samples * (2 * ops.shape[1] + len(ops)) for ops, samples, *_ in jobs]
         assert cost != sorted(cost, reverse=True)
         rank = sorted(range(len(jobs)), key=lambda i: (-cost[i], i))
@@ -870,6 +866,19 @@ class TestStream:
         est = tally.estimate(seed=0)
         assert est.mean == want.mean()
         assert est.std_error == want.std(ddof=1) / np.sqrt(want.size)
+
+    def test_a_signed_tally_scales_by_its_largest_magnitude(self):
+        # The tally of -x is the tally of x negated, bit for bit, even where
+        # x >= 0 spans the float range: a scale from the largest value of
+        # -x, -1, would overflow the squares of its deviations.
+        x = np.random.default_rng(6).uniform(0.5, 1.0, 1000) * 2.0**1020
+        x[0] = 1.0
+        tallies = [_Tally(0, None) for _ in range(2)]
+        tallies[0].add(x.copy())
+        tallies[1].add(-x)
+        plus, minus = (t.estimate(seed=0) for t in tallies)
+        assert np.isfinite(plus.std_error) and plus.std_error > 0
+        assert (minus.mean, minus.std_error) == (-plus.mean, plus.std_error)
 
     def test_memory_flat_in_samples(self):
         # No map (the 2x2 reference, a 4x4 map, a non-normal 2x2 map) keeps

@@ -154,7 +154,7 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
         assert isinstance(ops, np.ndarray) and ops.dtype == np.complex128
         assert reduce.__module__.startswith("gatefid.") and reduce.__name__.startswith("_")
         reductions.add(reduce.__name__)
-    assert reductions == {"_fold", "_ratio_sums"}
+    assert reductions == {"_fold", "_ratio_tallies"}
     defs = _module_defs(trees)
     public = {
         name

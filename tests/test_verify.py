@@ -11,7 +11,6 @@ from gatefid import cli, qubit_dist, sampling
 from gatefid.linalg import ConfigError
 from gatefid.moments import comparison_matrix
 from gatefid.verify import (
-    _RATIO_BATCHES,
     QUICK_SEED,
     _conditional_job,
     _leaky_gate,
@@ -19,7 +18,7 @@ from gatefid.verify import (
     _plan_mc_batch,
     _plan_mc_closed_form,
     _plan_sa_decomposition,
-    _ratio_estimate,
+    _ratio,
     _worst,
     check_distribution_moments,
     check_hermitian_collapse,
@@ -43,18 +42,25 @@ FULL_CHECKS = [
 ]
 
 
-# sha256 of the report text `gatefid verify` prints, taken once each check
-# drew one stream per dimension for all of its maps (and its own seed for
-# each), after the estimates were shown to equal their lone streams' bit for
-# bit. How the streams are scheduled moves no bit of a report. The last
-# digits of some details (the S/A rounding gap) follow the BLAS build's
+def key(name, seed=QUICK_SEED):
+    """The key of the check ``name`` in a run at ``seed``: its maps' seed,
+    and with a dimension appended, its streams'."""
+    return seed, FULL_CHECKS.index(name)
+
+
+# sha256 of the report text `gatefid verify` prints, taken once check k of a
+# run at a seed drew its maps from default_rng((seed, k)) and its stream in
+# dimension n from the seed (seed, k, n), with conditional_oracle's streaming
+# ratio estimate, after the estimates were shown to equal their lone streams'
+# bit for bit. How the streams are scheduled moves no bit of a report. The
+# last digits of some details (the S/A rounding gap) follow the BLAS build's
 # arithmetic. Taken with numpy 2.4.6: NEP 19 does not pin a Generator's
 # streams across numpy versions, so another version may draw other states.
 REPORT_SHA256 = {
-    ("quick", QUICK_SEED): "2c4617d20c14e711cebcff345c614f32408371fa4a3e2cb1d0759df6ad2e047d",
-    ("full", QUICK_SEED): "5348ef6f03410ff2171c6627e0da34da1e7b15713e91106c79f59920e31cedb5",
-    ("quick", 7): "19d85f44733790ebccd8d090f6d892c58b79aaa6b27cf4ccea8679ae81ca83a0",
-    ("full", 7): "7fa54c90a6efd66699fef8ca6e38c785f3587368e0b138bf0f084f504afa27b8",
+    ("quick", QUICK_SEED): "508fd089087705f8c54697f9059162b4eedde3bb588e6e82ba6c519c80e03d27",
+    ("full", QUICK_SEED): "40172c2bd77ccf50b50768f42a3515a41177e25d76263afaacf1d7d7f1402498",
+    ("quick", 7): "6700f8f1c929b2194e66e022f4453dda4e464abc1ae4b0e11e6e8a0c40adae95",
+    ("full", 7): "ed6f3816cbbbed8eea2315b22105fae9b5d125bd99a9a9da42e0aa53d8e8bbce",
 }
 
 
@@ -110,30 +116,30 @@ def test_mc_checks_draw_from_the_one_stream(monkeypatch, plan, streams):
 
     monkeypatch.setattr(sampling, "_gaussian_rows", counting)
     samples = 5_000
-    jobs, judge = plan(QUICK_SEED, samples)
+    jobs, judge = plan((QUICK_SEED, 0), samples)
     assert judge(*sampling._lanes(jobs)).passed
     assert sum(drawn) == streams * samples
 
 
 def hand_loop_conditional(g, samples, seed):
-    """The conditional estimate as a hand loop over the reference stream."""
+    """The conditional estimate as a hand loop over the reference stream:
+    tallies of f, of the acceptance a and of f - a, then the ratio of the
+    means and its delta-method standard error."""
     num_op = comparison_matrix(g.target, g.actual, g.subspace)
     den_op = comparison_matrix(g.actual, g.actual, g.subspace)
-    per = samples // _RATIO_BATCHES
-    sums = np.zeros((2, _RATIO_BATCHES))
-    row = 0
-    for v, r2 in reference_batches(len(g.subspace), per * _RATIO_BATCHES, seed):
-        run = (row + np.arange(len(v))) // per
-        num = (np.abs(reference_overlap(v, num_op)) / r2) ** 2
-        den = reference_overlap(v, den_op).real / r2
-        sums[0] += np.bincount(run, weights=num, minlength=_RATIO_BATCHES)
-        sums[1] += np.bincount(run, weights=den, minlength=_RATIO_BATCHES)
-        row += len(v)
-    ratios = sums[0] / sums[1]
-    return float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(_RATIO_BATCHES))
+    tallies = [sampling._Tally(0, None) for _ in range(3)]
+    for v, r2 in reference_batches(len(g.subspace), samples, seed):
+        f = (np.abs(reference_overlap(v, num_op)) / r2) ** 2
+        a = reference_overlap(v, den_op).real / r2
+        for tally, x in zip(tallies, (f, a, f - a)):
+            tally.add(x)
+    f, a, d = (t.estimate(seed) for t in tallies)
+    r = f.mean / a.mean
+    var = (1 - r) * f.std_error**2 + r * (r - 1) * a.std_error**2 + r * d.std_error**2
+    return r, math.sqrt(max(var, 0.0)) / a.mean
 
 
-@pytest.mark.parametrize("seed", [0, QUICK_SEED + 5])
+@pytest.mark.parametrize("seed", [0, QUICK_SEED + 5, pytest.param(key("conditional_oracle") + (2,), id="key")])
 def test_mc_checks_match_a_hand_loop_over_the_stream_bitwise(seed):
     # The kernel keeps the arithmetic of a loop over the stream's rows, so
     # the estimates keep their bits; the acceptance operator is positive
@@ -141,8 +147,9 @@ def test_mc_checks_match_a_hand_loop_over_the_stream_bitwise(seed):
     samples = 3 * sampling._BATCH + 101
     for alpha in (0.0, 0.5, 1.0):
         g = _leaky_gate(alpha)
-        (sums,) = sampling._lanes([_conditional_job([g], samples, seed)])
-        assert _ratio_estimate(sums) == hand_loop_conditional(g, samples, seed)
+        (tallies,) = sampling._lanes([_conditional_job([g], samples, seed)])
+        est = _ratio(tallies, seed)
+        assert (est.mean, est.std_error) == hand_loop_conditional(g, samples, seed)
 
 
 @pytest.mark.parametrize(
@@ -153,7 +160,7 @@ def test_shared_stream_estimates_are_mc_moment(plan, args, estimates):
     # Each map and order of a stream shared by a dimension gets the estimate
     # of its own lone stream at that seed, bit for bit.
     samples = sampling._BATCH + 101
-    jobs, _ = plan(QUICK_SEED, samples, *args)
+    jobs, _ = plan((QUICK_SEED, 0), samples, *args)
     got, want = [], []
     for (ops, _, seed, _, orders), tallies in zip(jobs, sampling._lanes(jobs)):
         got += [t.estimate(seed) for t in tallies]
@@ -163,13 +170,14 @@ def test_shared_stream_estimates_are_mc_moment(plan, args, estimates):
 
 def test_each_gate_of_the_shared_stream_keeps_its_own_bits():
     samples = 3 * sampling._BATCH + 101
-    jobs, _ = _plan_conditional_oracle(QUICK_SEED, samples)
+    jobs, _ = _plan_conditional_oracle(key("conditional_oracle"), samples)
     ((_, _, seed, *_),) = jobs
-    (sums,) = sampling._lanes(jobs)
-    assert sums.shape == (6, _RATIO_BATCHES)
+    (tallies,) = sampling._lanes(jobs)
+    assert len(tallies) == 9
     for i, alpha in enumerate((0.0, 0.5, 1.0)):
         (alone,) = sampling._lanes([_conditional_job([_leaky_gate(alpha)], samples, seed)])
-        assert sums[2 * i : 2 * i + 2].tobytes() == alone.tobytes()
+        bits = [[(t.count, t.mean, t.m2, t.exponent) for t in ts] for ts in (tallies[3 * i : 3 * i + 3], alone)]
+        assert bits[0] == bits[1]
 
 
 def test_rows_drawn_per_level(monkeypatch):
@@ -207,18 +215,49 @@ def test_every_stream_of_a_level_has_its_own_seed(monkeypatch, seed):
     assert all(len(set(seeds)) == len(seeds) for seeds in runs)
 
 
+def test_no_stream_or_map_generator_is_shared_across_seeds(monkeypatch):
+    # Every generator a full run builds, by its initial state: one for each
+    # check's maps and one for each of its streams, 15 in all, each of one
+    # (seed, check, dimension) triple. None may recur over 40 seeds, so runs
+    # at nearby seeds are independent; seeds offset by small integers per
+    # check would give one run's stream to another's. The lanes only start
+    # each stream (a plan's jobs are built as in a real run), so the judges
+    # fail and the deterministic checks run as usual.
+    states = []
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):
+        rng = default_rng(seed)
+        states.append(repr(rng.bit_generator.state["state"]))
+        return rng
+
+    def started(jobs):
+        for _, _, seed, *_ in jobs:
+            next(sampling._draws(1, seed, [(np.empty((1, 2)), np.empty(1))]))
+        return [ValueError("not drawn")] * len(jobs)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    monkeypatch.setattr(sampling, "_lanes", started)
+    for seed in range(40):
+        run_checks("full", seed)
+    assert len(states) == 40 * 15
+    assert len(set(states)) == len(states)
+
+
 def test_perfect_gate_one_percent_off_fails_with_a_finite_z(monkeypatch):
-    # At alpha = 1 every run's ratio is exactly 1, so the standard error is
-    # 0; a closed form 1% high then fails with a finite z in a short detail.
-    # The alpha = 0 gate, whose standard error is not 0, misses on its own.
+    # At alpha = 1 the ratio is exactly 1 and its standard error is rounding
+    # (f and a differ in the last bits of some rows); a closed form 1% high
+    # then fails with a finite z in a short detail. The alpha = 0 gate,
+    # whose standard error is a sampling error, misses on its own.
     true_fn = moments_mod.conditional_fidelity
     monkeypatch.setattr(moments_mod, "conditional_fidelity", lambda g: 1.01 * true_fn(g))
-    jobs, judge = _plan_conditional_oracle(QUICK_SEED + 5, 100_000)
-    (sums,) = sampling._lanes(jobs)
-    assert _ratio_estimate(sums[4:6]) == (1.0, 0.0)
-    est, se = _ratio_estimate(sums[0:2])
-    assert se > 0 and abs(est - 1.01 * (2 / 3)) > 4 * se
-    result = judge(sums)
+    jobs, judge = _plan_conditional_oracle(key("conditional_oracle"), 100_000)
+    (tallies,) = sampling._lanes(jobs)
+    perfect = _ratio(tallies[6:9], 0)
+    assert perfect.mean == 1.0 and perfect.std_error < 1e-15
+    est = _ratio(tallies[0:3], 0)
+    assert est.std_error > 1e-4 and abs(est.mean - 1.01 * (2 / 3)) > 4 * est.std_error
+    result = judge(tallies)
     assert not result.passed and len(result.detail) < 40
     z = float(re.fullmatch(r"max \|z\| = (\S+) sigma", result.detail)[1])
     assert 4 < z < math.inf
@@ -229,10 +268,10 @@ def test_perfect_gate_one_ulp_off_passes(monkeypatch):
     # relative, not bit for bit.
     true_fn = moments_mod.conditional_fidelity
     monkeypatch.setattr(moments_mod, "conditional_fidelity", lambda g: math.nextafter(true_fn(g), 2.0))
-    jobs, judge = _plan_conditional_oracle(QUICK_SEED + 5, 100_000)
-    (sums,) = sampling._lanes(jobs)
-    assert _ratio_estimate(sums[4:6]) == (1.0, 0.0)
-    assert judge(sums).passed
+    jobs, judge = _plan_conditional_oracle(key("conditional_oracle"), 100_000)
+    (tallies,) = sampling._lanes(jobs)
+    assert _ratio(tallies[6:9], 0).mean == 1.0
+    assert judge(tallies).passed
 
 
 def test_a_check_that_raises_is_reported_failed(monkeypatch, capsys):
@@ -316,7 +355,7 @@ def test_one_nan_estimate_fails_mc_batch(monkeypatch):
         return math.nan if len(calls) == 1 else true_fn(m)
 
     monkeypatch.setattr(moments_mod, "fourth_moment_general", first_nan)
-    jobs, judge = _plan_mc_batch(QUICK_SEED + 4, 20_000, 5)
+    jobs, judge = _plan_mc_batch(key("mc_batch"), 20_000, 5)
     result = judge(*sampling._lanes(jobs))
     assert result.detail == "19/20 within 4 sigma" and not result.passed
 
@@ -363,7 +402,7 @@ def test_fourth_moment_off_by_1e_11_detected(monkeypatch):
     monkeypatch.setattr(
         moments_mod, "fourth_moment_general", lambda m: (1 + 1e-11) * true_fn(m)
     )
-    assert not check_hermitian_collapse(QUICK_SEED).passed
+    assert not check_hermitian_collapse(key("hermitian_collapse")).passed
     checks = {c["name"]: c["passed"] for c in run_checks("quick")["checks"]}
     assert not checks["hermitian_collapse"] and checks["mc_closed_form"]
 
@@ -377,8 +416,8 @@ def test_conditional_fidelity_off_by_one_percent_detected(monkeypatch):
     monkeypatch.setattr(moments_mod, "conditional_fidelity", lambda g: 1.01 * true_fn(g))
     failed = {c["name"] for c in run_checks("full")["checks"] if not c["passed"]}
     assert failed == {"conditional_oracle", "worked_values"}
-    jobs, judge = _plan_conditional_oracle(QUICK_SEED + 5, 100_000)
-    assert not judge(*sampling._lanes(jobs[:1])).passed
+    jobs, judge = _plan_conditional_oracle(key("conditional_oracle"), 100_000)
+    assert not judge(*sampling._lanes(jobs)).passed
 
 
 @pytest.mark.parametrize("piece", ["lower", "upper"])
@@ -393,8 +432,8 @@ def test_pdf_piece_scaled_by_two_detected(monkeypatch, piece):
         f = np.asarray(f, dtype=float)
         return np.where((f < self.f_l0) == (piece == "lower"), 2.0 * out, out)
 
-    assert check_distribution_moments(QUICK_SEED + 1).passed
+    assert check_distribution_moments(key("distribution_moments")).passed
     monkeypatch.setattr(qubit_dist.FidelityDistribution, "pdf", scaled)
-    result = check_distribution_moments(QUICK_SEED + 1)
+    result = check_distribution_moments(key("distribution_moments"))
     assert not result.passed
     assert "max moment gap" in result.detail
