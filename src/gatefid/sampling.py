@@ -2,26 +2,29 @@
 
 States are sampled by normalizing standard complex Gaussian vectors, which is
 Haar-uniform on the unit sphere of C^n for every n. Every seeded Monte-Carlo
-path draws from one stream per seed, :func:`_draws`, and is deterministic for
-a fixed ``(seed, samples)`` pair. The stream yields unnormalized Gaussian rows
-``v``; every overlap ``|<v|a|v>| / |v|^2``, ``verify``'s included, comes from
-one kernel, and f is its square. The states ``v / |v|`` a seed draws are
-pinned bit for bit; ``f`` may differ from earlier versions in the last bits.
+path draws from one stream per seed, cut into batches of ``_BATCH`` rows, and
+is deterministic for a fixed ``(seed, samples)`` pair. Batch k of a stream
+has a generator of its own, seeded from the seed and k alone
+(:func:`_draws`), so any thread can draw any batch. The stream yields
+unnormalized Gaussian rows ``v``; every overlap ``|<v|a|v>| / |v|^2``,
+``verify``'s included, comes from one kernel, and f is its square. The
+states ``v / |v|`` a seed draws are pinned bit for bit; ``f`` may differ from
+earlier versions in the last bits.
 
 Every stream is a job of one runner, :func:`_lanes`, which starts one worker
-thread. A job run alone (``mc_moment``, ``mc_sample``) draws its next batch on
-the worker, into a second buffer, while the caller works on the current one.
-Two or more jobs (``verify``'s streams) run two at a time, longest first: the
-caller's thread and the worker each draw and tally their jobs inline. Either
-way one thread advances a stream's generator, in draw order, so a seed draws
-the same states as on one thread. While the runner runs, numpy's bundled
-OpenBLAS keeps to one thread (:func:`_one_blas_thread`): left on every core,
-it runs each batch's small matrix product on both and spins between them on
-the core the worker needs. Where numpy links another BLAS, nothing is capped.
+thread. The caller's thread and the worker take the batches of every job,
+longest job first, and each reduces its batch into a partial tally. Once
+both have stopped, each job's partials are merged in batch order, so a
+result is the same bits as on one thread, however the two were timed. While
+the runner runs, numpy's bundled OpenBLAS keeps to one thread
+(:func:`_one_blas_thread`): left on every core, it runs each batch's small
+matrix product on both and spins between them on the core the worker needs.
+Where numpy links another BLAS, nothing is capped.
 
-``mc_moment`` and ``mc_sample`` make one streaming pass over those batches
-into one tally: running moments and bin counts, so their memory does not grow
-with the sample count. A histogram's range is fixed before the first draw: an
+``mc_moment`` and ``mc_sample`` reduce those batches into one tally: moments
+and bin counts, with no sample kept, so their memory grows only by one
+partial tally per batch of ``_BATCH`` samples (about a kilobyte with 50
+bins). A histogram's range is fixed before the first draw: an
 outer bound on f from the map's numerical range. ``mc_sample`` takes its
 estimate and its histogram from the same draws. A bad bin or sample count,
 or a negative seed, raises :class:`~gatefid.linalg.ConfigError`.
@@ -34,8 +37,8 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import cos, factorial, frexp, ldexp, pi, sqrt, ulp
+from functools import cache, reduce
+from math import cos, factorial, frexp, isfinite, ldexp, pi, sqrt, ulp
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -119,40 +122,21 @@ class Histogram:
 
 
 def _draws(
-    samples: int, seed: int | tuple, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The one owner of a stream's generator: batch k of its ``samples`` rows
-    is drawn into ``pairs[k % len(pairs)]`` on whichever thread asks for it.
+    samples: int, seed: int | tuple, k: int, z: np.ndarray, r2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one owner of a stream's batches and their generators: batch k of
+    the stream of ``samples`` rows at ``seed``, drawn into the pair
+    ``(z, r2)`` on whichever thread asks for it.
 
-    Batches are drawn one after another, redraws included, so a seed draws
-    the same rows on any thread.
+    Batch k has a generator of its own, ``SFC64`` seeded by the child of the
+    seed's ``SeedSequence`` with ``spawn_key`` (0, k), which is the k-th
+    child of ``SeedSequence(seed).spawn(1)[0]``. So a batch draws the same
+    rows, redraws included, whichever batches were drawn before it and on
+    whichever thread.
     """
-    # The seed's first SeedSequence child rather than the seed itself, so
-    # that every seed keeps the states it has always drawn.
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    for k, done in enumerate(range(0, samples, _BATCH)):
-        count = min(_BATCH, samples - done)
-        z, r2 = pairs[k % len(pairs)]
-        yield _gaussian_rows(rng, z[:count], r2[:count])
-
-
-def _ahead(items: Iterator, worker) -> Iterator:
-    """``items``, each taken on the one-thread executor ``worker`` while the
-    caller holds the one before it.
-
-    Only the worker advances ``items``. Item k+1 is asked for before item k
-    is waited on, so the worker goes from one to the next without waiting
-    for the caller to wake. An error the worker meets is raised here. A
-    request still pending when the caller stops runs out on the worker,
-    which :func:`_lanes` joins before it returns.
-    """
-    pending = worker.submit(next, items, None)
-    while True:
-        following = worker.submit(next, items, None)
-        if (item := pending.result()) is None:
-            return
-        yield item
-        pending = following
+    count = min(_BATCH, samples - k * _BATCH)
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, k))))
+    return _gaussian_rows(rng, z[:count], r2[:count])
 
 
 @cache
@@ -189,70 +173,78 @@ def _one_blas_thread():
             found[1](old)
 
 
-def _workspace_size(rows: int, n: int, k: int, pairs: int) -> int:
+def _workspace_size(rows: int, n: int, k: int) -> int:
     """Floats in :func:`_carve`'s workspace."""
-    return rows * ((2 * n + 1) * pairs + 4 * n + 2 + k)
+    return rows * (6 * n + 5 + k)
 
 
-def _carve(block: np.ndarray, rows: int, n: int, k: int, pairs: int):
-    """``pairs`` ``(z, r2)`` pairs for batches of ``rows`` rows on C^n, and
-    the kernel's buffers for ``k`` operators, as views of the flat ``block``.
+def _carve(block: np.ndarray, rows: int, n: int, k: int):
+    """The ``(z, r2)`` pair for batches of ``rows`` rows on C^n, the kernel's
+    buffers for ``k`` operators and two scratch rows for the tallies, as
+    views of the flat ``block``.
 
-    Every per-batch array of a stream is a view of one workspace. As separate
-    arrays, freed at the end of each stream, the allocator handed them back
-    to the system and the next stream page-faulted them in again. The blocks
-    viewed as complex come first, so each starts on an even float.
+    Every per-batch array of a lane, the tallies' scratch included, is a
+    view of one workspace, so a lane allocates nothing batch-sized. As
+    separate arrays, freed at the end of each stream, the allocator handed
+    them back to the system and the next stream page-faulted them in again.
+    The blocks viewed as complex come first, so each starts on an even float.
     """
-    sizes = [2 * n] * pairs + [2 * n, 2 * n, 2] + [1] * pairs + [k]
-    work = np.split(block[: _workspace_size(rows, n, k, pairs)], rows * np.cumsum(sizes[:-1]))
-    z, (conj, prod, overlap), r2 = work[:pairs], work[pairs : pairs + 3], work[pairs + 3 : -1]
-    drawn = [(zi.reshape(rows, 2 * n), ri) for zi, ri in zip(z, r2)]
+    sizes = [2 * n, 2 * n, 2 * n, 2, 1, 2, k]
+    z, conj, prod, overlap, r2, work, out = np.split(
+        block[: _workspace_size(rows, n, k)], rows * np.cumsum(sizes[:-1])
+    )
     conj, prod = (b.view(complex).reshape(rows, n) for b in (conj, prod))
-    return drawn, (conj, prod, overlap.view(complex), work[-1].reshape(k, rows))
+    return (z.reshape(rows, 2 * n), r2), (conj, prod, overlap.view(complex), out.reshape(k, rows)), work.reshape(2, rows)
 
 
-def _kernel(ops: np.ndarray, batches, buffers) -> Iterator[np.ndarray]:
+def _kernel(ops: np.ndarray, v: np.ndarray, r2: np.ndarray, buffers) -> np.ndarray:
     """The one overlap kernel: |<v|a|v>| / |v|^2 for each operator a of the
-    (k, n, n) stack ``ops`` and each row v of each ``(v, r2)`` batch, into
-    the ``buffers`` of :func:`_carve`, which the next batch overwrites."""
+    (k, n, n) stack ``ops`` and each row v of the batch ``(v, r2)``, as a
+    (k, rows) view of the ``buffers`` of :func:`_carve`, which the next
+    batch overwrites."""
     conj, prod, overlap, out = buffers
-    for v, r2 in batches:
-        count = len(v)
-        q = out[:, :count]
-        # A decorator would not cover a generator's body, so the state is set here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.conjugate(v, out=conj[:count])
-            for a, row in zip(ops, q):  # one at a time: a batched matmul ran slower
-                np.matmul(conj[:count], a, out=prod[:count])
-                np.abs(np.einsum("bj,bj->b", prod[:count], v, out=overlap[:count]), out=row)
-                row /= r2
-        yield q
+    count = len(v)
+    q = out[:, :count]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.conjugate(v, out=conj[:count])
+        for a, row in zip(ops, q):  # one at a time: a batched matmul ran slower
+            np.matmul(conj[:count], a, out=prod[:count])
+            np.abs(np.einsum("bj,bj->b", prod[:count], v, out=overlap[:count]), out=row)
+            row /= r2
+    return q
 
 
 def _lanes(jobs: Sequence[tuple]) -> list:
     """The one runner of stream jobs: their results, in job order.
 
-    A job ``(ops, samples, seed, reduce, *args)`` gives
-    ``reduce(overlaps, *args)``, with ``overlaps`` the :func:`_kernel`
-    batches of ``ops`` over the stream of ``(samples, seed)``. A job run
-    alone draws ahead: the one worker thread draws its next batch into a
-    second ``(z, r2)`` pair while the caller reduces this one. Two or more
-    jobs run in two lanes, the caller's thread and the worker, each taking
-    the next job not yet taken and drawing it inline into one pair, with
-    kernel buffers that it reuses for every job; a job keeps its bits either
-    way. The workspaces are allocated here, on the caller's thread:
-    allocated in the worker, glibc's per-thread arena kept them. Jobs are
-    handed out longest first, by the shape cost
-    ``samples * (2n + k)`` (ties in job order), so neither lane is left with
-    a long job at the end: a greedy longest-first list is within 4/3 of the
-    best two-lane finish (Graham, SIAM J. Appl. Math. 17, 1969).
+    A job ``(ops, samples, seed, step, *args)`` gives, for each batch of the
+    stream of ``(samples, seed)``, ``step(q, work, *args)``: the list of
+    partial tallies (:meth:`_Tally.partial`) of that batch's :func:`_kernel`
+    overlaps ``q`` of ``ops``, with ``work`` two scratch rows the size of a
+    batch. The job's result is each tally merged over its batches in batch
+    order (:func:`_merged`).
+
+    Every job is split into its batches, and two lanes, the caller's thread
+    and one worker, take ``(job, batch)`` tasks from one iterator under a
+    lock: jobs longest first, by the shape cost ``samples * (2n + k)`` (ties
+    in job order), and each job's batches in order. Each lane draws its
+    batch, runs the kernel and the step in a workspace of its own, and
+    stores the batch's partials. Since each batch has its own generator
+    (:func:`_draws`) and the merge waits until both lanes have stopped, a
+    result is the same bits as a one-thread pass over the job's batches,
+    however the lanes were timed. A lone stream such as ``gatefid sample``'s
+    is shared by both lanes, and greedy longest-first tasks leave the lanes
+    at most one batch apart at the end. The workspaces are allocated here,
+    on the caller's thread: allocated in the worker, glibc's per-thread
+    arena kept them.
 
     A lane runs private code only: perfbench's tracer wraps public gatefid
     functions with one span stack, which is not thread-safe, so ``ops`` is
-    built by the caller and ``reduce`` is private. A job that raises
+    built by the caller and ``step`` is private. A job whose step raises
     ``ValueError`` (a bad setting, an overflow, a sampled f outside its
-    histogram range) has that error as its result, and the other jobs run
-    on. Once a job raises anything else, no lane starts another, and the
+    histogram range) has as its result the error of its first batch that
+    raised one, its later batches are skipped, and the other jobs run on.
+    Once a step raises anything else, no lane takes another task, and the
     first such error in job order is raised when both have stopped.
     """
     if not jobs:
@@ -262,46 +254,65 @@ def _lanes(jobs: Sequence[tuple]) -> list:
     from concurrent.futures import ThreadPoolExecutor
 
     jobs = [(np.asarray(ops, dtype=np.complex128), *rest) for ops, *rest in jobs]
-    pairs = 2 if len(jobs) == 1 else 1
-    size = max(_workspace_size(min(_BATCH, j[1]), j[0].shape[1], len(j[0]), pairs) for j in jobs)
-    blocks = [np.empty(size) for _ in jobs[:2]]
-    outcomes = [None] * len(jobs)
+    parts = [[None] * -(-samples // _BATCH) for _, samples, *_ in jobs]
+    failed = [False] * len(jobs)
     cost = [samples * (2 * ops.shape[1] + len(ops)) for ops, samples, *_ in jobs]
-    todo = iter(sorted(range(len(jobs)), key=cost.__getitem__, reverse=True))
+    order = sorted(range(len(jobs)), key=cost.__getitem__, reverse=True)
+    # Taken under the lock, so a job that failed is seen before its next batch starts.
+    tasks = ((i, k) for i in order for k in range(len(parts[i])) if not failed[i])
+    size = max(_workspace_size(min(_BATCH, samples), ops.shape[1], len(ops)) for ops, samples, *_ in jobs)
+    blocks = [np.empty(size) for _ in range(2 if sum(map(len, parts)) > 1 else 1)]
     lock = threading.Lock()
     with _one_blas_thread(), ThreadPoolExecutor(1) as worker:
-        others = [worker.submit(_lane, jobs, block, todo, lock, outcomes) for block in blocks[1:]]
-        _lane(jobs, blocks[0], todo, lock, outcomes, None if others else worker)
+        others = [worker.submit(_lane, jobs, block, tasks, lock, parts, failed) for block in blocks[1:]]
+        _lane(jobs, blocks[0], tasks, lock, parts, failed)
     for lane in others:
         lane.result()
-    for value in outcomes:
-        if isinstance(value, BaseException) and not isinstance(value, ValueError):
-            raise value
-    return outcomes
+    for job_parts in parts:
+        for part in job_parts:
+            if isinstance(part, BaseException) and not isinstance(part, ValueError):
+                raise part
+    return [_merged(job_parts) for job_parts in parts]
 
 
-def _lane(jobs, block: np.ndarray, todo: Iterator[int], lock, outcomes: list, worker=None) -> None:
-    """One lane of :func:`_lanes`: run the jobs it takes from ``todo`` in
-    ``block``, and store each one's result or the error it raised. Given a
-    ``worker``, each stream draws ahead on it, into two pairs."""
-    pairs = 1 if worker is None else 2
+def _lane(jobs, block: np.ndarray, tasks: Iterator[tuple[int, int]], lock, parts: list, failed: list) -> None:
+    """One lane of :func:`_lanes`: for each ``(job, batch)`` task it takes
+    from ``tasks``, draw the batch into ``block``, run the kernel and the
+    job's step on it there, and store the step's partials, or the error it
+    raised, as ``parts[job][batch]``."""
+    shape = None
     while True:
         with lock:
-            i = next(todo, None)
-        if i is None:
+            task = next(tasks, None)
+        if task is None:
             return
+        i, k = task
         try:
-            ops, samples, seed, reduce, *args = jobs[i]
-            drawn, buffers = _carve(block, min(_BATCH, samples), ops.shape[1], len(ops), pairs)
-            batches = _draws(samples, seed, drawn)
-            overlaps = _kernel(ops, batches if worker is None else _ahead(batches, worker), buffers)
-            outcomes[i] = reduce(overlaps, *args)
+            ops, samples, seed, step, *args = jobs[i]
+            batch_shape = (min(_BATCH, samples), ops.shape[1], len(ops))
+            if batch_shape != shape:  # the views carved for the last task serve a task of its shape
+                shape = batch_shape
+                (z, r2), buffers, work = _carve(block, *shape)
+            q = _kernel(ops, *_draws(samples, seed, k, z, r2), buffers)
+            parts[i][k] = step(q, work, *args)
         except BaseException as exc:
-            outcomes[i] = exc
-            if not isinstance(exc, ValueError):  # a ValueError fails this job only
+            parts[i][k] = exc
+            if isinstance(exc, ValueError):  # fails this job only
+                failed[i] = True
+            else:
                 with lock:
-                    for _ in todo:  # no lane starts another job
+                    for _ in tasks:  # no lane takes another task
                         pass
+
+
+def _merged(parts: list):
+    """A job's result from its batches' partials, in batch order: the error
+    of the first batch that raised one, or else each tally merged over the
+    batches. A batch skipped after an error comes after that error."""
+    for part in parts:
+        if isinstance(part, BaseException):
+            return part
+    return [reduce(_Tally.merge, column) for column in zip(*parts)]
 
 
 def _herm_spectra(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -362,51 +373,80 @@ def _outer_range(m: np.ndarray, bins: int) -> tuple[float, float]:
     return lo, hi
 
 
-class _Tally:
-    """What one pass over the value batches keeps.
+def _bin(x: np.ndarray, lo: float, hi: float, bins: int, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.histogram(x, bins, (lo, hi))`` of an ``x`` inside ``[lo, hi]``,
+    bit for bit: numpy's uniform-bin index, corrected by one bin against its
+    edges as numpy corrects it, in the two scratch rows ``work``. np.histogram
+    itself takes about 0.5 MB of temporaries per batch, and two lanes binning
+    at once would add both to the peak."""
+    tmp, i = work[0, : x.size], work[1, : x.size].view(np.intp)
+    edges = np.linspace(lo, hi, bins + 1)
+    np.multiply(np.divide(np.subtract(x, lo, out=tmp), hi - lo, out=tmp), bins, out=tmp)
+    np.copyto(i, tmp, casting="unsafe")  # truncation, as astype(np.intp)
+    np.minimum(i, bins - 1, out=i)
+    i -= x < np.take(edges, i, out=tmp)
+    i += (x >= np.take(edges[1:], i, out=tmp)) & (i != bins - 1)
+    return np.bincount(i, minlength=bins), edges
 
-    Moments: each batch's two-pass ``(count, mean, M2)`` is merged into the
-    running one by the pairwise update of Chan, Golub & LeVeque (Amer. Stat.
-    37, 1983). They are taken on ``x / 2^e``, with ``2^e`` fixed by the first
-    batch's largest magnitude, so squared deviations neither overflow nor
-    underflow where ``x`` is near the ends of the float range; a power-of-two
+
+class _Tally:
+    """What a pass over value batches keeps: the count, the mean and M2 (the
+    sum of squared deviations) of ``x / 2^exponent``, and bin counts when
+    binned.
+
+    One batch gives a :meth:`partial`, whose two-pass moments are taken at
+    the power-of-two scale of the batch's largest magnitude, so squared
+    deviations neither overflow nor underflow where ``x`` is near the ends
+    of the float range. :meth:`merge` takes the next batch's partial by the
+    pairwise update of Chan, Golub & LeVeque (Amer. Stat. 37, 1983), after
+    rescaling it exactly, by a power of two, to the first batch's scale; a
+    stream's partials merged in batch order are its tally. A power-of-two
     scale is exact, so the estimate is the same bits as unscaled wherever
-    that does not happen.
-    Histogram (when ``bins`` is given, over ``value_range``): a value beyond
-    its :data:`EDGE_SLACK` raises ``ValueError``; the rest are clipped and counted.
+    nothing under- or overflows.
     """
 
-    def __init__(self, bins: int, value_range: tuple[float, float] | None):
-        self.count, self.mean, self.m2 = 0, 0.0, 0.0
-        self.exponent = None  # of the moments' scale 2^e
-        self.bins, self.range = bins, value_range
-        self.counts, self.edges = np.zeros(bins, dtype=np.intp), None
-        self.work = np.empty(0)
+    def __init__(self, count: int, mean: float, m2: float, exponent: int, counts=None, edges=None):
+        self.count, self.mean, self.m2 = count, mean, m2
+        self.exponent = exponent  # of the moments' scale 2^e
+        self.counts, self.edges = counts, edges
 
-    def add(self, x: np.ndarray) -> None:
-        """Take one batch; values outside the range are clipped in place."""
-        if self.work.size < x.size:
-            self.work = np.empty(x.size)
-        tmp = self.work[: x.size]
-        count = self.count + x.size
-        # The moments come first, so the estimate never sees the clip.
-        if self.exponent is None:  # of the largest magnitude: x.max() where x >= 0
-            self.exponent = _pow2_exponent(float(max(x.max(), -x.min())))
-        np.multiply(x, ldexp(1.0, -self.exponent), out=tmp)
+    @classmethod
+    def partial(cls, x: np.ndarray, low: float, high: float, work: np.ndarray, bins: int = 0, value_range=None):
+        """The tally of one batch ``x``, whose least and largest values are
+        ``low`` and ``high``, with ``work`` two scratch rows of at least
+        ``x.size`` floats. Binned when ``bins`` is given, over ``value_range``: a value
+        beyond its :data:`EDGE_SLACK` raises ``ValueError``, and the rest are
+        clipped in place and counted. The moments come first, so the
+        estimate never sees the clip."""
+        exponent = _pow2_exponent(max(high, -low))  # of the largest magnitude
+        tmp = work[0, : x.size]
+        np.multiply(x, ldexp(1.0, -exponent), out=tmp)
         mean = float(tmp.mean())
-        np.square(np.subtract(tmp, mean, out=tmp), out=tmp)
-        delta = mean - self.mean
-        self.mean += delta * (x.size / count)
-        self.m2 += float(tmp.sum()) + delta * delta * (self.count * x.size / count)
-        if self.bins:
-            lo, hi = self.range
+        m2 = float(np.square(np.subtract(tmp, mean, out=tmp), out=tmp).sum())
+        counts = edges = None
+        if bins:
+            lo, hi = value_range
             slack = EDGE_SLACK * max(abs(lo), abs(hi))
-            low, high = float(x.min()), float(x.max())
             if low < lo - slack or high > hi + slack:
                 raise ValueError(f"sampled f in [{low!r}, {high!r}] leaves the histogram range [{lo!r}, {hi!r}]")
-            counts, self.edges = np.histogram(np.clip(x, lo, hi, out=x), self.bins, self.range)
-            self.counts += counts
-        self.count = count
+            counts, edges = _bin(np.clip(x, lo, hi, out=x), lo, hi, bins, work)
+        return cls(x.size, mean, m2, exponent, counts, edges)
+
+    def merge(self, later: _Tally) -> _Tally:
+        """This tally followed by the values of ``later``."""
+        shift = later.exponent - self.exponent
+        mean, m2 = ldexp(later.mean, shift), ldexp(later.m2, 2 * shift)
+        count = self.count + later.count
+        delta = mean - self.mean
+        counts = None if self.counts is None else self.counts + later.counts
+        return _Tally(
+            count,
+            self.mean + delta * (later.count / count),
+            self.m2 + (m2 + delta * delta * (self.count * later.count / count)),
+            self.exponent,
+            counts,
+            self.edges,
+        )
 
     def estimate(self, seed: int) -> McEstimate:
         scale = ldexp(1.0, self.exponent)
@@ -417,39 +457,34 @@ class _Tally:
         return Histogram(self.edges, self.counts, self.count, seed)
 
 
-def _fold(overlaps, orders, bins: int = 0, value_range=None):
-    """The one sampling loop: each row of every batch of ``overlaps`` gives
-    f, squared further for each higher order of the ascending tuple
-    ``orders``; every (row, order) pair is checked and has its own tally,
-    binned when ``bins`` is given (binning clips f in place, so a binned
-    fold takes one order). The result is the list of tallies, row by
-    row, each row's orders in turn.
+def _fold(q: np.ndarray, work: np.ndarray, orders, bins: int = 0, value_range=None) -> list:
+    """The one sampling step, for one batch: each row of the overlaps ``q``
+    gives f, squared further for each higher order of the ascending tuple
+    ``orders``; every (row, order) pair is checked and has its own partial
+    tally, binned when ``bins`` is given (binning clips f in place, so a
+    binned fold takes one order). The result is the list of partials, row
+    by row, each row's orders in turn.
 
-    A tally sees the same values, in the same order, as on a stream of its
-    row alone, so it keeps that stream's bits: several maps and orders can
-    share one draw of the states (common random numbers), and each estimate
-    is still ``mc_moment``'s for its own map, order and seed.
+    Merged over a stream's batches, a row's tally sees the same values, in
+    the same order, as on a stream of its row alone, so it keeps that
+    stream's bits: several maps and orders can share one draw of the states
+    (common random numbers), and each estimate is still ``mc_moment``'s for
+    its own map, order and seed.
     """
-    tallies = []
-    for q in overlaps:
-        if not tallies:  # the tallies add in turn, so one scratch, sized by the first batch, serves all
-            tallies = [_Tally(bins, value_range) for _ in range(len(q) * len(orders))]
-            work = np.empty(q.shape[1])
-            for tally in tallies:
-                tally.work = work
-        for i, f in enumerate(q):
-            done = 0
-            for j, order in enumerate(orders):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for _ in range(order - done):
-                        np.square(f, out=f)
-                done = order
-                if not np.isfinite(f.max()):  # max propagates NaN
-                    raise ValueError("sampled fidelity overflows: the map's entries are too large")
-                tallies[i * len(orders) + j].add(f)
-    for tally in tallies:  # a tally kept after its stream keeps no batch-sized scratch
-        tally.work = np.empty(0)
-    return tallies
+    parts = []
+    for f in q:
+        done = 0
+        for order in orders:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(order - done):
+                    np.square(f, out=f)
+            done = order
+            # Taken once, for the overflow check, the scale and the histogram range.
+            low, high = float(f.min()), float(f.max())
+            if not isfinite(high):  # max propagates NaN
+                raise ValueError("sampled fidelity overflows: the map's entries are too large")
+            parts.append(_Tally.partial(f, low, high, work, bins, value_range))
+    return parts
 
 
 def _moment_job(maps, orders: tuple, samples: int, seed: int | tuple) -> tuple:
@@ -480,7 +515,7 @@ def _sample_job(m: np.ndarray, bins: int, samples: int, seed: int | tuple) -> tu
 
 
 def _alone(job: tuple):
-    """The result of one stream job, run alone (with draw-ahead); a
+    """The result of one stream job, its batches shared by both lanes; a
     ``ValueError`` the job raised is raised here."""
     (result,) = _lanes([job])
     if isinstance(result, ValueError):

@@ -280,18 +280,24 @@ def _plan_mc_closed_form(key: tuple, samples: int):
     return jobs, _z_judge("mc_closed_form", closed, lambda *tallies: _estimates(jobs, tallies))
 
 
+def _fit_bounds(cmp: qubit_dist.HistogramComparison, false_alarm: float) -> tuple[float, float]:
+    """The bounds of a histogram fit's two tests, with half of the rate
+    ``false_alarm`` each on correct code: the upper quantile of chi2/dof
+    (Wilson-Hilferty), and the largest z in |count - expected| <= z
+    sqrt(expected) over the compared bins, two-sided and Bonferroni."""
+    alpha, h = false_alarm / 2, 2 / (9 * cmp.dof)
+    z = NormalDist().inv_cdf(1 - alpha / (2 * cmp.bins_compared))
+    return (1 - h + NormalDist().inv_cdf(1 - alpha) * math.sqrt(h)) ** 3, z
+
+
 def _plan_histogram_regeneration(key: tuple, samples: int, bins: int):
-    """Two tests with half of ``_FALSE_ALARM`` each: chi2/dof under its upper
-    quantile (Wilson-Hilferty), and |count - expected| <= z sqrt(expected) in
-    every compared bin, z two-sided and Bonferroni over the bins."""
+    """The two tests of :func:`_fit_bounds` at ``_FALSE_ALARM``."""
     dist = qubit_dist.normal_pdf(reference_spectrum())
     job = sampling._sample_job(reference_matrix(), bins, samples, (*key, 2))
 
     def judge(tallies) -> CheckResult:
         cmp = qubit_dist.compare_histogram(dist, tallies[0].histogram(job[2]))
-        alpha, h = _FALSE_ALARM / 2, 2 / (9 * cmp.dof)
-        z = NormalDist().inv_cdf(1 - alpha / (2 * cmp.bins_compared))
-        ratio_max = (1 - h + NormalDist().inv_cdf(1 - alpha) * math.sqrt(h)) ** 3
+        ratio_max, z = _fit_bounds(cmp, _FALSE_ALARM)
         ratio = cmp.chi_square / cmp.dof
         ok = ratio < ratio_max and cmp.max_pull <= z
         detail = f"chi2/dof {ratio:.3f} (bound {ratio_max:.3f}), max bin pull {cmp.max_pull:.2f} (bound {z:.2f})"
@@ -336,23 +342,21 @@ def _conditional_ops(g: GateSpec) -> np.ndarray:
     return np.stack([moments.comparison_matrix(a, g.actual, g.subspace) for a in (g.target, g.actual)])
 
 
-def _ratio_tallies(overlaps) -> list:
-    """Three tallies per gate of the conditional operators' overlaps: of f
-    (its fidelity row, squared), of the acceptance a (its acceptance row)
-    and of f - a, gate by gate. Each tally sees its values in stream order,
-    so a gate keeps its bits on a stream shared with other gates."""
-    tallies = []
-    for q in overlaps:
-        if not tallies:  # the tallies add in turn, so one scratch serves all
-            tallies = [sampling._Tally(0, None) for _ in range(3 * len(q) // 2)]
-            work = np.empty(q.shape[1])
-            for tally in tallies:
-                tally.work = work
-        for i in range(0, len(q), 2):
-            f, a = q[i] ** 2, q[i + 1]
-            for tally, x in zip(tallies[3 * i // 2 : 3 * i // 2 + 3], (f, a, f - a)):
-                tally.add(x)
-    return tallies
+def _ratio_tallies(q: np.ndarray, work: np.ndarray) -> list:
+    """Three partial tallies per gate of one batch of the conditional
+    operators' overlaps ``q``: of f (its fidelity row, squared), of the
+    acceptance a (its acceptance row) and of f - a, gate by gate. Merged
+    over the stream, each tally sees its values in stream order, so a gate
+    keeps its bits on a stream shared with other gates."""
+
+    def partial(x):
+        return sampling._Tally.partial(x, float(x.min()), float(x.max()), work)
+
+    parts = []
+    for f, a in zip(q[::2], q[1::2]):  # in place, in this order: a lane allocates nothing batch-sized
+        np.square(f, out=f)
+        parts += [partial(f), partial(a), partial(np.subtract(f, a, out=a))]
+    return parts
 
 
 def _ratio(tallies, seed) -> sampling.McEstimate:

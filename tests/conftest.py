@@ -67,15 +67,21 @@ def reference_overlap(states, a):
     return np.einsum("bj,bj->b", states.conj() @ a, states)
 
 
+def batch_rng(seed, k):
+    """The generator of batch k of the sampler's stream of ``seed``, from
+    numpy alone: SFC64 seeded by the k-th child of the seed's first
+    SeedSequence child."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed).spawn(1)[0].spawn(k + 1)[k]))
+
+
 def reference_batches(n, count, seed):
     """The ``(v, r2)`` batches of the sampler's stream of ``seed``, from numpy
-    alone: one normal draw of the seed's first SeedSequence child, cut at
+    alone: batch k is one normal draw of ``batch_rng(seed, k)`` of up to
     ``_BATCH`` rows, whose consecutive pairs (re, im) make the rows v, with
     r2 = |v|^2 summed as the sampler sums it. The sampler's redraw of a row
     too short to normalize (norm^2 <= 1e-300) is left out."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    for start in range(0, count, _BATCH):
-        z = rng.standard_normal((min(_BATCH, count - start), 2 * n))
+    for k, start in enumerate(range(0, count, _BATCH)):
+        z = batch_rng(seed, k).standard_normal((min(_BATCH, count - start), 2 * n))
         yield z.view(np.complex128), np.einsum("ij,ij->i", z, z)
 
 

@@ -36,6 +36,7 @@ from gatefid.moments import depolarizing_kraus
 from gatefid.serialize import matrix_from_obj
 from gatefid.verify import (
     _conditional_job,
+    _fit_bounds,
     _pdf_cdf_gap,
     _ratio,
     _z,
@@ -66,13 +67,18 @@ def test_criterion_01_reference_mean():
 
 
 def test_criterion_02_reference_distribution():
+    # The density gap is taken bin by bin in standard errors (the largest
+    # pull), at a false-alarm rate of 1e-3 with chi2/dof (verify's
+    # histogram_regeneration test). A sup-norm gap under 0.05 failed on 23%
+    # of seeds of correct code at 10^6 samples, so it is reported only.
     dist = normal_pdf(reference_spectrum())
     hist, _ = mc_sample(reference_matrix(), 50, 1_000_000, seed=2026)
     cmp_ = compare_histogram(dist, hist)
     ratio = cmp_.chi_square / cmp_.dof
+    ratio_max, z = _fit_bounds(cmp_, 1e-3)
     assert ratio < 1.5
-    assert cmp_.sup_norm_density_gap < 0.05
-    report(2, f"chi2/dof {ratio:.3f} < 1.5, sup-norm {cmp_.sup_norm_density_gap:.4f} < 0.05")
+    assert cmp_.max_pull <= z
+    report(2, f"chi2/dof {ratio:.3f} < 1.5, max pull {cmp_.max_pull:.2f} <= {z:.2f}, sup-norm {cmp_.sup_norm_density_gap:.4f}")
 
 
 def test_criterion_03_monomial_oracle():

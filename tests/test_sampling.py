@@ -1,8 +1,11 @@
 import inspect
+import itertools
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from math import ldexp
 
 import numpy as np
@@ -23,12 +26,16 @@ from gatefid.sampling import (
     _BATCH,
     EDGE_SLACK,
     _Tally,
+    _carve,
     _draws,
     _fold,
     _gaussian_rows,
+    _kernel,
     _lanes,
+    _merged,
     _moment_job,
     _outer_range,
+    _sample_job,
     _workspace_size,
 )
 from gatefid.verify import (
@@ -40,6 +47,7 @@ from gatefid.verify import (
 )
 from conftest import (
     assert_scale_covariant,
+    batch_rng,
     haar_states,
     random_hermitian,
     random_matrix,
@@ -64,28 +72,51 @@ SCALED = {
 }
 
 
-def collect(overlaps):
-    """Every overlap of a stream, copied out batch by batch: (k, samples)."""
-    return np.concatenate([q.copy() for q in overlaps], axis=1)
+def batches(samples):
+    return -(-samples // _BATCH)
+
+
+def one_thread(job, keep=None):
+    """A job's result from one pass over its batches on this thread, in
+    batch order: the reference the lanes must match. Given a list ``keep``,
+    a copy of each batch's overlaps is appended to it."""
+    ops, samples, seed, step, *args = job
+    ops = np.asarray(ops, dtype=np.complex128)
+    rows, n = min(_BATCH, samples), ops.shape[1]
+    (z, r2), buffers, work = _carve(np.empty(_workspace_size(rows, n, len(ops))), rows, n, len(ops))
+    parts = []
+    for k in range(batches(samples)):
+        q = _kernel(ops, *_draws(samples, seed, k, z, r2), buffers)
+        if keep is not None:
+            keep.append(q.copy())
+        try:
+            parts.append(step(q, work, *args))
+        except ValueError as exc:
+            parts.append(exc)
+            break
+    return _merged(parts)
+
+
+def overlaps(ops, samples, seed):
+    """Every overlap of a stream, batch by batch on this thread: (k, samples)."""
+    kept = []
+    one_thread((ops, samples, seed, lambda q, work: []), kept)
+    return np.concatenate(kept, axis=1)
 
 
 def fidelities(m, samples, seed):
-    """Every sampled f of one stream, run alone, in draw order."""
-    ((q,),) = _lanes([(np.asarray(m)[None], samples, seed, collect)])
-    return q**2
+    """Every sampled f of one stream, in draw order."""
+    return overlaps(np.asarray(m)[None], samples, seed)[0] ** 2
 
 
-def child_rng(seed):
-    """The generator the stream of ``seed`` draws from."""
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+def tally(batches, bins=0, value_range=None):
+    """The partials of ``batches`` merged in order, as a stream's tally."""
+    parts = [_Tally.partial(x, float(x.min()), float(x.max()), np.empty((2, x.size)), bins, value_range) for x in batches]
+    return reduce(_Tally.merge, parts)
 
 
 def tally_histogram(batches, bins, value_range):
-    batches = list(batches)
-    tally = _Tally(bins, value_range)
-    for x in batches:
-        tally.add(x)
-    return tally.histogram(seed=0)
+    return tally(batches, bins, value_range).histogram(seed=0)
 
 
 class TestSampleState:
@@ -132,34 +163,40 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def drawn_batches(n, samples, seed):
+def drawn_batches(n, samples, seed, order=None):
     """Copies of the ``(v, r2)`` batches that ``sampling._draws`` draws for
-    the stream of ``seed`` into two alternating pairs, as a job run alone
-    does."""
+    the stream of ``seed``, in batch order, each drawn into the same pair
+    in the order ``order`` (batch order if not given)."""
     rows = min(_BATCH, samples)
-    pairs = [(np.empty((rows, 2 * n)), np.empty(rows)) for _ in range(2)]
-    return [(v.copy(), r2.copy()) for v, r2 in _draws(samples, seed, pairs)]
+    z, r2 = np.empty((rows, 2 * n)), np.empty(rows)
+    got = {}
+    for k in order or range(batches(samples)):
+        v, norms = _draws(samples, seed, k, z, r2)
+        got[k] = v.copy(), norms.copy()
+    return [got[k] for k in sorted(got)]
 
 
-def assert_reference_stream(n, samples, seed):
+def assert_reference_stream(n, samples, seed, order=None):
     """The stream's batches are the reference stream's, bit for bit, and
-    its states the normalized rows of one normal draw."""
-    got = drawn_batches(n, samples, seed)
+    each batch's states the normalized rows of one normal draw of its own
+    generator."""
+    got = drawn_batches(n, samples, seed, order)
     want = list(reference_batches(n, samples, seed))
-    assert len(got) == len(want) == -(-samples // _BATCH)
-    for (v, r2), (want_v, want_r2) in zip(got, want):
+    assert len(got) == len(want) == batches(samples)
+    for k, ((v, r2), (want_v, want_r2)) in enumerate(zip(got, want)):
         assert np.array_equal(bits(v), bits(want_v)) and np.array_equal(bits(r2), bits(want_r2))
-    states = np.concatenate([v / np.linalg.norm(v, axis=1, keepdims=True) for v, _ in got])
-    assert np.array_equal(bits(states), bits(reference_states(n, samples, child_rng(seed))))
+        states = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.array_equal(bits(states), bits(reference_states(n, len(v), batch_rng(seed, k))))
 
 
 class TestSeedToStateMap:
     # Pins the map from a seed to its states bit for bit: a faster kernel
-    # must not change which states a seed draws. The states are the rows
-    # of one normal draw from the seed's first SeedSequence child, built in
-    # the tests from numpy alone, so both sides follow the installed numpy
-    # (2.4.6 when written): NEP 19 does not pin a Generator's streams across
-    # numpy versions, so a seed's states may move with numpy.
+    # must not change which states a seed draws. Batch k of a stream is one
+    # normal draw of SFC64 seeded by the k-th child of the seed's first
+    # SeedSequence child, built in the tests from numpy alone, so both sides
+    # follow the installed numpy (2.4.6 when written): NEP 19 does not pin a
+    # Generator's streams across numpy versions, so a seed's states may move
+    # with numpy.
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("seed", [0, 42])
     def test_sample_states_bitwise(self, n, seed):
@@ -168,31 +205,47 @@ class TestSeedToStateMap:
 
     @pytest.mark.parametrize("full_batches", [1, 3])
     def test_state_batches_bitwise(self, full_batches):
-        # The stream continues across batch cuts as one draw.
+        # Each batch has its own generator across the batch cuts, the last
+        # batch cut short.
         assert_reference_stream(2, full_batches * _BATCH + 5, 7)
+
+    def test_a_batch_draws_the_same_rows_in_any_order(self):
+        # No batch depends on the batches drawn before it, so a lane may
+        # take any of them; a tuple seed (verify's) follows the same rule.
+        assert_reference_stream(3, 3 * _BATCH + 5, (7, 5, 3), order=[3, 1, 0, 2])
 
 
 class TestWorkerThread:
-    # A run of stream jobs has one worker thread; a job run alone draws its
-    # next batch on it. An empty run starts none, and no worker outlives its
-    # run, however the run ends.
+    # A run of stream jobs has one worker thread, and the caller's thread and
+    # the worker share even a lone job's batches. An empty run starts none,
+    # and no worker outlives its run, however the run ends.
     def test_full_stream(self, monkeypatch):
-        gaussian_rows, drawn_on = sampling._gaussian_rows, set()
+        # The first batch drawn waits until a second thread draws one too, so
+        # this passes only if both lanes draw batches of the one stream.
+        gaussian_rows, drawn_on, second = sampling._gaussian_rows, [], threading.Event()
 
         def recording(rng, z, r2):
-            drawn_on.add(threading.get_ident())
+            drawn_on.append(threading.get_ident())
+            if len(set(drawn_on)) > 1:
+                second.set()
+            elif len(drawn_on) == 1:
+                second.wait(timeout=30)
             return gaussian_rows(rng, z, r2)
 
         monkeypatch.setattr(sampling, "_gaussian_rows", recording)
         before = threading.active_count()
-        (q,) = _lanes([(np.eye(2)[None], 3 * _BATCH + 5, 1, collect)])
-        assert q.shape == (1, 3 * _BATCH + 5)
+        job = (np.eye(2)[None], 3 * _BATCH + 5, 1, _fold, (1,))
+        ((got,),) = _lanes([job])
+        assert got.count == 3 * _BATCH + 5
         assert threading.active_count() == before
-        assert len(drawn_on) == 1 and threading.get_ident() not in drawn_on
+        assert second.is_set() and len(drawn_on) == 4 and len(set(drawn_on)) == 2
+        monkeypatch.undo()
+        assert result_bits([[got]]) == result_bits([one_thread(job)])
 
     def test_consumer_raises_while_the_next_batch_is_drawn(self):
-        # f = 1e400 overflows on the first batch, while the worker draws the
-        # second: the error is the job's result, and mc_moment raises it.
+        # f = 1e400 overflows on every batch, while the other lane draws the
+        # next: the first batch's error is the job's result, and mc_moment
+        # raises it.
         before = threading.active_count()
         (got,) = _lanes([(1e200 * np.eye(2)[None], 3 * _BATCH, 0, _fold, (1,))])
         assert isinstance(got, ValueError) and "overflows" in str(got)
@@ -207,56 +260,58 @@ class TestWorkerThread:
 
 
 def tally_bits(tally):
-    return tally.count, tally.mean, tally.m2, tally.exponent
+    counts = None if tally.counts is None else tally.counts.tolist()
+    return tally.count, tally.mean, tally.m2, tally.exponent, counts
 
 
 def one_after_another(jobs):
-    """Each job run alone, drawing ahead, in job order."""
+    """Each job run alone, in job order."""
     return [_lanes([job])[0] for job in jobs]
 
 
 def lane_jobs(count):
-    """``count`` jobs over n = 2..5: overlap copies, orders 1 and 2 of the
-    tally, and a two-operator conditional job, at stream lengths from under
-    one batch to over two."""
+    """``count`` jobs over n = 2..5: orders 1 and 2 of the tally, both orders
+    of two maps, a two-operator conditional job and a binned job, at stream
+    lengths from under one batch to over two."""
     rng = np.random.default_rng(20)
     kinds = [
-        lambda m: (m[None], collect),
-        lambda m: (m[None], _fold, (1,)),
-        lambda m: (m[None], _fold, (2,)),
-        lambda m: (_conditional_ops(_leaky_gate(0.5)), _ratio_tallies),
+        lambda m, samples, seed: (m[None], samples, seed, _fold, (1,)),
+        lambda m, samples, seed: (m[None], samples, seed, _fold, (2,)),
+        lambda m, samples, seed: (np.stack([m, m.T]), samples, seed, _fold, (1, 2)),
+        lambda m, samples, seed: (_conditional_ops(_leaky_gate(0.5)), samples, seed, _ratio_tallies),
+        lambda m, samples, seed: _sample_job(m, 30, samples, seed),
     ]
     jobs = []
     for i in range(count):
         n, samples = 2 + i % 4, (150, _BATCH + 7, 2 * _BATCH + 2000)[i % 3]
-        ops, reduce, *args = kinds[i % 4](random_matrix(rng, n))
-        jobs.append((ops, samples, 100 + i, reduce, *args))
+        jobs.append(kinds[i % 5](random_matrix(rng, n), samples, 100 + i))
     return jobs
 
 
 def result_bits(results):
-    """The bits of each result: a tally, an array or a float, or a list or
-    tuple of them."""
+    """The bits of each result: a tally or an error, or a list of them."""
 
     def of(r):
         if isinstance(r, _Tally):
             return tally_bits(r)
-        if isinstance(r, (list, tuple)):
+        if isinstance(r, list):
             return [of(x) for x in r]
-        return np.shape(r), bits(np.asarray(r)).tolist()
+        return type(r), str(r)
 
     return [of(r) for r in results]
 
 
 class TestLanes:
-    # The runner runs two or more jobs two at a time, and a job alone with
-    # draw-ahead: each job keeps the same bits either way, the results come
-    # in job order, and no thread or workspace outlives a run.
+    # The runner splits every job into its batches and runs them two at a
+    # time: each job's result is the bits of a one-thread pass over its
+    # batches, whichever jobs run beside it, the results come in job order,
+    # and no thread or workspace outlives a run.
     @pytest.mark.parametrize("count", [0, 1, 3, 20])
     def test_bits_of_the_lone_streams(self, count):
         jobs = lane_jobs(count)
         assert {len(j[0][0]) for j in jobs} <= {2, 3, 4, 5}
-        assert result_bits(_lanes(jobs)) == result_bits(one_after_another(jobs))
+        want = result_bits([one_thread(job) for job in jobs])
+        assert result_bits(_lanes(jobs)) == result_bits(one_after_another(jobs)) == want
 
     def test_moment_jobs_are_mc_moment(self):
         rng = np.random.default_rng(5)
@@ -265,28 +320,54 @@ class TestLanes:
         assert [t.estimate(s[-1]) for (t,), s in zip(tallies, streams)] == [mc_moment(*s) for s in streams]
 
     def test_each_reduction_alone_and_among_others(self):
-        # Alone, a job draws ahead into two pairs; among other jobs, a lane
-        # draws it inline into one. Each reduction keeps its bits either way.
+        # Alone, a job's batches are shared by both lanes; among other jobs,
+        # they may all run on one. Each step keeps its bits either way.
         rng = np.random.default_rng(21)
         samples = 2 * _BATCH + 2000
         jobs = [
             _moment_job([random_matrix(rng, 3) for _ in range(2)], (1, 2), samples, 1),
             _conditional_job([_leaky_gate(alpha) for alpha in (0.0, 0.5, 1.0)], samples, 2),
             *_plan_sa_decomposition((3, 0), samples)[0],
+            _sample_job(REFERENCE, 40, samples, 4),
         ]
-        assert [job[3] for job in jobs] == [_fold, _ratio_tallies, _fold]
-        among = _lanes(jobs + lane_jobs(4))[:3]
+        assert [job[3] for job in jobs] == [_fold, _ratio_tallies, _fold, _fold]
+        among = _lanes(jobs + lane_jobs(4))[:4]
         assert result_bits(among) == result_bits(one_after_another(jobs))
+
+    def test_tallies_do_not_follow_lane_timing(self, monkeypatch):
+        # The worker lane sleeps before every other batch it draws, so the
+        # caller's lane runs ahead of it and the batches of a job finish out
+        # of order. Every job's tallies are still the bits of an undelayed
+        # run and of a one-thread pass over its batches.
+        jobs = lane_jobs(7) + [_sample_job(REFERENCE, 50, 5 * _BATCH + 3, 8)]
+        want = result_bits([one_thread(job) for job in jobs])
+        assert result_bits(_lanes(jobs)) == want
+        gaussian_rows, calls, caller = sampling._gaussian_rows, itertools.count(), threading.get_ident()
+        finished = []
+
+        def delayed(rng, z, r2):
+            if threading.get_ident() != caller and next(calls) % 2 == 0:
+                time.sleep(0.01)
+            out = gaussian_rows(rng, z, r2)
+            finished.append(rng.bit_generator.seed_seq.spawn_key)
+            return out
+
+        monkeypatch.setattr(sampling, "_gaussian_rows", delayed)
+        got = _lanes(jobs)
+        monkeypatch.undo()
+        assert next(calls) > 1  # the worker drew at least two batches
+        assert result_bits(got) == want
+        assert sorted(finished) == sorted((0, k) for _, samples, *_ in jobs for k in range(batches(samples)))
 
     def test_longest_jobs_start_first(self, monkeypatch):
         # Jobs listed from the cheapest to the costliest, by samples * (2n + k):
-        # each lane starts its jobs in non-increasing cost (the seeds a lane
-        # hands _draws are its jobs' ranks, in the order it took them), and
-        # the results still come back in job order with the lone streams' bits.
+        # each lane takes its tasks in non-increasing job cost, and each job's
+        # batches in order (the seed a lane hands _draws is its job's rank),
+        # and the results still come back in job order with the one-thread bits.
         rng = np.random.default_rng(9)
         jobs = [
             (random_matrix(rng, n)[None], samples, 0, _fold, (2,))
-            for samples in (200, 900, 3000)
+            for samples in (200, 900, 3 * _BATCH)
             for n in (2, 3, 4, 5)
         ]
         jobs.append((_conditional_ops(_leaky_gate(0.5)), 4000, 0, _ratio_tallies))
@@ -294,36 +375,37 @@ class TestLanes:
         assert cost != sorted(cost, reverse=True)
         rank = sorted(range(len(jobs)), key=lambda i: (-cost[i], i))
         jobs = [(ops, samples, rank.index(i), *rest) for i, (ops, samples, _, *rest) in enumerate(jobs)]
-        started = {}
+        taken = {}
         draws = sampling._draws
 
-        def recording(samples, seed, pairs):
-            started.setdefault(threading.get_ident(), []).append(seed)
-            return draws(samples, seed, pairs)
+        def recording(samples, seed, k, z, r2):
+            taken.setdefault(threading.get_ident(), []).append((seed, k))
+            return draws(samples, seed, k, z, r2)
 
         monkeypatch.setattr(sampling, "_draws", recording)
         got = _lanes(jobs)
         monkeypatch.undo()
-        assert sorted(seed for seeds in started.values() for seed in seeds) == list(range(len(jobs)))
-        assert all(seeds == sorted(seeds) for seeds in started.values())
-        assert result_bits(got) == result_bits(one_after_another(jobs))
+        tasks = sorted(task for lane in taken.values() for task in lane)
+        assert tasks == [(rank.index(i), k) for i in rank for k in range(batches(jobs[i][1]))]
+        assert all(lane == sorted(lane) for lane in taken.values())
+        assert result_bits(got) == result_bits([one_thread(job) for job in jobs])
 
     def test_two_runs_at_once_with_fast_thread_switches(self):
         # Four lanes on two cores, switching threads every microsecond: each
         # job runs once and keeps the bits it has when run alone.
         ran = []
 
-        def counted(overlaps, i):
+        def counted(q, work, i):
             ran.append(i)
-            return tally_bits(_fold(overlaps, (1,))[0])
+            return _fold(q, work, (1,))
 
         jobs = [(np.diag([1.0, 0.5 + i / 200])[None], 100 + i, i, counted, i) for i in range(120)]
-        want = one_after_another(jobs)
+        want = result_bits(one_after_another(jobs))
         ran.clear()
         got = [None, None]
 
         def run(half):
-            got[half] = _lanes(jobs[half::2])
+            got[half] = result_bits(_lanes(jobs[half::2]))
 
         threads = [threading.Thread(target=run, args=(half,)) for half in (0, 1)]
         interval = sys.getswitchinterval()
@@ -356,13 +438,32 @@ class TestLanes:
         others = jobs[:1] + jobs[2:]
         assert result_bits(got[:1] + got[2:]) == result_bits(one_after_another(others))
 
+    def test_a_failed_job_skips_its_later_batches(self):
+        # Every batch of a 20-batch stream raises, on whichever lane takes
+        # it: the job's result is batch 0's error, and once it is stored no
+        # lane starts another batch of that job. At most the one batch the
+        # other lane has already taken runs after it.
+        started = []
+
+        def raising(q, work, i):
+            started.append(i)
+            raise ValueError(f"first overlap {q[0, 0]!r}")
+
+        m = random_matrix(np.random.default_rng(3), 2)
+        jobs = [(m[None], 19 * _BATCH + 7, 0, raising, 0), (m[None], 300, 1, _fold, (1,))]
+        got = _lanes(jobs)
+        assert 1 <= len(started) <= 2
+        want = one_thread(jobs[0])
+        assert isinstance(want, ValueError) and str(got[0]) == str(want)
+        assert result_bits(got[1:]) == result_bits([one_thread(jobs[1])])
+
     def test_any_other_error_escapes(self):
         # An error that is not a ValueError is a fault, not a result: it is
         # raised once both lanes have stopped.
-        def broken(overlaps, i):
+        def broken(q, work, i):
             if i == 1:
                 raise RuntimeError("broken reduction")
-            return _fold(overlaps, (1,))
+            return _fold(q, work, (1,))
 
         jobs = [(np.eye(2)[None], 200 - i, i, broken, i) for i in range(6)]
         before = threading.active_count()
@@ -379,16 +480,16 @@ class TestLanes:
     def test_workspaces_are_the_only_large_blocks(self):
         # Allocated by the caller and reused: every block of 1 MB or more
         # that a 20-job run holds comes from the runner's workspace line, and
-        # there are two of them. Each job snapshots the heap when its stream
+        # there are two of them. Each batch snapshots the heap when its step
         # is done, and the run's peak is the workspaces and a little more.
         source, first = inspect.getsourcelines(_lanes)
         line = first + next(i for i, text in enumerate(source) if "np.empty(" in text)
         snapshots = []
 
-        def fold_then_snapshot(overlaps, orders):
-            tallies = _fold(overlaps, orders)
+        def fold_then_snapshot(q, work, orders):
+            parts = _fold(q, work, orders)
             snapshots.append(tracemalloc.take_snapshot())
-            return tallies
+            return parts
 
         rng = np.random.default_rng(6)
         jobs = [
@@ -408,8 +509,8 @@ class TestLanes:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        workspace = _workspace_size(_BATCH, 5, 1, 1) * 8
-        assert len(snapshots) == 20
+        workspace = _workspace_size(_BATCH, 5, 1) * 8
+        assert len(snapshots) == 40
         for snapshot in snapshots:
             large = [t for t in snapshot.traces if t.size >= 1 << 20]
             where = {(t.traceback[0].filename, t.traceback[0].lineno) for t in large}
@@ -432,26 +533,33 @@ def blas_threads():
     put(old)
 
 
-def blas_counts(get):
-    """A stream job's reduction: ``get()`` at each batch."""
-    return lambda overlaps: [get() for _ in overlaps]
+def blas_counts(get, seen):
+    """A stream job's step that appends ``get()`` to ``seen`` at each batch
+    and keeps no tally."""
+
+    def step(q, work):
+        seen.append(get())
+        return []
+
+    return step
 
 
 class TestBlasCap:
     # While a run of stream jobs is open, OpenBLAS keeps to one thread;
     # after it, the count is what it was, however the run ended.
     def test_full_stream(self, blas_threads):
-        (seen,) = _lanes([(np.eye(2)[None], 3 * _BATCH + 5, 1, blas_counts(blas_threads))])
+        seen = []
+        _lanes([(np.eye(2)[None], 3 * _BATCH + 5, 1, blas_counts(blas_threads, seen))])
         assert seen == [1] * 4 and blas_threads() == 2
 
     def test_lane_runs_and_raising_jobs(self, blas_threads):
         seen = []
 
-        def fold(overlaps, order):
+        def fold(q, work, order):
             seen.append(blas_threads())
             if order == 3:
                 raise RuntimeError("broken reduction")
-            return _fold(overlaps, (order,))
+            return _fold(q, work, (order,))
 
         jobs = [(np.eye(2)[None], 300, i, fold, 1) for i in range(3)]
         _lanes(jobs)
@@ -470,37 +578,40 @@ class TestBlasCap:
             assert blas_threads() == 1
         assert blas_threads() == 2
 
-        # A run opened inside another finds the count at one and leaves it
-        # to the outer run.
-        def inner_run(overlaps):
-            seen = _lanes([(np.eye(2)[None], 300, 2, blas_counts(blas_threads))])[0]
-            return seen + blas_counts(blas_threads)(overlaps)
+        # A run opened inside another, on either lane, finds the count at one
+        # and leaves it to the outer run.
+        seen = []
 
-        assert _lanes([(np.eye(2)[None], 2 * _BATCH, 1, inner_run)]) == [[1, 1, 1]]
-        assert blas_threads() == 2
+        def inner_run(q, work):
+            inner = []
+            _lanes([(np.eye(2)[None], 300, 2, blas_counts(blas_threads, inner))])
+            seen.append((inner, blas_threads()))
+            return []
+
+        assert _lanes([(np.eye(2)[None], 2 * _BATCH, 1, inner_run)]) == [[]]
+        assert seen == [([1], 1), ([1], 1)] and blas_threads() == 2
 
     def test_no_symbols_no_cap(self, blas_threads, monkeypatch):
         capped = mc_moment(REFERENCE, 2, 3000, 1)
         monkeypatch.setattr(sampling, "_blas_threads", lambda: None)
-        (seen,) = _lanes([(np.eye(2)[None], 2 * _BATCH, 1, blas_counts(blas_threads))])
+        seen = []
+        _lanes([(np.eye(2)[None], 2 * _BATCH, 1, blas_counts(blas_threads, seen))])
         assert seen == [2, 2] and blas_threads() == 2
         assert mc_moment(REFERENCE, 2, 3000, 1) == capped
 
 
 class ZeroRowRng:
-    """A generator whose batch draw number ``batch`` (from 0) has an all-zero
-    row ``row``, and whose next ``zero_redraws`` one-row draws are zero too."""
+    """A generator whose first batch draw has an all-zero row ``row``, and
+    whose next ``zero_redraws`` one-row draws are zero too."""
 
-    def __init__(self, rng, row, zero_redraws=0, batch=0):
-        self.rng, self.row, self.zero_redraws, self.batch = rng, row, zero_redraws, batch
+    def __init__(self, rng, row, zero_redraws=0):
+        self.rng, self.row, self.zero_redraws = rng, row, zero_redraws
 
     def standard_normal(self, size=None, out=None):
         z = self.rng.standard_normal(size, out=out)
         if self.row is not None and np.ndim(z) == 2:
-            if self.batch == 0:
-                z[self.row] = 0.0
-                self.row = None
-            self.batch -= 1
+            z[self.row] = 0.0
+            self.row = None
         elif np.ndim(z) == 1 and self.zero_redraws:
             z[:] = 0.0
             self.zero_redraws -= 1
@@ -516,12 +627,12 @@ class TestFidelityKernel:
         m = random_matrix(np.random.default_rng(n), n, scale=2.0)
         samples = _BATCH + 7
         got = fidelities(m, samples, seed)
-        states = reference_states(n, samples, child_rng(seed))
+        states = haar_states(n, samples, seed)
         want = np.abs(reference_overlap(states, m)) ** 2
         assert np.abs(got - want).max() <= 1e-14 * want.max()
 
     # The zero row sits in the last batch: the only one of a one-batch
-    # stream, or the second, which is drawn into the second buffer.
+    # stream, or the second, which has a generator of its own.
     @pytest.mark.parametrize(
         "n,batch",
         [
@@ -536,25 +647,29 @@ class TestFidelityKernel:
         count, at = batch * _BATCH + 1000, batch * _BATCH + row
         m = random_matrix(np.random.default_rng(0), n)
         # Row ``row`` of that batch and its first redraw are zero; the row is
-        # then the second 2n normals drawn after the batch.
-        rng = child_rng(seed)
-        z = rng.standard_normal((count, 2 * n))
+        # then the second 2n normals the batch's generator draws after it.
+        rng = batch_rng(seed, batch)
+        z = rng.standard_normal((1000, 2 * n))
         rng.standard_normal(2 * n)
-        z[at] = rng.standard_normal(2 * n)
-        zero_row = ZeroRowRng(child_rng(seed), at, zero_redraws=1)
-        v, r2 = _gaussian_rows(zero_row, np.empty((count, 2 * n)), np.empty(count))
+        z[row] = rng.standard_normal(2 * n)
+        zero_row = ZeroRowRng(batch_rng(seed, batch), row, zero_redraws=1)
+        v, r2 = _gaussian_rows(zero_row, np.empty((1000, 2 * n)), np.empty(1000))
         assert np.array_equal(bits(v), bits(z.view(np.complex128)))
-        assert r2[at] == z[at] @ z[at]
+        assert r2[row] == z[row] @ z[row]
 
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(
-            np.random,
-            "default_rng",
-            lambda s: ZeroRowRng(default_rng(s), row, zero_redraws=1, batch=batch),
-        )
+        generator = np.random.Generator
+
+        def zero_row_in_batch(bit_generator):
+            rng = generator(bit_generator)
+            if bit_generator.seed_seq.spawn_key == (0, batch):
+                return ZeroRowRng(rng, row, zero_redraws=1)
+            return rng
+
+        monkeypatch.setattr(np.random, "Generator", zero_row_in_batch)
         f = fidelities(m, count, seed)
         monkeypatch.undo()
-        v = z.view(np.complex128)
+        before = [v for v, _ in reference_batches(n, batch * _BATCH, seed)]
+        v = np.concatenate(before + [z.view(np.complex128)])
         want = np.abs(reference_overlap(v / np.linalg.norm(v, axis=1, keepdims=True), m)) ** 2
         assert abs(f[at] - want[at]) <= 1e-14 * want.max()
         assert np.abs(f - want).max() <= 1e-14 * want.max()
@@ -585,9 +700,9 @@ class TestExpectation:
             ]
         )
         samples, seed = _BATCH + 200, n
-        (got,) = _lanes([(ops, samples, seed, collect)])
+        got = overlaps(ops, samples, seed)
         assert got.shape == (3, samples)
-        states = reference_states(n, samples, child_rng(seed))
+        states = haar_states(n, samples, seed)
         for a, q in zip(ops, got):
             want = np.zeros(samples, dtype=np.complex128)
             for i in range(n):
@@ -860,10 +975,9 @@ class TestStream:
         x = np.random.default_rng(3).uniform(0.2, 0.6, 1000)
         x[:10] = 0.2 - 1e-10
         want = x.copy()
-        tally = _Tally(20, (0.2, 0.6))
-        tally.add(x)
-        assert tally.histogram(seed=0).counts.sum() == x.size
-        est = tally.estimate(seed=0)
+        binned = tally([x], 20, (0.2, 0.6))
+        assert binned.histogram(seed=0).counts.sum() == x.size
+        est = binned.estimate(seed=0)
         assert est.mean == want.mean()
         assert est.std_error == want.std(ddof=1) / np.sqrt(want.size)
 
@@ -873,12 +987,24 @@ class TestStream:
         # -x, -1, would overflow the squares of its deviations.
         x = np.random.default_rng(6).uniform(0.5, 1.0, 1000) * 2.0**1020
         x[0] = 1.0
-        tallies = [_Tally(0, None) for _ in range(2)]
-        tallies[0].add(x.copy())
-        tallies[1].add(-x)
-        plus, minus = (t.estimate(seed=0) for t in tallies)
+        plus, minus = (tally([y]).estimate(seed=0) for y in (x.copy(), -x))
         assert np.isfinite(plus.std_error) and plus.std_error > 0
         assert (minus.mean, minus.std_error) == (-plus.mean, plus.std_error)
+
+    def test_merge_rescales_each_partial_by_a_power_of_two(self):
+        # Batches whose scales lie 2^600 apart: the merge brings each partial
+        # to the first batch's scale exactly, so the merged tally follows a
+        # power-of-two scale of every batch bit for bit and matches a
+        # two-pass estimate over all the values.
+        rng = np.random.default_rng(7)
+        xs = [rng.uniform(0.5, 1.0, 500) * 2.0**e for e in (0, -300, 300, 2)]
+        merged = tally([x.copy() for x in xs])
+        assert [merged.count, merged.exponent] == [2000, 0]
+        est, x = merged.estimate(seed=0), np.concatenate(xs)
+        assert abs(est.mean - x.mean()) <= 1e-15 * x.mean()
+        assert abs(est.std_error - x.std(ddof=1) / np.sqrt(x.size)) <= 1e-14 * est.std_error
+        scaled = tally([x * 2.0**-400 for x in xs]).estimate(seed=0)
+        assert (est.mean, est.std_error) == (ldexp(scaled.mean, 400), ldexp(scaled.std_error, 400))
 
     def test_memory_flat_in_samples(self):
         # No map (the 2x2 reference, a 4x4 map, a non-normal 2x2 map) keeps

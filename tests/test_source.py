@@ -86,12 +86,11 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
     # path, mc_moment, mc_sample and verify's checks, takes overlaps from
     # its one kernel through the one runner, sampling._lanes.
     # Only sampling starts a thread, and only in _lanes, which also holds
-    # the one BLAS cap: its one worker either draws a lone job's batches
-    # ahead (_ahead over the job's _draws, called only by _lane) or runs the
-    # second lane, _lane. Both run private code that names no public gatefid
-    # function: perfbench's tracer wraps those with one span stack, which is
-    # not thread-safe. So verify builds its operators before it calls the
-    # runner, and hands it private reductions only.
+    # the one BLAS cap: its one worker runs the second lane, _lane, and only
+    # a lane draws a batch. Lanes run private code that names no public
+    # gatefid function: perfbench's tracer wraps those with one span stack,
+    # which is not thread-safe. So verify builds its operators before it
+    # calls the runner, and hands it private steps only.
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(PACKAGE.glob("*.py"))
@@ -116,23 +115,12 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
         for node in calls
         if isinstance(node.func, ast.Attribute) and node.func.attr == "submit"
     }
-    assert submitted == {"next", "_lane"}
+    assert submitted == {"_lane"}
     assert _call_sites(trees, "ThreadPoolExecutor") == ["sampling.py:_lanes"]
     assert _call_sites(trees, "_one_blas_thread") == ["sampling.py:_lanes"]
-    assert _call_sites(trees, "_ahead") == ["sampling.py:_lane"]
-    # What _lane hands _ahead is bound only to a stream's _draws.
-    (lane,) = _module_defs({"sampling.py": trees["sampling.py"]})["_lane"]
-    advanced = {
-        ast.unparse(node.args[0])
-        for node in ast.walk(lane)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_ahead"
-    }
-    bound = [
-        ast.unparse(node.value)
-        for node in ast.walk(lane)
-        if isinstance(node, ast.Assign) and {ast.unparse(t) for t in node.targets} & advanced
-    ]
-    assert bound and all(value.startswith("_draws(") for value in bound)
+    assert _call_sites(trees, "_draws") == ["sampling.py:_lane"]
+    # One schedule: no draw-ahead beside the lanes.
+    assert "_ahead" not in _names(trees["sampling.py"])
 
     # run_checks hands every Monte-Carlo job of its level to one lane run,
     # as the plans built them: one stream per check and dimension.
@@ -149,19 +137,19 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
     runs.clear()
     assert verify.run_checks("full")["passed"]
     assert [len(jobs) for jobs in runs] == [10]
-    reductions = set()
-    for ops, samples, seed, reduce, *args in runs[0]:
+    steps = set()
+    for ops, samples, seed, step, *args in runs[0]:
         assert isinstance(ops, np.ndarray) and ops.dtype == np.complex128
-        assert reduce.__module__.startswith("gatefid.") and reduce.__name__.startswith("_")
-        reductions.add(reduce.__name__)
-    assert reductions == {"_fold", "_ratio_tallies"}
+        assert step.__module__.startswith("gatefid.") and step.__name__.startswith("_")
+        steps.add(step.__name__)
+    assert steps == {"_fold", "_ratio_tallies"}
     defs = _module_defs(trees)
     public = {
         name
         for name, nodes in defs.items()
         if not name.startswith("_") and any(isinstance(node, ast.FunctionDef) for node in nodes)
     }
-    assert _reachable_names(defs, {"_draws", "_lane"} | reductions) & public == set()
+    assert _reachable_names(defs, {"_draws", "_lane"} | steps) & public == set()
 
 
 def test_one_rule_for_a_target():

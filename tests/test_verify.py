@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -50,17 +51,19 @@ def key(name, seed=QUICK_SEED):
 
 # sha256 of the report text `gatefid verify` prints, taken once check k of a
 # run at a seed drew its maps from default_rng((seed, k)) and its stream in
-# dimension n from the seed (seed, k, n), with conditional_oracle's streaming
-# ratio estimate, after the estimates were shown to equal their lone streams'
-# bit for bit. How the streams are scheduled moves no bit of a report. The
+# dimension n from the seed (seed, k, n), batch j of that stream from SFC64
+# seeded by the j-th child of the seed's first SeedSequence child, with
+# conditional_oracle's streaming ratio estimate, after the estimates were
+# shown to equal their lone streams' and a one-thread pass's bit for bit.
+# How the streams and their batches are scheduled moves no bit of a report. The
 # last digits of some details (the S/A rounding gap) follow the BLAS build's
 # arithmetic. Taken with numpy 2.4.6: NEP 19 does not pin a Generator's
 # streams across numpy versions, so another version may draw other states.
 REPORT_SHA256 = {
-    ("quick", QUICK_SEED): "508fd089087705f8c54697f9059162b4eedde3bb588e6e82ba6c519c80e03d27",
-    ("full", QUICK_SEED): "40172c2bd77ccf50b50768f42a3515a41177e25d76263afaacf1d7d7f1402498",
-    ("quick", 7): "6700f8f1c929b2194e66e022f4453dda4e464abc1ae4b0e11e6e8a0c40adae95",
-    ("full", 7): "ed6f3816cbbbed8eea2315b22105fae9b5d125bd99a9a9da42e0aa53d8e8bbce",
+    ("quick", QUICK_SEED): "93ac88e32b3d939510ef3bc674b9b143f3b26f878c591743939cd2c24c944dd8",
+    ("full", QUICK_SEED): "4f3ee464af772bcf29af26a80b0d11ef66972e3e8aba6a91baf636ee62569f96",
+    ("quick", 7): "73afcc2ae75b0f71e8c7a3bdab4d6afd459cada85950443e069d760be3f9a547",
+    ("full", 7): "376c659f82761efa68c0686555f434582457dc3a6a1a915182ab88f3c5d4479a",
 }
 
 
@@ -127,13 +130,12 @@ def hand_loop_conditional(g, samples, seed):
     means and its delta-method standard error."""
     num_op = comparison_matrix(g.target, g.actual, g.subspace)
     den_op = comparison_matrix(g.actual, g.actual, g.subspace)
-    tallies = [sampling._Tally(0, None) for _ in range(3)]
+    parts = []
     for v, r2 in reference_batches(len(g.subspace), samples, seed):
         f = (np.abs(reference_overlap(v, num_op)) / r2) ** 2
         a = reference_overlap(v, den_op).real / r2
-        for tally, x in zip(tallies, (f, a, f - a)):
-            tally.add(x)
-    f, a, d = (t.estimate(seed) for t in tallies)
+        parts.append([sampling._Tally.partial(x, x.min(), x.max(), np.empty((2, x.size))) for x in (f, a, f - a)])
+    f, a, d = (reduce(sampling._Tally.merge, column).estimate(seed) for column in zip(*parts))
     r = f.mean / a.mean
     var = (1 - r) * f.std_error**2 + r * (r - 1) * a.std_error**2 + r * d.std_error**2
     return r, math.sqrt(max(var, 0.0)) / a.mean
@@ -224,19 +226,24 @@ def test_no_stream_or_map_generator_is_shared_across_seeds(monkeypatch):
     # each stream (a plan's jobs are built as in a real run), so the judges
     # fail and the deterministic checks run as usual.
     states = []
-    default_rng = np.random.default_rng
+    default_rng, gaussian_rows = np.random.default_rng, sampling._gaussian_rows
 
     def recording(seed=None):
         rng = default_rng(seed)
         states.append(repr(rng.bit_generator.state["state"]))
         return rng
 
+    def recording_rows(rng, z, r2):
+        states.append(repr(rng.bit_generator.state["state"]))
+        return gaussian_rows(rng, z, r2)
+
     def started(jobs):
-        for _, _, seed, *_ in jobs:
-            next(sampling._draws(1, seed, [(np.empty((1, 2)), np.empty(1))]))
+        for _, _, seed, *_ in jobs:  # each stream's first batch, cut to one row
+            sampling._draws(1, seed, 0, np.empty((1, 2)), np.empty(1))
         return [ValueError("not drawn")] * len(jobs)
 
     monkeypatch.setattr(np.random, "default_rng", recording)
+    monkeypatch.setattr(sampling, "_gaussian_rows", recording_rows)
     monkeypatch.setattr(sampling, "_lanes", started)
     for seed in range(40):
         run_checks("full", seed)
@@ -278,19 +285,17 @@ def test_a_check_that_raises_is_reported_failed(monkeypatch, capsys):
     # With the sampled f of the histogram's stream scaled by 1 - 1e-4, the
     # lowest draws fall below the histogram range and the tally raises: that
     # check fails (exit 3) and the other nine still report, each with the
-    # detail of a run with no fault. The kernel the lanes use scales the rows
-    # past the first 100,000 of a stream, and only the histogram's stream of
-    # 10^6 rows is that long.
+    # detail of a run with no fault. The kernel the lanes use scales the
+    # overlaps of the reference map alone, and only the histogram's stream
+    # evaluates that map alone.
     clean = {c["name"]: c["detail"] for c in run_checks("full")["checks"]}
     kernel = sampling._kernel
 
-    def scaled(ops, batches, buffers):
-        rows = 0
-        for q in kernel(ops, batches, buffers):
-            rows += q.shape[1]
-            if rows > 100_000:
-                q *= math.sqrt(1 - 1e-4)
-            yield q
+    def scaled(ops, v, r2, buffers):
+        q = kernel(ops, v, r2, buffers)
+        if len(ops) == 1 and np.array_equal(ops[0], reference_matrix()):
+            q *= math.sqrt(1 - 1e-4)
+        return q
 
     monkeypatch.setattr(sampling, "_kernel", scaled)
     assert cli.main(["verify", "--level", "full"]) == cli.EXIT_VERIFY
@@ -368,9 +373,10 @@ def test_worst_propagates_nan():
 def test_a_nan_batch_of_the_sa_stream_raises():
     # A NaN in the second batch of the S/A stream's overlaps raises in the
     # shared fold, which fails sa_decomposition with the error's text.
-    batches = [np.full((3, 8), 0.5), np.full((3, 8), math.nan)]
+    work = np.empty((2, 8))
+    assert len(sampling._fold(np.full((3, 8), 0.5), work, (1,))) == 3
     with pytest.raises(ValueError, match="sampled fidelity overflows"):
-        sampling._fold(iter(batches), (1,))
+        sampling._fold(np.full((3, 8), math.nan), work, (1,))
 
 
 def test_rejects_unknown_level():
