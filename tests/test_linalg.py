@@ -132,6 +132,14 @@ def normal_or_zero(*values):
     return all(x == 0 or abs(x) >= tiny for z in values for x in (z.real, z.imag))
 
 
+def underflows_to_zero(zeros, values, k):
+    """Whether a real or imaginary part is 0 in ``zeros`` where the same part of
+    ``values`` is nonzero and ``2^k`` times it lies below the smallest normal
+    float: a part that rounded through the subnormal range to 0."""
+    pairs = [(a, b) for w, z in zip(zeros, values) for a, b in ((w.real, z.real), (w.imag, z.imag))]
+    return any(a == 0 and b != 0 and math.frexp(b)[1] + k <= -1022 for a, b in pairs)
+
+
 def _eigvec(m, lam):
     # Null vector of m - lam*I for a 2x2 matrix, via the larger row.
     a, b = m[0, 0] - lam, m[0, 1]
@@ -215,9 +223,9 @@ class TestEig2Normal:
         st.integers(-500, 500),
     )
     def test_power_of_two_scale_is_exact(self, parts, theta, phi, k):
-        # Exact where every nonzero part of both spectra is a normal float: a
-        # part that rounds into the subnormal range may move by one subnormal
-        # ulp (see the test below).
+        # Exact where no part of either spectrum lies in the subnormal range
+        # before rounding: a part that rounds into it, or through it to 0, may
+        # move by one subnormal ulp (see the test below).
         m = rotated_normal(complex(*parts[:2]), complex(*parts[2:]), theta, phi)
         scale = 2.0**k
         assume(np.abs(m).max() >= 2.0**-400 and np.array_equal(m * scale / scale, m))
@@ -226,15 +234,21 @@ class TestEig2Normal:
         assume(all(z / scale == w for z, w in zip(want, (s.lambda0, s.lambda1))))
         got = eig2_normal(m * scale)
         assume(normal_or_zero(s.lambda0, s.lambda1, got.lambda0, got.lambda1))
+        assume(not underflows_to_zero((s.lambda0, s.lambda1), (got.lambda0, got.lambda1), -k))
         assert (got.lambda0, got.lambda1) == want
 
     @pytest.mark.parametrize(
         "parts,theta,phi",
-        [([0, 0, 0.5, 1.11e-308], 1.0, 0.0), ([0, 0, 0, 0.398], 1.0, 2.2e-309)],
+        [
+            ([0, 0, 0.5, 1.11e-308], 1.0, 0.0),
+            ([0, 0, 0, 0.398], 1.0, 2.2e-309),
+            ([0, 0, 0.3401585640233219, 2.2250738585072014e-308], 0.0, 0.0),
+        ],
     )
     def test_power_of_two_scale_within_a_subnormal_ulp(self, parts, theta, phi):
         # Eigenvalue parts that round into the subnormal range: 2 eig2_normal(m)
-        # and eig2_normal(2 m) differ there, by at most one subnormal ulp.
+        # and eig2_normal(2 m) differ there, by at most one subnormal ulp. In
+        # the third case Im l0 of m is -2^-1075 before rounding, and reads 0.
         m = rotated_normal(complex(*parts[:2]), complex(*parts[2:]), theta, phi)
         s, got = eig2_normal(m), eig2_normal(2 * m)
         pairs = [(2 * a, b) for a, b in zip((s.lambda0, s.lambda1), (got.lambda0, got.lambda1))]
