@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import ConfigError, as_matrix, eig2_normal
-from .moments import MomentReport, _checked_target, _fourth, _mean, comparison_matrix
+from .moments import MomentReport, _checked_target, _fourth, _mean, _quiet_overflow, comparison_matrix
 from .qubit_dist import DegenerateSpectrumError, normal_pdf
 
 OBJECTIVE_KINDS = ("mean", "mean_minus_k_sigma", "min_support")
@@ -93,13 +93,13 @@ def _comparison_matrix(fam: GateFamily, params: np.ndarray) -> np.ndarray:
     return comparison_matrix(fam.target, actual, fam.subspace)
 
 
+@_quiet_overflow
 def evaluate_objective(fam: GateFamily, obj: Objective, params: Sequence[float]) -> float:
     """Objective value at a parameter vector.
 
     The moments are taken on the product of the two matrices that
-    :func:`_comparison_matrix` checked, in the caller's ``np.errstate``
-    (:func:`optimize` enters one for all its probes): a product that
-    overflows gives a non-finite trace, which the moments refuse.
+    :func:`_comparison_matrix` checked: a product that overflows gives a
+    non-finite trace, which the moments refuse.
     """
     params = np.asarray(params, dtype=float)
     m = _comparison_matrix(fam, params)
@@ -183,47 +183,46 @@ def optimize(fam: GateFamily, obj: Objective, config: OptimizeConfig) -> Optimiz
     def clamp(x: _Point) -> _Point:
         return tuple(a if v <= a else b if v >= b else v for v, a, b in zip(x, lo, hi))
 
-    with np.errstate(over="ignore", invalid="ignore"):  # once for every probe
-        verts = _initial_simplex(start, lo, hi)
-        values = [neg_objective(v) for v in verts]
-        converged = False
-        while len(trace) < max_evals:
-            # Every value is finite (see evaluate_objective), so this stable sort
-            # orders like np.argsort(kind="stable").
-            order = sorted(range(len(values)), key=values.__getitem__)
-            verts = [verts[i] for i in order]
-            values = [values[i] for i in order]
-            best, worst = verts[0], verts[-1]
-            diameter = max(abs(u - b) for v in verts[1:] for u, b in zip(v, best))
-            if diameter < config.x_tol or values[-1] - values[0] < config.f_tol:
-                converged = True
-                break
-            total = verts[0]
-            for v in verts[1:-1]:
-                total = tuple(s + u for s, u in zip(total, v))
-            centroid = tuple(s / p for s in total)
-            reflected = clamp(_step(centroid, centroid, worst, 1.0))
-            f_reflected = neg_objective(reflected)
-            if f_reflected < values[0]:
-                expanded = clamp(_step(centroid, centroid, worst, 2.0))
-                f_expanded = neg_objective(expanded)
-                if f_expanded < f_reflected:
-                    verts[-1], values[-1] = expanded, f_expanded
-                else:
-                    verts[-1], values[-1] = reflected, f_reflected
-                continue
-            if f_reflected < values[-2]:
+    verts = _initial_simplex(start, lo, hi)
+    values = [neg_objective(v) for v in verts]
+    converged = False
+    while len(trace) < max_evals:
+        # Every value is finite (see evaluate_objective), so this stable sort
+        # orders like np.argsort(kind="stable").
+        order = sorted(range(len(values)), key=values.__getitem__)
+        verts = [verts[i] for i in order]
+        values = [values[i] for i in order]
+        best, worst = verts[0], verts[-1]
+        diameter = max(abs(u - b) for v in verts[1:] for u, b in zip(v, best))
+        if diameter < config.x_tol or values[-1] - values[0] < config.f_tol:
+            converged = True
+            break
+        total = verts[0]
+        for v in verts[1:-1]:
+            total = tuple(s + u for s, u in zip(total, v))
+        centroid = tuple(s / p for s in total)
+        reflected = clamp(_step(centroid, centroid, worst, 1.0))
+        f_reflected = neg_objective(reflected)
+        if f_reflected < values[0]:
+            expanded = clamp(_step(centroid, centroid, worst, 2.0))
+            f_expanded = neg_objective(expanded)
+            if f_expanded < f_reflected:
+                verts[-1], values[-1] = expanded, f_expanded
+            else:
                 verts[-1], values[-1] = reflected, f_reflected
-                continue
-            inner = reflected if f_reflected < values[-1] else worst
-            contracted = clamp(_step(centroid, inner, centroid, 0.5))
-            f_contracted = neg_objective(contracted)
-            if f_contracted < min(f_reflected, values[-1]):
-                verts[-1], values[-1] = contracted, f_contracted
-                continue
-            for i in range(1, len(verts)):
-                verts[i] = _step(best, verts[i], best, 0.5)
-                values[i] = neg_objective(verts[i])
+            continue
+        if f_reflected < values[-2]:
+            verts[-1], values[-1] = reflected, f_reflected
+            continue
+        inner = reflected if f_reflected < values[-1] else worst
+        contracted = clamp(_step(centroid, inner, centroid, 0.5))
+        f_contracted = neg_objective(contracted)
+        if f_contracted < min(f_reflected, values[-1]):
+            verts[-1], values[-1] = contracted, f_contracted
+            continue
+        for i in range(1, len(verts)):
+            verts[i] = _step(best, verts[i], best, 0.5)
+            values[i] = neg_objective(verts[i])
 
     k = min(range(len(values)), key=values.__getitem__)
     return OptimizationResult(

@@ -13,19 +13,18 @@ earlier versions in the last bits.
 
 Every stream is a job of one runner, :func:`_lanes`, which starts one worker
 thread. The caller's thread and the worker take the batches of every job,
-longest job first, and each reduces its batch into a partial tally. Once
-both have stopped, each job's partials are merged in batch order, so a
-result is the same bits as on one thread, however the two were timed. While
+longest job first, and each reduces its batch into a partial tally. Each
+job's partials are merged in batch order as they come in, so a result is
+the same bits as on one thread, however the two were timed. While
 the runner runs, numpy's bundled OpenBLAS keeps to one thread
 (:func:`_one_blas_thread`): left on every core, it runs each batch's small
 matrix product on both and spins between them on the core the worker needs.
 Where numpy links another BLAS, nothing is capped.
 
 ``mc_moment`` and ``mc_sample`` reduce those batches into one tally: moments
-and bin counts, with no sample kept, so their memory grows only by one
-partial tally per batch of ``_BATCH`` samples (about a kilobyte with 50
-bins). A histogram's range is fixed before the first draw: an
-outer bound on f from the map's numerical range. ``mc_sample`` takes its
+and bin counts, with no sample kept, so their memory does not grow with the
+sample count. A histogram's range and edges are fixed before the first draw:
+an outer bound on f from the map's numerical range. ``mc_sample`` takes its
 estimate and its histogram from the same draws. A bad bin or sample count,
 or a negative seed, raises :class:`~gatefid.linalg.ConfigError`.
 """
@@ -37,7 +36,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from math import cos, factorial, frexp, isfinite, ldexp, pi, sqrt, ulp
 from typing import Iterator, Sequence
 
@@ -175,13 +174,13 @@ def _one_blas_thread():
 
 def _workspace_size(rows: int, n: int, k: int) -> int:
     """Floats in :func:`_carve`'s workspace."""
-    return rows * (6 * n + 5 + k)
+    return rows * (6 * n + 4 + k)
 
 
 def _carve(block: np.ndarray, rows: int, n: int, k: int):
     """The ``(z, r2)`` pair for batches of ``rows`` rows on C^n, the kernel's
-    buffers for ``k`` operators and two scratch rows for the tallies, as
-    views of the flat ``block``.
+    buffers for ``k`` operators and a scratch row for the tallies, as views
+    of the flat ``block``.
 
     Every per-batch array of a lane, the tallies' scratch included, is a
     view of one workspace, so a lane allocates nothing batch-sized. As
@@ -189,12 +188,12 @@ def _carve(block: np.ndarray, rows: int, n: int, k: int):
     them back to the system and the next stream page-faulted them in again.
     The blocks viewed as complex come first, so each starts on an even float.
     """
-    sizes = [2 * n, 2 * n, 2 * n, 2, 1, 2, k]
+    sizes = [2 * n, 2 * n, 2 * n, 2, 1, 1, k]
     z, conj, prod, overlap, r2, work, out = np.split(
         block[: _workspace_size(rows, n, k)], rows * np.cumsum(sizes[:-1])
     )
     conj, prod = (b.view(complex).reshape(rows, n) for b in (conj, prod))
-    return (z.reshape(rows, 2 * n), r2), (conj, prod, overlap.view(complex), out.reshape(k, rows)), work.reshape(2, rows)
+    return (z.reshape(rows, 2 * n), r2), (conj, prod, overlap.view(complex), out.reshape(k, rows)), work
 
 
 def _kernel(ops: np.ndarray, v: np.ndarray, r2: np.ndarray, buffers) -> np.ndarray:
@@ -220,23 +219,25 @@ def _lanes(jobs: Sequence[tuple]) -> list:
     A job ``(ops, samples, seed, step, *args)`` gives, for each batch of the
     stream of ``(samples, seed)``, ``step(q, work, *args)``: the list of
     partial tallies (:meth:`_Tally.partial`) of that batch's :func:`_kernel`
-    overlaps ``q`` of ``ops``, with ``work`` two scratch rows the size of a
+    overlaps ``q`` of ``ops``, with ``work`` a scratch row the size of a
     batch. The job's result is each tally merged over its batches in batch
-    order (:func:`_merged`).
+    order (:class:`_InOrder`).
 
     Every job is split into its batches, and two lanes, the caller's thread
     and one worker, take ``(job, batch)`` tasks from one iterator under a
     lock: jobs longest first, by the shape cost ``samples * (2n + k)`` (ties
     in job order), and each job's batches in order. Each lane draws its
-    batch, runs the kernel and the step in a workspace of its own, and
-    stores the batch's partials. Since each batch has its own generator
-    (:func:`_draws`) and the merge waits until both lanes have stopped, a
-    result is the same bits as a one-thread pass over the job's batches,
-    however the lanes were timed. A lone stream such as ``gatefid sample``'s
-    is shared by both lanes, and greedy longest-first tasks leave the lanes
-    at most one batch apart at the end. The workspaces are allocated here,
-    on the caller's thread: allocated in the worker, glibc's per-thread
-    arena kept them.
+    batch, runs the kernel and the step in a workspace of its own, and hands
+    the batch's partials, under the lock, to the job's merge, which takes
+    them in batch order as they come in. Since each batch has its own
+    generator (:func:`_draws`) and the merge order is fixed, a result is the
+    same bits as a one-thread pass over the job's batches, however the lanes
+    were timed, and a job holds only its running tallies and the few
+    partials that came in before an earlier batch's. A lone stream such as
+    ``gatefid sample``'s is shared by both lanes, and greedy longest-first
+    tasks leave the lanes at most one batch apart at the end. The workspaces
+    are allocated here, on the caller's thread: allocated in the worker,
+    glibc's per-thread arena kept them.
 
     A lane runs private code only: perfbench's tracer wraps public gatefid
     functions with one span stack, which is not thread-safe, so ``ops`` is
@@ -254,32 +255,31 @@ def _lanes(jobs: Sequence[tuple]) -> list:
     from concurrent.futures import ThreadPoolExecutor
 
     jobs = [(np.asarray(ops, dtype=np.complex128), *rest) for ops, *rest in jobs]
-    parts = [[None] * -(-samples // _BATCH) for _, samples, *_ in jobs]
-    failed = [False] * len(jobs)
+    batches = [-(-samples // _BATCH) for _, samples, *_ in jobs]
+    merges = [_InOrder() for _ in jobs]
     cost = [samples * (2 * ops.shape[1] + len(ops)) for ops, samples, *_ in jobs]
     order = sorted(range(len(jobs)), key=cost.__getitem__, reverse=True)
     # Taken under the lock, so a job that failed is seen before its next batch starts.
-    tasks = ((i, k) for i in order for k in range(len(parts[i])) if not failed[i])
+    tasks = ((i, k) for i in order for k in range(batches[i]) if not merges[i].failed)
     size = max(_workspace_size(min(_BATCH, samples), ops.shape[1], len(ops)) for ops, samples, *_ in jobs)
-    blocks = [np.empty(size) for _ in range(2 if sum(map(len, parts)) > 1 else 1)]
+    blocks = [np.empty(size) for _ in range(2 if sum(batches) > 1 else 1)]
     lock = threading.Lock()
     with _one_blas_thread(), ThreadPoolExecutor(1) as worker:
-        others = [worker.submit(_lane, jobs, block, tasks, lock, parts, failed) for block in blocks[1:]]
-        _lane(jobs, blocks[0], tasks, lock, parts, failed)
+        others = [worker.submit(_lane, jobs, block, tasks, lock, merges) for block in blocks[1:]]
+        _lane(jobs, blocks[0], tasks, lock, merges)
     for lane in others:
         lane.result()
-    for job_parts in parts:
-        for part in job_parts:
-            if isinstance(part, BaseException) and not isinstance(part, ValueError):
-                raise part
-    return [_merged(job_parts) for job_parts in parts]
+    for merge in merges:
+        if merge.fault is not None:
+            raise merge.fault
+    return [merge.result for merge in merges]
 
 
-def _lane(jobs, block: np.ndarray, tasks: Iterator[tuple[int, int]], lock, parts: list, failed: list) -> None:
+def _lane(jobs, block: np.ndarray, tasks: Iterator[tuple[int, int]], lock, merges: list) -> None:
     """One lane of :func:`_lanes`: for each ``(job, batch)`` task it takes
     from ``tasks``, draw the batch into ``block``, run the kernel and the
-    job's step on it there, and store the step's partials, or the error it
-    raised, as ``parts[job][batch]``."""
+    job's step on it there, and hand the step's partials, or the error it
+    raised, to the job's merge in ``merges``."""
     shape = None
     while True:
         with lock:
@@ -293,26 +293,43 @@ def _lane(jobs, block: np.ndarray, tasks: Iterator[tuple[int, int]], lock, parts
             if batch_shape != shape:  # the views carved for the last task serve a task of its shape
                 shape = batch_shape
                 (z, r2), buffers, work = _carve(block, *shape)
-            q = _kernel(ops, *_draws(samples, seed, k, z, r2), buffers)
-            parts[i][k] = step(q, work, *args)
+            part = step(_kernel(ops, *_draws(samples, seed, k, z, r2), buffers), work, *args)
         except BaseException as exc:
-            parts[i][k] = exc
-            if isinstance(exc, ValueError):  # fails this job only
-                failed[i] = True
-            else:
-                with lock:
-                    for _ in tasks:  # no lane takes another task
-                        pass
+            part = exc
+        with lock:
+            if isinstance(part, BaseException) and not isinstance(part, ValueError):
+                for _ in tasks:  # no lane takes another task
+                    pass
+            merges[i].put(k, part)
 
 
-def _merged(parts: list):
-    """A job's result from its batches' partials, in batch order: the error
-    of the first batch that raised one, or else each tally merged over the
-    batches. A batch skipped after an error comes after that error."""
-    for part in parts:
+class _InOrder:
+    """One job's result, merged in batch order from its batches' partials,
+    which :meth:`put` takes in any order: the error of its first batch that
+    raised one, or else each tally merged over the batches. A partial that
+    comes in before an earlier batch's waits in ``early``; a batch after an
+    error is dropped. ``failed`` is set by any error, and ``fault`` holds
+    the first error that is not a ``ValueError``."""
+
+    def __init__(self):
+        self.result, self.next, self.early = None, 0, {}
+        self.failed, self.fault = False, None
+
+    def put(self, k: int, part) -> None:
         if isinstance(part, BaseException):
-            return part
-    return [reduce(_Tally.merge, column) for column in zip(*parts)]
+            self.failed = True
+            if not isinstance(part, ValueError) and self.fault is None:
+                self.fault = part
+        self.early[k] = part
+        while self.next in self.early:
+            part = self.early.pop(self.next)
+            if isinstance(self.result, BaseException):
+                pass
+            elif self.next == 0 or isinstance(part, BaseException):
+                self.result = part
+            else:
+                self.result = [a.merge(b) for a, b in zip(self.result, part)]
+            self.next += 1
 
 
 def _herm_spectra(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -373,22 +390,6 @@ def _outer_range(m: np.ndarray, bins: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _bin(x: np.ndarray, lo: float, hi: float, bins: int, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.histogram(x, bins, (lo, hi))`` of an ``x`` inside ``[lo, hi]``,
-    bit for bit: numpy's uniform-bin index, corrected by one bin against its
-    edges as numpy corrects it, in the two scratch rows ``work``. np.histogram
-    itself takes about 0.5 MB of temporaries per batch, and two lanes binning
-    at once would add both to the peak."""
-    tmp, i = work[0, : x.size], work[1, : x.size].view(np.intp)
-    edges = np.linspace(lo, hi, bins + 1)
-    np.multiply(np.divide(np.subtract(x, lo, out=tmp), hi - lo, out=tmp), bins, out=tmp)
-    np.copyto(i, tmp, casting="unsafe")  # truncation, as astype(np.intp)
-    np.minimum(i, bins - 1, out=i)
-    i -= x < np.take(edges, i, out=tmp)
-    i += (x >= np.take(edges[1:], i, out=tmp)) & (i != bins - 1)
-    return np.bincount(i, minlength=bins), edges
-
-
 class _Tally:
     """What a pass over value batches keeps: the count, the mean and M2 (the
     sum of squared deviations) of ``x / 2^exponent``, and bin counts when
@@ -411,25 +412,27 @@ class _Tally:
         self.counts, self.edges = counts, edges
 
     @classmethod
-    def partial(cls, x: np.ndarray, low: float, high: float, work: np.ndarray, bins: int = 0, value_range=None):
+    def partial(cls, x: np.ndarray, low: float, high: float, work: np.ndarray, edges=None):
         """The tally of one batch ``x``, whose least and largest values are
-        ``low`` and ``high``, with ``work`` two scratch rows of at least
-        ``x.size`` floats. Binned when ``bins`` is given, over ``value_range``: a value
-        beyond its :data:`EDGE_SLACK` raises ``ValueError``, and the rest are
-        clipped in place and counted. The moments come first, so the
+        ``low`` and ``high``, with ``work`` a scratch row of at least
+        ``x.size`` floats. Binned when histogram ``edges`` are given: a value
+        beyond their :data:`EDGE_SLACK` raises ``ValueError``, and the rest
+        are clipped in place and counted. The moments come first, so the
         estimate never sees the clip."""
         exponent = _pow2_exponent(max(high, -low))  # of the largest magnitude
-        tmp = work[0, : x.size]
+        tmp = work[: x.size]
         np.multiply(x, ldexp(1.0, -exponent), out=tmp)
         mean = float(tmp.mean())
         m2 = float(np.square(np.subtract(tmp, mean, out=tmp), out=tmp).sum())
-        counts = edges = None
-        if bins:
-            lo, hi = value_range
+        counts = None
+        if edges is not None:
+            lo, hi = float(edges[0]), float(edges[-1])
             slack = EDGE_SLACK * max(abs(lo), abs(hi))
             if low < lo - slack or high > hi + slack:
                 raise ValueError(f"sampled f in [{low!r}, {high!r}] leaves the histogram range [{lo!r}, {hi!r}]")
-            counts, edges = _bin(np.clip(x, lo, hi, out=x), lo, hi, bins, work)
+            # Given as edges, np.histogram bins by comparison with them: each
+            # bin holds edges[i] <= x < edges[i + 1], the last its top edge too.
+            counts, _ = np.histogram(np.clip(x, lo, hi, out=x), edges)
         return cls(x.size, mean, m2, exponent, counts, edges)
 
     def merge(self, later: _Tally) -> _Tally:
@@ -457,13 +460,13 @@ class _Tally:
         return Histogram(self.edges, self.counts, self.count, seed)
 
 
-def _fold(q: np.ndarray, work: np.ndarray, orders, bins: int = 0, value_range=None) -> list:
+def _fold(q: np.ndarray, work: np.ndarray, orders, edges=None) -> list:
     """The one sampling step, for one batch: each row of the overlaps ``q``
     gives f, squared further for each higher order of the ascending tuple
     ``orders``; every (row, order) pair is checked and has its own partial
-    tally, binned when ``bins`` is given (binning clips f in place, so a
-    binned fold takes one order). The result is the list of partials, row
-    by row, each row's orders in turn.
+    tally, binned when histogram ``edges`` are given (binning clips f in
+    place, so a binned fold takes one order). The result is the list of
+    partials, row by row, each row's orders in turn.
 
     Merged over a stream's batches, a row's tally sees the same values, in
     the same order, as on a stream of its row alone, so it keeps that
@@ -483,7 +486,7 @@ def _fold(q: np.ndarray, work: np.ndarray, orders, bins: int = 0, value_range=No
             low, high = float(f.min()), float(f.max())
             if not isfinite(high):  # max propagates NaN
                 raise ValueError("sampled fidelity overflows: the map's entries are too large")
-            parts.append(_Tally.partial(f, low, high, work, bins, value_range))
+            parts.append(_Tally.partial(f, low, high, work, edges))
     return parts
 
 
@@ -505,13 +508,13 @@ def _moment_job(maps, orders: tuple, samples: int, seed: int | tuple) -> tuple:
 def _sample_job(m: np.ndarray, bins: int, samples: int, seed: int | tuple) -> tuple:
     """The stream job of ``mc_sample(m, bins, samples, seed)``: one tally
     whose ``histogram(seed)`` and ``estimate(seed)`` are its results. The
-    range is fixed here, before the first draw."""
+    range and its edges are fixed here, before the first draw."""
     if bins < 2:
         raise ConfigError(f"bins must be at least 2, got {bins}")
     if samples < bins:
         raise ConfigError(f"samples ({samples}) must be at least bins ({bins})")
     ops, *rest = _moment_job([m], (1,), samples, seed)
-    return (ops, *rest, bins, _outer_range(ops[0], bins))
+    return (ops, *rest, np.linspace(*_outer_range(ops[0], bins), bins + 1))
 
 
 def _alone(job: tuple):

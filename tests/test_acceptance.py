@@ -67,15 +67,17 @@ def test_criterion_01_reference_mean():
 
 
 def test_criterion_02_reference_distribution():
-    # The density gap is taken bin by bin in standard errors (the largest
-    # pull), at a false-alarm rate of 1e-3 with chi2/dof (verify's
-    # histogram_regeneration test). A sup-norm gap under 0.05 failed on 23%
-    # of seeds of correct code at 10^6 samples, so it is reported only.
+    # chi2/dof stays below 1.5. The density gap is taken bin by bin, in
+    # standard errors: the largest bin pull stays under its bound at a
+    # false-alarm rate of 1e-3 (verify's histogram test). A density sup-norm
+    # under 0.05 is reported only: over 150 seeds of correct code at 10^6
+    # samples it failed on 34 with one stream per seed and 36 with per-batch
+    # seeds.
     dist = normal_pdf(reference_spectrum())
     hist, _ = mc_sample(reference_matrix(), 50, 1_000_000, seed=2026)
     cmp_ = compare_histogram(dist, hist)
     ratio = cmp_.chi_square / cmp_.dof
-    ratio_max, z = _fit_bounds(cmp_, 1e-3)
+    z = _fit_bounds(cmp_, 1e-3)[1]
     assert ratio < 1.5
     assert cmp_.max_pull <= z
     report(2, f"chi2/dof {ratio:.3f} < 1.5, max pull {cmp_.max_pull:.2f} <= {z:.2f}, sup-norm {cmp_.sup_norm_density_gap:.4f}")

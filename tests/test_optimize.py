@@ -15,6 +15,7 @@ from gatefid import (
     optimize,
 )
 from gatefid.linalg import ConfigError
+from gatefid.moments import InvariantError
 from gatefid.optimize import FAMILIES, EvaluatorError
 
 PI = np.pi
@@ -72,6 +73,14 @@ class TestEvaluateObjective:
         )
         with pytest.raises(ValueError, match="min_support"):
             evaluate_objective(fam, Objective("min_support"), [0.5])
+
+    @pytest.mark.parametrize("kind", ["mean", "mean_minus_k_sigma"])
+    def test_overflowing_moments_raise_without_a_warning(self, kind):
+        # Called directly, outside optimize: the moments of 1e200 I overflow,
+        # and the RuntimeWarning filter turns any numpy warning into an error.
+        fam = GateFamily(dim=2, param_count=1, evaluator=lambda p: 1e200 * np.eye(2), target=np.eye(2))
+        with pytest.raises(InvariantError, match="not a representable"):
+            evaluate_objective(fam, Objective(kind, k=1.0), [0.0])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

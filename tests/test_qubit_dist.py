@@ -367,11 +367,13 @@ class TestCompareHistogram:
         assert cmp_.dof == cmp_.bins_compared - 1
 
     def test_random_spectra_mc_agreement(self):
-        # verify's two histogram tests, chi2/dof under its upper quantile and
-        # the largest bin pull, at a false-alarm rate of 1e-4 per spectrum,
-        # so 1e-3 in all. The calibrated constants they replace (chi2/dof
-        # under 1.6, a scaled sup-norm under 5.0) failed on about a third of
-        # seeds of correct code.
+        # chi2/dof stays below 1.6, as in the reference calibration. The
+        # largest bin pull stays under its bound at a false-alarm rate of
+        # 1e-4 per spectrum (verify's histogram test). It replaces the
+        # calibration's density sup-norm, scaled by support width and
+        # sqrt(bins/samples), under 5.0: over 200 seed offsets of this test
+        # on correct code, that bound failed 36 times with one stream per
+        # seed and 40 times with per-batch seeds.
         rng = np.random.default_rng(314)
         for i in range(10):
             s = random_spectrum(rng)
@@ -379,9 +381,8 @@ class TestCompareHistogram:
             m = np.diag([s.lambda0, s.lambda1])
             h, _ = mc_sample(m, 30, 100_000, seed=500 + i)
             cmp_ = compare_histogram(d, h)
-            ratio_max, z = _fit_bounds(cmp_, 1e-4)
-            assert cmp_.chi_square / cmp_.dof < ratio_max
-            assert cmp_.max_pull <= z
+            assert cmp_.chi_square / cmp_.dof < 1.6
+            assert cmp_.max_pull <= _fit_bounds(cmp_, 1e-4)[1]
 
     def test_opposite_phase_histogram(self):
         # diag(1, e^{i pi}) has density 1/(2 sqrt(f)) on [0, 1].

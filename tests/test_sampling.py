@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from functools import reduce
 from math import ldexp
@@ -32,7 +33,6 @@ from gatefid.sampling import (
     _gaussian_rows,
     _kernel,
     _lanes,
-    _merged,
     _moment_job,
     _outer_range,
     _sample_job,
@@ -94,7 +94,9 @@ def one_thread(job, keep=None):
         except ValueError as exc:
             parts.append(exc)
             break
-    return _merged(parts)
+    if isinstance(parts[-1], ValueError):
+        return parts[-1]
+    return [reduce(_Tally.merge, column) for column in zip(*parts)]
 
 
 def overlaps(ops, samples, seed):
@@ -110,8 +112,10 @@ def fidelities(m, samples, seed):
 
 
 def tally(batches, bins=0, value_range=None):
-    """The partials of ``batches`` merged in order, as a stream's tally."""
-    parts = [_Tally.partial(x, float(x.min()), float(x.max()), np.empty((2, x.size)), bins, value_range) for x in batches]
+    """The partials of ``batches`` merged in order, as a stream's tally,
+    binned over ``bins`` equal bins of ``value_range`` when ``bins`` is given."""
+    edges = np.linspace(*value_range, bins + 1) if bins else None
+    parts = [_Tally.partial(x, float(x.min()), float(x.max()), np.empty(x.size), edges) for x in batches]
     return reduce(_Tally.merge, parts)
 
 
@@ -358,6 +362,36 @@ class TestLanes:
         assert next(calls) > 1  # the worker drew at least two batches
         assert result_bits(got) == want
         assert sorted(finished) == sorted((0, k) for _, samples, *_ in jobs for k in range(batches(samples)))
+
+    def test_partials_are_merged_as_they_come_in(self, monkeypatch):
+        # A lone binned stream of 60 batches, with the worker lane delayed on
+        # every other batch: each batch's partial is merged once the batches
+        # before it are, so only a few partials are alive at any time, not
+        # one per batch, and every partial shares the job's one edges array.
+        alive, most, edges = weakref.WeakSet(), [0], set()
+        partial = _Tally.partial
+        gaussian_rows, calls, caller = sampling._gaussian_rows, itertools.count(), threading.get_ident()
+
+        def tracked(*args):
+            part = partial(*args)
+            alive.add(part)
+            most[0] = max(most[0], len(alive))
+            edges.add(id(part.edges))
+            return part
+
+        def delayed(rng, z, r2):
+            if threading.get_ident() != caller and next(calls) % 2 == 0:
+                time.sleep(0.002)
+            return gaussian_rows(rng, z, r2)
+
+        job = _sample_job(REFERENCE, 50, 60 * _BATCH, 3)
+        want = result_bits([one_thread(job)])
+        monkeypatch.setattr(_Tally, "partial", tracked)
+        monkeypatch.setattr(sampling, "_gaussian_rows", delayed)
+        got = _lanes([job])
+        monkeypatch.undo()
+        assert result_bits(got) == want
+        assert 1 <= most[0] <= 8 and edges == {id(job[-1])}
 
     def test_longest_jobs_start_first(self, monkeypatch):
         # Jobs listed from the cheapest to the costliest, by samples * (2n + k):

@@ -134,7 +134,7 @@ def hand_loop_conditional(g, samples, seed):
     for v, r2 in reference_batches(len(g.subspace), samples, seed):
         f = (np.abs(reference_overlap(v, num_op)) / r2) ** 2
         a = reference_overlap(v, den_op).real / r2
-        parts.append([sampling._Tally.partial(x, x.min(), x.max(), np.empty((2, x.size))) for x in (f, a, f - a)])
+        parts.append([sampling._Tally.partial(x, x.min(), x.max(), np.empty(x.size)) for x in (f, a, f - a)])
     f, a, d = (reduce(sampling._Tally.merge, column).estimate(seed) for column in zip(*parts))
     r = f.mean / a.mean
     var = (1 - r) * f.std_error**2 + r * (r - 1) * a.std_error**2 + r * d.std_error**2
@@ -373,7 +373,7 @@ def test_worst_propagates_nan():
 def test_a_nan_batch_of_the_sa_stream_raises():
     # A NaN in the second batch of the S/A stream's overlaps raises in the
     # shared fold, which fails sa_decomposition with the error's text.
-    work = np.empty((2, 8))
+    work = np.empty(8)
     assert len(sampling._fold(np.full((3, 8), 0.5), work, (1,))) == 3
     with pytest.raises(ValueError, match="sampled fidelity overflows"):
         sampling._fold(np.full((3, 8), math.nan), work, (1,))
