@@ -30,7 +30,7 @@ from .qubit_dist import normal_pdf, quadrature_moments
 from .sampling import mc_sample
 from .serialize import load_kraus, load_matrix, load_problem
 from .serialize import write_density_csv, write_histogram_csv, write_trace_csv
-from .verify import run_checks
+from .verify import QUICK_SEED, run_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -205,7 +205,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="cross-module consistency checks")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--seed", type=int, default=20260810)
+    p.add_argument("--seed", type=int, default=QUICK_SEED)
     p.add_argument("--out", help="write the JSON report here as well")
     p.set_defaults(func=_cmd_verify)
 

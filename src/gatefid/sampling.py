@@ -13,7 +13,7 @@ earlier versions in the last bits.
 
 Every stream is a job of one runner, :func:`_lanes`, which starts one worker
 thread. The caller's thread and the worker take the batches of every job,
-longest job first, and each reduces its batch into a partial tally. Each
+in job order, and each reduces its batch into a partial tally. Each
 job's partials are merged in batch order as they come in, so a result is
 the same bits as on one thread, however the two were timed. While
 the runner runs, numpy's bundled OpenBLAS keeps to one thread
@@ -224,20 +224,20 @@ def _lanes(jobs: Sequence[tuple]) -> list:
     order (:class:`_InOrder`).
 
     Every job is split into its batches, and two lanes, the caller's thread
-    and one worker, take ``(job, batch)`` tasks from one iterator under a
-    lock: jobs longest first, by the shape cost ``samples * (2n + k)`` (ties
-    in job order), and each job's batches in order. Each lane draws its
-    batch, runs the kernel and the step in a workspace of its own, and hands
-    the batch's partials, under the lock, to the job's merge, which takes
-    them in batch order as they come in. Since each batch has its own
-    generator (:func:`_draws`) and the merge order is fixed, a result is the
-    same bits as a one-thread pass over the job's batches, however the lanes
-    were timed, and a job holds only its running tallies and the few
-    partials that came in before an earlier batch's. A lone stream such as
-    ``gatefid sample``'s is shared by both lanes, and greedy longest-first
-    tasks leave the lanes at most one batch apart at the end. The workspaces
-    are allocated here, on the caller's thread: allocated in the worker,
-    glibc's per-thread arena kept them.
+    and one worker, take ``(job, batch)`` tasks in that order from one
+    iterator under a lock. Each lane draws its batch, runs the kernel and
+    the step in a workspace of its own, and hands the batch's partials,
+    under the lock, to the job's merge, which takes them in batch order as
+    they come in. Since each batch has its own generator (:func:`_draws`)
+    and the merge order is fixed, a result is the same bits as a one-thread
+    pass over the job's batches, however the lanes were timed, and a job
+    holds only its running tallies and the few partials that came in before
+    an earlier batch's. A lone stream such as ``gatefid sample``'s is shared
+    by both lanes. Greedy lanes over tasks of one batch each end at most one
+    task apart in any task order (R. L. Graham, SIAM J. Appl. Math. 17,
+    1969), so no order is chosen. The workspaces are allocated here, on the
+    caller's thread: allocated in the worker, glibc's per-thread arena kept
+    them.
 
     A lane runs private code only: perfbench's tracer wraps public gatefid
     functions with one span stack, which is not thread-safe, so ``ops`` is
@@ -257,10 +257,8 @@ def _lanes(jobs: Sequence[tuple]) -> list:
     jobs = [(np.asarray(ops, dtype=np.complex128), *rest) for ops, *rest in jobs]
     batches = [-(-samples // _BATCH) for _, samples, *_ in jobs]
     merges = [_InOrder() for _ in jobs]
-    cost = [samples * (2 * ops.shape[1] + len(ops)) for ops, samples, *_ in jobs]
-    order = sorted(range(len(jobs)), key=cost.__getitem__, reverse=True)
     # Taken under the lock, so a job that failed is seen before its next batch starts.
-    tasks = ((i, k) for i in order for k in range(batches[i]) if not merges[i].failed)
+    tasks = ((i, k) for i, count in enumerate(batches) for k in range(count) if not merges[i].failed)
     size = max(_workspace_size(min(_BATCH, samples), ops.shape[1], len(ops)) for ops, samples, *_ in jobs)
     blocks = [np.empty(size) for _ in range(2 if sum(batches) > 1 else 1)]
     lock = threading.Lock()
@@ -412,13 +410,16 @@ class _Tally:
         self.counts, self.edges = counts, edges
 
     @classmethod
-    def partial(cls, x: np.ndarray, low: float, high: float, work: np.ndarray, edges=None):
-        """The tally of one batch ``x``, whose least and largest values are
-        ``low`` and ``high``, with ``work`` a scratch row of at least
-        ``x.size`` floats. Binned when histogram ``edges`` are given: a value
-        beyond their :data:`EDGE_SLACK` raises ``ValueError``, and the rest
-        are clipped in place and counted. The moments come first, so the
+    def partial(cls, x: np.ndarray, work: np.ndarray, edges=None):
+        """The tally of one batch ``x``, with ``work`` a scratch row of at
+        least ``x.size`` floats. A batch with a value that is not finite
+        raises ``ValueError``. Binned when histogram ``edges`` are given: a
+        value beyond their :data:`EDGE_SLACK` raises ``ValueError``, and the
+        rest are clipped in place and counted. The moments come first, so the
         estimate never sees the clip."""
+        low, high = float(x.min()), float(x.max())
+        if not (isfinite(low) and isfinite(high)):  # min and max propagate NaN
+            raise ValueError("sampled fidelity overflows: the map's entries are too large")
         exponent = _pow2_exponent(max(high, -low))  # of the largest magnitude
         tmp = work[: x.size]
         np.multiply(x, ldexp(1.0, -exponent), out=tmp)
@@ -482,11 +483,7 @@ def _fold(q: np.ndarray, work: np.ndarray, orders, edges=None) -> list:
                 for _ in range(order - done):
                     np.square(f, out=f)
             done = order
-            # Taken once, for the overflow check, the scale and the histogram range.
-            low, high = float(f.min()), float(f.max())
-            if not isfinite(high):  # max propagates NaN
-                raise ValueError("sampled fidelity overflows: the map's entries are too large")
-            parts.append(_Tally.partial(f, low, high, work, edges))
+            parts.append(_Tally.partial(f, work, edges))
     return parts
 
 

@@ -135,35 +135,32 @@ def check_monomial_completeness() -> CheckResult:
 
 
 @cache
-def _quartic_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exponent rows k with |k| = 4 over n coordinates, and their weights
-    (4! / prod k_i!) E prod |c_i|^(2 k_i) over Haar states c; built once per
-    n, as read-only arrays."""
-    ks = [k for k in itertools.product(range(5), repeat=n) if sum(k) == 4]
-    weights = [
-        float(sampling.monomial_integral_exact(k, n) * 24 / math.prod(map(math.factorial, k)))
-        for k in ks
-    ]
-    ks, weights = np.array(ks), np.array(weights)
-    ks.flags.writeable = weights.flags.writeable = False
-    return ks, weights
+def _quartic_exponents(n: int) -> np.ndarray:
+    """The exponent rows k with |k| = 4 over n coordinates, built once per n
+    as a read-only array. Over Haar states c, each row's multinomial weight
+    (4! / prod k_i!) E prod |c_i|^(2 k_i) is the one constant
+    24 / (n (n+1) (n+2) (n+3)) (a Dirichlet moment), so
+    E (sum_i x_i |c_i|^2)^4 is that constant times sum_k prod_i x_i^k_i."""
+    ks = np.array([k for k in itertools.product(range(5), repeat=n) if sum(k) == 4])
+    ks.flags.writeable = False
+    return ks
 
 
 def check_hermitian_collapse(seed: int | tuple) -> CheckResult:
     """``fourth_moment_general`` on Hermitian maps against their eigenvalues.
 
     In the eigenbasis of a Hermitian s, <psi|s|psi> = sum_i lambda_i |c_i|^2,
-    so E f^2 = E <psi|s|psi>^4 is the multinomial expansion of that sum,
-    weighted by the exact sphere monomials.
+    so E f^2 = E <psi|s|psi>^4 is the multinomial expansion of that sum
+    over the sphere (:func:`_quartic_exponents`).
     """
     rng = np.random.default_rng(seed)
     gaps = []
     for n in (2, 3, 4, 5):
-        ks, weights = _quartic_table(n)
+        ks, weight = _quartic_exponents(n), 24 / math.prod(range(n, n + 4))
         for _ in range(10):
             raw = _random_matrix(rng, n)
             for part in ((raw + adjoint(raw)) / 2, (raw - adjoint(raw)) / 2j):
-                a = float(np.prod(np.linalg.eigvalsh(part) ** ks, axis=1) @ weights)
+                a = float(np.prod(np.linalg.eigvalsh(part) ** ks, axis=1).sum()) * weight
                 b = moments.fourth_moment_general(part)
                 gaps.append(abs(a - b) / max(abs(a), abs(b), 1e-300))
     worst = _worst(gaps)
@@ -260,24 +257,30 @@ def _z_judge(name: str, closed: list, estimates, misses: int = 0):
     return judge
 
 
-def _estimates(jobs, tallies) -> list:
-    """The estimates of the tallies of shared moment jobs, job by job, each
-    under its job's seed."""
-    return [t.estimate(seed) for (_, _, seed, *_), job_tallies in zip(jobs, tallies) for t in job_tallies]
+def _shared_streams(key: tuple, maps: list, orders: tuple, samples: int):
+    """One ``sampling._moment_job`` at ``orders`` per dimension n of a check's
+    ``maps``, on the stream ``(*key, n)`` shared by the maps of that dimension,
+    and a function of the jobs' results that gives the estimates in map order,
+    each map's orders in turn."""
+    dims = dict.fromkeys(len(m) for m in maps)  # in order of first appearance
+    jobs = [sampling._moment_job([m for m in maps if len(m) == n], orders, samples, (*key, n)) for n in dims]
+    owners = [i for n in dims for i, m in enumerate(maps) if len(m) == n for _ in orders]
+    place = sorted(range(len(owners)), key=owners.__getitem__)  # stable: a map's orders stay in turn
+
+    def estimates(*results) -> list:
+        flat = [t.estimate((*key, n)) for n, tallies in zip(dims, results) for t in tallies]
+        return [flat[j] for j in place]
+
+    return jobs, estimates
 
 
 def _plan_mc_closed_form(key: tuple, samples: int):
     rng = np.random.default_rng(key)
-    closed, jobs = [], []
-    # One stream per dimension: the reference and the random 2x2 map share one.
-    by_dim = {}
-    for m in [reference_matrix()] + [_random_matrix(rng, n) / n for n in (2, 3, 4)]:
-        by_dim.setdefault(len(m), []).append(m)
-    for n, maps in by_dim.items():
-        for m in maps:
-            closed += [moments.avg_fidelity(m), moments.fourth_moment_general(m)]
-        jobs.append(sampling._moment_job(maps, (1, 2), samples, (*key, n)))
-    return jobs, _z_judge("mc_closed_form", closed, lambda *tallies: _estimates(jobs, tallies))
+    # The reference and the random 2x2 map share one stream.
+    maps = [reference_matrix()] + [_random_matrix(rng, n) / n for n in (2, 3, 4)]
+    closed = [value for m in maps for value in (moments.avg_fidelity(m), moments.fourth_moment_general(m))]
+    jobs, estimates = _shared_streams(key, maps, (1, 2), samples)
+    return jobs, _z_judge("mc_closed_form", closed, estimates)
 
 
 def _fit_bounds(cmp: qubit_dist.HistogramComparison, false_alarm: float) -> tuple[float, float]:
@@ -293,10 +296,11 @@ def _fit_bounds(cmp: qubit_dist.HistogramComparison, false_alarm: float) -> tupl
 def _plan_histogram_regeneration(key: tuple, samples: int, bins: int):
     """The two tests of :func:`_fit_bounds` at ``_FALSE_ALARM``."""
     dist = qubit_dist.normal_pdf(reference_spectrum())
-    job = sampling._sample_job(reference_matrix(), bins, samples, (*key, 2))
+    seed = (*key, 2)
+    job = sampling._sample_job(reference_matrix(), bins, samples, seed)
 
     def judge(tallies) -> CheckResult:
-        cmp = qubit_dist.compare_histogram(dist, tallies[0].histogram(job[2]))
+        cmp = qubit_dist.compare_histogram(dist, tallies[0].histogram(seed))
         ratio_max, z = _fit_bounds(cmp, _FALSE_ALARM)
         ratio = cmp.chi_square / cmp.dof
         ok = ratio < ratio_max and cmp.max_pull <= z
@@ -308,21 +312,20 @@ def _plan_histogram_regeneration(key: tuple, samples: int, bins: int):
 
 def _plan_mc_batch(key: tuple, samples: int, per_dim: int):
     rng = np.random.default_rng(key)
-    closed, jobs = [], []
-    for n in (2, 3, 4, 5):
-        maps = [_random_matrix(rng, n) / n for _ in range(per_dim)]
-        closed += [moments.fourth_moment_general(m) for m in maps]
-        jobs.append(sampling._moment_job(maps, (2,), samples, (*key, n)))
-    return jobs, _z_judge("mc_batch", closed, lambda *tallies: _estimates(jobs, tallies), misses=1)
+    maps = [_random_matrix(rng, n) / n for n in (2, 3, 4, 5) for _ in range(per_dim)]
+    closed = [moments.fourth_moment_general(m) for m in maps]
+    jobs, estimates = _shared_streams(key, maps, (2,), samples)
+    return jobs, _z_judge("mc_batch", closed, estimates, misses=1)
 
 
 def _plan_conditional_oracle(key: tuple, samples: int):
     gates = [_leaky_gate(alpha) for alpha in (0.0, 0.5, 1.0)]
     closed = [moments.conditional_fidelity(g) for g in gates]
-    job = _conditional_job(gates, samples, (*key, 2))
+    seed = (*key, 2)
+    job = _conditional_job(gates, samples, seed)
 
     def estimates(tallies) -> list:
-        return [_ratio(tallies[i : i + 3], job[2]) for i in range(0, len(tallies), 3)]
+        return [_ratio(tallies[i : i + 3], seed) for i in range(0, len(tallies), 3)]
 
     return [job], _z_judge("conditional_oracle", closed, estimates)
 
@@ -347,15 +350,13 @@ def _ratio_tallies(q: np.ndarray, work: np.ndarray) -> list:
     operators' overlaps ``q``: of f (its fidelity row, squared), of the
     acceptance a (its acceptance row) and of f - a, gate by gate. Merged
     over the stream, each tally sees its values in stream order, so a gate
-    keeps its bits on a stream shared with other gates."""
-
-    def partial(x):
-        return sampling._Tally.partial(x, float(x.min()), float(x.max()), work)
-
-    parts = []
+    keeps its bits on a stream shared with other gates. An f that overflows
+    raises ``ValueError`` in its tally, as in ``sampling._fold``."""
+    partial, parts = sampling._Tally.partial, []
     for f, a in zip(q[::2], q[1::2]):  # in place, in this order: a lane allocates nothing batch-sized
-        np.square(f, out=f)
-        parts += [partial(f), partial(a), partial(np.subtract(f, a, out=a))]
+        with np.errstate(over="ignore"):  # an f that overflows raises in its tally
+            np.square(f, out=f)
+        parts += [partial(f, work), partial(a, work), partial(np.subtract(f, a, out=a), work)]
     return parts
 
 
@@ -375,14 +376,14 @@ def _plan_sa_decomposition(key: tuple, samples: int):
     parts S and A on one stream: <S> is real and <A> imaginary, so
     f = |<S>|^2 + |<A>|^2 on every state, and the means add up to rounding."""
     m = _random_matrix(np.random.default_rng(key), 3)
-    job = sampling._moment_job([m, (m + adjoint(m)) / 2.0, (m - adjoint(m)) / 2.0], (1,), samples, (*key, 3))
+    jobs, estimates = _shared_streams(key, [m, (m + adjoint(m)) / 2.0, (m - adjoint(m)) / 2.0], (1,), samples)
 
-    def judge(tallies) -> CheckResult:
-        total, herm, anti = (t.estimate(job[2]).mean for t in tallies)
+    def judge(*results) -> CheckResult:
+        total, herm, anti = (est.mean for est in estimates(*results))
         gap = abs(total - (herm + anti))
         return CheckResult("sa_decomposition", gap <= 1e-12 * max(1.0, total), f"mean gap {gap:.3g}")
 
-    return [job], judge
+    return jobs, judge
 
 
 # The checks in report order, each a plan of its key; the quick level runs the first _QUICK_ROWS.

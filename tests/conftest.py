@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from gatefid.linalg import adjoint
 from gatefid.sampling import _BATCH
-from gatefid.verify import _quartic_table
+from gatefid.verify import _quartic_exponents
 
 
 @pytest.fixture
@@ -50,8 +52,9 @@ def random_antihermitian(rng, n):
 def fourth_by_eigenvalues(lam):
     """E (sum_i lam_i |c_i|^2)^4 over Haar states c: the fourth moment of
     <psi|h|psi> for a Hermitian h with eigenvalues lam."""
-    ks, weights = _quartic_table(len(lam))
-    return float(np.prod(np.asarray(lam) ** ks, axis=1) @ weights)
+    n = len(lam)
+    weight = 24 / math.prod(range(n, n + 4))  # of every row: see _quartic_exponents
+    return float(np.prod(np.asarray(lam) ** _quartic_exponents(n), axis=1).sum()) * weight
 
 
 def reference_states(n, count, rng):

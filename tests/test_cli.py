@@ -23,6 +23,7 @@ from gatefid.linalg import QubitSpectrum
 from gatefid.moments import KrausMap, MomentReport, depolarizing_kraus
 from gatefid.sampling import mc_sample
 from gatefid.serialize import kraus_to_obj, matrix_to_obj, save_matrix
+from gatefid.verify import QUICK_SEED
 from conftest import assert_scale_covariant, random_matrix, random_unitary
 
 L0 = 0.7 * np.exp(1j * np.pi / 8)
@@ -1083,6 +1084,10 @@ class TestVerifyCommand:
         report = json.loads(out)
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "mc_closed_form" in failed
+
+    def test_default_seed_is_quick_seed(self, capsys):
+        code, out, _ = run(capsys, "verify", "--level", "quick")
+        assert code == 0 and json.loads(out)["seed"] == QUICK_SEED
 
 
 class TestNonFiniteJson:

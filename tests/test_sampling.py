@@ -115,7 +115,7 @@ def tally(batches, bins=0, value_range=None):
     """The partials of ``batches`` merged in order, as a stream's tally,
     binned over ``bins`` equal bins of ``value_range`` when ``bins`` is given."""
     edges = np.linspace(*value_range, bins + 1) if bins else None
-    parts = [_Tally.partial(x, float(x.min()), float(x.max()), np.empty(x.size), edges) for x in batches]
+    parts = [_Tally.partial(x, np.empty(x.size), edges) for x in batches]
     return reduce(_Tally.merge, parts)
 
 
@@ -198,9 +198,9 @@ class TestSeedToStateMap:
     # must not change which states a seed draws. Batch k of a stream is one
     # normal draw of SFC64 seeded by the k-th child of the seed's first
     # SeedSequence child, built in the tests from numpy alone, so both sides
-    # follow the installed numpy (2.4.6 when written): NEP 19 does not pin a
-    # Generator's streams across numpy versions, so a seed's states may move
-    # with numpy.
+    # follow the installed numpy.
+    # Taken with numpy 2.4.6: NEP 19 does not promise stable Generator
+    # streams across numpy versions, so a seed's states may move with numpy.
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("seed", [0, 42])
     def test_sample_states_bitwise(self, n, seed):
@@ -393,22 +393,19 @@ class TestLanes:
         assert result_bits(got) == want
         assert 1 <= most[0] <= 8 and edges == {id(job[-1])}
 
-    def test_longest_jobs_start_first(self, monkeypatch):
-        # Jobs listed from the cheapest to the costliest, by samples * (2n + k):
-        # each lane takes its tasks in non-increasing job cost, and each job's
-        # batches in order (the seed a lane hands _draws is its job's rank),
-        # and the results still come back in job order with the one-thread bits.
+    def test_each_lane_takes_its_tasks_in_job_order(self, monkeypatch):
+        # Jobs of every shape, cheap and costly mixed: each lane takes its
+        # tasks in (job, batch) order (the seed a lane hands _draws is its
+        # job's index), every task is taken once, and the results come back
+        # in job order with the one-thread bits.
         rng = np.random.default_rng(9)
         jobs = [
             (random_matrix(rng, n)[None], samples, 0, _fold, (2,))
-            for samples in (200, 900, 3 * _BATCH)
-            for n in (2, 3, 4, 5)
+            for samples in (200, 3 * _BATCH, 900)
+            for n in (2, 5, 3, 4)
         ]
         jobs.append((_conditional_ops(_leaky_gate(0.5)), 4000, 0, _ratio_tallies))
-        cost = [samples * (2 * ops.shape[1] + len(ops)) for ops, samples, *_ in jobs]
-        assert cost != sorted(cost, reverse=True)
-        rank = sorted(range(len(jobs)), key=lambda i: (-cost[i], i))
-        jobs = [(ops, samples, rank.index(i), *rest) for i, (ops, samples, _, *rest) in enumerate(jobs)]
+        jobs = [(ops, samples, i, *rest) for i, (ops, samples, _, *rest) in enumerate(jobs)]
         taken = {}
         draws = sampling._draws
 
@@ -420,7 +417,7 @@ class TestLanes:
         got = _lanes(jobs)
         monkeypatch.undo()
         tasks = sorted(task for lane in taken.values() for task in lane)
-        assert tasks == [(rank.index(i), k) for i in rank for k in range(batches(jobs[i][1]))]
+        assert tasks == [(i, k) for i, job in enumerate(jobs) for k in range(batches(job[1]))]
         assert all(lane == sorted(lane) for lane in taken.values())
         assert result_bits(got) == result_bits([one_thread(job) for job in jobs])
 

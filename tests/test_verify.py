@@ -10,7 +10,8 @@ import pytest
 import gatefid.moments as moments_mod
 from gatefid import cli, qubit_dist, sampling
 from gatefid.linalg import ConfigError
-from gatefid.moments import comparison_matrix
+from gatefid.moments import GateSpec, comparison_matrix
+from gatefid.optimize import _leaky_map
 from gatefid.verify import (
     QUICK_SEED,
     _conditional_job,
@@ -20,6 +21,7 @@ from gatefid.verify import (
     _plan_mc_closed_form,
     _plan_sa_decomposition,
     _ratio,
+    _shared_streams,
     _worst,
     check_distribution_moments,
     check_hermitian_collapse,
@@ -27,7 +29,7 @@ from gatefid.verify import (
     reference_spectrum,
     run_checks,
 )
-from conftest import reference_batches, reference_overlap
+from conftest import random_matrix, reference_batches, reference_overlap
 
 FULL_CHECKS = [
     "monomial_patterns",
@@ -54,16 +56,19 @@ def key(name, seed=QUICK_SEED):
 # dimension n from the seed (seed, k, n), batch j of that stream from SFC64
 # seeded by the j-th child of the seed's first SeedSequence child, with
 # conditional_oracle's streaming ratio estimate, after the estimates were
-# shown to equal their lone streams' and a one-thread pass's bit for bit.
-# How the streams and their batches are scheduled moves no bit of a report. The
-# last digits of some details (the S/A rounding gap) follow the BLAS build's
-# arithmetic. Taken with numpy 2.4.6: NEP 19 does not pin a Generator's
-# streams across numpy versions, so another version may draw other states.
+# shown to equal their lone streams' and a one-thread pass's bit for bit,
+# and with hermitian_collapse's expansion summed before it is multiplied by
+# its one weight. How the streams and their batches are scheduled moves no
+# bit of a report. The last digits of some details (the S/A rounding gap)
+# follow the BLAS build's arithmetic.
+# Taken with numpy 2.4.6: NEP 19 does not promise stable Generator streams
+# across numpy versions, so another version may draw other states and move
+# these hashes.
 REPORT_SHA256 = {
-    ("quick", QUICK_SEED): "93ac88e32b3d939510ef3bc674b9b143f3b26f878c591743939cd2c24c944dd8",
-    ("full", QUICK_SEED): "4f3ee464af772bcf29af26a80b0d11ef66972e3e8aba6a91baf636ee62569f96",
-    ("quick", 7): "73afcc2ae75b0f71e8c7a3bdab4d6afd459cada85950443e069d760be3f9a547",
-    ("full", 7): "376c659f82761efa68c0686555f434582457dc3a6a1a915182ab88f3c5d4479a",
+    ("quick", QUICK_SEED): "ffc760377546c1e90067c034f17d072f59e7fb286c6427bd7727df5a5e661b3d",
+    ("full", QUICK_SEED): "e9fa8403c283a8185989590432c8870e16144a11fa49ca979f6853562f3a4915",
+    ("quick", 7): "ae606336e8b3cc10ba7664e74cf5d73ac5646b35508ff1d36067831057a48b2a",
+    ("full", 7): "3e3afeafc322ed7fa590e3e5f80dfafae1cbcdd848cf3da5cb4afade4da31acb",
 }
 
 
@@ -134,7 +139,7 @@ def hand_loop_conditional(g, samples, seed):
     for v, r2 in reference_batches(len(g.subspace), samples, seed):
         f = (np.abs(reference_overlap(v, num_op)) / r2) ** 2
         a = reference_overlap(v, den_op).real / r2
-        parts.append([sampling._Tally.partial(x, x.min(), x.max(), np.empty(x.size)) for x in (f, a, f - a)])
+        parts.append([sampling._Tally.partial(x, np.empty(x.size)) for x in (f, a, f - a)])
     f, a, d = (reduce(sampling._Tally.merge, column).estimate(seed) for column in zip(*parts))
     r = f.mean / a.mean
     var = (1 - r) * f.std_error**2 + r * (r - 1) * a.std_error**2 + r * d.std_error**2
@@ -168,6 +173,18 @@ def test_shared_stream_estimates_are_mc_moment(plan, args, estimates):
         got += [t.estimate(seed) for t in tallies]
         want += [sampling.mc_moment(m, order, samples, seed) for m in ops for order in orders]
     assert len(got) == estimates and got == want
+
+
+def test_shared_streams_give_estimates_in_map_order():
+    # Maps of interleaved dimensions: one job per dimension, on the stream
+    # (*key, n), and the estimates come back map by map, each equal to the
+    # map's own mc_moment on that stream.
+    rng = np.random.default_rng(11)
+    maps = [random_matrix(rng, n) for n in (3, 2, 3, 2, 4)]
+    jobs, estimates = _shared_streams((5, 1), maps, (1, 2), 500)
+    assert [job[2] for job in jobs] == [(5, 1, 3), (5, 1, 2), (5, 1, 4)]
+    want = [sampling.mc_moment(m, order, 500, (5, 1, len(m))) for m in maps for order in (1, 2)]
+    assert estimates(*sampling._lanes(jobs)) == want
 
 
 def test_each_gate_of_the_shared_stream_keeps_its_own_bits():
@@ -377,6 +394,20 @@ def test_a_nan_batch_of_the_sa_stream_raises():
     assert len(sampling._fold(np.full((3, 8), 0.5), work, (1,))) == 3
     with pytest.raises(ValueError, match="sampled fidelity overflows"):
         sampling._fold(np.full((3, 8), math.nan), work, (1,))
+
+
+def test_a_conditional_job_that_overflows_raises():
+    # At 2e154 times the leaky map, f overflows to inf: the conditional
+    # job's tally raises the overflow error a moment job raises, in place of
+    # inf and NaN tallies, and the other job of the run keeps its bits.
+    with np.errstate(over="ignore", invalid="ignore"):  # the acceptance operator overflows
+        big = GateSpec(np.eye(3), 2e154 * _leaky_map((0.5, 0.0)), (0, 1))
+        overflowing = _conditional_job([big], 1000, 0)
+    other = _conditional_job([_leaky_gate(0.5)], 1000, 1)
+    bad, good = sampling._lanes([overflowing, other])
+    assert isinstance(bad, ValueError) and str(bad) == "sampled fidelity overflows: the map's entries are too large"
+    (alone,) = sampling._lanes([other])
+    assert [(t.count, t.mean, t.m2, t.exponent) for t in good] == [(t.count, t.mean, t.m2, t.exponent) for t in alone]
 
 
 def test_rejects_unknown_level():
