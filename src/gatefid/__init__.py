@@ -32,14 +32,14 @@ from .optimize import (
 from .qubit_dist import (
     DegenerateSpectrumError,
     FidelityDistribution,
-    HistogramComparison,
-    compare_histogram,
     normal_pdf,
     quadrature_moments,
 )
 from .sampling import (
     Histogram,
+    HistogramComparison,
     McEstimate,
+    compare_histogram,
     mc_moment,
     mc_sample,
     monomial_integral_exact,

@@ -17,7 +17,7 @@ import functools
 import json
 import shlex
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,15 +45,6 @@ _VERSIONS = "gatefid {}, numpy {}, python {}.{}.{}".format(
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-@dataclass
-class RunManifest:
-    command: str
-    inputs: list[str]
-    seed: int
-    versions: str
-    outputs: list[str]
 
 
 def _parse_complex(text: str) -> complex:
@@ -131,16 +122,16 @@ def _cmd_sample(args) -> int:
     json_path = f"{args.out}.json"
     manifest_path = f"{args.out}.manifest.json"
     est_text = _dumps(asdict(est))
-    manifest = RunManifest(
-        command=shlex.join(["gatefid", *args.argv]),
-        inputs=[args.matrix],
-        seed=args.seed,
-        versions=_VERSIONS,
-        outputs=[csv_path, json_path, manifest_path],
-    )
+    manifest = {
+        "command": shlex.join(["gatefid", *args.argv]),
+        "inputs": [args.matrix],
+        "seed": args.seed,
+        "versions": _VERSIONS,
+        "outputs": [csv_path, json_path, manifest_path],
+    }
     write_histogram_csv(hist, csv_path)
     Path(json_path).write_text(est_text, encoding="utf-8")
-    Path(manifest_path).write_text(_dumps(asdict(manifest)), encoding="utf-8")
+    Path(manifest_path).write_text(_dumps(manifest), encoding="utf-8")
     print(est_text)
     return EXIT_OK
 

@@ -78,12 +78,12 @@ class MomentReport:
 
 
 def _checked_target(target: np.ndarray, subspace) -> tuple[int, ...] | None:
-    """The one rule for a target from :func:`as_matrix`: unitary within 1e-10, or block-diagonal
-    over a valid ``subspace`` selector and unitary on it. Returns the checked selector; a target
-    it refuses raises :class:`ConfigError`."""
+    """The one rule for a target from :func:`as_matrix`: unitary within ``DEFAULT_TOL``, or
+    block-diagonal over a valid ``subspace`` selector and unitary on it. Returns the checked
+    selector; a target it refuses raises :class:`ConfigError`."""
     if subspace is None:
         if not _is_unitary(target):
-            raise ConfigError("target must be unitary within 1e-10")
+            raise ConfigError(f"target must be unitary within {DEFAULT_TOL:g}")
         return None
     sel = check_selector(subspace, target.shape[0])
     rest = [i for i in range(target.shape[0]) if i not in sel]
@@ -91,7 +91,7 @@ def _checked_target(target: np.ndarray, subspace) -> tuple[int, ...] | None:
     if float(np.abs(off).max(initial=0.0)) > DEFAULT_TOL:
         raise ConfigError("target must be block-diagonal over the subspace")
     if not _is_unitary(target[np.ix_(sel, sel)]):
-        raise ConfigError("target must be unitary on the subspace within 1e-10")
+        raise ConfigError(f"target must be unitary on the subspace within {DEFAULT_TOL:g}")
     return sel
 
 
@@ -225,8 +225,13 @@ def _fourth(m: np.ndarray) -> float:
 @_quiet_overflow
 def variance(m: np.ndarray) -> MomentReport:
     """Mean, second moment and variance sigma_f^2 = <f^2> - <f>^2."""
-    m = as_matrix(m)
-    return MomentReport(n_eff=m.shape[0], mean=_mean(m), second_moment=_fourth(m))
+    return _report(as_matrix(m))
+
+
+def _report(m: np.ndarray) -> MomentReport:
+    """:func:`variance` of a matrix :func:`as_matrix` already checked: the one
+    builder of a map's mean, second moment and variance."""
+    return MomentReport(m.shape[0], _mean(m), _fourth(m))
 
 
 def comparison_matrix(

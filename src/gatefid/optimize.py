@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import ConfigError, as_matrix, eig2_normal
-from .moments import MomentReport, _checked_target, _fourth, _mean, _quiet_overflow, comparison_matrix
+from .moments import _checked_target, _mean, _quiet_overflow, _report, comparison_matrix
 from .qubit_dist import DegenerateSpectrumError, normal_pdf
 
 OBJECTIVE_KINDS = ("mean", "mean_minus_k_sigma", "min_support")
@@ -106,7 +106,7 @@ def evaluate_objective(fam: GateFamily, obj: Objective, params: Sequence[float])
     if obj.kind == "mean":
         return _mean(m)
     if obj.kind == "mean_minus_k_sigma":
-        rep = MomentReport(n_eff=m.shape[0], mean=_mean(m), second_moment=_fourth(m))
+        rep = _report(m)
         return rep.mean - obj.k * math.sqrt(rep.variance)
     try:
         spectrum = eig2_normal(m)

@@ -25,10 +25,8 @@ import numpy as np
 
 from .linalg import QubitSpectrum
 from .moments import InvariantError, MomentReport
-from .sampling import EDGE_SLACK, Histogram
 
 DEGENERACY_TOL = 1e-12
-MIN_EXPECTED_COUNT = 5.0
 
 
 class DegenerateSpectrumError(ValueError):
@@ -108,21 +106,6 @@ class FidelityDistribution:
         return {"case": self.case, "f0": self.f0, "support": support, "pieces": pieces}
 
 
-@dataclass(frozen=True)
-class HistogramComparison:
-    """Goodness-of-fit of a sampled histogram against the closed form."""
-
-    sup_norm_density_gap: float
-    chi_square: float
-    dof: int
-    bins_compared: int
-    max_pull: float  # largest |count - expected| / sqrt(expected) of the compared bins
-
-    def __post_init__(self):
-        if self.sup_norm_density_gap < 0 or self.chi_square < 0 or self.max_pull < 0:
-            raise ValueError("gaps must be non-negative")
-
-
 def normal_pdf(s: QubitSpectrum) -> FidelityDistribution:
     """Fidelity density of a 2x2 normal map with the given spectrum."""
     l0, l1 = s.lambda0, s.lambda1
@@ -175,33 +158,3 @@ def quadrature_moments(d: FidelityDistribution) -> MomentReport:
         second_moment=quart / 5.0 + 2.0 * f0 * quad / 3.0 + f0 * f0,
     )
 
-
-def compare_histogram(d: FidelityDistribution, h: Histogram) -> HistogramComparison:
-    """Chi-square and density sup-norm of a sampled histogram vs the density.
-
-    Expected bin probabilities come from CDF differences; the chi-square runs
-    over bins with expected count at least 5 (dof = that count minus one).
-    The sup-norm compares empirical densities against the bin-averaged
-    analytic density over all bins.
-    """
-    lo, hi = d.support()
-    widths = h.widths
-    slack = EDGE_SLACK * hi
-    if h.edges[0] < lo - widths[0] - slack or h.edges[-1] > hi + widths[-1] + slack:
-        raise ValueError("histogram extends beyond the support by more than one bin")
-    probs = np.diff(d.cdf(h.edges))
-    expected = probs * h.samples
-    usable = expected >= MIN_EXPECTED_COUNT
-    if not usable.any():
-        raise ValueError("no histogram bin has expected count >= 5")
-    resid = h.counts[usable] - expected[usable]
-    chi_square = float((resid**2 / expected[usable]).sum())
-    gap = float(np.abs(h.densities - probs / widths).max())
-    bins_compared = int(usable.sum())
-    return HistogramComparison(
-        sup_norm_density_gap=gap,
-        chi_square=chi_square,
-        dof=bins_compared - 1,
-        bins_compared=bins_compared,
-        max_pull=float((np.abs(resid) / np.sqrt(expected[usable])).max()),
-    )

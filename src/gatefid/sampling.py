@@ -48,6 +48,7 @@ _BATCH = 1 << 14
 _ANGLES = 64
 _ZOOMS = 5
 EDGE_SLACK = 1e-9  # of max(|lo|, |hi|): rounding outside a histogram range
+MIN_EXPECTED_COUNT = 5.0  # the least expected count of a bin the fit compares
 
 
 def _gaussian_rows(
@@ -118,6 +119,21 @@ class Histogram:
         # samples * width at an exact power-of-two scale: no overflow for bins near 1e308.
         e = frexp(float(self.widths.max()))[1]
         return np.ldexp(self.counts / (self.samples * np.ldexp(self.widths, -e)), -e)
+
+
+@dataclass(frozen=True)
+class HistogramComparison:
+    """Goodness-of-fit of a sampled histogram against a closed-form law."""
+
+    sup_norm_density_gap: float
+    chi_square: float
+    dof: int
+    bins_compared: int
+    max_pull: float  # largest |count - expected| / sqrt(expected) of the compared bins
+
+    def __post_init__(self):
+        if self.sup_norm_density_gap < 0 or self.chi_square < 0 or self.max_pull < 0:
+            raise ValueError("gaps must be non-negative")
 
 
 def _draws(
@@ -539,3 +555,36 @@ def mc_sample(m: np.ndarray, bins: int, samples: int, seed: int) -> tuple[Histog
     """
     (tally,) = _alone(_sample_job(m, bins, samples, seed))
     return tally.histogram(seed), tally.estimate(seed)
+
+
+def compare_histogram(d, h: Histogram) -> HistogramComparison:
+    """Chi-square and density sup-norm of a sampled histogram vs the law ``d``.
+
+    The law is read only through ``d.support()`` and ``d.cdf(f)``, as of a
+    :class:`~gatefid.qubit_dist.FidelityDistribution`. Expected bin
+    probabilities come from CDF differences; the chi-square runs over bins
+    with expected count at least 5 (dof = that count minus one). The
+    sup-norm compares empirical densities against the bin-averaged analytic
+    density over all bins.
+    """
+    lo, hi = d.support()
+    widths = h.widths
+    slack = EDGE_SLACK * hi
+    if h.edges[0] < lo - widths[0] - slack or h.edges[-1] > hi + widths[-1] + slack:
+        raise ValueError("histogram extends beyond the support by more than one bin")
+    probs = np.diff(d.cdf(h.edges))
+    expected = probs * h.samples
+    usable = expected >= MIN_EXPECTED_COUNT
+    if not usable.any():
+        raise ValueError(f"no histogram bin has expected count >= {MIN_EXPECTED_COUNT:g}")
+    resid = h.counts[usable] - expected[usable]
+    chi_square = float((resid**2 / expected[usable]).sum())
+    gap = float(np.abs(h.densities - probs / widths).max())
+    bins_compared = int(usable.sum())
+    return HistogramComparison(
+        sup_norm_density_gap=gap,
+        chi_square=chi_square,
+        dof=bins_compared - 1,
+        bins_compared=bins_compared,
+        max_pull=float((np.abs(resid) / np.sqrt(expected[usable])).max()),
+    )

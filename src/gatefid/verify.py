@@ -251,7 +251,7 @@ def _z_judge(name: str, closed: list, estimates, misses: int = 0):
         zs = [_z(est.mean, est.std_error, value) for est, value in zip(estimates(*results), closed)]
         worst, hits = _worst(zs), sum(z <= _Z_MAX for z in zs)
         ok = len(zs) - hits <= misses and not math.isnan(worst)
-        detail = f"{hits}/{len(zs)} within 4 sigma" if misses else f"max |z| = {worst:.2f} sigma"
+        detail = f"{hits}/{len(zs)} within {_Z_MAX:g} sigma" if misses else f"max |z| = {worst:.2f} sigma"
         return CheckResult(name, ok, detail)
 
     return judge
@@ -283,7 +283,7 @@ def _plan_mc_closed_form(key: tuple, samples: int):
     return jobs, _z_judge("mc_closed_form", closed, estimates)
 
 
-def _fit_bounds(cmp: qubit_dist.HistogramComparison, false_alarm: float) -> tuple[float, float]:
+def _fit_bounds(cmp: sampling.HistogramComparison, false_alarm: float) -> tuple[float, float]:
     """The bounds of a histogram fit's two tests, with half of the rate
     ``false_alarm`` each on correct code: the upper quantile of chi2/dof
     (Wilson-Hilferty), and the largest z in |count - expected| <= z
@@ -296,11 +296,12 @@ def _fit_bounds(cmp: qubit_dist.HistogramComparison, false_alarm: float) -> tupl
 def _plan_histogram_regeneration(key: tuple, samples: int, bins: int):
     """The two tests of :func:`_fit_bounds` at ``_FALSE_ALARM``."""
     dist = qubit_dist.normal_pdf(reference_spectrum())
-    seed = (*key, 2)
-    job = sampling._sample_job(reference_matrix(), bins, samples, seed)
+    m = reference_matrix()
+    seed = (*key, len(m))
+    job = sampling._sample_job(m, bins, samples, seed)
 
     def judge(tallies) -> CheckResult:
-        cmp = qubit_dist.compare_histogram(dist, tallies[0].histogram(seed))
+        cmp = sampling.compare_histogram(dist, tallies[0].histogram(seed))
         ratio_max, z = _fit_bounds(cmp, _FALSE_ALARM)
         ratio = cmp.chi_square / cmp.dof
         ok = ratio < ratio_max and cmp.max_pull <= z
@@ -321,7 +322,7 @@ def _plan_mc_batch(key: tuple, samples: int, per_dim: int):
 def _plan_conditional_oracle(key: tuple, samples: int):
     gates = [_leaky_gate(alpha) for alpha in (0.0, 0.5, 1.0)]
     closed = [moments.conditional_fidelity(g) for g in gates]
-    seed = (*key, 2)
+    seed = (*key, len(gates[0].subspace))
     job = _conditional_job(gates, samples, seed)
 
     def estimates(tallies) -> list:

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +57,37 @@ def fourth_by_eigenvalues(lam):
     n = len(lam)
     weight = 24 / math.prod(range(n, n + 4))  # of every row: see _quartic_exponents
     return float(np.prod(np.asarray(lam) ** _quartic_exponents(n), axis=1).sum()) * weight
+
+
+def permutation_moment(m, order):
+    """E |<psi|m|psi>|^(2 order) over Haar states, exactly, as a Fraction: the
+    permutation sum  sum_{sigma in S_t} tr_sigma / (n (n+1) ... (n+t-1))  over
+    t = 2 order tensor factors, m on the first ``order`` and m^dag on the
+    rest, with tr_sigma the product over the cycles of sigma of the trace of
+    the product of the cycle's factors. Every float is a binary fraction, so
+    the entries of ``m`` are taken exactly; a matrix is a pair (re, im) of
+    object arrays of Fractions."""
+    m = np.asarray(m, dtype=np.complex128)
+    n, t = len(m), 2 * order
+    re = np.vectorize(Fraction, otypes=[object])(m.real)
+    im = np.vectorize(Fraction, otypes=[object])(m.imag)
+    factors = [(re, im)] * order + [(re.T, -im.T)] * order
+    total = [Fraction(0), Fraction(0)]
+    for sigma in itertools.permutations(range(t)):
+        value, seen = (Fraction(1), Fraction(0)), set()
+        for start in range(t):
+            if start in seen:
+                continue
+            a, b, i = np.eye(n, dtype=object), np.zeros((n, n), dtype=object), start
+            while i not in seen:
+                seen.add(i)
+                c, d = factors[i]
+                a, b, i = a @ c - b @ d, a @ d + b @ c, sigma[i]
+            x, y = a.trace(), b.trace()
+            value = (value[0] * x - value[1] * y, value[0] * y + value[1] * x)
+        total = [total[0] + value[0], total[1] + value[1]]
+    assert total[1] == 0
+    return total[0] / math.prod(range(n, n + t))
 
 
 def reference_states(n, count, rng):

@@ -1,7 +1,10 @@
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatefid import (
     GateSpec,
@@ -25,6 +28,7 @@ from gatefid.sampling import _lanes, _moment_job
 from conftest import (
     fourth_by_eigenvalues,
     haar_states,
+    permutation_moment,
     random_antihermitian,
     random_hermitian,
     random_matrix,
@@ -285,6 +289,46 @@ class TestFourthMomentGeneral:
                 est2 = mc_moment(m, 2, 20_000, seed=2000 + 10 * n + i)
                 assert abs(avg_fidelity(m) - est1.mean) <= 4 * est1.std_error
                 assert abs(fourth_moment_general(m) - est2.mean) <= 4 * est2.std_error
+
+
+@st.composite
+def dyadic_maps(draw):
+    """A map on C^2 or C^3 with entries in (1/64) Z[i], shaped where the trace
+    sums cancel: general, nilpotent, traceless, near-scalar (c I, |c| up to
+    16, plus at most one grid step per entry) or a single entry."""
+    n = draw(st.sampled_from((2, 3)))
+    steps = draw(st.lists(st.integers(-128, 128), min_size=2 * n * n, max_size=2 * n * n))
+    m = (np.array(steps[::2]) + 1j * np.array(steps[1::2])).reshape(n, n)
+    kind = draw(st.sampled_from(("general", "nilpotent", "traceless", "near_scalar", "single")))
+    if kind == "nilpotent":
+        m = np.triu(m, 1)
+    elif kind == "traceless":
+        m[-1, -1] -= m.trace()
+    elif kind == "near_scalar":
+        m = 8 * m[0, 0] * np.eye(n) + np.sign(m.real) + 1j * np.sign(m.imag)
+    elif kind == "single":
+        m = np.where(np.arange(n * n).reshape(n, n) == draw(st.integers(0, n * n - 1)), m, 0)
+    return m / 64
+
+
+class TestAgainstThePermutationSum:
+    @settings(deadline=None)
+    @given(m=dyadic_maps())
+    def test_moments_match_the_exact_sum(self, m):
+        # The exact Haar moments of conftest.permutation_moment, in Fractions.
+        # The mean and second moment are held to 1e-14 of themselves, the
+        # variance only to 1e-14 of the second moment: second - mean^2
+        # cancels where f barely varies, and near-scalar maps here lose up
+        # to 1e-5 of the variance itself. A bound relative to the variance
+        # is the job of a near-unitary route (ROADMAP item 1), so
+        # near-unitary maps, whose infidelity lies far below a grid step,
+        # are left out.
+        mean, second = permutation_moment(m, 1), permutation_moment(m, 2)
+        rep = variance(m)
+        tol = Fraction(1e-14)
+        assert abs(Fraction(avg_fidelity(m)) - mean) <= tol * mean
+        assert abs(Fraction(fourth_moment_general(m)) - second) <= tol * second
+        assert abs(Fraction(rep.variance) - (second - mean * mean)) <= tol * second
 
 
 class TestMomentProperties:

@@ -80,9 +80,9 @@ def _call_sites(trees, name) -> list[str]:
 
 
 def test_sampler_stays_behind_its_stream(monkeypatch):
-    # The closed forms need no sampler, and the batch size and the seeding
-    # belong to the one stream, sampling._draws. How a draw is stored
-    # (unnormalized rows v and r2 = |v|^2) stays inside sampling too: every
+    # The batch size and the seeding belong to the one stream,
+    # sampling._draws. How a draw is stored (unnormalized rows v and
+    # r2 = |v|^2) stays inside sampling too: every
     # path, mc_moment, mc_sample and verify's checks, takes overlaps from
     # its one kernel through the one runner, sampling._lanes.
     # Only sampling starts a thread, and only in _lanes, which also holds
@@ -95,7 +95,6 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(PACKAGE.glob("*.py"))
     }
-    assert "sampling" not in _names(trees["moments.py"])
     assert [name for name, tree in trees.items() if "_BATCH" in _names(tree)] == ["sampling.py"]
     assert [name for name, tree in trees.items() if "SeedSequence" in _names(tree)] == [
         "sampling.py"
@@ -150,6 +149,27 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
         if not name.startswith("_") and any(isinstance(node, ast.FunctionDef) for node in nodes)
     }
     assert _reachable_names(defs, {"_draws", "_lane"} | steps) & public == set()
+
+
+def test_closed_forms_stand_alone():
+    # The closed forms import no sampler, and the sampler no law: the
+    # histogram fit sits beside the histogram's edge rule and reads a law
+    # through its support and CDF alone. One builder makes a map's moment
+    # report, so the optimizer's mean_minus_k_sigma probes take the same
+    # variance as moments.variance.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    for closed in ("linalg.py", "moments.py", "qubit_dist.py"):
+        assert "sampling" not in _names(trees[closed])
+    assert not {"moments", "qubit_dist"} & _names(trees["sampling.py"])
+    assert [name for name, tree in trees.items() if "EDGE_SLACK" in _names(tree)] == ["sampling.py"]
+    assert set(_call_sites(trees, "_fourth")) == {
+        "moments.py:fourth_moment_general",
+        "moments.py:_report",
+    }
+    assert "MomentReport" not in _names(trees["optimize.py"])
 
 
 def test_one_rule_for_a_target():
