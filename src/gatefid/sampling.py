@@ -1,15 +1,19 @@
 """Haar-uniform pure states, Monte-Carlo fidelity estimates, sphere integrals.
 
-States are sampled by normalizing standard complex Gaussian vectors, which is
-Haar-uniform on the unit sphere of C^n for every n. Every seeded Monte-Carlo
-path draws from one stream per seed, cut into batches of ``_BATCH`` rows, and
-is deterministic for a fixed ``(seed, samples)`` pair. Batch k of a stream
-has a generator of its own, seeded from the seed and k alone
-(:func:`_draws`), so any thread can draw any batch. The stream yields
-unnormalized Gaussian rows ``v``; every overlap ``|<v|a|v>| / |v|^2``,
-``verify``'s included, comes from one kernel, and f is its square. The
-states ``v / |v|`` a seed draws are pinned bit for bit; ``f`` may differ from
-earlier versions in the last bits.
+Every seeded Monte-Carlo path draws from one stream per seed, cut into
+batches of ``_BATCH`` rows, and is deterministic for a fixed ``(seed,
+samples)`` pair. Batch k of a stream has a generator of its own, seeded
+from the seed and k alone (:func:`_draws`), so any thread can draw any
+batch. A stream comes in one of two batch forms, chosen once per job from
+the operators' dimension n (:func:`_form`). For n != 2 the rows are
+standard complex Gaussian vectors ``v``, Haar-uniform once normalized, on
+every n, and each overlap is ``|<v|a|v>| / |v|^2``. A qubit state is a
+point r of the Bloch sphere, Haar-uniform when r is uniform on S^2, so for
+n = 2 the rows are Bloch vectors drawn by Marsaglia's rule
+(:func:`_bloch_rows`), and each overlap is ``|t_a + c_a.r|``, affine in r.
+Either way every overlap, ``verify``'s included, comes from one kernel
+(:func:`_kernel`), and f is its square. The states a seed draws are pinned
+bit for bit; ``f`` may differ from earlier versions in the last bits.
 
 Every stream is a job of one runner, :func:`_lanes`, which starts one worker
 thread. The caller's thread and the worker take the batches of every job,
@@ -64,6 +68,44 @@ def _gaussian_rows(
             rng.standard_normal(out=z[i])
             r2[i] = z[i] @ z[i]
     return z.view(np.complex128), r2
+
+
+def _bloch_rows(rng: np.random.Generator, r: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, None]:
+    """Fill ``r`` (shape (count, 3), each column contiguous) with points
+    uniform on the sphere S^2 by Marsaglia's rule (Ann. Math. Statist. 43,
+    645, 1972), with ``scratch`` (12 floats a row of ``r``) for the
+    candidates. While r lacks d rows, m = d + d // 3 + 1 pairs (x, y)
+    uniform in [-1, 1)^2 are drawn, m uniforms for the x and then m for the
+    y; the first with s = x^2 + y^2 < 1, up to d and in order, give
+    r = (2x sqrt(1 - s), 2y sqrt(1 - s), 1 - 2s). pi/4 of them are kept, so
+    a full batch is short after one block only 12 standard deviations out.
+    Each step runs over a whole block; numpy's index of the kept pairs is
+    the one array allocated. A Bloch vector has no norm to return: None."""
+    x, y, z = r.T
+    flat = scratch.reshape(-1)
+    done = 0
+    while done < len(r):
+        need = len(r) - done
+        m = need + need // 3 + 1
+        u, s, w = flat[: 2 * m].reshape(2, m), flat[2 * m : 3 * m], flat[3 * m : 4 * m]
+        keep = flat[4 * m : 4 * m + -(-m // 8)].view(bool)[:m]
+        # At half scale, exactly: u - 1/2 = x / 2, and s / 4 is tested against 1/4.
+        rng.random(out=u)
+        u -= 0.5
+        np.multiply(u[0], u[0], out=s)
+        s += np.multiply(u[1], u[1], out=w)
+        kept = np.flatnonzero(np.less(s, 0.25, out=keep))[:need]
+        rows = slice(done, done + len(kept))
+        for source, target in ((u[0], x), (u[1], y), (s, z)):
+            np.take(source, kept, out=target[rows], mode="clip")  # "clip": no buffered copy
+        xy, rz, w = r.T[:2, rows], z[rows], w[: len(kept)]
+        np.sqrt(np.subtract(0.25, rz, out=w), out=w)  # rz holds s / 4 here
+        w *= 8.0
+        np.multiply(xy, w, out=xy)
+        rz *= -8.0
+        rz += 1.0
+        done += len(kept)
+    return r, None
 
 
 def monomial_integral_exact(k: Sequence[int], n: int) -> Fraction:
@@ -136,22 +178,22 @@ class HistogramComparison:
             raise ValueError("gaps must be non-negative")
 
 
-def _draws(
-    samples: int, seed: int | tuple, k: int, z: np.ndarray, r2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _draws(samples: int, seed: int | tuple, k: int, fill, *buffers) -> tuple:
     """The one owner of a stream's batches and their generators: batch k of
-    the stream of ``samples`` rows at ``seed``, drawn into the pair
-    ``(z, r2)`` on whichever thread asks for it.
+    the stream of ``samples`` rows at ``seed``, drawn by ``fill`` into the
+    first rows of its ``buffers`` (the draw of :func:`_carve`) on whichever
+    thread asks for it, as the pair ``(x, r2)``: Gaussian rows and their
+    squared norms, or Bloch vectors and None.
 
     Batch k has a generator of its own, ``SFC64`` seeded by the child of the
     seed's ``SeedSequence`` with ``spawn_key`` (0, k), which is the k-th
     child of ``SeedSequence(seed).spawn(1)[0]``. So a batch draws the same
-    rows, redraws included, whichever batches were drawn before it and on
-    whichever thread.
+    rows, redraws and top-ups included, whichever batches were drawn before
+    it and on whichever thread.
     """
     count = min(_BATCH, samples - k * _BATCH)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, k))))
-    return _gaussian_rows(rng, z[:count], r2[:count])
+    return fill(rng, *(b[:count] for b in buffers))
 
 
 @cache
@@ -193,39 +235,96 @@ def _workspace_size(rows: int, n: int, k: int) -> int:
     return rows * (6 * n + 4 + k)
 
 
-def _carve(block: np.ndarray, rows: int, n: int, k: int):
-    """The ``(z, r2)`` pair for batches of ``rows`` rows on C^n, the kernel's
-    buffers for ``k`` operators and a scratch row for the tallies, as views
-    of the flat ``block``.
+def _form(ops: np.ndarray):
+    """The batch form of a job on the (k, n, n) stack ``ops``, chosen here
+    alone, once per job, from n: None for Gaussian rows, or for n = 2 the
+    overlaps' affine form in the Bloch vector r, ``(coef, shift, scale)``.
+
+    With rho = (I + r.sigma) / 2, <psi|a|psi> = t + c.r for t = Tr a / 2 and
+    c = ((a01 + a10) / 2, i (a01 - a10) / 2, (a00 - a11) / 2), as in
+    ``linalg.eig2_normal``. ``coef`` holds the rows Re c and Im c of each
+    operator in turn, ``shift`` Re t and Im t beside them, both of a taken
+    at 2^-e times, 2^e near its largest entry, and ``scale`` the column of
+    2^e. So no square the kernel takes under- or overflows, and 2^j a gets
+    exactly 2^j times the moduli of a.
+    """
+    if ops.shape[1] != 2:
+        return None
+    big = np.maximum(np.abs(ops.real), np.abs(ops.imag)).max(axis=(1, 2))
+    e = np.array([_pow2_exponent(b) for b in big.tolist()])
+    # An operator that overflowed to inf gets NaN terms, and its tally raises.
+    with np.errstate(invalid="ignore"):
+        a00, a01, a10, a11 = (ops * np.ldexp(1.0, -e)[:, None, None]).reshape(-1, 4).T
+        terms = 0.5 * np.stack([a00 + a11, a01 + a10, 1j * (a01 - a10), a00 - a11], axis=1)
+    rows = np.stack([terms.real, terms.imag], axis=1).reshape(-1, 4)
+    return rows[:, 1:], rows[:, :1], np.ldexp(1.0, e)[:, None]
+
+
+def _carve(block: np.ndarray, rows: int, n: int, k: int, form):
+    """The draw (a filler and its buffers, for :func:`_draws`) for batches of
+    ``rows`` rows on C^n in the batch ``form`` of :func:`_form`, the
+    kernel's buffers for ``k`` operators and a scratch row for the tallies,
+    as views of the flat ``block``.
 
     Every per-batch array of a lane, the tallies' scratch included, is a
     view of one workspace, so a lane allocates nothing batch-sized. As
     separate arrays, freed at the end of each stream, the allocator handed
     them back to the system and the next stream page-faulted them in again.
-    The blocks viewed as complex come first, so each starts on an even float.
+    Gaussian rows: the blocks viewed as complex come first, so each starts on
+    an even float. Bloch vectors need less: r, held by columns, and 6n
+    floats a row shared by the draw's candidates and the kernel's products.
     """
+    size = _workspace_size(rows, n, k)
+    if form is not None:
+        r, shared, work, out = np.split(block[:size], rows * np.cumsum([3, 6 * n, 1]))
+        draw = (_bloch_rows, r.reshape(3, rows).T, shared.reshape(rows, 6 * n))
+        return draw, (shared, out.reshape(k, rows)), work
     sizes = [2 * n, 2 * n, 2 * n, 2, 1, 1, k]
-    z, conj, prod, overlap, r2, work, out = np.split(
-        block[: _workspace_size(rows, n, k)], rows * np.cumsum(sizes[:-1])
-    )
+    z, conj, prod, overlap, r2, work, out = np.split(block[:size], rows * np.cumsum(sizes[:-1]))
     conj, prod = (b.view(complex).reshape(rows, n) for b in (conj, prod))
-    return (z.reshape(rows, 2 * n), r2), (conj, prod, overlap.view(complex), out.reshape(k, rows)), work
+    draw = (_gaussian_rows, z.reshape(rows, 2 * n), r2)
+    return draw, (conj, prod, overlap.view(complex), out.reshape(k, rows)), work
 
 
-def _kernel(ops: np.ndarray, v: np.ndarray, r2: np.ndarray, buffers) -> np.ndarray:
-    """The one overlap kernel: |<v|a|v>| / |v|^2 for each operator a of the
-    (k, n, n) stack ``ops`` and each row v of the batch ``(v, r2)``, as a
-    (k, rows) view of the ``buffers`` of :func:`_carve`, which the next
-    batch overwrites."""
-    conj, prod, overlap, out = buffers
-    count = len(v)
+def _kernel(ops: np.ndarray, batch: tuple, form, buffers) -> np.ndarray:
+    """The one overlap kernel: |<psi|a|psi>| for each operator a of the
+    (k, n, n) stack ``ops`` and each state psi of the ``batch`` that
+    :func:`_draws` drew in the job's ``form`` (:func:`_form`), as a (k, rows)
+    view of the ``buffers`` of :func:`_carve`, which the next batch
+    overwrites.
+
+    Gaussian rows, ``batch = (v, r2)``: |<v|a|v>| / |v|^2, operator by
+    operator. Bloch vectors, ``batch = (r, None)``: |t_a + c_a.r|, as
+    sqrt(re^2 + im^2) at the form's scale, from one real product of the
+    form's (2k, 3) coefficients with the (3, rows) block r.T; its 6n floats
+    a row hold 3n = 6 operators, so a larger stack takes one product per 6.
+    """
+    x, r2 = batch
+    count = len(x)
+    if form is None:
+        conj, prod, overlap, out = buffers
+        q = out[:, :count]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.conjugate(x, out=conj[:count])
+            for a, row in zip(ops, q):  # one at a time: a batched matmul ran slower
+                np.matmul(conj[:count], a, out=prod[:count])
+                np.abs(np.einsum("bj,bj->b", prod[:count], x, out=overlap[:count]), out=row)
+                row /= r2
+        return q
+    coef, shift, scale = form
+    shared, out = buffers
     q = out[:, :count]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.conjugate(v, out=conj[:count])
-        for a, row in zip(ops, q):  # one at a time: a batched matmul ran slower
-            np.matmul(conj[:count], a, out=prod[:count])
-            np.abs(np.einsum("bj,bj->b", prod[:count], v, out=overlap[:count]), out=row)
-            row /= r2
+    step = len(shared) // (2 * out.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN or inf overlap raises in its tally
+        for lo in range(0, len(q), step):
+            part = q[lo : lo + step]
+            p = shared[: 2 * len(part) * count].reshape(-1, count)
+            np.matmul(coef[2 * lo : 2 * lo + len(p)], x.T, out=p)
+            p += shift[2 * lo : 2 * lo + len(p)]
+            np.square(p, out=p)
+            np.add(p[0::2], p[1::2], out=part)
+        np.sqrt(q, out=q)
+        q *= scale
     return q
 
 
@@ -271,6 +370,7 @@ def _lanes(jobs: Sequence[tuple]) -> list:
     from concurrent.futures import ThreadPoolExecutor
 
     jobs = [(np.asarray(ops, dtype=np.complex128), *rest) for ops, *rest in jobs]
+    forms = [_form(ops) for ops, *_ in jobs]
     batches = [-(-samples // _BATCH) for _, samples, *_ in jobs]
     merges = [_InOrder() for _ in jobs]
     # Taken under the lock, so a job that failed is seen before its next batch starts.
@@ -279,8 +379,8 @@ def _lanes(jobs: Sequence[tuple]) -> list:
     blocks = [np.empty(size) for _ in range(2 if sum(batches) > 1 else 1)]
     lock = threading.Lock()
     with _one_blas_thread(), ThreadPoolExecutor(1) as worker:
-        others = [worker.submit(_lane, jobs, block, tasks, lock, merges) for block in blocks[1:]]
-        _lane(jobs, blocks[0], tasks, lock, merges)
+        others = [worker.submit(_lane, jobs, forms, block, tasks, lock, merges) for block in blocks[1:]]
+        _lane(jobs, forms, blocks[0], tasks, lock, merges)
     for lane in others:
         lane.result()
     for merge in merges:
@@ -289,11 +389,12 @@ def _lanes(jobs: Sequence[tuple]) -> list:
     return [merge.result for merge in merges]
 
 
-def _lane(jobs, block: np.ndarray, tasks: Iterator[tuple[int, int]], lock, merges: list) -> None:
+def _lane(jobs, forms: list, block: np.ndarray, tasks: Iterator[tuple[int, int]], lock, merges: list) -> None:
     """One lane of :func:`_lanes`: for each ``(job, batch)`` task it takes
-    from ``tasks``, draw the batch into ``block``, run the kernel and the
-    job's step on it there, and hand the step's partials, or the error it
-    raised, to the job's merge in ``merges``."""
+    from ``tasks``, draw the batch into ``block`` in the job's form of
+    ``forms``, run the kernel and the job's step on it there, and hand the
+    step's partials, or the error it raised, to the job's merge in
+    ``merges``."""
     shape = None
     while True:
         with lock:
@@ -306,8 +407,8 @@ def _lane(jobs, block: np.ndarray, tasks: Iterator[tuple[int, int]], lock, merge
             batch_shape = (min(_BATCH, samples), ops.shape[1], len(ops))
             if batch_shape != shape:  # the views carved for the last task serve a task of its shape
                 shape = batch_shape
-                (z, r2), buffers, work = _carve(block, *shape)
-            part = step(_kernel(ops, *_draws(samples, seed, k, z, r2), buffers), work, *args)
+                draw, buffers, work = _carve(block, *shape, forms[i])
+            part = step(_kernel(ops, _draws(samples, seed, k, *draw), forms[i], buffers), work, *args)
         except BaseException as exc:
             part = exc
         with lock:

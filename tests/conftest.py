@@ -111,18 +111,56 @@ def batch_rng(seed, k):
 
 
 def reference_batches(n, count, seed):
-    """The ``(v, r2)`` batches of the sampler's stream of ``seed``, from numpy
-    alone: batch k is one normal draw of ``batch_rng(seed, k)`` of up to
-    ``_BATCH`` rows, whose consecutive pairs (re, im) make the rows v, with
-    r2 = |v|^2 summed as the sampler sums it. The sampler's redraw of a row
-    too short to normalize (norm^2 <= 1e-300) is left out."""
+    """The ``(v, r2)`` batches of the sampler's Gaussian stream (n != 2) of
+    ``seed``, from numpy alone: batch k is one normal draw of
+    ``batch_rng(seed, k)`` of up to ``_BATCH`` rows, whose consecutive pairs
+    (re, im) make the rows v, with r2 = |v|^2 summed as the sampler sums
+    it. The sampler's redraw of a row too short to normalize
+    (norm^2 <= 1e-300) is left out."""
     for k, start in enumerate(range(0, count, _BATCH)):
         z = batch_rng(seed, k).standard_normal((min(_BATCH, count - start), 2 * n))
         yield z.view(np.complex128), np.einsum("ij,ij->i", z, z)
 
 
+def reference_bloch_rows(rng, count):
+    """``count`` Bloch vectors from ``rng`` by the sampler's rule, in numpy
+    alone: while d rows are missing, draw m = d + d // 3 + 1 pairs (x, y)
+    uniform in [-1, 1)^2, m uniforms for the x and then m for the y, and
+    keep, in order, the first pairs with s = x^2 + y^2 < 1, up to d, as
+    r = (2x sqrt(1 - s), 2y sqrt(1 - s), 1 - 2s) (Marsaglia 1972)."""
+    parts, need = [], count
+    while need:
+        x, y = 2 * rng.random((2, need + need // 3 + 1)) - 1
+        s = x * x + y * y
+        keep = s < 1
+        x, y, s = x[keep][:need], y[keep][:need], s[keep][:need]
+        w = 2 * np.sqrt(1 - s)
+        parts.append(np.stack([x * w, y * w, 1 - 2 * s], axis=1))
+        need -= len(s)
+    return np.concatenate(parts)
+
+
+def reference_bloch_batches(count, seed):
+    """The Bloch vectors of the sampler's qubit (n = 2) stream of ``seed``,
+    from numpy alone: batch k is ``reference_bloch_rows`` of
+    ``batch_rng(seed, k)``, up to ``_BATCH`` rows."""
+    for k, start in enumerate(range(0, count, _BATCH)):
+        yield reference_bloch_rows(batch_rng(seed, k), min(_BATCH, count - start))
+
+
+def bloch_states(r):
+    """The qubit state psi(r) = (cos(theta/2), e^{i phi} sin(theta/2)) whose
+    Bloch vector is each row r, as
+    (sqrt((1 + r_z) / 2), (r_x + i r_y) / sqrt(2 (1 + r_z)))."""
+    x, y, z = np.asarray(r).T
+    return np.stack([np.sqrt((1 + z) / 2), (x + 1j * y) / np.sqrt(2 * (1 + z))], axis=1)
+
+
 def haar_states(n, count, seed):
-    """``count`` Haar states on C^n, the normalized rows of the seed's stream."""
+    """``count`` Haar states on C^n, the states of the seed's stream: the
+    normalized Gaussian rows, or for n = 2 the states of its Bloch vectors."""
+    if n == 2:
+        return bloch_states(np.concatenate(list(reference_bloch_batches(count, seed))))
     return np.concatenate(
         [v / np.sqrt(r2)[:, None] for v, r2 in reference_batches(n, count, seed)]
     )

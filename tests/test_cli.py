@@ -715,13 +715,14 @@ class TestSample:
             m = np.diag([L0, L1])
         samples, bins, seed = 20_001, 30, 5
         drawn = []
-        gaussian_rows = sampling._gaussian_rows
+        draws = sampling._draws
 
-        def counting(rng, z, r2):
-            drawn.append(len(z))
-            return gaussian_rows(rng, z, r2)
+        def counting(*args):
+            x, r2 = draws(*args)
+            drawn.append(len(x))
+            return x, r2
 
-        monkeypatch.setattr(sampling, "_gaussian_rows", counting)
+        monkeypatch.setattr(sampling, "_draws", counting)
         prefix = str(files["dir"] / f"one_{name}")
         argv = ["sample", "--matrix", files[name], "--samples", str(samples)]
         argv += ["--bins", str(bins), "--seed", str(seed), "--out", prefix]

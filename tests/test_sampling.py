@@ -26,10 +26,13 @@ from gatefid.linalg import ConfigError
 from gatefid.sampling import (
     _BATCH,
     EDGE_SLACK,
+    Histogram,
     _Tally,
+    _bloch_rows,
     _carve,
     _draws,
     _fold,
+    _form,
     _gaussian_rows,
     _kernel,
     _lanes,
@@ -37,10 +40,14 @@ from gatefid.sampling import (
     _outer_range,
     _sample_job,
     _workspace_size,
+    compare_histogram,
 )
 from gatefid.verify import (
+    _FALSE_ALARM,
+    _Z_MAX,
     _conditional_job,
     _conditional_ops,
+    _fit_bounds,
     _leaky_gate,
     _plan_sa_decomposition,
     _ratio_tallies,
@@ -48,11 +55,14 @@ from gatefid.verify import (
 from conftest import (
     assert_scale_covariant,
     batch_rng,
+    bloch_states,
     haar_states,
     random_hermitian,
     random_matrix,
     random_unitary,
     reference_batches,
+    reference_bloch_batches,
+    reference_bloch_rows,
     reference_overlap,
     reference_states,
 )
@@ -82,11 +92,11 @@ def one_thread(job, keep=None):
     a copy of each batch's overlaps is appended to it."""
     ops, samples, seed, step, *args = job
     ops = np.asarray(ops, dtype=np.complex128)
-    rows, n = min(_BATCH, samples), ops.shape[1]
-    (z, r2), buffers, work = _carve(np.empty(_workspace_size(rows, n, len(ops))), rows, n, len(ops))
+    rows, n, form = min(_BATCH, samples), ops.shape[1], _form(ops)
+    draw, buffers, work = _carve(np.empty(_workspace_size(rows, n, len(ops))), rows, n, len(ops), form)
     parts = []
     for k in range(batches(samples)):
-        q = _kernel(ops, *_draws(samples, seed, k, z, r2), buffers)
+        q = _kernel(ops, _draws(samples, seed, k, *draw), form, buffers)
         if keep is not None:
             keep.append(q.copy())
         try:
@@ -167,27 +177,40 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def stream_draw(n, rows):
+    """The draw of ``sampling._carve`` for a stream on C^n with batches of
+    ``rows`` rows, in the batch form ``sampling._form`` picks for n."""
+    draw, _, _ = _carve(np.empty(_workspace_size(rows, n, 1)), rows, n, 1, _form(np.eye(n)[None]))
+    return draw
+
+
 def drawn_batches(n, samples, seed, order=None):
-    """Copies of the ``(v, r2)`` batches that ``sampling._draws`` draws for
-    the stream of ``seed``, in batch order, each drawn into the same pair
-    in the order ``order`` (batch order if not given)."""
-    rows = min(_BATCH, samples)
-    z, r2 = np.empty((rows, 2 * n)), np.empty(rows)
+    """Copies of the ``(x, r2)`` batches that ``sampling._draws`` draws for
+    the stream of ``seed``, in batch order, each drawn into the same
+    buffers in the order ``order`` (batch order if not given); r2 is None
+    for Bloch vectors."""
+    draw = stream_draw(n, min(_BATCH, samples))
     got = {}
     for k in order or range(batches(samples)):
-        v, norms = _draws(samples, seed, k, z, r2)
-        got[k] = v.copy(), norms.copy()
+        x, r2 = _draws(samples, seed, k, *draw)
+        got[k] = x.copy(), None if r2 is None else r2.copy()
     return [got[k] for k in sorted(got)]
 
 
 def assert_reference_stream(n, samples, seed, order=None):
-    """The stream's batches are the reference stream's, bit for bit, and
-    each batch's states the normalized rows of one normal draw of its own
-    generator."""
+    """The stream's batches are the reference stream's, bit for bit. For
+    n != 2 each batch's states are the normalized rows of one normal draw of
+    its own generator; for n = 2 each batch is Marsaglia's rule on its own
+    generator, unit vectors to rounding."""
     got = drawn_batches(n, samples, seed, order)
+    assert len(got) == batches(samples)
+    if n == 2:
+        for (r, r2), want in zip(got, reference_bloch_batches(samples, seed), strict=True):
+            assert r2 is None and np.array_equal(bits(r), bits(want))
+            assert np.abs(np.linalg.norm(r, axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
+        return
     want = list(reference_batches(n, samples, seed))
-    assert len(got) == len(want) == batches(samples)
-    for k, ((v, r2), (want_v, want_r2)) in enumerate(zip(got, want)):
+    for k, ((v, r2), (want_v, want_r2)) in enumerate(zip(got, want, strict=True)):
         assert np.array_equal(bits(v), bits(want_v)) and np.array_equal(bits(r2), bits(want_r2))
         states = v / np.linalg.norm(v, axis=1, keepdims=True)
         assert np.array_equal(bits(states), bits(reference_states(n, len(v), batch_rng(seed, k))))
@@ -195,9 +218,10 @@ def assert_reference_stream(n, samples, seed, order=None):
 
 class TestSeedToStateMap:
     # Pins the map from a seed to its states bit for bit: a faster kernel
-    # must not change which states a seed draws. Batch k of a stream is one
-    # normal draw of SFC64 seeded by the k-th child of the seed's first
-    # SeedSequence child, built in the tests from numpy alone, so both sides
+    # must not change which states a seed draws. Batch k of a stream draws
+    # from SFC64 seeded by the k-th child of the seed's first SeedSequence
+    # child: one normal draw for n != 2, Marsaglia's rule on the sphere for
+    # n = 2. Both are built in the tests from numpy alone, so both sides
     # follow the installed numpy.
     # Taken with numpy 2.4.6: NEP 19 does not promise stable Generator
     # streams across numpy versions, so a seed's states may move with numpy.
@@ -226,17 +250,17 @@ class TestWorkerThread:
     def test_full_stream(self, monkeypatch):
         # The first batch drawn waits until a second thread draws one too, so
         # this passes only if both lanes draw batches of the one stream.
-        gaussian_rows, drawn_on, second = sampling._gaussian_rows, [], threading.Event()
+        draws, drawn_on, second = sampling._draws, [], threading.Event()
 
-        def recording(rng, z, r2):
+        def recording(*args):
             drawn_on.append(threading.get_ident())
             if len(set(drawn_on)) > 1:
                 second.set()
             elif len(drawn_on) == 1:
                 second.wait(timeout=30)
-            return gaussian_rows(rng, z, r2)
+            return draws(*args)
 
-        monkeypatch.setattr(sampling, "_gaussian_rows", recording)
+        monkeypatch.setattr(sampling, "_draws", recording)
         before = threading.active_count()
         job = (np.eye(2)[None], 3 * _BATCH + 5, 1, _fold, (1,))
         ((got,),) = _lanes([job])
@@ -346,31 +370,34 @@ class TestLanes:
         jobs = lane_jobs(7) + [_sample_job(REFERENCE, 50, 5 * _BATCH + 3, 8)]
         want = result_bits([one_thread(job) for job in jobs])
         assert result_bits(_lanes(jobs)) == want
-        gaussian_rows, calls, caller = sampling._gaussian_rows, itertools.count(), threading.get_ident()
+        draws, calls, caller = sampling._draws, itertools.count(), threading.get_ident()
         finished = []
 
-        def delayed(rng, z, r2):
+        def delayed(samples, seed, k, *draw):
             if threading.get_ident() != caller and next(calls) % 2 == 0:
                 time.sleep(0.01)
-            out = gaussian_rows(rng, z, r2)
-            finished.append(rng.bit_generator.seed_seq.spawn_key)
+            out = draws(samples, seed, k, *draw)
+            finished.append((seed, k))
             return out
 
-        monkeypatch.setattr(sampling, "_gaussian_rows", delayed)
+        monkeypatch.setattr(sampling, "_draws", delayed)
         got = _lanes(jobs)
         monkeypatch.undo()
         assert next(calls) > 1  # the worker drew at least two batches
         assert result_bits(got) == want
-        assert sorted(finished) == sorted((0, k) for _, samples, *_ in jobs for k in range(batches(samples)))
+        assert sorted(finished) == sorted((seed, k) for _, samples, seed, *_ in jobs for k in range(batches(samples)))
 
     def test_partials_are_merged_as_they_come_in(self, monkeypatch):
         # A lone binned stream of 60 batches, with the worker lane delayed on
         # every other batch: each batch's partial is merged once the batches
         # before it are, so only a few partials are alive at any time, not
         # one per batch, and every partial shares the job's one edges array.
+        # The map is 3x3, whose Gaussian batches take about as long as the
+        # delay: a qubit batch takes a third of that, and the caller's lane
+        # runs as many more batches ahead in one time slice of a busy core.
         alive, most, edges = weakref.WeakSet(), [0], set()
         partial = _Tally.partial
-        gaussian_rows, calls, caller = sampling._gaussian_rows, itertools.count(), threading.get_ident()
+        draws, calls, caller = sampling._draws, itertools.count(), threading.get_ident()
 
         def tracked(*args):
             part = partial(*args)
@@ -379,15 +406,15 @@ class TestLanes:
             edges.add(id(part.edges))
             return part
 
-        def delayed(rng, z, r2):
+        def delayed(*args):
             if threading.get_ident() != caller and next(calls) % 2 == 0:
                 time.sleep(0.002)
-            return gaussian_rows(rng, z, r2)
+            return draws(*args)
 
-        job = _sample_job(REFERENCE, 50, 60 * _BATCH, 3)
+        job = _sample_job(random_matrix(np.random.default_rng(3), 3), 50, 60 * _BATCH, 3)
         want = result_bits([one_thread(job)])
         monkeypatch.setattr(_Tally, "partial", tracked)
-        monkeypatch.setattr(sampling, "_gaussian_rows", delayed)
+        monkeypatch.setattr(sampling, "_draws", delayed)
         got = _lanes([job])
         monkeypatch.undo()
         assert result_bits(got) == want
@@ -409,9 +436,9 @@ class TestLanes:
         taken = {}
         draws = sampling._draws
 
-        def recording(samples, seed, k, z, r2):
+        def recording(samples, seed, k, *draw):
             taken.setdefault(threading.get_ident(), []).append((seed, k))
-            return draws(samples, seed, k, z, r2)
+            return draws(samples, seed, k, *draw)
 
         monkeypatch.setattr(sampling, "_draws", recording)
         got = _lanes(jobs)
@@ -647,6 +674,128 @@ class ZeroRowRng:
             z[:] = 0.0
             self.zero_redraws -= 1
         return z
+
+
+class RejectingRng:
+    """A generator whose first uniform draw has both coordinates of every
+    other candidate at 0.99, so x = y = 0.98 and s > 1: that block keeps
+    fewer pairs than its batch needs. Later draws are the real generator's."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, size=None, out=None):
+        u = self.rng.random(size, out=out)
+        if self.calls == 0:
+            u[:, ::2] = 0.99
+        self.calls += 1
+        return u
+
+
+def bloch_buffers(count):
+    """The buffers of a qubit draw of ``count`` rows, as ``sampling._carve``
+    lays them out: r held as its three columns, and 12 floats a row for the
+    candidates."""
+    return np.empty((3, count)).T, np.empty((count, 12))
+
+
+class TestBlochDraw:
+    # Qubit streams draw Bloch vectors uniform on the sphere by Marsaglia's
+    # rule, in the reference's order.
+    @pytest.mark.parametrize("count", [2, 7, 1000, _BATCH])
+    def test_a_short_block_is_topped_up(self, count):
+        # The first candidate block keeps about 40% of its pairs, fewer than
+        # the batch's rows: the batch still gets exactly its rows, the first
+        # block's kept pairs first, then the next block's, as in the reference.
+        rng, want_rng = RejectingRng(batch_rng(3, 0)), RejectingRng(batch_rng(3, 0))
+        r, r2 = _bloch_rows(rng, *bloch_buffers(count))
+        want = reference_bloch_rows(want_rng, count)
+        assert r2 is None and r.shape == want.shape == (count, 3)
+        assert np.array_equal(bits(r), bits(want))
+        assert rng.calls == want_rng.calls >= 2
+
+    def test_archimedes(self):
+        # On 10^6 draws r_z is uniform on [-1, 1] (Archimedes' hat-box
+        # theorem), by verify's histogram test at its false-alarm rate, and
+        # E r = 0 and E r r^T = I/3 within _Z_MAX standard errors.
+        samples = 1_000_000
+        r = np.concatenate([x for x, _ in drawn_batches(2, samples, 2026)])
+
+        class Uniform:
+            def support(self):
+                return -1.0, 1.0
+
+            def cdf(self, z):
+                return (np.asarray(z) + 1.0) / 2.0
+
+        counts, edges = np.histogram(r[:, 2], 50, (-1.0, 1.0))
+        cmp_ = compare_histogram(Uniform(), Histogram(edges, counts, samples, 2026))
+        ratio_max, pull_max = _fit_bounds(cmp_, _FALSE_ALARM)
+        assert cmp_.chi_square / cmp_.dof < ratio_max and cmp_.max_pull <= pull_max
+        for i in range(3):
+            assert abs(r[:, i].mean()) <= _Z_MAX * r[:, i].std() / np.sqrt(samples)
+            for j in range(i, 3):
+                x = r[:, i] * r[:, j]
+                assert abs(x.mean() - (i == j) / 3) <= _Z_MAX * x.std() / np.sqrt(samples)
+
+
+def bloch_moduli(ops, samples, seed):
+    """The Bloch vectors of a qubit stream and the kernel's moduli of
+    ``ops`` on them, batch by batch on this thread."""
+    kept = []
+    one_thread((ops, samples, seed, lambda q, work: []), kept)
+    r = np.concatenate([x for x, _ in drawn_batches(2, samples, seed)])
+    return r, np.concatenate(kept, axis=1)
+
+
+def near_unitary(n, delta, seed):
+    """exp(i delta H) for a seeded Hermitian H with spectrum in [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    w, v = np.linalg.eigh(random_hermitian(rng, n))
+    w /= np.abs(w).max()
+    return (v * np.exp(1j * delta * w)) @ v.conj().T
+
+
+AFFINE = {
+    "generic": random_matrix(np.random.default_rng(1), 2),
+    "non_normal": np.array([[1, 2], [0, -0.5j]]),
+    "nilpotent": np.array([[0, 1], [0, 0]]),
+    "near_unitary": near_unitary(2, 1e-8, 12),
+}
+
+
+class TestAffineKernel:
+    # On a qubit stream the kernel takes |<psi|a|psi>| as |t + c.r| from the
+    # Bloch vector r; it must match the overlap of the state psi(r) within
+    # 8 ulps of the largest entry of a, and follow a power-of-two scale of a
+    # bit for bit.
+    @pytest.mark.parametrize("name", sorted(AFFINE))
+    @pytest.mark.parametrize("k", [0, -500, 500])
+    def test_matches_the_state_of_each_bloch_vector(self, name, k):
+        a = AFFINE[name].astype(complex) * 2.0**k
+        r, q = bloch_moduli(np.stack([a, a.T, a.conj()]), 2 * _BATCH + 9, 5)
+        big = np.maximum(np.abs(a.real), np.abs(a.imag)).max()
+        for op, row in zip((a, a.T, a.conj()), q):
+            want = np.abs(reference_overlap(bloch_states(r), op))
+            assert np.abs(row - want).max() <= 8 * np.finfo(float).eps * big
+        _, plain = bloch_moduli(np.stack([a, a.T, a.conj()]) * 2.0**-k, 2 * _BATCH + 9, 5)
+        assert np.array_equal(bits(q), bits(np.ldexp(plain, k)))
+
+    def test_more_operators_than_one_product_takes(self):
+        # 3n = 6 operators share one real product; 14 take three, and each
+        # row keeps the bits it has alone.
+        ops = np.stack([random_matrix(np.random.default_rng(i), 2) for i in range(14)])
+        _, q = bloch_moduli(ops, 3000, 8)
+        for a, row in zip(ops, q):
+            assert np.array_equal(bits(row), bits(bloch_moduli(a[None], 3000, 8)[1][0]))
+
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_mc_sample_follows_a_power_of_two_scale(self, k):
+        def run(m):
+            hist, est = mc_sample(m, 50, 2_000, seed=11)
+            return hist.counts, hist.edges, est.mean, est.std_error
+
+        assert_scale_covariant(run, REFERENCE, k, 2)
 
 
 class TestFidelityKernel:
@@ -1052,14 +1201,6 @@ class TestStream:
                 finally:
                     tracemalloc.stop()
             assert peaks[1] <= 1.1 * peaks[0]
-
-
-def near_unitary(n, delta, seed):
-    """exp(i delta H) for a seeded Hermitian H with spectrum in [-1, 1]."""
-    rng = np.random.default_rng(seed)
-    w, v = np.linalg.eigh(random_hermitian(rng, n))
-    w /= np.abs(w).max()
-    return (v * np.exp(1j * delta * w)) @ v.conj().T
 
 
 def sweep_maps():

@@ -99,7 +99,7 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
     assert [name for name, tree in trees.items() if "SeedSequence" in _names(tree)] == [
         "sampling.py"
     ]
-    stream = {"_draws", "_gaussian_rows", "r2"}
+    stream = {"_draws", "_gaussian_rows", "_bloch_rows", "_form", "r2"}
     outside = {name: _names(tree) for name, tree in trees.items() if name != "sampling.py"}
     assert [name for name, names in outside.items() if stream & names] == []
     assert [name for name, tree in trees.items() if "expectation" in _names(tree)] == []
@@ -118,6 +118,23 @@ def test_sampler_stays_behind_its_stream(monkeypatch):
     assert _call_sites(trees, "ThreadPoolExecutor") == ["sampling.py:_lanes"]
     assert _call_sites(trees, "_one_blas_thread") == ["sampling.py:_lanes"]
     assert _call_sites(trees, "_draws") == ["sampling.py:_lane"]
+    # One function picks a job's batch form, Gaussian rows or Bloch vectors,
+    # from its dimension, once per job: only _form tests a shape against 2,
+    # only _lanes calls it, and only _carve hands out the two fillers.
+    dimension_tests = [
+        top.name
+        for top in trees["sampling.py"].body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Compare)
+        and "shape" in ast.unparse(node)
+        and any(isinstance(x, ast.Constant) and x.value == 2 for x in [node.left, *node.comparators])
+    ]
+    assert dimension_tests == ["_form"]
+    assert _call_sites(trees, "_form") == ["sampling.py:_lanes"]
+    fillers = [
+        top.name for top in trees["sampling.py"].body if {"_gaussian_rows", "_bloch_rows"} & _names(top)
+    ]
+    assert fillers == ["_carve"]
     # One schedule: no draw-ahead beside the lanes.
     assert "_ahead" not in _names(trees["sampling.py"])
 

@@ -29,7 +29,7 @@ from gatefid.verify import (
     reference_spectrum,
     run_checks,
 )
-from conftest import random_matrix, reference_batches, reference_overlap
+from conftest import random_matrix, reference_bloch_batches
 
 FULL_CHECKS = [
     "monomial_patterns",
@@ -54,7 +54,8 @@ def key(name, seed=QUICK_SEED):
 # sha256 of the report text `gatefid verify` prints, taken once check k of a
 # run at a seed drew its maps from default_rng((seed, k)) and its stream in
 # dimension n from the seed (seed, k, n), batch j of that stream from SFC64
-# seeded by the j-th child of the seed's first SeedSequence child, with
+# seeded by the j-th child of the seed's first SeedSequence child, each
+# qubit (n = 2) batch as Bloch vectors by Marsaglia's rule, with
 # conditional_oracle's streaming ratio estimate, after the estimates were
 # shown to equal their lone streams' and a one-thread pass's bit for bit,
 # and with hermitian_collapse's expansion summed before it is multiplied by
@@ -66,9 +67,9 @@ def key(name, seed=QUICK_SEED):
 # these hashes.
 REPORT_SHA256 = {
     ("quick", QUICK_SEED): "ffc760377546c1e90067c034f17d072f59e7fb286c6427bd7727df5a5e661b3d",
-    ("full", QUICK_SEED): "e9fa8403c283a8185989590432c8870e16144a11fa49ca979f6853562f3a4915",
-    ("quick", 7): "ae606336e8b3cc10ba7664e74cf5d73ac5646b35508ff1d36067831057a48b2a",
-    ("full", 7): "3e3afeafc322ed7fa590e3e5f80dfafae1cbcdd848cf3da5cb4afade4da31acb",
+    ("full", QUICK_SEED): "8abe497f51c729de1a3397ea2905f0d63fc0d31105bbc17632302a6b1d9ec4eb",
+    ("quick", 7): "dd67acbdf170462ba9be1457047cf7a7c21bd9af39432004d1cd519ab1825010",
+    ("full", 7): "ee52acd73097f15cc38bb0fc9f0c7f7be95d3e3462c2535c88a3444c6b42efb4",
 }
 
 
@@ -115,30 +116,53 @@ def test_mc_checks_draw_from_the_one_stream(monkeypatch, plan, streams):
     # sampling._lanes, whose states come from the one stream, so the rows
     # drawn through its generator are exactly samples per stream; the three
     # gates of the conditional check share one.
-    drawn = []
-    gaussian_rows = sampling._gaussian_rows
-
-    def counting(rng, z, r2):
-        drawn.append(len(z))
-        return gaussian_rows(rng, z, r2)
-
-    monkeypatch.setattr(sampling, "_gaussian_rows", counting)
+    monkeypatch.setattr(sampling, "_draws", counting_draws(drawn := []))
     samples = 5_000
     jobs, judge = plan((QUICK_SEED, 0), samples)
     assert judge(*sampling._lanes(jobs)).passed
     assert sum(drawn) == streams * samples
 
 
+def counting_draws(drawn):
+    """``sampling._draws``, appending the rows of each batch it draws to ``drawn``."""
+    draws = sampling._draws
+
+    def counting(*args):
+        x, r2 = draws(*args)
+        drawn.append(len(x))
+        return x, r2
+
+    return counting
+
+
+def bloch_moduli(ops, r):
+    """|t_a + c_a.r| for each 2x2 operator a of ``ops`` and each Bloch vector
+    r, in the arithmetic of the sampler's kernel: a taken at 2^-e times, 2^e
+    near its largest entry, with t = Tr a / 2 and
+    c = ((a01 + a10) / 2, i (a01 - a10) / 2, (a00 - a11) / 2); the real and
+    imaginary parts from one real product; the modulus as
+    sqrt(re^2 + im^2), times 2^e."""
+    exps = [math.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1] for a in ops]
+    coef, shift = [], []
+    for a, e in zip(ops, exps):
+        (a00, a01), (a10, a11) = a * 2.0**-e
+        c = [(a01 + a10) / 2, 1j * (a01 - a10) / 2, (a00 - a11) / 2]
+        coef += [[z.real for z in c], [z.imag for z in c]]
+        shift += [((a00 + a11) / 2).real, ((a00 + a11) / 2).imag]
+    p = np.array(coef) @ r.T + np.array(shift)[:, None]
+    return np.sqrt(p[0::2] ** 2 + p[1::2] ** 2) * np.array([2.0**e for e in exps])[:, None]
+
+
 def hand_loop_conditional(g, samples, seed):
-    """The conditional estimate as a hand loop over the reference stream:
-    tallies of f, of the acceptance a and of f - a, then the ratio of the
-    means and its delta-method standard error."""
-    num_op = comparison_matrix(g.target, g.actual, g.subspace)
-    den_op = comparison_matrix(g.actual, g.actual, g.subspace)
+    """The conditional estimate as a hand loop over the reference stream of
+    Bloch vectors (the subspace is a qubit): tallies of f, of the acceptance
+    a and of f - a, then the ratio of the means and its delta-method
+    standard error."""
+    ops = np.stack([comparison_matrix(a, g.actual, g.subspace) for a in (g.target, g.actual)])
     parts = []
-    for v, r2 in reference_batches(len(g.subspace), samples, seed):
-        f = (np.abs(reference_overlap(v, num_op)) / r2) ** 2
-        a = reference_overlap(v, den_op).real / r2
+    for r in reference_bloch_batches(samples, seed):
+        f, a = bloch_moduli(ops, r)
+        f = f**2
         parts.append([sampling._Tally.partial(x, np.empty(x.size)) for x in (f, a, f - a)])
     f, a, d = (reduce(sampling._Tally.merge, column).estimate(seed) for column in zip(*parts))
     r = f.mean / a.mean
@@ -150,7 +174,7 @@ def hand_loop_conditional(g, samples, seed):
 def test_mc_checks_match_a_hand_loop_over_the_stream_bitwise(seed):
     # The kernel keeps the arithmetic of a loop over the stream's rows, so
     # the estimates keep their bits; the acceptance operator is positive
-    # semidefinite, so the modulus of its overlap is its real part.
+    # semidefinite, so the modulus of its overlap is the acceptance.
     samples = 3 * sampling._BATCH + 101
     for alpha in (0.0, 0.5, 1.0):
         g = _leaky_gate(alpha)
@@ -203,14 +227,7 @@ def test_rows_drawn_per_level(monkeypatch):
     # One stream per check and dimension: 3 of 20,000 rows at quick; at full
     # also the 10^6-row histogram, 4 mc_batch streams and the conditional
     # and S/A streams of 100,000 rows each.
-    drawn = []
-    gaussian_rows = sampling._gaussian_rows
-
-    def counting(rng, z, r2):
-        drawn.append(len(z))
-        return gaussian_rows(rng, z, r2)
-
-    monkeypatch.setattr(sampling, "_gaussian_rows", counting)
+    monkeypatch.setattr(sampling, "_draws", counting_draws(drawn := []))
     run_checks("quick")
     assert sum(drawn) == 60_000
     drawn.clear()
@@ -256,7 +273,7 @@ def test_no_stream_or_map_generator_is_shared_across_seeds(monkeypatch):
 
     def started(jobs):
         for _, _, seed, *_ in jobs:  # each stream's first batch, cut to one row
-            sampling._draws(1, seed, 0, np.empty((1, 2)), np.empty(1))
+            sampling._draws(1, seed, 0, sampling._gaussian_rows, np.empty((1, 2)), np.empty(1))
         return [ValueError("not drawn")] * len(jobs)
 
     monkeypatch.setattr(np.random, "default_rng", recording)
