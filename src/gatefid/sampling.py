@@ -6,11 +6,11 @@ samples)`` pair. Batch k of a stream has a generator of its own, seeded
 from the seed and k alone (:func:`_draws`), so any thread can draw any
 batch. A stream comes in one of two batch forms, chosen once per job from
 the operators' dimension n (:func:`_form`). For n != 2 the rows are
-standard complex Gaussian vectors ``v``, Haar-uniform once normalized, on
-every n, and each overlap is ``|<v|a|v>| / |v|^2``. A qubit state is a
-point r of the Bloch sphere, Haar-uniform when r is uniform on S^2, so for
-n = 2 the rows are Bloch vectors drawn by Marsaglia's rule
-(:func:`_bloch_rows`), and each overlap is ``|t_a + c_a.r|``, affine in r.
+standard complex Gaussian vectors ``v``, Haar-uniform once normalized, and
+each overlap is ``|<v|a|v>| / |v|^2``. A qubit state is a point r of the
+Bloch sphere, Haar-uniform when r is uniform on S^2, so for n = 2 the rows
+are Bloch vectors drawn by Marsaglia's rule (:func:`_bloch_rows`), and each
+overlap is ``|t_a + c_a.r|``, affine in r.
 Either way every overlap, ``verify``'s included, comes from one kernel
 (:func:`_kernel`), and f is its square. The states a seed draws are pinned
 bit for bit; ``f`` may differ from earlier versions in the last bits.

@@ -177,19 +177,13 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def stream_draw(n, rows):
-    """The draw of ``sampling._carve`` for a stream on C^n with batches of
-    ``rows`` rows, in the batch form ``sampling._form`` picks for n."""
-    draw, _, _ = _carve(np.empty(_workspace_size(rows, n, 1)), rows, n, 1, _form(np.eye(n)[None]))
-    return draw
-
-
 def drawn_batches(n, samples, seed, order=None):
     """Copies of the ``(x, r2)`` batches that ``sampling._draws`` draws for
     the stream of ``seed``, in batch order, each drawn into the same
     buffers in the order ``order`` (batch order if not given); r2 is None
     for Bloch vectors."""
-    draw = stream_draw(n, min(_BATCH, samples))
+    rows = min(_BATCH, samples)
+    draw, _, _ = _carve(np.empty(_workspace_size(rows, n, 1)), rows, n, 1, _form(np.eye(n)[None]))
     got = {}
     for k in order or range(batches(samples)):
         x, r2 = _draws(samples, seed, k, *draw)
@@ -739,7 +733,7 @@ class TestBlochDraw:
                 assert abs(x.mean() - (i == j) / 3) <= _Z_MAX * x.std() / np.sqrt(samples)
 
 
-def bloch_moduli(ops, samples, seed):
+def kernel_on_bloch_stream(ops, samples, seed):
     """The Bloch vectors of a qubit stream and the kernel's moduli of
     ``ops`` on them, batch by batch on this thread."""
     kept = []
@@ -773,21 +767,21 @@ class TestAffineKernel:
     @pytest.mark.parametrize("k", [0, -500, 500])
     def test_matches_the_state_of_each_bloch_vector(self, name, k):
         a = AFFINE[name].astype(complex) * 2.0**k
-        r, q = bloch_moduli(np.stack([a, a.T, a.conj()]), 2 * _BATCH + 9, 5)
+        r, q = kernel_on_bloch_stream(np.stack([a, a.T, a.conj()]), 2 * _BATCH + 9, 5)
         big = np.maximum(np.abs(a.real), np.abs(a.imag)).max()
         for op, row in zip((a, a.T, a.conj()), q):
             want = np.abs(reference_overlap(bloch_states(r), op))
             assert np.abs(row - want).max() <= 8 * np.finfo(float).eps * big
-        _, plain = bloch_moduli(np.stack([a, a.T, a.conj()]) * 2.0**-k, 2 * _BATCH + 9, 5)
+        _, plain = kernel_on_bloch_stream(np.stack([a, a.T, a.conj()]) * 2.0**-k, 2 * _BATCH + 9, 5)
         assert np.array_equal(bits(q), bits(np.ldexp(plain, k)))
 
     def test_more_operators_than_one_product_takes(self):
         # 3n = 6 operators share one real product; 14 take three, and each
         # row keeps the bits it has alone.
         ops = np.stack([random_matrix(np.random.default_rng(i), 2) for i in range(14)])
-        _, q = bloch_moduli(ops, 3000, 8)
+        _, q = kernel_on_bloch_stream(ops, 3000, 8)
         for a, row in zip(ops, q):
-            assert np.array_equal(bits(row), bits(bloch_moduli(a[None], 3000, 8)[1][0]))
+            assert np.array_equal(bits(row), bits(kernel_on_bloch_stream(a[None], 3000, 8)[1][0]))
 
     @pytest.mark.parametrize("k", [-500, 500])
     def test_mc_sample_follows_a_power_of_two_scale(self, k):
