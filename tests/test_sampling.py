@@ -382,37 +382,53 @@ class TestLanes:
         assert sorted(finished) == sorted((seed, k) for _, samples, seed, *_ in jobs for k in range(batches(samples)))
 
     def test_partials_are_merged_as_they_come_in(self, monkeypatch):
-        # A lone binned stream of 60 batches, with the worker lane delayed on
-        # every other batch: each batch's partial is merged once the batches
-        # before it are, so only a few partials are alive at any time, not
-        # one per batch, and every partial shares the job's one edges array.
-        # The map is 3x3, whose Gaussian batches take about as long as the
-        # delay: a qubit batch takes a third of that, and the caller's lane
-        # runs as many more batches ahead in one time slice of a busy core.
-        alive, most, edges = weakref.WeakSet(), [0], set()
-        partial = _Tally.partial
-        draws, calls, caller = sampling._draws, itertools.count(), threading.get_ident()
+        # A lone binned stream of 60 batches, on the 2x2 reference map and on
+        # a 3x3 map, with the worker lane held back on every other batch: each
+        # batch's partial is merged once the batches before it are, so only a
+        # few partials are alive at any time, not one per batch, and every
+        # partial shares the job's one edges array. The lanes are paced in
+        # batches: the worker waits until the caller's lane has drawn four
+        # batches more, and the caller's lane waits while it is five batches
+        # past the worker's. A clock does not hold the lag: a qubit batch
+        # takes a few tenths of a millisecond, and a 2 ms sleep, which a
+        # shared two-core host at times stretches to 6 ms, is a dozen.
+        partial, draws, caller = _Tally.partial, sampling._draws, threading.get_ident()
+        for m in (REFERENCE, random_matrix(np.random.default_rng(3), 3)):
+            alive, most, edges = weakref.WeakSet(), [0], set()
+            pace, drawn, held = threading.Condition(), [0, 0], [None]  # held: the caller's count at the worker's draw
 
-        def tracked(*args):
-            part = partial(*args)
-            alive.add(part)
-            most[0] = max(most[0], len(alive))
-            edges.add(id(part.edges))
-            return part
+            def tracked(*args):
+                part = partial(*args)
+                alive.add(part)
+                most[0] = max(most[0], len(alive))
+                edges.add(id(part.edges))
+                if threading.get_ident() != caller:
+                    with pace:
+                        held[0] = None
+                        pace.notify_all()
+                return part
 
-        def delayed(*args):
-            if threading.get_ident() != caller and next(calls) % 2 == 0:
-                time.sleep(0.002)
-            return draws(*args)
+            def paced(*args):
+                with pace:
+                    if threading.get_ident() == caller:
+                        assert pace.wait_for(lambda: held[0] is None or drawn[0] < held[0] + 5, timeout=60)
+                        drawn[0] += 1
+                    else:
+                        held[0] = drawn[0]
+                        if drawn[1] % 2 == 0:  # until four more, or no batch is left for the caller
+                            assert pace.wait_for(lambda: drawn[0] >= held[0] + 4 or sum(drawn) == 59, timeout=60)
+                        drawn[1] += 1
+                    pace.notify_all()
+                return draws(*args)
 
-        job = _sample_job(random_matrix(np.random.default_rng(3), 3), 50, 60 * _BATCH, 3)
-        want = result_bits([one_thread(job)])
-        monkeypatch.setattr(_Tally, "partial", tracked)
-        monkeypatch.setattr(sampling, "_draws", delayed)
-        got = _lanes([job])
-        monkeypatch.undo()
-        assert result_bits(got) == want
-        assert 1 <= most[0] <= 8 and edges == {id(job[-1])}
+            job = _sample_job(m, 50, 60 * _BATCH, 3)
+            want = result_bits([one_thread(job)])
+            monkeypatch.setattr(_Tally, "partial", tracked)
+            monkeypatch.setattr(sampling, "_draws", paced)
+            got = _lanes([job])
+            monkeypatch.undo()
+            assert result_bits(got) == want and sum(drawn) == 60 and drawn[1] > 1
+            assert 3 <= most[0] <= 8 and edges == {id(job[-1])}
 
     def test_each_lane_takes_its_tasks_in_job_order(self, monkeypatch):
         # Jobs of every shape, cheap and costly mixed: each lane takes its
